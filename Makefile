@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test vet vet-custom analyze race fuzz bench bench-json bench-serve bench-analyzers bench-compare experiments serve smoke golden-update lint-golden-update fppnlint-golden-update
+.PHONY: all build test test-cpu vet vet-custom analyze race fuzz bench bench-json bench-serve bench-analyzers bench-compare experiments serve smoke golden-update lint-golden-update fppnlint-golden-update
 
 all: build vet vet-custom analyze test
 
@@ -10,6 +10,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The packages that fan out through internal/parallel, tested at 1, 2 and
+# 4 CPUs: at GOMAXPROCS=1 work units run inline on the caller, so a
+# failure that only happens on a worker goroutine goes unseen.
+TEST_CPU_PKGS = ./internal/parallel ./internal/taskgraph ./internal/sched ./internal/feas \
+	./internal/lint ./internal/serve ./internal/integration
+
+test-cpu:
+	$(GO) test -cpu 1,2,4 $(TEST_CPU_PKGS)
 
 vet:
 	$(GO) vet ./...

@@ -183,28 +183,6 @@ func BenchmarkFig7FMSSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7FMSScheduleReference pins the cost of the pre-event-driven
-// scheduler (rational rescan loop + rational feasibility check) on the same
-// 812-job input, so the EXPERIMENTS.md before/after table can be reproduced
-// from a single run.
-func BenchmarkFig7FMSScheduleReference(b *testing.B) {
-	tg, err := taskgraph.Derive(fms.New())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := sched.ListScheduleReference(tg, 1, sched.ALAPEDF)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.ValidateReference(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // fmsRunFixture builds the schedule and run parameters shared by the Fig. 7
 // execution benchmarks.
 func fmsRunFixture(b *testing.B) (*fppn.Schedule, fppn.RunConfig) {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fppnvet -app signal|fft|fft-overhead|fms|fms-original [-m N] [-json]
-//	fppnvet -app broken-model|broken-timing|broken-flow|broken-feas|broken-hb|empty   (demo fixtures)
+//	fppnvet -app broken-model|broken-timing|broken-flow|broken-feas|broken-hb|broken-timescale|empty   (demo fixtures)
 //	fppnvet -all [-json]                  lint every registry application
 //	fppnvet -app NAME -select FPPN003,FPPN016   keep only these codes
 //	fppnvet -app NAME -ignore FPPN012           drop these codes

@@ -28,6 +28,7 @@ func TestExitStatuses(t *testing.T) {
 		{"broken-flow", exitFindings},
 		{"broken-feas", exitFindings},
 		{"broken-hb", exitFindings},
+		{"broken-timescale", exitFindings},
 		{"empty", exitFindings},
 		{"ghost", exitUsage},
 	}
@@ -58,7 +59,7 @@ func TestExitStatuses(t *testing.T) {
 // The -json output must be byte-identical to the golden reports pinned in
 // internal/lint/testdata.
 func TestJSONMatchesGolden(t *testing.T) {
-	for _, app := range []string{"signal", "fft", "fms", "broken-model", "broken-timing", "broken-flow", "broken-feas", "broken-hb"} {
+	for _, app := range []string{"signal", "fft", "fms", "broken-model", "broken-timing", "broken-flow", "broken-feas", "broken-hb", "broken-timescale"} {
 		var out bytes.Buffer
 		if _, err := run(&out, options{app: app, m: 2, json: true}); err != nil {
 			t.Fatalf("run(%s): %v", app, err)

@@ -29,11 +29,9 @@
 // internal/integration pins this soundness sandwich between
 // staticflow.Demand (lower bound) and sched.MinProcessors (oracle).
 //
-// Like the sched engine, the analysis lowers the task graph onto a shared
-// int64 timescale (rational.CommonScale with the same 2^40 tick and 2^20
-// job-count guards) and falls back to exact rational arithmetic when the
-// lowering fails; an in-package differential test holds the two paths to
-// identical reports.
+// Like the sched engine, the analysis computes on the task graph's int64
+// timescale (TaskGraph.Ticks); an in-package differential test holds it to
+// an exact-rational oracle with identical reports.
 package feas
 
 import (
@@ -231,9 +229,6 @@ type Report struct {
 	Workload Workload
 	// Results holds one entry per Tests element, in that order.
 	Results []Result
-	// TickFallback reports that the int64 lowering failed (overflow or no
-	// common denominator) and the exact rational path produced the report.
-	TickFallback bool
 }
 
 // Result returns the entry for one test. ok is false for tests outside
@@ -272,25 +267,18 @@ func (r *Report) Verdict() Verdict {
 }
 
 // Analyze runs every schedulability test on the task graph for a platform
-// of m identical processors. It never panics: arithmetic overflow in the
-// exact fallback path is converted into an error.
-func Analyze(tg *taskgraph.TaskGraph, m int, opts Options) (rep *Report, err error) {
+// of m identical processors. A task graph whose timing does not fit the
+// integer timescale fails with its *taskgraph.TimescaleError.
+func Analyze(tg *taskgraph.TaskGraph, m int, opts Options) (*Report, error) {
 	if tg == nil {
 		return nil, fmt.Errorf("feas: nil task graph")
 	}
 	if m < 1 {
 		return nil, fmt.Errorf("feas: %d processors", m)
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("feas: analysis overflow: %v", r)
-		}
-	}()
-	lo := lower(tg)
-	if lo.ok {
-		return analyzeTicks(lo, m, opts), nil
+	lo, err := lower(tg)
+	if err != nil {
+		return nil, err
 	}
-	rep = analyzeReference(tg, m, opts)
-	rep.TickFallback = true
-	return rep, nil
+	return analyzeTicks(lo, m, opts), nil
 }

@@ -1,6 +1,7 @@
 package feas
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nettest"
 	"repro/internal/rational"
+	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
 
@@ -135,8 +137,8 @@ func TestExactSingleProcessor(t *testing.T) {
 // equality (representation-independent) for every time-valued field.
 func reportsEqual(t *testing.T, label string, a, b *Report) {
 	t.Helper()
-	if a.M != b.M || a.TickFallback != b.TickFallback {
-		t.Errorf("%s: header mismatch: (%d,%v) vs (%d,%v)", label, a.M, a.TickFallback, b.M, b.TickFallback)
+	if a.M != b.M {
+		t.Errorf("%s: header mismatch: m=%d vs m=%d", label, a.M, b.M)
 	}
 	wa, wb := a.Workload, b.Workload
 	if wa.Jobs != wb.Jobs || !wa.Hyperperiod.Equal(wb.Hyperperiod) ||
@@ -201,9 +203,9 @@ func TestTickMatchesReference(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		lo := lower(tg)
-		if !lo.ok {
-			t.Fatalf("%s: integer lowering rejected a generated network", net.Name)
+		lo, err := lower(tg)
+		if err != nil {
+			t.Fatalf("%s: integer lowering rejected a generated network: %v", net.Name, err)
 		}
 		for _, m := range []int{1, 2, 3, len(tg.Jobs) + 1} {
 			tick := analyzeTicks(lo, m, Options{})
@@ -341,40 +343,35 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestOverflowFallbackParity pins the lowering guards to the sched
-// engine's: values at 2^40 ticks are accepted, values beyond it (and
-// graphs with no common denominator within int64) fall back to the
-// rational reference path, which must still produce sound verdicts.
+// TestOverflowFallbackParity pins the analysis to the sched engine's
+// timescale boundary: values at 2^40 ticks are analyzed, values beyond it
+// (and graphs with no common denominator within int64) are rejected with
+// the typed timescale error — the same graphs the scheduler rejects.
 func TestOverflowFallbackParity(t *testing.T) {
 	at := func(d int64) *taskgraph.TaskGraph {
 		return handGraph(rational.FromInt(d), []*taskgraph.Job{
 			{Proc: "p", K: 1, Arrival: rational.Zero, Deadline: rational.FromInt(d), WCET: rational.FromInt(1)},
 		}, nil)
 	}
-	boundary := int64(1) << 40
-	rep := analyze(t, at(boundary), 1)
-	if rep.TickFallback {
-		t.Errorf("deadline at 2^40 ticks: tick path rejected, but the sched guard accepts |t| <= 2^40")
-	}
-	rep = analyze(t, at(boundary+1), 1)
-	if !rep.TickFallback {
-		t.Errorf("deadline beyond 2^40 ticks: tick path accepted, but the sched guard rejects |t| > 2^40")
-	}
+	rep := analyze(t, at(rational.MaxTick), 1)
 	if got := rep.Verdict(); got != Feasible {
-		t.Errorf("fallback verdict %v, want feasible", got)
+		t.Errorf("deadline at 2^40 ticks: verdict %v, want feasible", got)
+	}
+	if _, err := Analyze(at(rational.MaxTick+1), 1, Options{}); !errors.As(err, new(*taskgraph.TimescaleError)) {
+		t.Errorf("deadline beyond 2^40 ticks: error %v, want a timescale error", err)
 	}
 	// Hyperperiod-scale blow-up: denominators whose LCM leaves per-value
-	// ticks beyond the guard also fall back, matching newPrecomp.
+	// ticks beyond the guard.
 	huge := handGraph(rational.FromInt(1), []*taskgraph.Job{
 		{Proc: "p", K: 1, Arrival: rational.Zero, Deadline: rational.New(1, 1<<21), WCET: rational.New(1, 1<<22)},
 		{Proc: "q", K: 1, Arrival: rational.Zero, Deadline: rational.New(1<<21, 3), WCET: rational.New(1, 3)},
 	}, nil)
-	rep = analyze(t, huge, 2)
-	if !rep.TickFallback {
-		t.Errorf("mixed denominators beyond the tick guard: expected the rational fallback")
+	_, err := Analyze(huge, 2, Options{})
+	if !errors.As(err, new(*taskgraph.TimescaleError)) {
+		t.Errorf("mixed denominators beyond the tick guard: error %v, want a timescale error", err)
 	}
-	if got := rep.Verdict(); got == Infeasible {
-		t.Errorf("fallback verdict %v for a trivially feasible pair", got)
+	if _, serr := sched.ListSchedule(huge, 2, sched.ALAPEDF); !errors.As(serr, new(*taskgraph.TimescaleError)) {
+		t.Errorf("the scheduler accepts a graph the analysis rejects: %v", serr)
 	}
 }
 

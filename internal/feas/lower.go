@@ -10,17 +10,10 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// maxSafeTick bounds the per-value magnitude accepted by the integer
-// lowering — the same guard as the sched event engine, so the two
-// subsystems fall back to rational arithmetic on exactly the same graphs
-// (the edge-case suite pins this parity).
-const maxSafeTick = int64(1) << 40
-
-// lowering is the task graph on a shared integer timescale: arrivals,
-// WCETs and deadlines in ticks plus the precedence-adjusted ASAP start
+// lowering is the task graph on its integer timescale: the tick table
+// (arrivals, WCETs and deadlines) plus the precedence-adjusted ASAP start
 // and ALAP completion ticks.
 type lowering struct {
-	ok      bool
 	tg      *taskgraph.TaskGraph
 	scale   rational.Scale
 	a, c, d []int64
@@ -32,36 +25,16 @@ type lowering struct {
 	hasZero bool
 }
 
-// lower mirrors the sched engine's newPrecomp guards: job counts of 2^20
-// or more, a failed CommonScale, or any value beyond 2^40 ticks reject
-// the lowering and route the analysis to the rational reference path.
-func lower(tg *taskgraph.TaskGraph) *lowering {
+// lower reads the task graph's tick table (TaskGraph.Ticks); the error is
+// the graph's *taskgraph.TimescaleError when its timing does not fit.
+func lower(tg *taskgraph.TaskGraph) (*lowering, error) {
+	jt, err := tg.Ticks()
+	if err != nil {
+		return nil, fmt.Errorf("feas: %w", err)
+	}
 	n := len(tg.Jobs)
-	lo := &lowering{tg: tg}
-	if n >= 1<<20 {
-		return lo
-	}
-	vals := make([]rational.Rat, 0, 3*n)
-	for _, j := range tg.Jobs {
-		vals = append(vals, j.Arrival, j.WCET, j.Deadline)
-	}
-	sc, ok := rational.CommonScale(vals)
-	if !ok {
-		return lo
-	}
-	lo.scale = sc
-	lo.a = make([]int64, n)
-	lo.c = make([]int64, n)
-	lo.d = make([]int64, n)
-	for i, j := range tg.Jobs {
-		a, okA := sc.Ticks(j.Arrival)
-		c, okC := sc.Ticks(j.WCET)
-		d, okD := sc.Ticks(j.Deadline)
-		if !okA || !okC || !okD ||
-			absTick(a) > maxSafeTick || absTick(c) > maxSafeTick || absTick(d) > maxSafeTick {
-			return lo
-		}
-		lo.a[i], lo.c[i], lo.d[i] = a, c, d
+	lo := &lowering{tg: tg, scale: jt.Scale, a: jt.Arrival, c: jt.WCET, d: jt.Deadline}
+	for _, c := range lo.c {
 		if c == 0 {
 			lo.hasZero = true
 		}
@@ -87,15 +60,7 @@ func lower(tg *taskgraph.TaskGraph) *lowering {
 		}
 		lo.alap[i] = t
 	}
-	lo.ok = true
-	return lo
-}
-
-func absTick(t int64) int64 {
-	if t < 0 {
-		return -t
-	}
-	return t
+	return lo, nil
 }
 
 // addOK adds non-negative ticks, reporting overflow.
@@ -539,7 +504,7 @@ func rtaTicks(lo *lowering, wt workTicks, g []int64, m int, opts Options) ([]int
 	}
 	// volBefore(s) = Σ C_j over jobs arriving strictly before the
 	// completion bound s/m, i.e. with m·A_j < s — exact, no tick
-	// rounding, so the rational reference path computes the same filter.
+	// rounding, so the exact-rational test oracle computes the same filter.
 	volBefore := func(s int64) int64 {
 		k := sort.Search(n, func(k int) bool { return int64(m)*arrivals[k] >= s })
 		return prefix[k]

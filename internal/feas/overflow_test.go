@@ -1,6 +1,7 @@
 package feas
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,11 +9,10 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// Arrivals near the int64 ceiling force the rational fallback, and
-// MulInt(m) in grahamReference overflows inside a parallel.ForEach
-// worker. Analyze must convert that panic — even one raised on a worker
-// goroutine — into its "feas: analysis overflow" error instead of
-// crashing the caller.
+// Arrivals near the int64 ceiling used to reach an exact-rational
+// fallback whose overflow panicked on a parallel.ForEach worker. The
+// timescale guard now rejects the graph before any test runs: Analyze must
+// return the typed error, never panic, at every GOMAXPROCS.
 func TestAnalyzeOverflowReturnsError(t *testing.T) {
 	huge := rational.New(int64(1)<<62, 1)
 	tg := &taskgraph.TaskGraph{Hyperperiod: huge}
@@ -26,14 +26,20 @@ func TestAnalyzeOverflowReturnsError(t *testing.T) {
 		tg.Succ = append(tg.Succ, nil)
 		tg.Pred = append(tg.Pred, nil)
 	}
-	rep, err := Analyze(tg, 2, Options{})
-	if err == nil {
-		t.Fatalf("Analyze accepted an overflowing task graph: rep=%v", rep)
-	}
-	if !strings.Contains(err.Error(), "feas: analysis overflow") {
-		t.Fatalf("error %q does not carry the overflow marker", err)
-	}
-	if rep != nil {
-		t.Fatalf("non-nil report alongside the overflow error: %v", rep)
+	for _, workers := range []int{1, 4} {
+		rep, err := Analyze(tg, 2, Options{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: Analyze accepted an overflowing task graph: rep=%v", workers, rep)
+		}
+		var te *taskgraph.TimescaleError
+		if !errors.As(err, &te) || te.Kind != "job" || te.Subject != "p[1]" {
+			t.Fatalf("workers=%d: error %v, want the timescale error naming job p[1]", workers, err)
+		}
+		if !strings.HasPrefix(err.Error(), "feas: ") {
+			t.Errorf("workers=%d: error %q lacks the feas prefix", workers, err)
+		}
+		if rep != nil {
+			t.Fatalf("workers=%d: non-nil report alongside the error: %v", workers, rep)
+		}
 	}
 }

@@ -9,12 +9,9 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// The reference path mirrors the tick path in exact rational arithmetic.
-// It serves graphs whose timing does not fit the shared int64 timescale
-// and doubles as the in-package differential oracle: on graphs both paths
-// accept, the reports — verdicts, witnesses, bounds and reason strings —
-// must be identical (TestTickMatchesReference pins this). Rational
-// operations panic on overflow; Analyze converts that into an error.
+// The reference oracle mirrors the tick path in exact rational
+// arithmetic: the reports — verdicts, witnesses, bounds and reason strings
+// — must be identical (TestTickMatchesReference pins this).
 
 // refGraph bundles the rational per-job data every reference test shares.
 type refGraph struct {
@@ -166,8 +163,7 @@ func analyzeReference(tg *taskgraph.TaskGraph, m int, opts Options) *Report {
 }
 
 // runTestReference mirrors runTestTicks in rational arithmetic; overflow
-// branches do not exist here because rational operations panic instead
-// (converted to an error by Analyze).
+// branches do not exist here because rational operations panic instead.
 func runTestReference(rg *refGraph, rw refWork, t Test, m int, opts Options) Result {
 	res := Result{Test: t, M: m}
 	tg := rg.tg

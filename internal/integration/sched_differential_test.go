@@ -1,6 +1,6 @@
 // Differential harness for the event-driven list scheduler: on every input
 // the integer-timescale engine (sched.ListSchedule) must reproduce the
-// rational-rescan reference (sched.ListScheduleReference) exactly — the
+// rational-rescan reference (listScheduleReference) exactly — the
 // same processor assignments, the same start times, the same tie-breaks —
 // and the integer-timescale feasibility checker must reach the same
 // verdict as its rational oracle. Checked on the three paper applications
@@ -19,6 +19,7 @@ import (
 	"repro/internal/apps/signal"
 	"repro/internal/core"
 	"repro/internal/nettest"
+	"repro/internal/rational"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -28,7 +29,7 @@ import (
 func assertSchedulePair(t *testing.T, tg *taskgraph.TaskGraph, m int, h sched.Heuristic) {
 	t.Helper()
 	got, gotErr := sched.ListSchedule(tg, m, h)
-	want, wantErr := sched.ListScheduleReference(tg, m, h)
+	want, wantErr := listScheduleReference(tg, m, h)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("m=%d h=%v: error mismatch: event-driven %v, reference %v", m, h, gotErr, wantErr)
 	}
@@ -50,7 +51,7 @@ func assertSchedulePair(t *testing.T, tg *taskgraph.TaskGraph, m int, h sched.He
 		}
 		t.Fatalf("m=%d h=%v: schedules diverge outside assignments", m, h)
 	}
-	gotV, wantV := got.Validate(), want.ValidateReference()
+	gotV, wantV := got.Validate(), validateReference(want)
 	if (gotV == nil) != (wantV == nil) {
 		t.Fatalf("m=%d h=%v: validation verdict mismatch: integer %v, rational %v", m, h, gotV, wantV)
 	}
@@ -147,6 +148,53 @@ func TestSchedDifferentialPortfolioWorkers(t *testing.T) {
 						m, w, i, ref[i].Heuristic)
 				}
 			}
+		}
+	}
+}
+
+// TestSchedDifferentialHandBuilt covers what derivation never produces: a
+// zero-WCET predecessor that stalls both engines, and one corrupt schedule
+// per Definition 3.2 violation class, some with starts between the task
+// graph's ticks. Engines and validators must agree verdict for verdict and
+// text for text.
+func TestSchedDifferentialHandBuilt(t *testing.T) {
+	ms := rational.Milli
+	chain := func(wcetA rational.Rat) *taskgraph.TaskGraph {
+		mk := func(i int, name string, wcet rational.Rat) *taskgraph.Job {
+			return &taskgraph.Job{Index: i, Proc: name, K: 1,
+				Arrival: rational.Zero, Deadline: ms(100), WCET: wcet}
+		}
+		return &taskgraph.TaskGraph{
+			Hyperperiod: ms(100),
+			Jobs:        []*taskgraph.Job{mk(0, "A", wcetA), mk(1, "B", ms(10)), mk(2, "C", ms(10))},
+			Succ:        [][]int{{1}, {}, {}},
+			Pred:        [][]int{{}, {0}, {}},
+		}
+	}
+	stalled := chain(rational.Zero)
+	for _, h := range sched.Heuristics {
+		assertSchedulePair(t, stalled, 1, h)
+	}
+
+	tg := chain(ms(10))
+	tg.Jobs[1].Arrival = ms(5)
+	corrupt := []func(s *sched.Schedule){
+		func(s *sched.Schedule) {},
+		func(s *sched.Schedule) { s.Assign = s.Assign[:2] },
+		func(s *sched.Schedule) { s.Assign[0].Proc = 7 },
+		func(s *sched.Schedule) { s.Assign[1].Start = ms(2); s.Assign[1].Proc = 1 },
+		func(s *sched.Schedule) { s.Assign[2].Start = ms(95) },
+		func(s *sched.Schedule) { s.Assign[1].Start = ms(7); s.Assign[1].Proc = 1 },
+		func(s *sched.Schedule) { s.Assign[2].Start = ms(5); s.Assign[2].Proc = 0 },
+		func(s *sched.Schedule) { s.Assign[0].Start = ms(1); s.Assign[1].Start = ms(11) },
+	}
+	for i, c := range corrupt {
+		s := &sched.Schedule{TG: tg, M: 2, Assign: []sched.Assignment{
+			{Proc: 0, Start: rational.Zero}, {Proc: 0, Start: ms(10)}, {Proc: 1, Start: rational.Zero}}}
+		c(s)
+		got, want := s.Validate(), validateReference(s)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("case %d: Validate %v, rational oracle %v", i, got, want)
 		}
 	}
 }

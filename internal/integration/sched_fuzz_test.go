@@ -31,7 +31,7 @@ func FuzzListScheduleMatchesReference(f *testing.F) {
 		h := sched.Heuristics[rng.Intn(len(sched.Heuristics))]
 		m := 1 + rng.Intn(len(tg.Jobs))
 		got, gotErr := sched.ListSchedule(tg, m, h)
-		want, wantErr := sched.ListScheduleReference(tg, m, h)
+		want, wantErr := listScheduleReference(tg, m, h)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("m=%d h=%v: error mismatch: event-driven %v, reference %v", m, h, gotErr, wantErr)
 		}
@@ -44,7 +44,7 @@ func FuzzListScheduleMatchesReference(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("m=%d h=%v: event-driven schedule diverges from reference", m, h)
 		}
-		gotV, wantV := got.Validate(), want.ValidateReference()
+		gotV, wantV := got.Validate(), validateReference(want)
 		if (gotV == nil) != (wantV == nil) {
 			t.Fatalf("m=%d h=%v: validation verdict mismatch: integer %v, rational %v", m, h, gotV, wantV)
 		}

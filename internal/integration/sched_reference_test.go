@@ -1,37 +1,39 @@
-package sched
+package integration
 
-// The pre-event-driven list scheduler and feasibility checker, kept
-// verbatim as differential oracles (the same pattern as
-// core.RunZeroDelayReference and rt.RunReference): at every decision
+// The exact-rational list scheduler and feasibility checker: the
+// pre-integer-timescale implementations of sched.ListSchedule and
+// Schedule.Validate, kept as differential oracles. At every decision
 // instant the reference rescans every job for readiness, re-sorts the
 // ready list and linearly scans for the next event, all in exact rational
-// arithmetic. The event-driven engine in event.go must reproduce its
-// output — identical processor assignments, start times and tie-breaks —
-// on every input; internal/integration pins that with a differential
-// suite and a fuzz target.
+// arithmetic. The event-driven engine must reproduce its output —
+// identical processor assignments, start times and tie-breaks — on every
+// input (sched_differential_test.go, sched_fuzz_test.go).
 
 import (
 	"fmt"
 	"sort"
+	"testing"
 
+	"repro/internal/apps/fms"
 	"repro/internal/rational"
+	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
 
-// ListScheduleReference runs the list-scheduling simulation: at every
+// listScheduleReference runs the list-scheduling simulation: at every
 // decision instant, each idle processor picks the highest-SP job that has
 // arrived and whose task-graph predecessors have all completed.
-func ListScheduleReference(tg *taskgraph.TaskGraph, m int, h Heuristic) (*Schedule, error) {
+func listScheduleReference(tg *taskgraph.TaskGraph, m int, h sched.Heuristic) (*sched.Schedule, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("sched: %d processors", m)
 	}
 	n := len(tg.Jobs)
 	rank := priorities(tg, h)
 
-	procFree := make([]Time, m)
-	finish := make([]Time, n)
+	procFree := make([]rational.Rat, m)
+	finish := make([]rational.Rat, n)
 	started := make([]bool, n)
-	assign := make([]Assignment, n)
+	assign := make([]sched.Assignment, n)
 
 	t := rational.Zero
 	scheduled := 0
@@ -70,7 +72,7 @@ func ListScheduleReference(tg *taskgraph.TaskGraph, m int, h Heuristic) (*Schedu
 			ready = ready[1:]
 			p := idle[0]
 			idle = idle[1:]
-			assign[i] = Assignment{Proc: p, Start: t}
+			assign[i] = sched.Assignment{Proc: p, Start: t}
 			started[i] = true
 			finish[i] = t.Add(tg.Jobs[i].WCET)
 			procFree[p] = finish[i]
@@ -84,9 +86,9 @@ func ListScheduleReference(tg *taskgraph.TaskGraph, m int, h Heuristic) (*Schedu
 		// Advance to the next decision instant: the earliest future
 		// event among processor releases, job arrivals, and
 		// predecessor completions.
-		next := Time{}
+		next := rational.Rat{}
 		haveNext := false
-		consider := func(c Time) {
+		consider := func(c rational.Rat) {
 			if t.Less(c) && (!haveNext || c.Less(next)) {
 				next = c
 				haveNext = true
@@ -107,14 +109,13 @@ func ListScheduleReference(tg *taskgraph.TaskGraph, m int, h Heuristic) (*Schedu
 		}
 		t = next
 	}
-	return &Schedule{TG: tg, M: m, Assign: assign, Heuristic: h}, nil
+	return &sched.Schedule{TG: tg, M: m, Assign: assign, Heuristic: h}, nil
 }
 
-// ValidateReference checks the feasibility constraints of Definition 3.2
-// in rational arithmetic — the pre-integer-timescale implementation, kept
-// as the oracle for Validate and as the fallback when a schedule's time
-// stamps cannot be lowered onto a shared integer timescale.
-func (s *Schedule) ValidateReference() error {
+// validateReference checks the feasibility constraints of Definition 3.2
+// in rational arithmetic — the pre-integer-timescale implementation of
+// Schedule.Validate.
+func validateReference(s *sched.Schedule) error {
 	tg := s.TG
 	if len(s.Assign) != len(tg.Jobs) {
 		return fmt.Errorf("sched: %d assignments for %d jobs", len(s.Assign), len(tg.Jobs))
@@ -156,4 +157,79 @@ func (s *Schedule) ValidateReference() error {
 		}
 	}
 	return nil
+}
+
+// priorities computes the SP rank of every job (lower = scheduled first).
+func priorities(tg *taskgraph.TaskGraph, h sched.Heuristic) []int {
+	n := len(tg.Jobs)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	var key func(i int) rational.Rat
+	switch h {
+	case sched.ALAPEDF:
+		alap := tg.ALAP()
+		key = func(i int) rational.Rat { return alap[i] }
+	case sched.BLevel:
+		bl := blevels(tg)
+		key = func(i int) rational.Rat { return bl[i].Neg() } // longer path first
+	case sched.DeadlineMonotonic:
+		key = func(i int) rational.Rat { return tg.Jobs[i].Deadline.Sub(tg.Jobs[i].Arrival) }
+	case sched.EDF:
+		key = func(i int) rational.Rat { return tg.Jobs[i].Deadline }
+	default:
+		panic(fmt.Sprintf("sched: unknown heuristic %d", int(h)))
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		ka, kb := key(idx[a]), key(idx[b])
+		if !ka.Equal(kb) {
+			return ka.Less(kb)
+		}
+		return idx[a] < idx[b] // <_J order breaks ties
+	})
+	rank := make([]int, n)
+	for r, i := range idx {
+		rank[i] = r
+	}
+	return rank
+}
+
+// blevels returns, for every job, the length of the longest WCET chain
+// starting at (and including) the job.
+func blevels(tg *taskgraph.TaskGraph) []rational.Rat {
+	n := len(tg.Jobs)
+	bl := make([]rational.Rat, n)
+	for i := n - 1; i >= 0; i-- {
+		best := rational.Zero
+		for _, s := range tg.Succ[i] {
+			if best.Less(bl[s]) {
+				best = bl[s]
+			}
+		}
+		bl[i] = tg.Jobs[i].WCET.Add(best)
+	}
+	return bl
+}
+
+// BenchmarkFig7FMSScheduleReference pins the cost of the pre-event-driven
+// scheduler (rational rescan loop + rational feasibility check) on the
+// 812-job FMS frame, so the EXPERIMENTS.md before/after table against
+// BenchmarkFig7FMSSchedule can be reproduced.
+func BenchmarkFig7FMSScheduleReference(b *testing.B) {
+	tg, err := taskgraph.Derive(fms.New())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := listScheduleReference(tg, 1, sched.ALAPEDF)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := validateReference(s); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -1,12 +1,16 @@
 // Differential harness for the tick-lowered derivation: the int64 tick
-// simulation (the default) must produce task graphs byte-identical to the
-// exact-rational reference path (Options.ReferenceTimescale), which remains
-// in the tree as the overflow fallback and oracle. Checked on the paper
-// applications (with and without deadline slack) and a corpus of random
-// networks; FuzzDeriveTickMatchesRational explores arbitrary seeds.
+// simulation of taskgraph.Derive must produce exactly the job sequence of
+// the exact-rational simulation (simulateFrameRational) — the same jobs in
+// the same <_J order with the same (A_i, D_i, C_i), the same H — and its
+// tick table must hold those very times. Edges are computed from the job
+// sequence by one shared pipeline, so equal sequences mean equal task
+// graphs. Checked on the paper applications (with and without deadline
+// slack) and a corpus of random networks; FuzzDeriveTickMatchesRational
+// explores arbitrary seeds.
 package integration
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,40 +20,50 @@ import (
 	"repro/internal/apps/fms"
 	"repro/internal/apps/signal"
 	"repro/internal/core"
-	"repro/internal/export"
 	"repro/internal/nettest"
 	"repro/internal/rational"
 	"repro/internal/taskgraph"
 )
 
-// deriveBothTimescales derives net twice — tick lowering and rational
-// reference — and fails the test unless the graphs are deep-equal and
-// their canonical JSON serializations byte-identical.
+// deriveBothTimescales derives net and fails the test unless its jobs,
+// hyperperiod and tick table match the rational simulation exactly.
 func deriveBothTimescales(t *testing.T, net *core.Network, opts taskgraph.Options) {
 	t.Helper()
-	opts.ReferenceTimescale = false
-	tick, err := taskgraph.DeriveOpts(net, opts)
+	tg, err := taskgraph.DeriveOpts(net, opts)
 	if err != nil {
 		t.Fatalf("tick derive: %v", err)
 	}
-	opts.ReferenceTimescale = true
-	ref, err := taskgraph.DeriveOpts(net, opts)
+	assertJobsMatchRational(t, net, tg, opts.DeadlineSlack)
+}
+
+func assertJobsMatchRational(t *testing.T, net *core.Network, tg *taskgraph.TaskGraph, slack rational.Rat) {
+	t.Helper()
+	h, want, err := simulateFrameRational(net, tg, slack)
 	if err != nil {
-		t.Fatalf("rational derive: %v", err)
+		t.Fatalf("rational simulation: %v", err)
 	}
-	if !reflect.DeepEqual(tick, ref) {
-		t.Fatal("tick-derived task graph differs from the rational reference")
+	if h != tg.Hyperperiod {
+		t.Fatalf("tick-derived H = %v, rational H = %v", tg.Hyperperiod, h)
 	}
-	tickJSON, err := export.MarshalIndent(export.TaskGraph(tick))
+	if len(tg.Jobs) != len(want) {
+		t.Fatalf("tick derivation has %d jobs, rational simulation %d", len(tg.Jobs), len(want))
+	}
+	jt, err := tg.Ticks()
 	if err != nil {
 		t.Fatal(err)
 	}
-	refJSON, err := export.MarshalIndent(export.TaskGraph(ref))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tickJSON != refJSON {
-		t.Fatal("tick-derived task-graph JSON differs from the rational reference")
+	for i, w := range want {
+		got := tg.Jobs[i]
+		if !reflect.DeepEqual(*got, *w) {
+			t.Fatalf("job %d: tick %+v, rational %+v", i, *got, *w)
+		}
+		if tg.Job(w.Proc, w.K) != got {
+			t.Fatalf("job index does not map %s to position %d", w.Name(), i)
+		}
+		if a, c, d := jt.Scale.FromTicks(jt.Arrival[i]), jt.Scale.FromTicks(jt.WCET[i]), jt.Scale.FromTicks(jt.Deadline[i]); a != w.Arrival || c != w.WCET || d != w.Deadline {
+			t.Fatalf("job %s: tick table (%v, %v, %v), rational (%v, %v, %v)",
+				w.Name(), a, c, d, w.Arrival, w.WCET, w.Deadline)
+		}
 	}
 }
 
@@ -111,19 +125,13 @@ func FuzzDeriveTickMatchesRational(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		net := nettest.Random(rng, nettest.Options{})
-		tick, tickErr := taskgraph.DeriveOpts(net, taskgraph.Options{})
-		ref, refErr := taskgraph.DeriveOpts(net, taskgraph.Options{ReferenceTimescale: true})
-		if (tickErr == nil) != (refErr == nil) {
-			t.Fatalf("error mismatch: tick %v, rational %v", tickErr, refErr)
+		tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{})
+		if errors.As(err, new(*taskgraph.TimescaleError)) {
+			t.Fatalf("generated network does not fit the integer timescale: %v", err)
 		}
-		if tickErr != nil {
-			if tickErr.Error() != refErr.Error() {
-				t.Fatalf("error text mismatch:\ntick:     %v\nrational: %v", tickErr, refErr)
-			}
-			return
+		if err != nil {
+			return // not derivable in either arithmetic
 		}
-		if !reflect.DeepEqual(tick, ref) {
-			t.Fatal("tick-derived task graph diverges from the rational reference")
-		}
+		assertJobsMatchRational(t, net, tg, rational.Zero)
 	})
 }

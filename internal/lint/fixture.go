@@ -24,15 +24,18 @@ func ms(n int64) core.Time { return rational.Milli(n) }
 //   - "broken-hb" is a schedulable model whose only flaw is one
 //     FP-uncovered channel; the happens-before verifier exhibits the
 //     resulting unordered access pair (FPPN020);
+//   - "broken-timescale" passes validation but its timing does not fit
+//     the integer timescale (FPPN021);
 //   - "empty" triggers FPPN013.
 func Fixtures() map[string]func() *core.Network {
 	return map[string]func() *core.Network{
-		"broken-model":  BrokenModel,
-		"broken-timing": BrokenTiming,
-		"broken-flow":   BrokenFlow,
-		"broken-feas":   BrokenFeas,
-		"broken-hb":     BrokenHB,
-		"empty":         func() *core.Network { return core.NewNetwork("empty") },
+		"broken-model":     BrokenModel,
+		"broken-timing":    BrokenTiming,
+		"broken-flow":      BrokenFlow,
+		"broken-feas":      BrokenFeas,
+		"broken-hb":        BrokenHB,
+		"broken-timescale": BrokenTimescale,
+		"empty":            func() *core.Network { return core.NewNetwork("empty") },
 	}
 }
 
@@ -216,5 +219,18 @@ func BrokenFeas() *core.Network {
 	n.Connect("stageB", "stageC", "bc", core.FIFO)
 	n.PriorityChain("stageA", "stageB", "stageC")
 	n.Output("stageC", "OUT")
+	return n
+}
+
+// BrokenTimescale builds a valid, schedulable two-process model whose
+// timing has no int64 timescale within the guard: one WCET of
+// 1/(3·10^12) s puts the tick at 1/(3·10^12) s, so the 1 s and 2 s periods
+// span 3·10^12 and 6·10^12 ticks, beyond 2^40 (FPPN021).
+func BrokenTimescale() *core.Network {
+	n := core.NewNetwork("broken-timescale")
+	n.AddPeriodic("fast", rational.One, rational.One, rational.New(1, 3_000_000_000_000), core.NopBehavior)
+	n.AddPeriodic("slow", rational.FromInt(2), rational.FromInt(2), ms(100), core.NopBehavior)
+	n.Output("fast", "OUT_fast")
+	n.Output("slow", "OUT_slow")
 	return n
 }

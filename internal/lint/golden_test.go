@@ -13,7 +13,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden testdata files")
 
 // goldenTargets are the networks whose lint reports are pinned: the three
-// paper applications (clean) and the five broken demo fixtures. fppnvet
+// paper applications (clean) and the six broken demo fixtures. fppnvet
 // -json emits exactly these bytes.
 func goldenTargets(t *testing.T) map[string]*core.Network {
 	t.Helper()
@@ -30,6 +30,7 @@ func goldenTargets(t *testing.T) map[string]*core.Network {
 	out["broken-flow"] = BrokenFlow()
 	out["broken-feas"] = BrokenFeas()
 	out["broken-hb"] = BrokenHB()
+	out["broken-timescale"] = BrokenTimescale()
 	return out
 }
 

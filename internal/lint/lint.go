@@ -7,11 +7,12 @@
 // schedule is unlikely to exist, data is unobservable, or the derived task
 // graph blows up.
 //
-// The error-severity subset is exactly core.Validate + ValidateSchedulable:
-// both are thin adapters over core's structured problem lists, which this
-// package converts one-to-one into findings. A network with zero
-// error-severity findings therefore always passes ValidateSchedulable and
-// derives a task graph.
+// The error-severity subset is core.Validate + ValidateSchedulable — both
+// thin adapters over core's structured problem lists, which this package
+// converts one-to-one into findings — plus FPPN021, the timescale check of
+// taskgraph.LowerTiming. A network with zero error-severity findings
+// therefore always passes ValidateSchedulable and derives a task graph,
+// unless its frame exceeds 2^20 jobs (flagged by the FPPN012 warning).
 package lint
 
 import (

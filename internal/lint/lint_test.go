@@ -1,11 +1,14 @@
 package lint
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/rational"
+	"repro/internal/taskgraph"
 )
 
 // targets returns every example application and demo fixture by name.
@@ -64,34 +67,49 @@ func TestEveryCodeFires(t *testing.T) {
 }
 
 // The error-severity subset must coincide exactly with
-// core.ValidateSchedulable: same verdict on every target, and every
-// error finding's message must appear in the joined validation error.
+// core.ValidateSchedulable plus the timescale check: same verdict on every
+// target, every core error finding's message must appear in the joined
+// validation error, and FPPN021 must fire exactly when
+// taskgraph.LowerTiming reports a timescale error.
 func TestErrorsMatchValidate(t *testing.T) {
 	for name, net := range targets(t) {
 		rep := Run(net, Options{})
 		err := net.ValidateSchedulable()
-		if rep.HasErrors() != (err != nil) {
-			t.Errorf("%s: HasErrors=%v but ValidateSchedulable=%v", name, rep.HasErrors(), err)
+		_, terr := taskgraph.LowerTiming(net, rational.Zero)
+		var te *taskgraph.TimescaleError
+		timescale := errors.As(terr, &te)
+		if rep.HasErrors() != (err != nil || timescale) {
+			t.Errorf("%s: HasErrors=%v but ValidateSchedulable=%v, LowerTiming=%v", name, rep.HasErrors(), err, terr)
 			continue
 		}
-		if err == nil {
-			continue
-		}
+		fired := false
 		for _, f := range rep.Errors() {
-			if !strings.Contains(err.Error(), f.Message) {
+			if f.Code == CodeTimescale {
+				fired = true
+				if f.Subject != te.Subject || !strings.Contains(f.Message, te.Reason) {
+					t.Errorf("%s: FPPN021 finding %q does not carry the LowerTiming error %v", name, f.Message, terr)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), f.Message) {
 				t.Errorf("%s: error finding %q missing from ValidateSchedulable: %v", name, f.Message, err)
 			}
+		}
+		if fired != timescale {
+			t.Errorf("%s: FPPN021 fired=%v, LowerTiming error %v", name, fired, terr)
 		}
 	}
 }
 
 func TestSeverityConvention(t *testing.T) {
 	for _, r := range Rules {
-		isCore := r.Code <= CodeWCET // FPPN001..FPPN005
-		if isCore && r.Severity != Error {
-			t.Errorf("%s: core rule has severity %v, want error", r.Code, r.Severity)
+		// FPPN001..FPPN005 and the FPPN021 timescale check reject the
+		// model in the compile pipeline; every other rule only warns.
+		isError := r.Code <= CodeWCET || r.Code == CodeTimescale
+		if isError && r.Severity != Error {
+			t.Errorf("%s: rejecting rule has severity %v, want error", r.Code, r.Severity)
 		}
-		if !isCore && r.Severity == Error {
+		if !isError && r.Severity == Error {
 			t.Errorf("%s: lint-only rule must not be error severity", r.Code)
 		}
 		if r.Title == "" || r.Ref == "" {

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,7 +19,8 @@ import (
 // Diagnostic codes. FPPN001–005 are the error-severity rules shared with
 // core.Validate / ValidateSchedulable (the rule logic lives in
 // core.Problems and core.SchedulableProblems; this package converts the
-// problems one-to-one). FPPN006–013 are lint-only warnings.
+// problems one-to-one). FPPN006–020 are lint-only warnings; FPPN021 is the
+// error-severity timescale check of taskgraph.LowerTiming.
 const (
 	CodeBuilder        = core.CodeBuilder      // FPPN001
 	CodeFPCycle        = core.CodeFPCycle      // FPPN002
@@ -50,6 +52,9 @@ const (
 	// problems (if any) are FP-coverage gaps, turning a missing FP edge
 	// into a concrete unordered access-pair witness.
 	CodeHBUnordered = "FPPN020"
+	// FPPN021 is the timescale check of taskgraph.LowerTiming: the one
+	// lint-only error, because the compile pipeline rejects such a model.
+	CodeTimescale = "FPPN021"
 )
 
 // Rules is the ordered diagnostic registry. Run executes the rules in this
@@ -135,6 +140,10 @@ var Rules = []Rule{
 		Title: "unordered conflicting accesses in the compiled plan",
 		Ref:   "Prop. 2.1 (happens-before certification of the derived precedence)",
 		run:   runHBUnordered},
+	{Code: CodeTimescale, Severity: Error,
+		Title: "timing does not fit the integer timescale",
+		Ref:   "§II (T_p ∈ Q+; H = lcm{T_p} must be a whole number of int64 ticks)",
+		run:   runTimescale},
 }
 
 // runCoreProblems converts the core problems carrying the rule's
@@ -776,4 +785,20 @@ func runHBUnordered(c *context, r Rule) {
 	c.addf(r, kind, subject, fix,
 		"compiled plan is not race-free on %d processors: %d of %d conflicting access pairs are unordered; witness: %v",
 		c.opts.Processors, v.Unordered, v.Pairs, *w)
+}
+
+// runTimescale reports timing that does not fit the integer timescale the
+// compile pipeline computes on: taskgraph.Derive would reject the model
+// with the same error. LowerTiming is O(processes), so the rule runs at
+// every frame size; networks without a derived network PN' (FPPN004,
+// FPPN001 periods) are left to the rules that already fired.
+func runTimescale(c *context, r Rule) {
+	_, err := taskgraph.LowerTiming(c.net, rational.Zero)
+	var te *taskgraph.TimescaleError
+	if !errors.As(err, &te) {
+		return
+	}
+	c.addf(r, te.Kind, te.Subject,
+		"coarsen the timing so one tick divides every period, deadline and WCET and the hyperperiod spans at most 2^40 ticks",
+		"%s; the compile pipeline computes on int64 ticks and rejects the model", te.Reason)
 }

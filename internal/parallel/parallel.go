@@ -18,15 +18,37 @@
 //
 // With workers <= 1 all helpers run inline on the calling goroutine — no
 // goroutines, no channels — so the sequential path stays allocation-free
-// and trivially race-free.
+// and trivially race-free. With more workers, a panic in a work unit is
+// caught on its goroutine and re-raised on the caller's (see PanicError),
+// so a recover around the call sees it exactly as it would inline.
 package parallel
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is the value ForEach, Map and ForEachChunk re-raise on the
+// calling goroutine when a work unit panics on a worker goroutine. Its
+// message carries the worker's stack, which the re-raise would otherwise
+// lose.
+type PanicError struct {
+	// Index is the work unit (the chunk, for ForEachChunk) that panicked.
+	Index int
+	// Value is the value the unit panicked with.
+	Value any
+	// Stack is the worker goroutine's stack at the panic.
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("parallel: work unit %d panicked: %v\n\nworker stack:\n%s", e.Index, e.Value, e.Stack)
+}
 
 // Workers resolves a concurrency knob: values >= 1 are used as given; zero
 // and negative values select runtime.GOMAXPROCS(0).
@@ -46,7 +68,9 @@ func Workers(w int) int {
 // index — the same error a sequential loop would return — after all
 // in-flight units finish; units not yet started are skipped. A nil ctx
 // never cancels; with a cancelled ctx, ForEach stops dispatching and
-// returns ctx.Err() unless an fn error outranks it.
+// returns ctx.Err() unless an fn error outranks it. A panicking unit stops
+// dispatch like an error; once every worker has returned, the panic with
+// the lowest index is re-raised on the caller as a *PanicError.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -74,6 +98,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 		mu       sync.Mutex
 		firstIdx = n
 		firstErr error
+		panicked *PanicError
 	)
 	record := func(i int, err error) {
 		mu.Lock()
@@ -82,6 +107,20 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 		}
 		mu.Unlock()
 		stop.Store(true)
+	}
+	run := func(i int) (err error) {
+		defer func() {
+			if v := recover(); v != nil {
+				mu.Lock()
+				if panicked == nil || i < panicked.Index {
+					panicked = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
+				}
+				mu.Unlock()
+				stop.Store(true)
+				err = errPanicked
+			}
+		}()
+		return fn(i)
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -95,14 +134,19 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
-					record(i, err)
+				if err := run(i); err != nil {
+					if err != errPanicked {
+						record(i, err)
+					}
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	if firstErr != nil {
 		return firstErr
 	}
@@ -111,6 +155,10 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	}
 	return nil
 }
+
+// errPanicked tells a worker loop that its unit panicked and the panic is
+// already recorded.
+var errPanicked = errors.New("parallel: work unit panicked")
 
 // Map runs fn over [0, n) with bounded fan-out and returns the results in
 // index order. On error the first (lowest-index) error is returned and the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -142,5 +143,63 @@ func TestEmptyRangeIsNoOp(t *testing.T) {
 	}
 	if err := ForEachChunk(nil, -3, 4, func(int, int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panicUnit is a named frame for the worker-stack assertion below.
+func panicUnit(i int) error {
+	if i == 5 || i == 9 {
+		panic(fmt.Sprintf("unit %d exploded", i))
+	}
+	return nil
+}
+
+// TestWorkerPanicReachesCaller runs units on four worker goroutines; two
+// of them panic. The caller's recover must get the lowest-index panic with
+// its value and the worker's stack, after every worker has returned.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	t.Parallel()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = ForEach(nil, 64, 4, panicUnit)
+	}()
+	pe, ok := got.(*PanicError)
+	if !ok {
+		t.Fatalf("recovered %T (%v), want *PanicError", got, got)
+	}
+	if pe.Index != 5 || pe.Value != "unit 5 exploded" {
+		t.Errorf("recovered unit %d value %v, want unit 5 exploded", pe.Index, pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "panicUnit") {
+		t.Errorf("worker stack does not show the panicking frame:\n%s", pe.Stack)
+	}
+	if msg := pe.Error(); !strings.Contains(msg, "unit 5 exploded") || !strings.Contains(msg, "panicUnit") {
+		t.Errorf("panic message lacks the value or the stack:\n%s", msg)
+	}
+
+	// Map and ForEachChunk fan out through ForEach and inherit the re-raise.
+	got = nil
+	func() {
+		defer func() { got = recover() }()
+		_, _ = Map(nil, 8, 4, func(i int) (int, error) { return i, panicUnit(i + 5) })
+	}()
+	if pe, ok := got.(*PanicError); !ok || pe.Index != 0 {
+		t.Errorf("Map: recovered %v, want the unit-0 *PanicError", got)
+	}
+	got = nil
+	func() {
+		defer func() { got = recover() }()
+		_ = ForEachChunk(nil, 64, 4, func(lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				if err := panicUnit(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}()
+	if _, ok := got.(*PanicError); !ok {
+		t.Errorf("ForEachChunk: recovered %T, want *PanicError", got)
 	}
 }

@@ -315,9 +315,10 @@ func LcmAllCached(values []Rat) Rat {
 }
 
 // Scale maps a family of rationals onto a shared integer timescale: every
-// value becomes a whole number of ticks of length 1/den. The compile-time
-// schedulers lower all arrivals, deadlines and WCETs through one Scale so
-// the event loop compares and adds int64 ticks instead of normalizing
+// value becomes a whole number of ticks of length 1/den. Task-graph
+// derivation lowers a network's periods, deadlines and WCETs through one
+// Scale, so the derivation, the scheduler, the feasibility checker and the
+// schedulability tests compare and add int64 ticks instead of normalizing
 // rationals. The zero value is the degenerate 1-tick-per-unit scale.
 type Scale struct {
 	den int64
@@ -326,7 +327,7 @@ type Scale struct {
 // CommonScale returns the coarsest Scale that represents every value in
 // every group exactly: den is the least common multiple of all
 // denominators. ok is false when that LCM overflows int64, in which case
-// callers should fall back to rational arithmetic.
+// the values have no integer timescale.
 func CommonScale(groups ...[]Rat) (Scale, bool) {
 	den := int64(1)
 	for _, g := range groups {
@@ -361,6 +362,22 @@ func (s Scale) Ticks(r Rat) (int64, bool) {
 	}
 	return mulOK(r.num, den/r.den)
 }
+
+// MaxTick is the tick guard of the integer timescale: every value lowered
+// onto a Scale must lie within ±MaxTick ticks. With frames of at most 2^20
+// jobs, a sum of one such value per job stays below 2^60, far from int64
+// overflow, so the tick engines add and compare without checks.
+const MaxTick = int64(1) << 40
+
+// GuardedTicks is Ticks restricted to the guard: ok is also false when
+// |r| exceeds MaxTick ticks.
+func (s Scale) GuardedTicks(r Rat) (int64, bool) {
+	t, ok := s.Ticks(r)
+	return t, ok && InTickRange(t)
+}
+
+// InTickRange reports whether a tick count lies within the guard.
+func InTickRange(t int64) bool { return -MaxTick <= t && t <= MaxTick }
 
 // FromTicks converts t ticks back to the exact rational t/den.
 func (s Scale) FromTicks(t int64) Rat { return New(t, s.Den()) }

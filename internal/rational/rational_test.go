@@ -546,3 +546,25 @@ func TestCommonScaleOverflow(t *testing.T) {
 		t.Fatal("Ticks did not report numerator overflow")
 	}
 }
+
+func TestGuardedTicksBoundary(t *testing.T) {
+	sc, ok := CommonScale([]Rat{New(1, 1000)})
+	if !ok {
+		t.Fatal("CommonScale failed")
+	}
+	if v, ok := sc.GuardedTicks(New(MaxTick, 1000)); !ok || v != MaxTick {
+		t.Errorf("2^40 ticks: (%d, %v), want accepted", v, ok)
+	}
+	if _, ok := sc.GuardedTicks(New(-MaxTick, 1000)); !ok {
+		t.Error("-2^40 ticks rejected")
+	}
+	if _, ok := sc.GuardedTicks(New(MaxTick+1, 1000)); ok {
+		t.Error("2^40+1 ticks accepted")
+	}
+	if _, ok := sc.GuardedTicks(New(1, 3)); ok {
+		t.Error("a value between ticks accepted")
+	}
+	if InTickRange(MaxTick+1) || InTickRange(-MaxTick-1) || !InTickRange(0) {
+		t.Error("InTickRange misplaces the guard")
+	}
+}

@@ -1,116 +1,73 @@
 package sched
 
-// Event-driven list-scheduling core. The reference engine
-// (ListScheduleReference) rescans every job at every decision instant —
-// O(n·pred) readiness checks, a full sort of the ready list and a linear
-// next-event scan, all in rational arithmetic. This engine lowers the task
-// graph once onto a shared integer timescale (rational.CommonScale — the
-// same trick internal/plan uses for sporadic windows) and then drives the
-// simulation with four queues:
+// Event-driven list-scheduling core. The task graph carries its timing on
+// one integer timescale (taskgraph.TaskGraph.Ticks — every arrival, WCET
+// and deadline a whole number of int64 ticks), and the engine drives the
+// simulation on those ticks with four queues:
 //
 //   - a future-arrival min-heap keyed by (arrival tick, job index),
 //   - a completion min-heap of running jobs keyed by (finish tick, index),
 //   - a ready queue keyed by the precomputed SP rank (a min-heap over the
-//     rank permutation, so the pop order is exactly the reference's
-//     rank-then-index sort), and
-//   - an idle-processor min-heap keyed by processor index (the reference
-//     hands the best ready job to the lowest-indexed idle processor).
+//     rank permutation, so the pop order is exactly the rank-then-index
+//     order of the list-scheduling rule), and
+//   - an idle-processor min-heap keyed by processor index (the best ready
+//     job goes to the lowest-indexed idle processor).
 //
-// Every decision is O(log n). Decision instants where the reference merely
-// rescans and dispatches nothing (an arrival whose predecessors are still
-// running) are skipped implicitly — they change no assignment — except
-// that all arrival events still feed the next-event computation, so the
-// stall diagnostic fires at the same instant with the same counts as the
-// reference.
+// Every decision is O(log n). Decision instants at which a rescanning
+// scheduler would dispatch nothing (an arrival whose predecessors are
+// still running) are skipped implicitly — they change no assignment —
+// except that all arrival events still feed the next-event computation, so
+// the stall diagnostic fires at the instant a rescanning scheduler would
+// report. The differential suite in internal/integration holds the engine
+// to an exact-rational rescanning oracle.
 //
-// The lowering also precomputes everything the portfolio race can share
-// across heuristics: per-job ticks, predecessor counts, ALAP completion
-// times, b-levels, and the per-heuristic rank permutations — computed once
-// per task graph instead of once per lane (see RunPortfolio).
+// The precomputation also covers everything the portfolio race can share
+// across heuristics: predecessor counts, ALAP completion times, b-levels
+// and the per-heuristic rank permutations — computed once per task graph
+// instead of once per lane (see RunPortfolio).
 
 import (
 	"fmt"
 	"math"
 	"sort"
 
-	"repro/internal/rational"
 	"repro/internal/taskgraph"
 )
 
-// maxSafeTick bounds the per-value magnitude accepted by the integer
-// lowering. Schedule instants accumulate at most one WCET per job on top
-// of an arrival, so with every input below 2^40 and fewer than 2^20 jobs
-// no intermediate sum can approach int64 overflow.
-const maxSafeTick = int64(1) << 40
-
-// precomp is the per-task-graph state shared by every heuristic lane:
-// the integer timescale, the lowered job parameters and the predecessor
-// counts. It is read-only after construction — engine runs copy npred —
-// so concurrent portfolio lanes can share one instance.
+// precomp is the per-task-graph state shared by every heuristic lane: the
+// tick table and the predecessor counts. It is read-only after
+// construction — engine runs copy npred — so concurrent portfolio lanes
+// can share one instance.
 type precomp struct {
-	tg *taskgraph.TaskGraph
-	// ok reports that the integer lowering succeeded; when false the
-	// callers fall back to the rational reference engine.
-	ok       bool
-	scale    rational.Scale
-	arrive   []int64 // A_i in ticks
-	wcet     []int64 // C_i in ticks
-	deadline []int64 // D_i in ticks
-	npred    []int32 // |Pred(i)|, the engine's countdown template
+	tg    *taskgraph.TaskGraph
+	jt    *taskgraph.JobTicks
+	npred []int32 // |Pred(i)|, the engine's countdown template
 }
 
-// newPrecomp lowers the task graph onto its integer timescale.
-func newPrecomp(tg *taskgraph.TaskGraph) *precomp {
-	n := len(tg.Jobs)
-	pc := &precomp{tg: tg}
-	if n >= 1<<20 {
-		return pc
+// newPrecomp reads the task graph's tick table; the error is the graph's
+// *taskgraph.TimescaleError when its timing does not fit.
+func newPrecomp(tg *taskgraph.TaskGraph) (*precomp, error) {
+	jt, err := tg.Ticks()
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
 	}
-	vals := make([]rational.Rat, 0, 3*n)
-	for _, j := range tg.Jobs {
-		vals = append(vals, j.Arrival, j.WCET, j.Deadline)
-	}
-	sc, ok := rational.CommonScale(vals)
-	if !ok {
-		return pc
-	}
-	pc.scale = sc
-	pc.arrive = make([]int64, n)
-	pc.wcet = make([]int64, n)
-	pc.deadline = make([]int64, n)
-	pc.npred = make([]int32, n)
-	for i, j := range tg.Jobs {
-		a, okA := sc.Ticks(j.Arrival)
-		c, okC := sc.Ticks(j.WCET)
-		d, okD := sc.Ticks(j.Deadline)
-		if !okA || !okC || !okD ||
-			absTick(a) > maxSafeTick || absTick(c) > maxSafeTick || absTick(d) > maxSafeTick {
-			return pc
-		}
-		pc.arrive[i], pc.wcet[i], pc.deadline[i] = a, c, d
+	pc := &precomp{tg: tg, jt: jt, npred: make([]int32, len(tg.Jobs))}
+	for i := range pc.npred {
 		pc.npred[i] = int32(len(tg.Pred[i]))
 	}
-	pc.ok = true
-	return pc
-}
-
-func absTick(t int64) int64 {
-	if t < 0 {
-		return -t
-	}
-	return t
+	return pc, nil
 }
 
 // alapTicks computes the ALAP completion times D'_i on the integer
 // timescale: D'_i = min(D_i, min_{j ∈ Succ(i)} D'_j − C_j). Scaling is
 // strictly monotone, so the induced order equals taskgraph.ALAP's.
 func (pc *precomp) alapTicks() []int64 {
-	n := len(pc.deadline)
+	n := len(pc.jt.Deadline)
 	alap := make([]int64, n)
 	for i := n - 1; i >= 0; i-- {
-		t := pc.deadline[i]
+		t := pc.jt.Deadline[i]
 		for _, s := range pc.tg.Succ[i] {
-			if c := alap[s] - pc.wcet[s]; c < t {
+			if c := alap[s] - pc.jt.WCET[s]; c < t {
 				t = c
 			}
 		}
@@ -122,7 +79,7 @@ func (pc *precomp) alapTicks() []int64 {
 // blevelTicks computes the b-levels (longest WCET chain from the job to a
 // sink, inclusive) on the integer timescale, mirroring blevels.
 func (pc *precomp) blevelTicks() []int64 {
-	n := len(pc.wcet)
+	n := len(pc.jt.WCET)
 	bl := make([]int64, n)
 	for i := n - 1; i >= 0; i-- {
 		best := int64(0)
@@ -131,17 +88,17 @@ func (pc *precomp) blevelTicks() []int64 {
 				best = bl[s]
 			}
 		}
-		bl[i] = pc.wcet[i] + best
+		bl[i] = pc.jt.WCET[i] + best
 	}
 	return bl
 }
 
 // rankFor computes the SP rank permutation of the heuristic on the integer
-// timescale: rank[i] is the position of job i in the key-then-index order,
-// identical to the reference priorities() permutation because tick keys
-// are the rational keys scaled by the (positive) common denominator.
+// timescale: rank[i] is the position of job i in the key-then-index order.
+// Tick keys are the rational keys scaled by the (positive) timescale
+// denominator, so the order is the one the rational keys induce.
 func (pc *precomp) rankFor(h Heuristic) []int32 {
-	n := len(pc.arrive)
+	n := len(pc.jt.Arrival)
 	key := make([]int64, n)
 	switch h {
 	case ALAPEDF:
@@ -152,10 +109,10 @@ func (pc *precomp) rankFor(h Heuristic) []int32 {
 		}
 	case DeadlineMonotonic:
 		for i := range key {
-			key[i] = pc.deadline[i] - pc.arrive[i]
+			key[i] = pc.jt.Deadline[i] - pc.jt.Arrival[i]
 		}
 	case EDF:
-		copy(key, pc.deadline)
+		copy(key, pc.jt.Deadline)
 	default:
 		panic(fmt.Sprintf("sched: unknown heuristic %d", int(h)))
 	}
@@ -277,9 +234,8 @@ func (pc *precomp) listSchedule(m int, h Heuristic, rank []int32) (*Schedule, er
 	return s, err
 }
 
-// listScheduleTicks additionally returns the start instants on pc's
-// timescale, so portfolio lanes can feed validateTicks without lowering
-// the schedule all over again.
+// listScheduleTicks additionally returns the start instants in ticks, so
+// portfolio lanes can feed validateTicks without lowering the schedule.
 func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedule, []int64, error) {
 	if m < 1 {
 		return nil, nil, fmt.Errorf("sched: %d processors", m)
@@ -301,7 +257,7 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 	// sift-down over the filled slice.
 	arrH := make(tickHeap, n)
 	for i := 0; i < n; i++ {
-		arrH[i] = tickEvent{t: pc.arrive[i], id: int32(i)}
+		arrH[i] = tickEvent{t: pc.jt.Arrival[i], id: int32(i)}
 	}
 	for i := n/2 - 1; i >= 0; i-- {
 		siftDownTick(arrH, i)
@@ -315,8 +271,8 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 
 	// complete finalizes one finished job: its processor rejoins the idle
 	// pool and each successor's countdown drops; a successor that has also
-	// arrived becomes ready. Effects apply at the *next* dispatch, exactly
-	// like the reference, which recomputes readiness per instant.
+	// arrived becomes ready. Effects apply at the *next* dispatch, as if
+	// readiness were recomputed per instant.
 	complete := func(i int32) {
 		idleH.push(procOf[i])
 		for _, s := range tg.Succ[i] {
@@ -342,24 +298,22 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 			}
 		}
 		// Dispatch: highest-SP ready job onto lowest-indexed idle
-		// processor, repeated while both queues are non-empty — the
-		// reference's pairing of its sorted ready and idle lists.
+		// processor, repeated while both queues are non-empty.
 		for len(readyH) > 0 && len(idleH) > 0 {
 			i := rankToJob[readyH.pop()]
 			p := idleH.pop()
 			startT[i] = t
 			procOf[i] = p
-			runH.push(tickEvent{t: t + pc.wcet[i], id: i})
+			runH.push(tickEvent{t: t + pc.jt.WCET[i], id: i})
 			scheduled++
 		}
 		if scheduled == n {
 			break
 		}
 		// Advance to the earliest strictly-future event. A zero-WCET job
-		// dispatched at t completes at t; the reference never treats a
-		// non-future instant as the next event, so drain such completions
-		// here (their effects wait for the next dispatch either way) and
-		// stall, like the reference, if nothing lies ahead.
+		// dispatched at t completes at t, which is not a future instant, so
+		// drain such completions here (their effects wait for the next
+		// dispatch either way) and stall if nothing lies ahead.
 		for len(runH) > 0 && runH[0].t <= t {
 			complete(runH.pop().id)
 		}
@@ -372,52 +326,49 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 		}
 		if next == math.MaxInt64 {
 			return nil, nil, fmt.Errorf("sched: scheduler stalled at %v with %d/%d jobs placed",
-				pc.scale.FromTicks(t), scheduled, n)
+				pc.jt.Scale.FromTicks(t), scheduled, n)
 		}
 		t = next
 	}
 
 	assign := make([]Assignment, n)
 	for i := 0; i < n; i++ {
-		assign[i] = Assignment{Proc: int(procOf[i]), Start: pc.scale.FromTicks(startT[i])}
+		assign[i] = Assignment{Proc: int(procOf[i]), Start: pc.jt.Scale.FromTicks(startT[i])}
 	}
 	return &Schedule{TG: tg, M: m, Assign: assign, Heuristic: h}, startT, nil
 }
 
-// validateTicks is Schedule.Validate for engine-produced schedules whose
-// start instants are already on pc's timescale: the same Definition 3.2
-// checks, in the same order, with the same diagnostics, but with no
-// re-lowering. It must stay in lockstep with Validate — the portfolio
-// differential test compares their verdicts and texts lane by lane. The
-// common denominator here may be a multiple of the one Validate derives,
-// but FromTicks normalizes, so the rendered instants are identical.
-func (pc *precomp) validateTicks(s *Schedule, startT []int64) error {
-	tg := pc.tg
-	n := len(tg.Jobs)
-	if len(s.Assign) != n {
-		return fmt.Errorf("sched: %d assignments for %d jobs", len(s.Assign), n)
-	}
+// validateTicks checks the feasibility constraints of Definition 3.2 on the
+// tick table, given the schedule's start instants in ticks (see
+// Schedule.Validate for the constraints). The schedule has one assignment
+// per job.
+func validateTicks(s *Schedule, jt *taskgraph.JobTicks, startT []int64) error {
+	tg := s.TG
 	for i, j := range tg.Jobs {
 		if p := s.Assign[i].Proc; p < 0 || p >= s.M {
 			return fmt.Errorf("sched: job %s mapped to processor %d of %d", j.Name(), p, s.M)
 		}
-		if startT[i] < pc.arrive[i] {
+		if startT[i] < jt.Arrival[i] {
 			return fmt.Errorf("sched: job %s starts at %v before arrival %v",
-				j.Name(), pc.scale.FromTicks(startT[i]), j.Arrival)
+				j.Name(), jt.Scale.FromTicks(startT[i]), j.Arrival)
 		}
-		if startT[i]+pc.wcet[i] > pc.deadline[i] {
+		if startT[i]+jt.WCET[i] > jt.Deadline[i] {
 			return fmt.Errorf("sched: job %s misses deadline: ends %v > %v",
-				j.Name(), pc.scale.FromTicks(startT[i]+pc.wcet[i]), j.Deadline)
+				j.Name(), jt.Scale.FromTicks(startT[i]+jt.WCET[i]), j.Deadline)
 		}
 	}
+	// Checking the transitively reduced successor lists suffices for the
+	// full precedence relation: every removed edge is implied by a kept
+	// chain, and e_i <= s_j composes along chains.
 	for i, succs := range tg.Succ {
 		for _, j := range succs {
-			if startT[j] < startT[i]+pc.wcet[i] {
+			if startT[j] < startT[i]+jt.WCET[i] {
 				return fmt.Errorf("sched: precedence %s -> %s violated",
 					tg.Jobs[i].Name(), tg.Jobs[j].Name())
 			}
 		}
 	}
+	// Mutual exclusion per processor.
 	byProc := make([][]int32, s.M)
 	for i := range tg.Jobs {
 		byProc[s.Assign[i].Proc] = append(byProc[s.Assign[i].Proc], int32(i))
@@ -432,7 +383,7 @@ func (pc *precomp) validateTicks(s *Schedule, startT []int64) error {
 		})
 		for i := 1; i < len(jobs); i++ {
 			prev, cur := jobs[i-1], jobs[i]
-			if startT[cur] < startT[prev]+pc.wcet[prev] {
+			if startT[cur] < startT[prev]+jt.WCET[prev] {
 				return fmt.Errorf("sched: jobs %s and %s overlap on processor %d",
 					tg.Jobs[prev].Name(), tg.Jobs[cur].Name(), p)
 			}

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"reflect"
+	"errors"
 	"strings"
 	"testing"
 
@@ -30,83 +30,83 @@ func chainGraph(wcetA Time) *taskgraph.TaskGraph {
 	}
 }
 
-// TestStallErrorMatchesReference drives both engines into the stalled
+// TestStallErrorMatchesReference drives the engine into the stalled
 // branch: a zero-WCET predecessor completes at the very instant it starts,
-// so its successor becomes ready at a non-future instant and no engine may
-// advance. Both must fail with the identical diagnostic.
+// so its successor becomes ready at a non-future instant and the engine
+// cannot advance. The diagnostic must be the one the exact-rational
+// rescanning scheduler reports (internal/integration compares the two
+// engines live on the same graph).
 func TestStallErrorMatchesReference(t *testing.T) {
 	tg := chainGraph(rational.Zero) // A completes at its own start instant
+	const want = "sched: scheduler stalled at 0 with 1/3 jobs placed"
 	for _, h := range Heuristics {
-		_, gotErr := ListSchedule(tg, 1, h)
-		_, wantErr := ListScheduleReference(tg, 1, h)
-		if wantErr == nil || gotErr == nil {
-			t.Fatalf("%v: expected both engines to stall, got event-driven %v, reference %v",
-				h, gotErr, wantErr)
-		}
-		if gotErr.Error() != wantErr.Error() {
-			t.Errorf("%v: stall text mismatch:\nevent-driven: %v\nreference:    %v", h, gotErr, wantErr)
-		}
-		if !strings.Contains(gotErr.Error(), "stalled") {
-			t.Errorf("%v: stall error %q does not mention stalling", h, gotErr)
+		_, err := ListSchedule(tg, 1, h)
+		if err == nil || err.Error() != want {
+			t.Errorf("%v: stall error %v, want %q", h, err, want)
 		}
 	}
 }
 
-// TestListScheduleLoweringFallback: when the job parameters do not fit a
-// shared int64 denominator, ListSchedule transparently falls back to the
-// rational reference engine and still produces its exact schedule.
+// boundaryGraph is one job with an integer deadline d, so its timescale is
+// one tick per time unit and d ticks sit exactly at the guard for d = 2^40.
+func boundaryGraph(d int64) *taskgraph.TaskGraph {
+	return &taskgraph.TaskGraph{
+		Hyperperiod: rational.FromInt(d),
+		Jobs: []*taskgraph.Job{{Proc: "p", K: 1,
+			Arrival: rational.Zero, Deadline: rational.FromInt(d), WCET: rational.One}},
+		Succ: [][]int{{}},
+		Pred: [][]int{{}},
+	}
+}
+
+// TestListScheduleLoweringFallback pins the timescale boundary: a graph
+// whose values reach exactly 2^40 ticks schedules, one tick more is
+// rejected with the typed timescale error, and so is a graph whose
+// denominators have no common int64 multiple. There is no rational
+// fallback.
 func TestListScheduleLoweringFallback(t *testing.T) {
+	if _, err := ListSchedule(boundaryGraph(rational.MaxTick), 1, ALAPEDF); err != nil {
+		t.Errorf("deadline at 2^40 ticks rejected: %v", err)
+	}
+	_, err := ListSchedule(boundaryGraph(rational.MaxTick+1), 1, ALAPEDF)
+	if !errors.As(err, new(*taskgraph.TimescaleError)) {
+		t.Errorf("deadline at 2^40+1 ticks: error %v, want a timescale error", err)
+	}
+
 	tg := chainGraph(ms(10))
 	// Coprime near-2^40 denominators force the common denominator past
-	// int64, so newPrecomp must refuse the lowering.
+	// int64.
 	tg.Jobs[1].WCET = rational.New(1, 1<<40)
 	tg.Jobs[2].WCET = rational.New(1, (1<<40)-1)
-	if pc := newPrecomp(tg); pc.ok {
-		t.Fatal("lowering unexpectedly succeeded for coprime 2^40 denominators")
-	}
-	got, err := ListSchedule(tg, 2, ALAPEDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ListScheduleReference(tg, 2, ALAPEDF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("fallback schedule differs from reference")
-	}
-	if err := got.Validate(); err != nil { // Validate falls back too
-		t.Errorf("fallback schedule rejected: %v", err)
+	for _, w := range []int{1, 4} {
+		for _, r := range RunPortfolio(tg, 2, PortfolioOptions{Workers: w}) {
+			if r.Feasible || !errors.As(r.Err, new(*taskgraph.TimescaleError)) {
+				t.Errorf("workers=%d lane %v: feasible=%v err=%v, want a timescale error", w, r.Heuristic, r.Feasible, r.Err)
+			}
+		}
 	}
 }
 
-// validatePair runs the integer-timescale checker and its rational oracle
-// on the same schedule and fails unless they produce the same verdict with
-// the same text.
-func validatePair(t *testing.T, s *Schedule, wantSubstr string) {
+// validateWant runs Validate and fails unless it reports exactly want (""
+// for a feasible schedule). The texts are those of the exact-rational
+// checker that internal/integration runs against Validate.
+func validateWant(t *testing.T, s *Schedule, want string) {
 	t.Helper()
-	got, want := s.Validate(), s.ValidateReference()
-	if (got == nil) != (want == nil) {
-		t.Fatalf("verdict mismatch: integer %v, rational %v", got, want)
-	}
-	if got == nil {
-		if wantSubstr != "" {
-			t.Fatalf("expected a %q violation, both validators accepted", wantSubstr)
+	err := s.Validate()
+	if want == "" {
+		if err != nil {
+			t.Fatalf("feasible schedule rejected: %v", err)
 		}
 		return
 	}
-	if got.Error() != want.Error() {
-		t.Fatalf("violation text mismatch:\ninteger:  %v\nrational: %v", got, want)
-	}
-	if !strings.Contains(got.Error(), wantSubstr) {
-		t.Fatalf("violation %q does not mention %q", got, wantSubstr)
+	if err == nil || err.Error() != want {
+		t.Fatalf("violation %v, want %q", err, want)
 	}
 }
 
 // TestValidateViolationClassesIntegerTimescale constructs one corrupt
 // schedule per Definition 3.2 violation class and checks that the
-// integer-timescale Validate rejects each with exactly the rational
-// oracle's diagnostic.
+// integer-timescale Validate rejects each with the exact diagnostic.
 func TestValidateViolationClassesIntegerTimescale(t *testing.T) {
 	tg := chainGraph(ms(10))
 	tg.Jobs[1].Arrival = ms(5) // so a start below 5 is an arrival violation
@@ -117,39 +117,61 @@ func TestValidateViolationClassesIntegerTimescale(t *testing.T) {
 			{Proc: 1, Start: rational.Zero}, // C: [0, 10) alone on P1
 		}}
 	}
-	validatePair(t, base(), "") // the uncorrupted schedule passes both
+	validateWant(t, base(), "") // the uncorrupted schedule passes
 
 	cases := []struct {
 		name    string
 		corrupt func(s *Schedule)
-		substr  string
+		want    string
 	}{
-		{"count", func(s *Schedule) { s.Assign = s.Assign[:2] }, "assignments"},
-		{"processor-range", func(s *Schedule) { s.Assign[0].Proc = 7 }, "processor 7 of 2"},
-		{"arrival", func(s *Schedule) { s.Assign[1].Start = ms(2); s.Assign[1].Proc = 1 }, "before arrival"},
-		{"deadline", func(s *Schedule) { s.Assign[2].Start = ms(95) }, "misses deadline"},
-		{"precedence", func(s *Schedule) { s.Assign[1].Start = ms(7); s.Assign[1].Proc = 1 }, "precedence A[1] -> B[1]"},
-		{"overlap", func(s *Schedule) { s.Assign[2].Start = ms(5); s.Assign[2].Proc = 0 }, "overlap on processor 0"},
+		{"count", func(s *Schedule) { s.Assign = s.Assign[:2] }, "sched: 2 assignments for 3 jobs"},
+		{"processor-range", func(s *Schedule) { s.Assign[0].Proc = 7 }, "sched: job A[1] mapped to processor 7 of 2"},
+		{"arrival", func(s *Schedule) { s.Assign[1].Start = ms(2); s.Assign[1].Proc = 1 },
+			"sched: job B[1] starts at 1/500 before arrival 1/200"},
+		{"deadline", func(s *Schedule) { s.Assign[2].Start = ms(95) }, "sched: job C[1] misses deadline: ends 21/200 > 1/10"},
+		{"precedence", func(s *Schedule) { s.Assign[1].Start = ms(7); s.Assign[1].Proc = 1 }, "sched: precedence A[1] -> B[1] violated"},
+		{"overlap", func(s *Schedule) { s.Assign[2].Start = ms(5); s.Assign[2].Proc = 0 }, "sched: jobs A[1] and C[1] overlap on processor 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
 			tc.corrupt(s)
-			validatePair(t, s, tc.substr)
+			validateWant(t, s, tc.want)
 		})
 	}
 }
 
-// TestValidateFallbackOnUnscalableStart: a start time outside the safe tick
-// range routes Validate through ValidateReference; the verdict must match.
+// TestValidateFallbackOnUnscalableStart: start times are lowered onto the
+// task graph's timescale, refined as far as they need; a start whose
+// refinement pushes a value beyond the 2^40-tick guard, or which is itself
+// beyond it, is a violation naming the job.
 func TestValidateFallbackOnUnscalableStart(t *testing.T) {
-	tg := chainGraph(ms(10))
+	tg := chainGraph(ms(10)) // all values are multiples of 1/100 s
 	s := &Schedule{TG: tg, M: 2, Assign: []Assignment{
-		{Proc: 0, Start: rational.New(1, 1<<41)}, // below any tick granularity
+		{Proc: 0, Start: rational.New(1, 1<<41)}, // needs a 1/(25·2^41) tick
 		{Proc: 0, Start: ms(10)},
 		{Proc: 1, Start: rational.Zero},
 	}}
-	validatePair(t, s, "") // feasible: 1/2^41 > 0 = A's arrival, ends well before B
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `job "A[1]" does not fit the integer timescale: deadline 1/10s is beyond 2^40 ticks`) {
+		t.Errorf("start refining the timescale past the guard: %v, want a violation naming A[1]", err)
+	}
+	// 2^40 ticks of 1/100 s passes the lowering and then misses the
+	// deadline; one tick more fails the lowering.
+	s.Assign[0].Start = rational.New(rational.MaxTick, 100)
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "misses deadline") {
+		t.Errorf("start at 2^40 ticks: %v, want a deadline miss", err)
+	}
+	s.Assign[0].Start = rational.New(rational.MaxTick+1, 100)
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `job "A[1]" does not fit the integer timescale: start 1099511627777/100s is beyond`) {
+		t.Errorf("start at 2^40+1 ticks: %v, want a violation naming A[1]", err)
+	}
+	// A start between the graph's ticks refines the timescale and is
+	// checked exactly: 1/1000 s is a feasible start for A.
+	s.Assign[0].Start = ms(1)
+	s.Assign[1].Start = ms(11)
+	if err := s.Validate(); err != nil {
+		t.Errorf("start between ticks: %v, want feasible", err)
+	}
 }
 
 // TestMinProcessorsMaxBound covers both edges of the search interval: the

@@ -12,11 +12,11 @@ type PortfolioOptions struct {
 	// Workers bounds the number of heuristics scheduled concurrently.
 	// 0 selects GOMAXPROCS; 1 forces the reference sequential execution,
 	// in which every lane runs the self-contained ListSchedule end to end.
-	// Any other value shares one per-graph precomputation (integer
-	// lowering, predecessor counts, ALAP times, b-levels, rank
-	// permutations) across all lanes before the fan-out, so the race
-	// scales with workers instead of re-deriving per heuristic. Every
-	// worker count produces identical results.
+	// Any other value shares one per-graph precomputation (predecessor
+	// counts, ALAP times, b-levels, rank permutations) across all lanes
+	// before the fan-out, so the race scales with workers instead of
+	// re-deriving per heuristic. Every worker count produces identical
+	// results.
 	Workers int
 	// Heuristics overrides the portfolio membership and its tie-break
 	// order; nil means the package-level Heuristics list.
@@ -43,8 +43,8 @@ type HeuristicResult struct {
 // count.
 //
 // Unless opts.Workers pins the reference sequential execution (1), the
-// per-graph work every lane needs — the memoized edge list, the integer
-// lowering, predecessor counts and the per-heuristic rank permutations —
+// per-graph work every lane needs — the memoized edge list and tick
+// table, predecessor counts and the per-heuristic rank permutations —
 // is computed once before the fan-out and shared read-only, so each lane
 // runs only its own event loop and feasibility check.
 func RunPortfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) []HeuristicResult {
@@ -74,14 +74,13 @@ func RunPortfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) []Heuri
 		}
 		return results
 	}
-	tg.Prewarm() // materialize the lazy edge list before concurrent readers
-	pc := newPrecomp(tg)
-	if !pc.ok {
-		results, _ := parallel.Map(nil, len(hs), opts.Workers, func(i int) (HeuristicResult, error) {
-			return lane(hs[i], func() (*Schedule, error) {
-				return ListScheduleReference(tg, m, hs[i])
-			}), nil
-		})
+	tg.Prewarm() // materialize the lazy memos before concurrent readers
+	pc, err := newPrecomp(tg)
+	if err != nil {
+		results := make([]HeuristicResult, len(hs))
+		for i, h := range hs {
+			results[i] = HeuristicResult{Heuristic: h, Err: err}
+		}
 		return results
 	}
 	ranks := make([][]int32, len(hs))
@@ -96,11 +95,9 @@ func RunPortfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) []Heuri
 			return r, nil
 		}
 		r.Schedule = s
-		// The engine hands back the start instants on the shared
-		// timescale, so feasibility checking skips the re-lowering that
-		// Schedule.Validate would pay; validateTicks reaches the same
-		// verdict with the same diagnostics.
-		if err := pc.validateTicks(s, startT); err != nil {
+		// The engine hands back the start instants in ticks, so
+		// feasibility checking skips the lowering Schedule.Validate does.
+		if err := validateTicks(s, pc.jt, startT); err != nil {
 			r.Err = err
 			return r, nil
 		}

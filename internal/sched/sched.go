@@ -110,85 +110,39 @@ func (s *Schedule) Misses() []Miss {
 //	precedence:       (J_i, J_j) ∈ E ⇒ e_i <= s_j
 //	mutual exclusion: µ_i = µ_j ⇒ e_i <= s_j ∨ e_j <= s_i
 //
-// The checks run on the shared integer timescale of the task graph and
-// the schedule's start times: one lowering pass, then pure int64
-// comparisons. Checking the transitively reduced successor lists suffices
-// for the full precedence relation — the reduction's reachability sweep
-// guarantees every removed edge is implied by a kept chain, and e_i <= s_j
-// composes along chains. Schedules whose time stamps do not fit a common
-// denominator fall back to ValidateReference; a differential suite holds
-// the two implementations to the same verdicts.
+// The checks run on the task graph's integer timescale (TaskGraph.Ticks):
+// the start times are lowered onto it, then everything is int64
+// comparisons. Engine output always lies on that grid. Imported or
+// hand-built schedules may start jobs between its ticks; they are checked
+// on the coarsest refinement of the timescale that holds every start time,
+// and a start that fits no refinement within the rational.MaxTick guard is
+// itself a violation naming the job.
 func (s *Schedule) Validate() error {
 	tg := s.TG
 	n := len(tg.Jobs)
 	if len(s.Assign) != n {
 		return fmt.Errorf("sched: %d assignments for %d jobs", len(s.Assign), n)
 	}
-	vals := make([]rational.Rat, 0, 4*n)
-	for i, j := range tg.Jobs {
-		vals = append(vals, j.Arrival, j.WCET, j.Deadline, s.Assign[i].Start)
+	jt, err := tg.Ticks()
+	if err != nil {
+		return fmt.Errorf("sched: %w", err)
 	}
-	sc, ok := rational.CommonScale(vals)
-	if !ok {
-		return s.ValidateReference()
-	}
-	ticks := make([]int64, 4*n) // arrival, wcet, deadline, start per job
-	for i, v := range vals {
-		t, ok := sc.Ticks(v)
-		if !ok || absTick(t) > maxSafeTick {
-			return s.ValidateReference()
-		}
-		ticks[i] = t
-	}
-	arr := func(i int) int64 { return ticks[4*i] }
-	wc := func(i int) int64 { return ticks[4*i+1] }
-	dl := func(i int) int64 { return ticks[4*i+2] }
-	st := func(i int) int64 { return ticks[4*i+3] }
-
-	for i, j := range tg.Jobs {
-		if p := s.Assign[i].Proc; p < 0 || p >= s.M {
-			return fmt.Errorf("sched: job %s mapped to processor %d of %d", j.Name(), p, s.M)
-		}
-		if st(i) < arr(i) {
-			return fmt.Errorf("sched: job %s starts at %v before arrival %v",
-				j.Name(), sc.FromTicks(st(i)), j.Arrival)
-		}
-		if st(i)+wc(i) > dl(i) {
-			return fmt.Errorf("sched: job %s misses deadline: ends %v > %v",
-				j.Name(), sc.FromTicks(st(i)+wc(i)), j.Deadline)
-		}
-	}
-	for i, succs := range tg.Succ {
-		for _, j := range succs {
-			if st(j) < st(i)+wc(i) {
-				return fmt.Errorf("sched: precedence %s -> %s violated",
-					tg.Jobs[i].Name(), tg.Jobs[j].Name())
+	startT := make([]int64, n)
+	for i, a := range s.Assign {
+		t, ok := jt.Scale.GuardedTicks(a.Start)
+		if !ok {
+			starts := make([]Time, n)
+			for k := range s.Assign {
+				starts[k] = s.Assign[k].Start
 			}
-		}
-	}
-	// Mutual exclusion per processor.
-	byProc := make([][]int32, s.M)
-	for i := range tg.Jobs {
-		p := s.Assign[i].Proc
-		byProc[p] = append(byProc[p], int32(i))
-	}
-	for p, jobs := range byProc {
-		sort.Slice(jobs, func(a, b int) bool {
-			sa, sb := st(int(jobs[a])), st(int(jobs[b]))
-			if sa != sb {
-				return sa < sb
+			if jt, startT, err = tg.TicksWithStarts(starts); err != nil {
+				return fmt.Errorf("sched: %w", err)
 			}
-			return jobs[a] < jobs[b]
-		})
-		for i := 1; i < len(jobs); i++ {
-			prev, cur := int(jobs[i-1]), int(jobs[i])
-			if st(cur) < st(prev)+wc(prev) {
-				return fmt.Errorf("sched: jobs %s and %s overlap on processor %d",
-					tg.Jobs[prev].Name(), tg.Jobs[cur].Name(), p)
-			}
+			break
 		}
+		startT[i] = t
 	}
-	return nil
+	return validateTicks(s, jt, startT)
 }
 
 // ProcessorOrder returns, for each processor, the job indices in start-time
@@ -223,75 +177,20 @@ func (s *Schedule) Makespan() Time {
 	return max
 }
 
-// priorities computes the SP rank of every job (lower = scheduled first).
-func priorities(tg *taskgraph.TaskGraph, h Heuristic) []int {
-	n := len(tg.Jobs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	var key func(i int) Time
-	switch h {
-	case ALAPEDF:
-		alap := tg.ALAP()
-		key = func(i int) Time { return alap[i] }
-	case BLevel:
-		bl := blevels(tg)
-		key = func(i int) Time { return bl[i].Neg() } // longer path first
-	case DeadlineMonotonic:
-		key = func(i int) Time { return tg.Jobs[i].Deadline.Sub(tg.Jobs[i].Arrival) }
-	case EDF:
-		key = func(i int) Time { return tg.Jobs[i].Deadline }
-	default:
-		panic(fmt.Sprintf("sched: unknown heuristic %d", int(h)))
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := key(idx[a]), key(idx[b])
-		if !ka.Equal(kb) {
-			return ka.Less(kb)
-		}
-		return idx[a] < idx[b] // <_J order breaks ties
-	})
-	rank := make([]int, n)
-	for r, i := range idx {
-		rank[i] = r
-	}
-	return rank
-}
-
-// blevels returns, for every job, the length of the longest WCET chain
-// starting at (and including) the job.
-func blevels(tg *taskgraph.TaskGraph) []Time {
-	n := len(tg.Jobs)
-	bl := make([]Time, n)
-	for i := n - 1; i >= 0; i-- {
-		best := rational.Zero
-		for _, s := range tg.Succ[i] {
-			if best.Less(bl[s]) {
-				best = bl[s]
-			}
-		}
-		bl[i] = tg.Jobs[i].WCET.Add(best)
-	}
-	return bl
-}
-
 // ListSchedule runs the list-scheduling simulation: at every decision
 // instant, each idle processor picks the highest-SP job that has arrived
 // and whose task-graph predecessors have all completed.
 //
-// The simulation is event-driven on an integer timescale (see event.go);
-// its schedules — assignments, start times and tie-breaks — are identical
-// to ListScheduleReference, which remains available as the differential
-// oracle and as the fallback for graphs whose timing does not fit a
-// shared int64 denominator.
+// The simulation is event-driven on the task graph's integer timescale
+// (see event.go). A hand-built graph whose timing does not fit that
+// timescale fails with its *taskgraph.TimescaleError.
 func ListSchedule(tg *taskgraph.TaskGraph, m int, h Heuristic) (*Schedule, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("sched: %d processors", m)
 	}
-	pc := newPrecomp(tg)
-	if !pc.ok {
-		return ListScheduleReference(tg, m, h)
+	pc, err := newPrecomp(tg)
+	if err != nil {
+		return nil, err
 	}
 	return pc.listSchedule(m, h, pc.rankFor(h))
 }

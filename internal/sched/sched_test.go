@@ -332,11 +332,15 @@ func TestBLevelValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl := blevels(tg)
+	pc, err := newPrecomp(tg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl := pc.blevelTicks()
 	want := map[string]Time{"a[1]": ms(60), "b[1]": ms(50), "c[1]": ms(30)}
 	for i, j := range tg.Jobs {
-		if w := want[j.Name()]; !bl[i].Equal(w) {
-			t.Errorf("b-level(%s) = %v, want %v", j.Name(), bl[i], w)
+		if got := pc.jt.Scale.FromTicks(bl[i]); !got.Equal(want[j.Name()]) {
+			t.Errorf("b-level(%s) = %v, want %v", j.Name(), got, want[j.Name()])
 		}
 	}
 }

@@ -224,6 +224,20 @@ func TestCacheCompileErrorsAreNotCached(t *testing.T) {
 	}
 }
 
+func numGC() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumGC
+}
+
+// poolSlack bounds the RunStates one sync.Pool may create, beyond its
+// first, for reasons outside the server: a Put parks the state in the
+// current P's private slot, which a Get on another P cannot take, and
+// every GC cycle may empty the pool. At GOMAXPROCS=1 with no GC it is 0.
+func poolSlack(gcs uint32) int64 {
+	return int64(runtime.GOMAXPROCS(0))*(int64(gcs)+1) - 1
+}
+
 // TestSimulateWarmPathReusesEverything pins the tentpole acceptance
 // criterion: after the first /simulate, further identical requests
 // perform zero compiles and create zero new RunStates — the warm path is
@@ -246,6 +260,7 @@ func TestSimulateWarmPathReusesEverything(t *testing.T) {
 		t.Fatalf("cold simulate: compiles=%d states=%d, want 1/1", compiles, states)
 	}
 
+	gcBefore := numGC()
 	for i := 0; i < 50; i++ {
 		var resp SimulateResponse
 		if code := post(t, s, "/simulate", req, &resp); code != http.StatusOK {
@@ -262,9 +277,11 @@ func TestSimulateWarmPathReusesEverything(t *testing.T) {
 		t.Fatalf("warm traffic ran %d extra compiles", got-compiles)
 	}
 	// Race-mode sync.Pool drops a random fraction of Puts by design, so
-	// the zero-new-states criterion is asserted only in normal builds.
-	if got := s.metrics.StatesCreated.Load(); !raceEnabled && got != states {
-		t.Fatalf("warm sequential traffic created %d extra RunStates, want 0", got-states)
+	// the state-reuse criterion is asserted only in normal builds.
+	gcs := numGC() - gcBefore
+	if got := s.metrics.StatesCreated.Load(); !raceEnabled && got-states > poolSlack(gcs) {
+		t.Fatalf("warm sequential traffic created %d extra RunStates across %d GC cycles at GOMAXPROCS=%d, want at most %d",
+			got-states, gcs, runtime.GOMAXPROCS(0), poolSlack(gcs))
 	}
 }
 
@@ -560,6 +577,7 @@ func TestPortfolioHeuristic(t *testing.T) {
 func TestDistinctFrameCountsKeepDistinctPools(t *testing.T) {
 	t.Parallel()
 	s := newTestServer(t, Options{})
+	gcBefore := numGC()
 	for _, frames := range []int{1, 2, 4} {
 		for i := 0; i < 3; i++ {
 			req := map[string]any{"app": "signal", "frames": frames}
@@ -571,8 +589,9 @@ func TestDistinctFrameCountsKeepDistinctPools(t *testing.T) {
 	if got := s.metrics.Compiles.Load(); got != 1 {
 		t.Fatalf("Compiles = %d across frame counts, want 1 (frames is not a cache key)", got)
 	}
-	if got := s.metrics.StatesCreated.Load(); !raceEnabled && got != 3 {
-		t.Fatalf("StatesCreated = %d, want 3 (one pool per frame count)", got)
+	// Three pools need three states; sharing one pool would reuse fewer.
+	if got, slack := s.metrics.StatesCreated.Load(), poolSlack(numGC()-gcBefore); !raceEnabled && (got < 3 || got > 3*(1+slack)) {
+		t.Fatalf("StatesCreated = %d, want 3 (one pool per frame count) plus at most %d per pool", got, slack)
 	}
 }
 

@@ -111,6 +111,11 @@ type TaskGraph struct {
 	// export, the rt precedence closure) stop re-sorting the adjacency
 	// lists. Deterministic for every worker count.
 	edges [][2]int
+	// ticks memoizes Ticks(): the jobs' timing on the integer timescale,
+	// filled by the frame simulation at derivation. ticksErr memoizes the
+	// failure of a hand-built graph's lowering.
+	ticks    *JobTicks
+	ticksErr error
 	// reach[v] is the strict-descendant bitset of job v computed by the
 	// transitive-reduction sweep, reused for O(1) HasPath queries. Nil
 	// when the reduction was skipped (KeepRedundantEdges).
@@ -162,14 +167,15 @@ func buildEdges(succ [][]int) [][2]int {
 	return out
 }
 
-// Prewarm forces the lazily memoized derived structures — today the
-// reduced edge list behind Edges() — so that subsequent concurrent readers
-// (the schedule-priority portfolio lanes validating in parallel) see a
-// fully materialized, read-only graph instead of racing to build it.
-// Graphs built by Derive are already warm; Prewarm matters for task graphs
-// assembled by hand in tests and tools.
+// Prewarm forces the lazily memoized derived structures — the reduced
+// edge list behind Edges() and the tick table behind Ticks() — so that
+// subsequent concurrent readers (the schedule-priority portfolio lanes
+// validating in parallel) see a fully materialized, read-only graph
+// instead of racing to build it. Graphs built by Derive are already warm;
+// Prewarm matters for task graphs assembled by hand in tests and tools.
 func (tg *TaskGraph) Prewarm() {
 	tg.Edges()
+	tg.Ticks()
 }
 
 // Job returns the node for process proc's k-th job, or nil.
@@ -246,12 +252,6 @@ type Options struct {
 	// pipelines (the FPPN020 happens-before verifier) use this mode to
 	// turn a coverage gap into a concrete unordered access-pair witness.
 	AllowUncoveredChannels bool
-	// ReferenceTimescale forces the exact-rational invocation simulation
-	// instead of the int64 tick lowering. The two paths produce
-	// byte-identical task graphs (the differential suite pins this); the
-	// rational path additionally serves as the automatic fallback when
-	// the tick lowering would overflow the 2^40 guard.
-	ReferenceTimescale bool
 }
 
 // Derive builds the task graph of a validated schedulable network.
@@ -283,44 +283,33 @@ func validateForDerive(net *core.Network, opts Options) error {
 	return nil
 }
 
-// DeriveOpts is Derive with explicit options.
+// DeriveOpts is Derive with explicit options. Timing that does not fit
+// the integer timescale (see LowerTiming), or a frame of more than 2^20
+// jobs, fails with a *TimescaleError before anything is simulated.
 func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 	if err := validateForDerive(net, opts); err != nil {
 		return nil, err
 	}
 
 	// Step 1: server transformation.
-	serverPeriod := make(map[string]Time)
-	includeRight := make(map[string]bool)
-	user := make(map[string]string)
-	substitute := make(map[string]Time)
-	for _, p := range net.Processes() {
-		if !p.IsSporadic() {
-			continue
-		}
-		u, err := net.UserOf(p.Name)
-		if err != nil {
-			return nil, fmt.Errorf("taskgraph: %w", err)
-		}
-		tp, err := serverPeriodFor(p, u)
-		if err != nil {
-			return nil, err
-		}
-		serverPeriod[p.Name] = tp
-		substitute[p.Name] = tp
-		user[p.Name] = u.Name
-		includeRight[p.Name] = net.HasPriority(p.Name, u.Name)
+	srv, err := serverTransform(net)
+	if err != nil {
+		return nil, err
 	}
 
-	// Hyperperiod of PN'.
-	h, err := core.Hyperperiod(net, substitute)
+	// One timescale for everything below, including H of PN'.
+	tm, err := lowerTiming(net, srv.period, opts.DeadlineSlack)
 	if err != nil {
-		return nil, fmt.Errorf("taskgraph: %w", err)
+		return nil, err
+	}
+	if tm.Jobs > maxFrameJobs {
+		return nil, &TimescaleError{Kind: "network", Subject: net.Name,
+			Reason: fmt.Sprintf("its hyperperiod %vs holds more than 2^20 jobs", tm.Hyperperiod)}
 	}
 
 	// FP' ranks: original FP with every sporadic process's edges replaced
 	// by server -> user.
-	rank, err := fpPrimeRanks(net, user)
+	rank, err := fpPrimeRanks(net, srv.user)
 	if err != nil {
 		return nil, err
 	}
@@ -332,37 +321,25 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 		// GOMAXPROCS default used to *lose* to the sequential loop. Size
 		// the pool from the exact job count, known before simulation
 		// because H is a common multiple of every (substituted) period.
-		workers = defaultDeriveWorkers(frameJobCount(net, h, substitute), workers)
+		workers = defaultDeriveWorkers(tm.Jobs, workers)
 	}
 
-	// Step 2: simulate the invocation order of PN' over [0, H), on the
-	// int64 tick timescale when the lowering fits; the exact-rational
-	// simulation is both the overflow fallback and the differential
-	// oracle (Options.ReferenceTimescale forces it).
-	truncateAt := h.Add(opts.DeadlineSlack)
-	var jobs []*Job
-	var index map[string]map[int64]int
-	var jobPid []int32
-	tickOK := false
-	if !opts.ReferenceTimescale {
-		jobs, index, jobPid, tickOK = simulateFrameTicks(net, h, truncateAt, substitute, serverPeriod, rank, workers)
-	}
-	if !tickOK {
-		jobs, index = simulateFrameRational(net, h, truncateAt, substitute, serverPeriod, rank, workers)
-	}
+	// Step 2: simulate the invocation order of PN' over [0, H).
+	jobs, index, jobPid, ticks := simulateFrameTicks(net, tm, rank, workers)
 
 	tg := &TaskGraph{
 		Net:          net,
-		Hyperperiod:  h,
+		Hyperperiod:  tm.Hyperperiod,
 		Jobs:         jobs,
-		ServerPeriod: serverPeriod,
-		IncludeRight: includeRight,
-		User:         user,
+		ServerPeriod: srv.period,
+		IncludeRight: srv.includeRight,
+		User:         srv.user,
 		index:        index,
+		ticks:        ticks,
 	}
 
 	// Step 3: candidate precedence edges.
-	related := relatedSets(net, user)
+	related := relatedSets(net, srv.user)
 	tg.related = related
 	ec := newEdgeCtx(net, jobs, related, jobPid)
 	cand := candidateEdges(ec, len(jobs), workers)
@@ -387,6 +364,40 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 	return tg, nil
 }
 
+// servers is the server transformation of step 1: every sporadic process
+// p gets the server period T'_p, its user u(p) and the boundary rule
+// (TaskGraph.IncludeRight) of Section IV.
+type servers struct {
+	period       map[string]Time
+	user         map[string]string
+	includeRight map[string]bool
+}
+
+func serverTransform(net *core.Network) (servers, error) {
+	srv := servers{
+		period:       make(map[string]Time),
+		user:         make(map[string]string),
+		includeRight: make(map[string]bool),
+	}
+	for _, p := range net.Processes() {
+		if !p.IsSporadic() {
+			continue
+		}
+		u, err := net.UserOf(p.Name)
+		if err != nil {
+			return servers{}, fmt.Errorf("taskgraph: %w", err)
+		}
+		tp, err := serverPeriodFor(p, u)
+		if err != nil {
+			return servers{}, err
+		}
+		srv.period[p.Name] = tp
+		srv.user[p.Name] = u.Name
+		srv.includeRight[p.Name] = net.HasPriority(p.Name, u.Name)
+	}
+	return srv, nil
+}
+
 // derivationJobsPerWorker is the minimum frame-job count one derivation
 // worker should own. Below it, goroutine dispatch and per-chunk setup cost
 // more than the parallelism recovers. The tick lowering moved the knee
@@ -408,21 +419,6 @@ func defaultDeriveWorkers(jobs, limit int) int {
 		return limit
 	}
 	return w
-}
-
-// frameJobCount returns the exact number of jobs one hyperperiod frame will
-// contain: Σ_p burst_p · H/T'_p. H is the hyperperiod of PN', so every
-// (substituted) period divides it exactly.
-func frameJobCount(net *core.Network, h Time, substitute map[string]Time) int {
-	total := 0
-	for _, p := range net.Processes() {
-		period := p.Period()
-		if s, ok := substitute[p.Name]; ok {
-			period = s
-		}
-		total += p.Burst() * int(h.FloorDiv(period))
-	}
-	return total
 }
 
 // serverPeriodFor computes T_p' for sporadic p with user u: T_u, or the
@@ -505,86 +501,6 @@ func fpPrimeRanks(net *core.Network, user map[string]string) (map[string]int, er
 		return nil, fmt.Errorf("taskgraph: FP' graph has a cycle (check priorities between sporadic processes and their users)")
 	}
 	return rank, nil
-}
-
-// simulateFrameRational produces the job sequence of PN' over [0, H) in
-// <_J order and computes each job's (A_i, D_i, C_i) per the paper's
-// formulas, with deadlines truncated to H — in exact rational arithmetic.
-// It is the reference implementation: the hot path (simulateFrameTicks)
-// computes the same sequence on the int64 tick timescale and this function
-// remains as its overflow fallback and differential oracle.
-//
-// Invocation streams are generated per process — each process's sequence is
-// independent of the others — and concatenated in the network's process
-// order before the stable sort, so the result is identical for every worker
-// count (and to the historical single-loop implementation).
-func simulateFrameRational(net *core.Network, h, truncateAt Time, substitute, serverPeriod map[string]Time,
-	rank map[string]int, workers int) ([]*Job, map[string]map[int64]int) {
-
-	type inv struct {
-		t    Time
-		proc string
-	}
-	procs := net.Processes()
-	streams, _ := parallel.Map(nil, len(procs), workers, func(pi int) ([]inv, error) {
-		p := procs[pi]
-		period := p.Period()
-		if s, ok := substitute[p.Name]; ok {
-			period = s
-		}
-		var out []inv
-		for t := rational.Zero; t.Less(h); t = t.Add(period) {
-			for b := 0; b < p.Burst(); b++ {
-				out = append(out, inv{t, p.Name})
-			}
-		}
-		return out, nil
-	})
-	var invs []inv
-	for _, stream := range streams {
-		invs = append(invs, stream...)
-	}
-	sort.SliceStable(invs, func(i, j int) bool {
-		if c := invs[i].t.Cmp(invs[j].t); c != 0 {
-			return c < 0
-		}
-		if ri, rj := rank[invs[i].proc], rank[invs[j].proc]; ri != rj {
-			return ri < rj
-		}
-		return invs[i].proc < invs[j].proc
-	})
-
-	counts := make(map[string]int64)
-	jobs := make([]*Job, 0, len(invs))
-	index := make(map[string]map[int64]int)
-	for _, iv := range invs {
-		p := net.Process(iv.proc)
-		counts[iv.proc]++
-		k := counts[iv.proc]
-		j := &Job{
-			Index:   len(jobs),
-			Proc:    iv.proc,
-			K:       k,
-			Arrival: iv.t,
-			WCET:    p.WCET,
-		}
-		if tp, ok := serverPeriod[iv.proc]; ok {
-			j.Server = true
-			j.Deadline = iv.t.Add(p.Deadline()).Sub(tp)
-			m := int64(p.Burst())
-			j.Subset = int((k-1)/m) + 1
-			j.SlotInSubset = int((k-1)%m) + 1
-		} else {
-			j.Deadline = iv.t.Add(p.Deadline())
-		}
-		j.Deadline = j.Deadline.Min(truncateAt) // step 4: truncate to the frame (+ slack)
-		jobs = append(jobs, j)
-		if index[iv.proc] == nil {
-			index[iv.proc] = map[int64]int{}
-		}
-		index[iv.proc][k] = len(jobs) - 1
-	}
-	return jobs, index
 }
 
 // relatedSets maps each process to the set of processes it is

@@ -440,20 +440,23 @@ func TestDefaultDeriveWorkersHeuristic(t *testing.T) {
 
 func TestFrameJobCountMatchesDerivation(t *testing.T) {
 	t.Parallel()
-	// The estimate that sizes the worker pool must equal the real job
-	// count, because it is computed from the same H and substituted
-	// periods the simulation uses.
+	// The job count that sizes the worker pool must equal the real one,
+	// because it is computed from the same H and substituted periods the
+	// simulation uses.
 	for _, net := range []*core.Network{signal.New()} {
 		tg, err := Derive(net)
 		if err != nil {
 			t.Fatal(err)
 		}
-		substitute := make(map[string]Time, len(tg.ServerPeriod))
-		for name, tp := range tg.ServerPeriod {
-			substitute[name] = tp
+		tm, err := LowerTiming(net, rational.Zero)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := frameJobCount(net, tg.Hyperperiod, substitute); got != len(tg.Jobs) {
-			t.Errorf("%s: frameJobCount = %d, want %d", net.Name, got, len(tg.Jobs))
+		if tm.Jobs != len(tg.Jobs) {
+			t.Errorf("%s: LowerTiming counts %d jobs, derivation has %d", net.Name, tm.Jobs, len(tg.Jobs))
+		}
+		if !tm.Hyperperiod.Equal(tg.Hyperperiod) {
+			t.Errorf("%s: LowerTiming H = %v, derivation H = %v", net.Name, tm.Hyperperiod, tg.Hyperperiod)
 		}
 	}
 }

@@ -3,23 +3,13 @@ package taskgraph
 // Tick-lowered derivation core. The paper's step-2 invocation simulation is
 // arithmetic over rational time stamps: generate every invocation instant
 // t = c·T'_p over [0, H), sort by (t, FP' rank) and read the job tuples
-// (A_i, D_i, C_i) off the ordered sequence. The rational path
-// (simulateFrameRational) performs that with exact Rat values — correct,
-// but every Add/Cmp normalizes through gcds and the sort compares
-// rationals, which BENCH_fppn.json showed was the compile-pipeline
-// bottleneck once scheduling moved to the event engine.
-//
-// This file lowers the simulation onto the same rational.CommonScale int64
-// timescale the event-driven scheduler uses: one Scale covers every
-// (substituted) period, deadline, the hyperperiod and the deadline slack,
-// so each invocation instant and deadline is an exact int64 tick count and
-// the <_J sort compares two ints. Lowered values are converted back
-// through Scale.FromTicks, which reduces to lowest terms, so the resulting
-// jobs are byte-identical to the rational path's — the differential suite
-// and FuzzDeriveTickMatchesRational pin that. When the common denominator
-// or any tick magnitude overflows the 2^40 guard (same constant as
-// internal/sched), or a frame exceeds 2^20 jobs, derivation falls back to
-// the rational path, which is therefore kept verbatim as the oracle.
+// (A_i, D_i, C_i) off the ordered sequence. This file runs it on the
+// network's integer timescale (see timescale.go): each invocation instant
+// and deadline is an exact int64 tick count and the <_J sort compares two
+// ints. Lowered values are converted back through Scale.FromTicks, which
+// reduces to lowest terms, so every job carries the exact rational times of
+// the paper; the differential suite and FuzzDeriveTickMatchesRational in
+// internal/integration hold the simulation to an exact-rational oracle.
 
 import (
 	"slices"
@@ -27,94 +17,40 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/parallel"
-	"repro/internal/rational"
 )
-
-// maxSafeTick mirrors internal/sched: per-value tick magnitudes below 2^40
-// keep every intermediate sum (at most one period + deadline per value) far
-// from int64 overflow.
-const maxSafeTick = int64(1) << 40
-
-// maxTickJobs bounds the frame size the tick path accepts; beyond it the
-// rational oracle runs (and the caller has bigger problems than gcd churn).
-const maxTickJobs = 1 << 20
 
 // rankBits packs an invocation's FP' rank into the low bits of its sort
 // key: key = t<<rankBits | rank. Ranks are a permutation of the processes
-// and the frame has at most maxTickJobs = 2^20 jobs (hence processes), so
+// and the frame has at most maxFrameJobs = 2^20 jobs (hence processes), so
 // 20 bits always hold the rank; t is guarded to 2^40, so the packed key
 // stays within int64 and sorting the keys IS the (t, rank) lexicographic
 // sort — over plain int64s, which slices.Sort handles without the
 // reflection swapper of sort.Slice.
 const rankBits = 20
 
-// simulateFrameTicks is simulateFrameRational on the int64 tick timescale.
-// ok == false reports that the lowering overflowed and the caller must run
-// the rational oracle instead. jobPid records each job's process index
-// (position in net.Processes()) for the edge pipeline.
-func simulateFrameTicks(net *core.Network, h, truncateAt Time, substitute, serverPeriod map[string]Time,
-	rank map[string]int, workers int) (jobs []*Job, index map[string]map[int64]int, jobPid []int32, ok bool) {
+// simulateFrameTicks produces the job sequence of PN' over [0, H) in <_J
+// order with each job's (A_i, D_i, C_i) per the paper's formulas, deadlines
+// truncated to the horizon H + DeadlineSlack. Besides the jobs it returns
+// the per-job tick table and each job's process index (position in
+// net.Processes()) for the edge pipeline.
+func simulateFrameTicks(net *core.Network, tm *Timing, rank map[string]int, workers int) (
+	jobs []*Job, index map[string]map[int64]int, jobPid []int32, ticks *JobTicks) {
 
 	procs := net.Processes()
 	np := len(procs)
+	sc := tm.Scale
 
-	// One scale for every value the simulation touches. Periods and
-	// deadlines are per process; h and truncateAt close the set, so every
-	// computed instant (c·T', t+D, t+D−T') is an exact tick count.
-	vals := make([]rational.Rat, 0, 2*np+2)
-	for _, p := range procs {
-		period := p.Period()
-		if s, found := substitute[p.Name]; found {
-			period = s
-		}
-		vals = append(vals, period, p.Deadline())
-	}
-	vals = append(vals, h, truncateAt)
-	sc, scOK := rational.CommonScale(vals)
-	if !scOK {
-		return nil, nil, nil, false
-	}
-	hT, okH := sc.Ticks(h)
-	truncT, okTr := sc.Ticks(truncateAt)
-	if !okH || !okTr || hT > maxSafeTick || absTick64(truncT) > maxSafeTick {
-		return nil, nil, nil, false
-	}
-
-	// Per-process lowering plus the exact invocation count: H is a common
-	// multiple of every substituted period, so count = H/T' divides evenly.
-	periodT := make([]int64, np)
-	deadT := make([]int64, np)
-	serverT := make([]int64, np) // T'_p ticks, or -1 for ordinary processes
+	// Exact invocation counts: H is a common multiple of every substituted
+	// period, so count = H/T' divides evenly.
 	rankOf := make([]int32, np)
 	off := make([]int, np+1) // invocation-slice offsets per process
 	total := 0
 	for pi, p := range procs {
-		period := p.Period()
-		if s, found := substitute[p.Name]; found {
-			period = s
-		}
-		pT, okP := sc.Ticks(period)
-		dT, okD := sc.Ticks(p.Deadline())
-		if !okP || !okD || pT <= 0 || pT > maxSafeTick || absTick64(dT) > maxSafeTick {
-			return nil, nil, nil, false
-		}
-		periodT[pi], deadT[pi] = pT, dT
-		serverT[pi] = -1
-		if tp, isServer := serverPeriod[p.Name]; isServer {
-			tpT, okTp := sc.Ticks(tp)
-			if !okTp || absTick64(tpT) > maxSafeTick {
-				return nil, nil, nil, false
-			}
-			serverT[pi] = tpT
-		}
 		rankOf[pi] = int32(rank[p.Name])
 		off[pi] = total
-		total += int(hT/pT) * p.Burst()
+		total += int(tm.H/tm.Period[pi]) * p.Burst()
 	}
 	off[np] = total
-	if total > maxTickJobs {
-		return nil, nil, nil, false
-	}
 
 	// Generate each process's stream of packed (t, rank) keys into its own
 	// pre-offset region — independent regions, so the fan-out needs no
@@ -131,7 +67,7 @@ func simulateFrameTicks(net *core.Network, h, truncateAt Time, substitute, serve
 			burst := procs[pi].Burst()
 			base := int64(rankOf[pi])
 			w := off[pi]
-			for t := int64(0); t < hT; t += periodT[pi] {
+			for t := int64(0); t < tm.H; t += tm.Period[pi] {
 				key := t<<rankBits | base
 				for b := 0; b < burst; b++ {
 					keys[w] = key
@@ -144,16 +80,18 @@ func simulateFrameTicks(net *core.Network, h, truncateAt Time, substitute, serve
 
 	// <_J order: (t, FP' rank), i.e. ascending packed key. Ties are
 	// invocations of one process at one instant — identical keys, for
-	// which an unstable sort is indistinguishable from the reference's
-	// stable (t, rank, name) sort.
+	// which an unstable sort is indistinguishable from a stable
+	// (t, rank, name) sort.
 	slices.Sort(keys)
 
 	// Materialize the job tuples. One backing array for the nodes keeps
 	// the per-job cost at field writes; FromTicks reduces to lowest terms,
-	// so every Time equals the rational path's value exactly.
+	// so every Time is the exact rational value.
 	jobsArr := make([]Job, total)
 	jobs = make([]*Job, total)
 	jobPid = make([]int32, total)
+	ticks = &JobTicks{Scale: sc,
+		Arrival: make([]int64, total), WCET: make([]int64, total), Deadline: make([]int64, total)}
 	counts := make([]int64, np)
 	index = make(map[string]map[int64]int, np)
 	idxOf := make([]map[int64]int, np)
@@ -175,30 +113,25 @@ func simulateFrameTicks(net *core.Network, h, truncateAt Time, substitute, serve
 		j.K = k
 		j.Arrival = sc.FromTicks(t)
 		j.WCET = p.WCET
-		dl := t + deadT[pi]
-		if serverT[pi] >= 0 {
+		dl := t + tm.Deadline[pi]
+		if p.IsSporadic() {
+			// Server job: corrected deadline d_p − T'_p.
 			j.Server = true
-			dl -= serverT[pi]
+			dl -= tm.Period[pi]
 			m := int64(p.Burst())
 			j.Subset = int((k-1)/m) + 1
 			j.SlotInSubset = int((k-1)%m) + 1
 		}
-		if dl > truncT {
-			dl = truncT // step 4: truncate to the frame (+ slack)
+		if dl > tm.Horizon {
+			dl = tm.Horizon // step 4: truncate to the frame (+ slack)
 		}
 		j.Deadline = sc.FromTicks(dl)
 		jobs[i] = j
 		jobPid[i] = pi
 		idxOf[pi][k] = i
+		ticks.Arrival[i], ticks.WCET[i], ticks.Deadline[i] = t, tm.WCET[pi], dl
 	}
-	return jobs, index, jobPid, true
-}
-
-func absTick64(t int64) int64 {
-	if t < 0 {
-		return -t
-	}
-	return t
+	return jobs, index, jobPid, ticks
 }
 
 // edgeCtx interns the process-level structure the edge pipeline needs:
@@ -211,8 +144,7 @@ type edgeCtx struct {
 	relPid [][]int32 // process index -> FP'-related process indices, sorted
 }
 
-// newEdgeCtx builds the interned structure. jobPid may be nil (rational
-// fallback path); it is then recovered from the job names.
+// newEdgeCtx builds the interned structure over the jobs' process indices.
 func newEdgeCtx(net *core.Network, jobs []*Job, related map[string]map[string]bool, jobPid []int32) *edgeCtx {
 	procs := net.Processes()
 	np := len(procs)
@@ -220,14 +152,7 @@ func newEdgeCtx(net *core.Network, jobs []*Job, related map[string]map[string]bo
 	for pi, p := range procs {
 		procIdx[p.Name] = int32(pi)
 	}
-	ec := &edgeCtx{np: np}
-	if jobPid == nil {
-		jobPid = make([]int32, len(jobs))
-		for i, j := range jobs {
-			jobPid[i] = procIdx[j.Proc]
-		}
-	}
-	ec.jobPid = jobPid
+	ec := &edgeCtx{np: np, jobPid: jobPid}
 	counts := make([]int32, np)
 	for _, pi := range jobPid {
 		counts[pi]++
