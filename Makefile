@@ -11,11 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages that fan out through internal/parallel, tested at 1, 2 and
-# 4 CPUs: at GOMAXPROCS=1 work units run inline on the caller, so a
-# failure that only happens on a worker goroutine goes unseen.
+# The packages that fan out through internal/parallel or run the
+# goroutine-per-processor runtime, tested at 1, 2 and 4 CPUs: at
+# GOMAXPROCS=1 work units run inline on the caller, so a failure that only
+# happens on a worker goroutine goes unseen.
 TEST_CPU_PKGS = ./internal/parallel ./internal/taskgraph ./internal/sched ./internal/feas \
-	./internal/lint ./internal/serve ./internal/integration
+	./internal/lint ./internal/serve ./internal/plan ./internal/integration
 
 test-cpu:
 	$(GO) test -cpu 1,2,4 $(TEST_CPU_PKGS)

@@ -27,7 +27,7 @@ import (
 	"repro/internal/apps/fms"
 	"repro/internal/apps/signal"
 	"repro/internal/nettest"
-	"repro/internal/rt"
+	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -58,11 +58,11 @@ func BenchmarkFig2SporadicServer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := rt.PlanInvocations(tg, 7, events)
+		invs, err := plan.PlanInvocations(tg, 7, events)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(plan) != 7 {
+		if len(invs) != 7 {
 			b.Fatal("bad plan")
 		}
 	}

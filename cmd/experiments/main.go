@@ -14,9 +14,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/feas"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/staticflow"
 	"repro/internal/taskgraph"
@@ -147,7 +147,11 @@ func fig6() {
 		overhead.FrameOverhead(0, 14).Equal(ms(41)) && overhead.FrameOverhead(3, 14).Equal(ms(20)))
 
 	s1, _ := sched.ListSchedule(tg, 1, sched.ALAPEDF)
-	rep1, err := rt.Run(s1, rt.Config{Frames: 10, Overhead: overhead, Inputs: inputs})
+	p1, err := plan.Compile(s1)
+	var rep1 *plan.Report
+	if err == nil {
+		rep1, err = p1.Run(plan.Config{Frames: 10, Overhead: overhead, Inputs: inputs})
+	}
 	if err != nil {
 		row("Fig.6", "M=1 execution", "runs", err.Error(), false)
 		return
@@ -157,7 +161,11 @@ func fig6() {
 		len(rep1.Misses) > 0)
 
 	s2, _ := sched.FindFeasible(tg, 2)
-	rep2, err := rt.Run(s2, rt.Config{Frames: 10, Overhead: overhead, Inputs: inputs})
+	p2, err := plan.Compile(s2)
+	var rep2 *plan.Report
+	if err == nil {
+		rep2, err = p2.Run(plan.Config{Frames: 10, Overhead: overhead, Inputs: inputs})
+	}
 	if err != nil {
 		row("Fig.6", "M=2 execution", "runs", err.Error(), false)
 		return
@@ -207,7 +215,11 @@ func fig7() {
 		fms.MagnDeclinConfig:  {ms(100), ms(1500)},
 		fms.PerformanceConfig: {ms(600)},
 	}
-	rep, err := rt.Run(s1, rt.Config{Frames: 1, Inputs: fms.Inputs(50), SporadicEvents: events})
+	p1, err := plan.Compile(s1)
+	var rep *plan.Report
+	if err == nil {
+		rep, err = p1.Run(plan.Config{Frames: 1, Inputs: fms.Inputs(50), SporadicEvents: events})
+	}
 	if err != nil {
 		row("Fig.7", "uniprocessor run", "no misses", err.Error(), false)
 		return
@@ -257,24 +269,25 @@ func propositions() {
 	// reproduces the zero-delay outputs under execution-time jitter.
 	tg, _ := taskgraph.Derive(signal.New())
 	s, _ := sched.FindFeasible(tg, 2)
-	ok := true
-	for trial := int64(0); trial < 10; trial++ {
+	p, compileErr := plan.Compile(s)
+	ok := compileErr == nil
+	for trial := int64(0); ok && trial < 10; trial++ {
 		jitter, _ := platform.JitterExec(trial, rational.New(1, 2))
-		rep, err := rt.Run(s, rt.Config{
+		rep, err := p.Run(plan.Config{
 			Frames: 7, SporadicEvents: events, Inputs: signal.Inputs(7), Exec: jitter,
 		})
-		if err != nil || len(rep.Misses) != 0 || !core.SamplesEqual(ref.Outputs, rep.Outputs) {
-			ok = false
-			break
-		}
+		ok = err == nil && len(rep.Misses) == 0 && core.SamplesEqual(ref.Outputs, rep.Outputs)
 	}
 	row("Prop4.1", "static-order policy correct (10 jitter trials)", "holds",
 		fmt.Sprintf("%v", ok), ok)
 
-	conc, err := rt.RunConcurrent(s, rt.Config{
-		Frames: 7, SporadicEvents: events, Inputs: signal.Inputs(7),
-	})
-	concOK := err == nil && core.SamplesEqual(ref.Outputs, conc.Outputs)
+	concOK := compileErr == nil
+	if concOK {
+		conc, err := p.RunConcurrent(plan.Config{
+			Frames: 7, SporadicEvents: events, Inputs: signal.Inputs(7),
+		})
+		concOK = err == nil && core.SamplesEqual(ref.Outputs, conc.Outputs)
+	}
 	row("Prop4.1", "goroutine-per-processor execution", "deterministic",
 		fmt.Sprintf("%v", concOK), concOK)
 }

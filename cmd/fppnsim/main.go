@@ -27,20 +27,20 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
 
 // parseEvents parses "proc@seconds,proc@seconds" specs; seconds accept
 // rational or decimal syntax ("0.05", "1/20").
-func parseEvents(spec string) (map[string][]rt.Time, error) {
+func parseEvents(spec string) (map[string][]plan.Time, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	out := make(map[string][]rt.Time)
+	out := make(map[string][]plan.Time)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		i := strings.IndexByte(part, '@')
@@ -106,7 +106,7 @@ func run(app string, m, frames, workers int, overheadName, eventSpec string, con
 		fmt.Printf("note: static schedule infeasible on %d processors (%v); running anyway to observe misses\n", m, err)
 	}
 
-	cfg := rt.Config{
+	cfg := plan.Config{
 		Frames:         frames,
 		SporadicEvents: evs,
 		Overhead:       overhead,
@@ -115,7 +115,7 @@ func run(app string, m, frames, workers int, overheadName, eventSpec string, con
 	// Compile the schedule once; the plan replays all requested frames
 	// (and any future re-runs) without re-interning the network. The
 	// per-run state lives in a RunState so the plan stays shareable.
-	p, err := rt.Compile(s)
+	p, err := plan.Compile(s)
 	if err != nil {
 		return err
 	}

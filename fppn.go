@@ -34,9 +34,9 @@ import (
 	"repro/internal/feas"
 	"repro/internal/hb"
 	"repro/internal/lint"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/taskgraph"
@@ -201,39 +201,51 @@ func WCETExec() ExecModel { return platform.WCETExec() }
 // [lo·C, C], modelling measurement-based WCET estimation.
 func JitterExec(seed int64, lo Time) (ExecModel, error) { return platform.JitterExec(seed, lo) }
 
-// Runtime types (packages internal/rt and internal/plan).
+// Runtime types (package internal/plan).
 type (
 	// RunConfig parameterizes a runtime execution.
-	RunConfig = rt.Config
+	RunConfig = plan.Config
 	// Report is a runtime execution report.
-	Report = rt.Report
+	Report = plan.Report
 	// Miss is a runtime deadline violation.
-	Miss = rt.Miss
+	Miss = plan.Miss
 	// ExecPlan is a compiled execution plan: the schedule lowered to
 	// interned, index-based tables for repeated Run/RunConcurrent calls.
 	// An ExecPlan is immutable after Compile and safe to share between
 	// goroutines; per-run mutable state lives in a RunState.
-	ExecPlan = rt.Plan
+	ExecPlan = plan.Plan
 	// RunState is the per-run execution context of a compiled plan:
 	// repeated-execution callers create one via ExecPlan.NewRunState and
 	// reuse it so capacity hints survive across runs.
-	RunState = rt.RunState
+	RunState = plan.RunState
 )
 
 // Run executes the online static-order policy of Section IV as an exact
 // discrete-event computation. It compiles the schedule on every call; use
 // Compile + ExecPlan.Run when executing the same schedule repeatedly.
-func Run(s *Schedule, cfg RunConfig) (*Report, error) { return rt.Run(s, cfg) }
+func Run(s *Schedule, cfg RunConfig) (*Report, error) {
+	p, err := plan.Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(cfg)
+}
 
 // RunConcurrent executes the policy with one goroutine per processor
 // against a virtual clock — determinism under real concurrency.
-func RunConcurrent(s *Schedule, cfg RunConfig) (*Report, error) { return rt.RunConcurrent(s, cfg) }
+func RunConcurrent(s *Schedule, cfg RunConfig) (*Report, error) {
+	p, err := plan.Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunConcurrent(cfg)
+}
 
 // Compile lowers a static schedule into a reusable execution plan:
 // validation, name interning, the combined static order and the frame-0
 // invocation tables are computed once, and every ExecPlan.Run /
 // ExecPlan.RunConcurrent call replays them.
-func Compile(s *Schedule) (*ExecPlan, error) { return rt.Compile(s) }
+func Compile(s *Schedule) (*ExecPlan, error) { return plan.Compile(s) }
 
 // Happens-before verification types (package internal/hb).
 type (

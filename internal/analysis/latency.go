@@ -3,8 +3,8 @@ package analysis
 import (
 	"fmt"
 
+	"repro/internal/plan"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -48,9 +48,9 @@ func (c ChainLatency) String() string {
 		c.Chain, c.Samples, c.Best, c.Worst, avg)
 }
 
-// MeasureChainLatency extracts latencies from a report produced by rt.Run
-// (or rt.RunConcurrent) for the given chain of process names.
-func MeasureChainLatency(rep *rt.Report, chain []string) (ChainLatency, error) {
+// MeasureChainLatency extracts latencies from a report produced by Plan.Run
+// (or Plan.RunConcurrent) for the given chain of process names.
+func MeasureChainLatency(rep *plan.Report, chain []string) (ChainLatency, error) {
 	out := ChainLatency{Chain: chain}
 	if len(chain) < 2 {
 		return out, fmt.Errorf("analysis: chain needs at least two processes")

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/apps/signal"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -42,10 +42,7 @@ func chainSchedule(t *testing.T, m int) *sched.Schedule {
 
 func TestMeasureChainLatency(t *testing.T) {
 	s := chainSchedule(t, 1)
-	rep, err := rt.Run(s, rt.Config{Frames: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runOnce(t, s, plan.Config{Frames: 5})
 	lat, err := MeasureChainLatency(rep, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +82,7 @@ func TestMeasureChainLatencyWithJitter(t *testing.T) {
 		}
 		return j.WCET.DivInt(2)
 	}
-	rep, err := rt.Run(s, rt.Config{Frames: 6, Exec: jitter})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runOnce(t, s, plan.Config{Frames: 6, Exec: jitter})
 	lat, err := MeasureChainLatency(rep, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)
@@ -103,10 +97,7 @@ func TestMeasureChainLatencyWithJitter(t *testing.T) {
 
 func TestMeasureChainLatencyErrors(t *testing.T) {
 	s := chainSchedule(t, 1)
-	rep, err := rt.Run(s, rt.Config{Frames: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runOnce(t, s, plan.Config{Frames: 1})
 	if _, err := MeasureChainLatency(rep, []string{"a"}); err == nil {
 		t.Error("single-process chain accepted")
 	}
@@ -127,21 +118,29 @@ func TestMeasureChainLatencyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := rt.Run(s2, rt.Config{Frames: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := runOnce(t, s2, plan.Config{Frames: 1})
 	if _, err := MeasureChainLatency(rep2, []string{"x", "y"}); err == nil {
 		t.Error("multi-rate chain accepted")
 	}
 	// Sporadic stages rejected.
-	repSig, err := rt.Run(mustSchedule(t, signal.New(), 2), rt.Config{Frames: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	repSig := runOnce(t, mustSchedule(t, signal.New(), 2), plan.Config{Frames: 1})
 	if _, err := MeasureChainLatency(repSig, []string{signal.CoefB, signal.FilterB}); err == nil {
 		t.Error("sporadic stage accepted")
 	}
+}
+
+// runOnce compiles s and executes it once.
+func runOnce(t *testing.T, s *sched.Schedule, cfg plan.Config) *plan.Report {
+	t.Helper()
+	p, err := plan.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func mustSchedule(t *testing.T, net *core.Network, m int) *sched.Schedule {
@@ -167,10 +166,7 @@ func TestStaticChainLatency(t *testing.T) {
 		t.Errorf("static worst = %v, want 60ms", worst)
 	}
 	// The measured latency never exceeds the static bound.
-	rep, err := rt.Run(s, rt.Config{Frames: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runOnce(t, s, plan.Config{Frames: 4})
 	lat, err := MeasureChainLatency(rep, []string{"a", "b", "c"})
 	if err != nil {
 		t.Fatal(err)

@@ -189,7 +189,7 @@ func spawn() {
 	diags := check(t, map[string]string{
 		"internal/sched/bad.go":   "package sched\n\nfunc spawn() {\n\tgo func() {}()\n}\n",
 		"internal/parallel/ok.go": worker,
-		"internal/rt/ok.go":       worker,
+		"internal/plan/ok.go":     worker,
 		// The serving layer is on the allowlist: its request-level
 		// concurrency is pinned by the serve differential harness.
 		"internal/serve/ok.go": worker,

@@ -1,8 +1,8 @@
 package analyzers
 
 // lockorder is the lock-order deadlock pass. The serving data plane
-// (internal/serve) and the concurrent replayers (internal/plan,
-// internal/rt) are the module's only shared-mutable-state code; a lock
+// (internal/serve) and the concurrent replayer (internal/plan) are the
+// module's only shared-mutable-state code; a lock
 // inversion between any two of their mutexes deadlocks the daemon under
 // load, and the mixed-access variant — a field written under a mutex but
 // read bare — is the race that breaks Proposition 2.1's determinism

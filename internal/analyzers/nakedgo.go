@@ -6,15 +6,14 @@ import (
 
 // concurrencyDirs are the audited concurrency layers: internal/parallel's
 // deterministic worker pool, internal/plan's compiled
-// goroutine-per-processor runner with its virtual clock, internal/rt's
-// reference copy of that runner, and the serving layer — internal/serve's
+// goroutine-per-processor runner with its virtual clock, and the serving
+// layer — internal/serve's
 // singleflight cache, cmd/fppnd's listener/drainer and cmd/fppnload's
 // closed-loop client workers — whose request-level concurrency is pinned
 // byte-identical to sequential runs by the serve differential harness.
 var concurrencyDirs = []string{
 	"internal/parallel",
 	"internal/plan",
-	"internal/rt",
 	"internal/serve",
 	"cmd/fppnd",
 	"cmd/fppnload",
@@ -27,7 +26,7 @@ var concurrencyDirs = []string{
 // scheduling nondeterminism invisibly.
 var NakedGo = &Analyzer{
 	Name: "nakedgo",
-	Doc: "forbid go statements outside internal/parallel and internal/rt; " +
+	Doc: "forbid go statements outside internal/parallel and internal/plan; " +
 		"route concurrency through the audited deterministic layers",
 	Applies: func(dir string) bool { return !dirIn(dir, concurrencyDirs...) },
 	Run:     runNakedGo,
@@ -38,7 +37,7 @@ func runNakedGo(p *Pass) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				p.Reportf(g.Pos(),
-					"naked go statement in %s; use internal/parallel (worker pools) or internal/rt (processor runners)",
+					"naked go statement in %s; use internal/parallel (worker pools) or internal/plan (processor runners)",
 					p.Dir)
 			}
 			return true

@@ -57,14 +57,12 @@ var PoolLife = &ModuleAnalyzer{
 // module-relative directory.
 var poolStateTypes = map[string]map[string]bool{
 	"internal/plan": {"RunState": true},
-	"internal/rt":   {"RunState": true},
 }
 
 // poolReportTypes names the report types whose values alias a state's
 // arenas.
 var poolReportTypes = map[string]map[string]bool{
 	"internal/plan": {"Report": true},
-	"internal/rt":   {"Report": true},
 }
 
 // Protocol method classification by name, applied only to calls whose

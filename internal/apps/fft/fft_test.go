@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -168,7 +168,11 @@ func TestFig6SingleVsDualProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep1, err := rt.Run(single, rt.Config{
+	singlePlan, err := plan.Compile(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep1, err := singlePlan.Run(plan.Config{
 		Frames:   frames,
 		Overhead: platform.MPPAFFTOverhead(),
 		Inputs:   inputs,
@@ -184,7 +188,11 @@ func TestFig6SingleVsDualProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := rt.Run(dual, rt.Config{
+	dualPlan, err := plan.Compile(dual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep2, err := dualPlan.Run(plan.Config{
 		Frames:   frames,
 		Overhead: platform.MPPAFFTOverhead(),
 		Inputs:   inputs,
@@ -196,7 +204,7 @@ func TestFig6SingleVsDualProcessor(t *testing.T) {
 		t.Errorf("two-processor mapping missed deadlines: %v", rep2.Misses)
 	}
 	// Without overhead even one processor suffices (load 0.93 < 1).
-	rep0, err := rt.Run(single, rt.Config{Frames: frames, Inputs: inputs})
+	rep0, err := singlePlan.Run(plan.Config{Frames: frames, Inputs: inputs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +329,11 @@ func TestNewSizeSchedulesAndRuns(t *testing.T) {
 	}
 	blocks := []Block{make(Block, 8)}
 	blocks[0][3] = complex(1, 0)
-	rep, err := rt.Run(s, rt.Config{Frames: 1, Inputs: BlockInputs(blocks)})
+	p, err := plan.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Run(plan.Config{Frames: 1, Inputs: BlockInputs(blocks)})
 	if err != nil {
 		t.Fatal(err)
 	}

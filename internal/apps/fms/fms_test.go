@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 	"repro/internal/unisched"
@@ -118,7 +118,11 @@ func TestUniprocessorNoMisses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no feasible uniprocessor schedule: %v", err)
 	}
-	rep, err := rt.Run(s, rt.Config{
+	p, err := plan.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Run(plan.Config{
 		Frames: 1,
 		Inputs: Inputs(50),
 		SporadicEvents: map[string][]core.Time{
@@ -155,7 +159,11 @@ func TestMultiprocessorSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("M=%d: %v", m, err)
 		}
-		rep, err := rt.Run(s, rt.Config{Frames: 1, Inputs: Inputs(50), SporadicEvents: events})
+		p, err := plan.Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := p.Run(plan.Config{Frames: 1, Inputs: Inputs(50), SporadicEvents: events})
 		if err != nil {
 			t.Fatalf("M=%d: %v", m, err)
 		}

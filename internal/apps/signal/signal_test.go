@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -81,7 +81,11 @@ func TestEndToEndCompileAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := rt.Run(s, rt.Config{
+	p, err := plan.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Run(plan.Config{
 		Frames:         7,
 		Inputs:         Inputs(7),
 		SporadicEvents: map[string][]core.Time{CoefB: {ms(150), ms(600)}},

@@ -28,8 +28,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/ta"
 )
@@ -57,7 +57,7 @@ type Program struct {
 	cfg     Config
 	machine *core.Machine
 	interp  *ta.Interpreter
-	report  *rt.Report
+	report  *plan.Report
 }
 
 func arrVar(proc string) string   { return "arr_" + proc }
@@ -76,7 +76,7 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("codegen: static schedule must be feasible: %w", err)
 	}
-	plan, err := rt.PlanInvocations(tg, cfg.Frames, cfg.SporadicEvents)
+	invs, err := plan.PlanInvocations(tg, cfg.Frames, cfg.SporadicEvents)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 		Schedule: s,
 		cfg:      cfg,
 		machine:  machine,
-		report:   &rt.Report{Schedule: s, Frames: cfg.Frames},
+		report:   &plan.Report{Schedule: s, Frames: cfg.Frames},
 	}
 	net := &ta.Network{Init: ta.Vars{}}
 	h := tg.Hyperperiod
@@ -236,7 +236,7 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 					To:   exec,
 					VarGuard: func(v ta.Vars) bool {
 						f := int(v[fv])
-						pl := plan[f][ji]
+						pl := invs[f][ji]
 						return !pl.Skip && barrier(v) &&
 							v[arrVar(pname)] >= int64(pl.EventIndex) &&
 							predsDone(v)
@@ -252,7 +252,7 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 					ClockGuard: []ta.Constraint{{Clock: "xf", Op: ta.GE, Bound: arrival}},
 					VarGuard: func(v ta.Vars) bool {
 						f := int(v[fv])
-						return plan[f][ji].Skip && barrier(v) && predsDone(v)
+						return invs[f][ji].Skip && barrier(v) && predsDone(v)
 					},
 					Update: func(v ta.Vars) {
 						v[doneVar(ji)]++
@@ -324,7 +324,7 @@ func (p *Program) startAction(jobIdx, procIdx int) func(now Time) error {
 		frame := int(now.FloorDiv(tg.Hyperperiod))
 		deadline := tg.Hyperperiod.MulInt(int64(frame)).Add(j.Deadline)
 		if deadline.Less(end) {
-			p.report.Misses = append(p.report.Misses, rt.Miss{
+			p.report.Misses = append(p.report.Misses, plan.Miss{
 				Job: j, Frame: frame, Finish: end, Deadline: deadline,
 			})
 		}
@@ -343,14 +343,14 @@ func (p *Program) skipAction(jobIdx int) func(now Time) error {
 		if frame >= p.cfg.Frames {
 			frame = p.cfg.Frames - 1
 		}
-		p.report.Skipped = append(p.report.Skipped, rt.Skip{Job: tg.Jobs[jobIdx], Frame: frame})
+		p.report.Skipped = append(p.report.Skipped, plan.Skip{Job: tg.Jobs[jobIdx], Frame: frame})
 		return nil
 	}
 }
 
 // Run executes the generated system for the configured number of frames and
 // returns a report comparable with the native runtime's.
-func (p *Program) Run() (*rt.Report, error) {
+func (p *Program) Run() (*plan.Report, error) {
 	horizon := p.Schedule.TG.Hyperperiod.MulInt(int64(p.cfg.Frames))
 	if err := p.interp.RunExclusive(horizon); err != nil {
 		return nil, err

@@ -7,8 +7,8 @@ import (
 	"repro/internal/apps/fft"
 	"repro/internal/apps/signal"
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -46,7 +46,11 @@ func TestGeneratedSystemMatchesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	native, err := rt.Run(s, rt.Config{
+	p, err := plan.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	native, err := p.Run(plan.Config{
 		Frames:         cfg.Frames,
 		SporadicEvents: cfg.SporadicEvents,
 		Inputs:         signal.Inputs(7),

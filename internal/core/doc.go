@@ -27,5 +27,5 @@
 //     state while recording the paper's action traces (w(t), x?c, x!c, ...);
 //   - the zero-delay semantics executor (Section II of the paper), used both
 //     for functional simulation and as the determinism reference that the
-//     real-time runtime in package rt must reproduce.
+//     real-time runtime in package plan must reproduce.
 package core

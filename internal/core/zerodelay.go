@@ -5,8 +5,6 @@ package core
 // concatenation of job execution runs of the processes invoked at t_i, in an
 // order such that p1 -> p2 implies the jobs of p1 run first.
 
-import "fmt"
-
 // ZeroDelayOptions configures a zero-delay run.
 type ZeroDelayOptions struct {
 	// SporadicEvents supplies the event time stamps of every sporadic
@@ -46,42 +44,4 @@ func RunZeroDelay(net *Network, horizon Time, opts ZeroDelayOptions) (*ZeroDelay
 		return nil, err
 	}
 	return cn.RunZeroDelay(horizon, opts)
-}
-
-// RunZeroDelayReference is the original string-keyed zero-delay executor,
-// retained verbatim as the differential-testing oracle for the interned
-// engine: GenerateInvocations → LinearExtension → JobSequence, with every
-// lookup going through process names.
-func RunZeroDelayReference(net *Network, horizon Time, opts ZeroDelayOptions) (*ZeroDelayResult, error) {
-	invs, err := GenerateInvocations(net, horizon, opts.SporadicEvents)
-	if err != nil {
-		return nil, err
-	}
-	rank, err := net.LinearExtension(opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	m, err := NewMachine(net, MachineOptions{Inputs: opts.Inputs, RecordTrace: opts.RecordTrace})
-	if err != nil {
-		return nil, err
-	}
-	jobs := JobSequence(net, invs, rank)
-	var lastTime Time
-	first := true
-	for _, j := range jobs {
-		if first || !j.Time.Equal(lastTime) {
-			m.Wait(j.Time)
-			lastTime = j.Time
-			first = false
-		}
-		if err := m.ExecJob(j.Proc, j.Time); err != nil {
-			return nil, fmt.Errorf("core: zero-delay run of %q: %w", net.Name, err)
-		}
-	}
-	return &ZeroDelayResult{
-		Jobs:     jobs,
-		Trace:    m.Trace(),
-		Outputs:  m.Outputs(),
-		Channels: m.ChannelSnapshot(),
-	}, nil
 }

@@ -14,8 +14,8 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -275,7 +275,7 @@ type MissJSON struct {
 }
 
 // Report converts a runtime report to its serializable structure.
-func Report(r *rt.Report) ReportJSON {
+func Report(r *plan.Report) ReportJSON {
 	out := ReportJSON{
 		Frames:   r.Frames,
 		Skipped:  len(r.Skipped),

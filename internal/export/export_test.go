@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/apps/signal"
-	"repro/internal/rt"
+	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
 
-func fixtures(t *testing.T) (*taskgraph.TaskGraph, *sched.Schedule, *rt.Report) {
+func fixtures(t *testing.T) (*taskgraph.TaskGraph, *sched.Schedule, *plan.Report) {
 	t.Helper()
 	tg, err := taskgraph.Derive(signal.New())
 	if err != nil {
@@ -21,7 +21,11 @@ func fixtures(t *testing.T) (*taskgraph.TaskGraph, *sched.Schedule, *rt.Report) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := rt.Run(s, rt.Config{Frames: 2, Inputs: signal.Inputs(2)})
+	p, err := plan.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Run(plan.Config{Frames: 2, Inputs: signal.Inputs(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +156,11 @@ func TestImportScheduleRoundTrip(t *testing.T) {
 		t.Errorf("round-tripped schedule invalid: %v", err)
 	}
 	// And it actually runs.
-	rep, err := rt.Run(back, rt.Config{Frames: 1, Inputs: signal.Inputs(1)})
+	backPlan, err := plan.Compile(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := backPlan.Run(plan.Config{Frames: 1, Inputs: signal.Inputs(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/nettest"
-	"repro/internal/rt"
+	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -83,7 +83,11 @@ func TestDifferentialPaperApps(t *testing.T) {
 			net := app.build()
 			refTG, refTGJSON := deriveJSON(t, net, 1)
 			refS, refSJSON := scheduleJSON(t, refTG, app.m, 1)
-			refRep, err := rt.Run(refS, rt.Config{Frames: 2, Inputs: app.inputs})
+			refPlan, err := plan.Compile(refS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refRep, err := refPlan.Run(plan.Config{Frames: 2, Inputs: app.inputs})
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -107,7 +111,11 @@ func TestDifferentialPaperApps(t *testing.T) {
 				if sJSON != refSJSON {
 					t.Fatalf("workers=%d: schedule JSON differs from sequential", w)
 				}
-				rep, err := rt.Run(s, rt.Config{Frames: 2, Inputs: app.inputs})
+				p, err := plan.Compile(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := p.Run(plan.Config{Frames: 2, Inputs: app.inputs})
 				if err != nil {
 					t.Fatalf("workers=%d: run: %v", w, err)
 				}

@@ -4,7 +4,7 @@
 // implies the sequential and the goroutine-per-processor engines produce
 // byte-identical reports. The harness certifies plans on the paper
 // applications and a random-network corpus, then replays each certified
-// plan through rt.Plan.Run and rt.Plan.RunConcurrent and demands
+// plan through Plan.Run and Plan.RunConcurrent and demands
 // byte-equal canonical JSON — an end-to-end check that the verifier's
 // "race-free" is never vacuous.
 package integration
@@ -21,9 +21,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/hb"
 	"repro/internal/nettest"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -34,7 +34,7 @@ import (
 // 2.1 promises identical observable results, not identical trace
 // interleaving. Everything else — outputs, misses, channel states,
 // interval contents — must match byte for byte.
-func normalizeGantt(rep *rt.Report) {
+func normalizeGantt(rep *plan.Report) {
 	sort.SliceStable(rep.Entries, func(i, j int) bool {
 		a, b := rep.Entries[i], rep.Entries[j]
 		if c := a.Start.Cmp(b.Start); c != 0 {
@@ -46,9 +46,9 @@ func normalizeGantt(rep *rt.Report) {
 
 // certifyAndReplay verifies the plan race-free and demands byte-identical
 // sequential and concurrent replays.
-func certifyAndReplay(t *testing.T, s *sched.Schedule, cfg rt.Config) {
+func certifyAndReplay(t *testing.T, s *sched.Schedule, cfg plan.Config) {
 	t.Helper()
-	p, err := rt.Compile(s)
+	p, err := plan.Compile(s)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestHBCertifiedPlansReplayIdentical(t *testing.T) {
 				if err != nil {
 					continue // infeasible at this capacity; nothing to certify
 				}
-				certifyAndReplay(t, s, rt.Config{
+				certifyAndReplay(t, s, plan.Config{
 					Frames:         c.frames,
 					Inputs:         c.inputs,
 					SporadicEvents: c.events,
@@ -165,7 +165,7 @@ func TestHBSoundOnRandomNetworks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			certifyAndReplay(t, s, rt.Config{
+			certifyAndReplay(t, s, plan.Config{
 				Frames:         2,
 				SporadicEvents: c.events,
 				Inputs:         nettest.Inputs(c.net, 200),

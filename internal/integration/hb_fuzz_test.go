@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/hb"
 	"repro/internal/nettest"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -39,7 +39,7 @@ func FuzzHBSoundVsConcurrentTrace(f *testing.F) {
 				t.Skip()
 			}
 		}
-		p, err := rt.Compile(s)
+		p, err := plan.Compile(s)
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
@@ -51,7 +51,7 @@ func FuzzHBSoundVsConcurrentTrace(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := rt.Config{
+		cfg := plan.Config{
 			Frames:         frames,
 			SporadicEvents: nettest.RandomEvents(rng, net, tg.Hyperperiod.MulInt(int64(frames))),
 			Inputs:         nettest.Inputs(net, 100),

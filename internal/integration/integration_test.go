@@ -23,9 +23,9 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/nettest"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 	"repro/internal/unisched"
@@ -111,11 +111,15 @@ func TestCrossExecutorDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := rt.Run(s, rt.Config{
+			p, err := plan.Compile(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := p.Run(plan.Config{
 				Frames: frames, SporadicEvents: c.events, Inputs: c.inputs, Exec: jitter,
 			})
 			if err != nil {
-				t.Fatalf("rt.Run: %v", err)
+				t.Fatalf("Plan.Run: %v", err)
 			}
 			if len(rep.Misses) != 0 {
 				t.Fatalf("runtime missed deadlines on a feasible schedule: %v",
@@ -127,11 +131,11 @@ func TestCrossExecutorDeterminism(t *testing.T) {
 			}
 
 			// Goroutine-per-processor runtime.
-			conc, err := rt.RunConcurrent(s, rt.Config{
+			conc, err := p.RunConcurrent(plan.Config{
 				Frames: frames, SporadicEvents: c.events, Inputs: c.inputs, Exec: jitter,
 			})
 			if err != nil {
-				t.Fatalf("rt.RunConcurrent: %v", err)
+				t.Fatalf("Plan.RunConcurrent: %v", err)
 			}
 			if !core.SamplesEqual(ref.Outputs, conc.Outputs) {
 				t.Fatalf("concurrent runtime diverges: %s",

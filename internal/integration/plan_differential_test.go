@@ -1,10 +1,11 @@
 // Differential harness for the compiled execution plans: the interned
-// engines behind core.RunZeroDelay, rt.Run and rt.RunConcurrent must agree
-// byte-for-byte with the string-keyed reference implementations retained as
-// oracles (core.RunZeroDelayReference, rt.RunReference,
-// rt.RunConcurrentReference). Checked on the three paper applications and
-// on a corpus of random networks; runtime reports are compared through
-// their canonical JSON serialization, zero-delay results field by field.
+// engines behind core.RunZeroDelay, Plan.Run and Plan.RunConcurrent must
+// agree byte-for-byte with the string-keyed reference implementations kept
+// as oracles in runtime_reference_test.go (runZeroDelayReference,
+// runReference, runConcurrentReference, planInvocationsReference). Checked
+// on the three paper applications and on a corpus of random networks;
+// runtime reports are compared through their canonical JSON serialization,
+// zero-delay results field by field.
 package integration
 
 import (
@@ -19,15 +20,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/nettest"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
 
 // reportJSON serializes a runtime report canonically.
-func reportJSON(t *testing.T, rep *rt.Report) string {
+func reportJSON(t *testing.T, rep *plan.Report) string {
 	t.Helper()
 	text, err := export.MarshalIndent(export.Report(rep))
 	if err != nil {
@@ -39,7 +40,7 @@ func reportJSON(t *testing.T, rep *rt.Report) string {
 // comparePlanAgainstReferences runs all three compiled engines and their
 // references on one (net, schedule, config) case and demands agreement.
 func comparePlanAgainstReferences(t *testing.T, net *core.Network, s *sched.Schedule,
-	horizon core.Time, cfg rt.Config, zopts core.ZeroDelayOptions) {
+	horizon core.Time, cfg plan.Config, zopts core.ZeroDelayOptions) {
 	t.Helper()
 
 	// Zero-delay: the interned CompiledNet engine against the string-keyed
@@ -49,7 +50,7 @@ func comparePlanAgainstReferences(t *testing.T, net *core.Network, s *sched.Sche
 	if err != nil {
 		t.Fatalf("compiled zero-delay: %v", err)
 	}
-	zwant, err := core.RunZeroDelayReference(net, horizon, zopts)
+	zwant, err := runZeroDelayReference(net, horizon, zopts)
 	if err != nil {
 		t.Fatalf("reference zero-delay: %v", err)
 	}
@@ -59,13 +60,17 @@ func comparePlanAgainstReferences(t *testing.T, net *core.Network, s *sched.Sche
 	}
 
 	// Discrete-event runtime.
-	rgot, err := rt.Run(s, cfg)
+	p, err := plan.Compile(s)
 	if err != nil {
-		t.Fatalf("compiled rt.Run: %v", err)
+		t.Fatalf("plan.Compile: %v", err)
 	}
-	rwant, err := rt.RunReference(s, cfg)
+	rgot, err := p.Run(cfg)
 	if err != nil {
-		t.Fatalf("rt.RunReference: %v", err)
+		t.Fatalf("compiled Plan.Run: %v", err)
+	}
+	rwant, err := runReference(s, cfg)
+	if err != nil {
+		t.Fatalf("runReference: %v", err)
 	}
 	if got, want := reportJSON(t, rgot), reportJSON(t, rwant); got != want {
 		t.Fatalf("compiled run report JSON diverges from reference")
@@ -76,13 +81,13 @@ func comparePlanAgainstReferences(t *testing.T, net *core.Network, s *sched.Sche
 	}
 
 	// Goroutine-per-processor runtime.
-	cgot, err := rt.RunConcurrent(s, cfg)
+	cgot, err := p.RunConcurrent(cfg)
 	if err != nil {
-		t.Fatalf("compiled rt.RunConcurrent: %v", err)
+		t.Fatalf("compiled Plan.RunConcurrent: %v", err)
 	}
-	cwant, err := rt.RunConcurrentReference(s, cfg)
+	cwant, err := runConcurrentReference(s, cfg)
 	if err != nil {
-		t.Fatalf("rt.RunConcurrentReference: %v", err)
+		t.Fatalf("runConcurrentReference: %v", err)
 	}
 	if got, want := reportJSON(t, cgot), reportJSON(t, cwant); got != want {
 		t.Fatalf("compiled concurrent report JSON diverges from reference")
@@ -135,7 +140,7 @@ func TestPlanMatchesReferencePaperApps(t *testing.T) {
 				t.Fatal(err)
 			}
 			horizon := tg.Hyperperiod.MulInt(int64(c.frames))
-			cfg := rt.Config{
+			cfg := plan.Config{
 				Frames: c.frames, SporadicEvents: c.events,
 				Inputs: c.inputs, Overhead: c.over,
 			}
@@ -196,7 +201,7 @@ func TestPlanMatchesReferenceRandomNetworks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := rt.Config{
+			cfg := plan.Config{
 				Frames: frames, SporadicEvents: c.events,
 				Inputs: c.inputs, Exec: jitter,
 			}
@@ -209,3 +214,220 @@ func TestPlanMatchesReferenceRandomNetworks(t *testing.T) {
 		})
 	}
 }
+
+// TestPlanInvocationsMatchesReference sweeps random networks with random
+// event schedules: the index-arithmetic planner must reproduce the
+// windowed-map reference frame for frame.
+func TestPlanInvocationsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(909))
+	for trial := 0; trial < 40; trial++ {
+		net := nettest.Random(rng, nettest.Options{})
+		tg, err := taskgraph.Derive(net)
+		if err != nil {
+			t.Fatalf("trial %d: derive: %v", trial, err)
+		}
+		frames := 1 + rng.Intn(4)
+		horizon := tg.Hyperperiod.MulInt(int64(frames))
+		events := nettest.RandomEvents(rng, net, horizon)
+
+		got, gotErr := plan.PlanInvocations(tg, frames, events)
+		want, wantErr := planInvocationsReference(tg, frames, events)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: error mismatch: plan %v, reference %v", trial, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("trial %d: error text mismatch:\nplan:      %v\nreference: %v",
+					trial, gotErr, wantErr)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: invocation plan diverges from reference (frames=%d, events=%v)",
+				trial, frames, events)
+		}
+	}
+}
+
+// TestPlanInvocationsErrorParity drives the planner's rejection paths on a
+// single-sporadic network and demands the exact reference error text:
+// beyond-horizon events, windows ending after the last frame, unknown and
+// non-sporadic processes.
+func TestPlanInvocationsErrorParity(t *testing.T) {
+	n := core.NewNetwork("err-parity")
+	n.AddPeriodic("u", rational.Milli(100), rational.Milli(100), rational.Milli(10), nil)
+	n.AddSporadic("s", 1, rational.Milli(100), rational.Milli(150), rational.Milli(5), nil)
+	n.Connect("s", "u", "cfg", core.Blackboard)
+	n.Priority("s", "u")
+	tg, err := taskgraph.Derive(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []map[string][]core.Time{
+		{"s": {rational.Milli(1000)}},                      // beyond the 2-frame horizon
+		{"s": {rational.Milli(150)}},                       // window ends after the last frame
+		{"s": {rational.Milli(10), rational.Milli(1000)}},  // horizon error must win over placement
+		{"s": {rational.Milli(150), rational.Milli(1000)}}, // horizon error must win over late window
+		{"ghost": {rational.Milli(10)}},                    // unknown process
+		{"u": {rational.Milli(10)}},                        // periodic process cannot take events
+	}
+	for i, events := range cases {
+		_, gotErr := plan.PlanInvocations(tg, 2, events)
+		_, wantErr := planInvocationsReference(tg, 2, events)
+		if wantErr == nil || gotErr == nil {
+			t.Fatalf("case %d: expected both engines to reject %v (plan %v, reference %v)",
+				i, events, gotErr, wantErr)
+		}
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("case %d: error text mismatch:\nplan:      %v\nreference: %v",
+				i, gotErr, wantErr)
+		}
+	}
+}
+
+// pipelineSporadicNet is the 3-stage pipeline chain of internal/plan/pipeline_test.go
+// plus a sporadic configurator feeding the middle stage. The priority
+// direction selects the Fig. 2 boundary rule: S→B gives the right-closed
+// window (b−T', b], B→S the left-closed [b−T', b).
+func pipelineSporadicNet(sporadicFirst bool) *core.Network {
+	net := core.NewNetwork("pipe-sporadic")
+	var prev string
+	for i := 0; i < 3; i++ {
+		name := string(rune('A' + i))
+		net.AddPeriodic(name, rational.Milli(100), rational.Milli(300), rational.Milli(40), core.BehaviorFunc(func(ctx *core.JobContext) error {
+			sum := int(ctx.K())
+			for _, in := range ctx.Inputs() {
+				if v, ok := ctx.Read(in); ok {
+					sum += v.(int)
+				}
+			}
+			for _, out := range ctx.Outputs() {
+				ctx.Write(out, sum)
+			}
+			for _, ext := range ctx.ExternalOutputs() {
+				ctx.WriteOutput(ext, sum)
+			}
+			return nil
+		}))
+		if prev != "" {
+			net.Connect(prev, name, prev+name, core.FIFO)
+			net.Priority(prev, name)
+		}
+		prev = name
+	}
+	net.AddSporadic("S", 1, rational.Milli(100), rational.Milli(150), rational.Milli(5), &stamper{})
+	net.ConnectInit("S", "B", "cfg", 0)
+	if sporadicFirst {
+		net.Priority("S", "B")
+	} else {
+		net.Priority("B", "S")
+	}
+	net.Output("C", "OUT")
+	return net
+}
+
+// TestPipelinedSporadicStraddlingFrames runs the pipelined engine with
+// sporadic events on and around the 100 ms hyperperiod boundary under both
+// window rules. An event exactly at a boundary b is handled in the window
+// ending at b under (b−T', b] but pushed into the next frame's window under
+// [b−T', b). The compiled engine must match the reference engine
+// byte-for-byte, and — Proposition 4.1 — both the pipelined and the
+// non-pipelined runs must reproduce the zero-delay outputs.
+func TestPipelinedSporadicStraddlingFrames(t *testing.T) {
+	const frames = 6
+	// 100 ms is exactly the frame boundary between frames 0 and 1; 201 ms
+	// and 350 ms fall inside later frames. Spacing stays ≥ T' = 100 ms so
+	// the burst-1 sporadic constraint holds.
+	events := map[string][]core.Time{"S": {rational.Milli(100), rational.Milli(201), rational.Milli(350)}}
+
+	for _, tc := range []struct {
+		name          string
+		sporadicFirst bool
+	}{
+		{"right-closed (b-T', b]", true},
+		{"left-closed [b-T', b)", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := pipelineSporadicNet(tc.sporadicFirst)
+			tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{DeadlineSlack: rational.Milli(200)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := sched.PipelineSchedule(tg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cfg := plan.Config{Frames: frames, Pipelined: true, SporadicEvents: events}
+			p, err := plan.Compile(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.Run(cfg)
+			if err != nil {
+				t.Fatalf("compiled pipelined run: %v", err)
+			}
+			want, err := runReference(s, cfg)
+			if err != nil {
+				t.Fatalf("reference pipelined run: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("compiled pipelined report diverges from reference: %s",
+					diffReports(got, want))
+			}
+
+			// The same schedule run frame-at-a-time is the sequential
+			// reference: pipelining may only change timing, never data.
+			seq, err := runReference(s, plan.Config{Frames: frames, SporadicEvents: events})
+			if err != nil {
+				t.Fatalf("non-pipelined reference run: %v", err)
+			}
+			if !core.SamplesEqual(seq.Outputs, got.Outputs) {
+				t.Errorf("pipelined outputs diverge from the non-pipelined run: %s",
+					core.DiffSamples(seq.Outputs, got.Outputs))
+			}
+
+			ref, err := core.RunZeroDelay(net, tg.Hyperperiod.MulInt(frames), core.ZeroDelayOptions{
+				SporadicEvents: events,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !core.SamplesEqual(ref.Outputs, got.Outputs) {
+				t.Errorf("pipelined run diverges from zero-delay: %s",
+					core.DiffSamples(ref.Outputs, got.Outputs))
+			}
+		})
+	}
+}
+
+// diffReports names the first field in which two reports differ.
+func diffReports(a, b *plan.Report) string {
+	switch {
+	case !reflect.DeepEqual(a.Entries, b.Entries):
+		return fmt.Sprintf("Entries differ: %d vs %d", len(a.Entries), len(b.Entries))
+	case !reflect.DeepEqual(a.Misses, b.Misses):
+		return fmt.Sprintf("Misses differ: %v vs %v", a.Misses, b.Misses)
+	case !reflect.DeepEqual(a.Skipped, b.Skipped):
+		return fmt.Sprintf("Skipped differ: %v vs %v", a.Skipped, b.Skipped)
+	case !reflect.DeepEqual(a.Outputs, b.Outputs):
+		return "Outputs differ: " + core.DiffSamples(a.Outputs, b.Outputs)
+	case !reflect.DeepEqual(a.Channels, b.Channels):
+		return "Channels differ"
+	case !a.Makespan.Equal(b.Makespan):
+		return fmt.Sprintf("Makespan %v vs %v", a.Makespan, b.Makespan)
+	default:
+		return "reports differ in an unnamed field"
+	}
+}
+
+// stamper writes its invocation count to its single output channel.
+type stamper struct{ n int }
+
+func (s *stamper) Init() { s.n = 0 }
+func (s *stamper) Step(ctx *core.JobContext) error {
+	s.n++
+	ctx.Write("cfg", s.n)
+	return nil
+}
+func (s *stamper) Clone() core.Behavior { return &stamper{} }

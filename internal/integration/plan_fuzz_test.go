@@ -36,7 +36,7 @@ func FuzzPlanMatchesZeroDelay(f *testing.F) {
 			RecordTrace:    seed%2 == 0,
 		}
 		got, gotErr := core.RunZeroDelay(net, horizon, opts)
-		want, wantErr := core.RunZeroDelayReference(net, horizon, opts)
+		want, wantErr := runZeroDelayReference(net, horizon, opts)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("error mismatch: compiled %v, reference %v", gotErr, wantErr)
 		}

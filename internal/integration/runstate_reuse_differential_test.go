@@ -23,9 +23,9 @@ import (
 	"repro/internal/apps/signal"
 	"repro/internal/core"
 	"repro/internal/nettest"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -46,7 +46,7 @@ func copyOutputs(outputs map[string][]core.Sample) map[string][]core.Sample {
 // runPooled executes one run on the pooled state and returns the report's
 // canonical JSON plus a deep copy of its outputs, taken before the state
 // can be reused.
-func runPooled(t *testing.T, rs *rt.RunState, cfg rt.Config, concurrent bool) (string, map[string][]core.Sample) {
+func runPooled(t *testing.T, rs *plan.RunState, cfg plan.Config, concurrent bool) (string, map[string][]core.Sample) {
 	t.Helper()
 	run := rs.Run
 	if concurrent {
@@ -61,7 +61,7 @@ func runPooled(t *testing.T, rs *rt.RunState, cfg rt.Config, concurrent bool) (s
 
 // checkAgainstFresh compares a pooled run's serialized report against the
 // same configuration executed on a fresh RunState.
-func checkAgainstFresh(t *testing.T, p *rt.Plan, cfg rt.Config, concurrent bool,
+func checkAgainstFresh(t *testing.T, p *plan.Plan, cfg plan.Config, concurrent bool,
 	step string, gotJSON string, gotOutputs map[string][]core.Sample) {
 	t.Helper()
 	run := p.Run
@@ -85,7 +85,7 @@ func checkAgainstFresh(t *testing.T, p *rt.Plan, cfg rt.Config, concurrent bool,
 // repeated, shape-changing (frame counts grow and shrink the arenas), and
 // alternating between Run and RunConcurrent — checking every step against
 // a fresh state.
-func reuseSequence(t *testing.T, p *rt.Plan, cfgs []rt.Config) {
+func reuseSequence(t *testing.T, p *plan.Plan, cfgs []plan.Config) {
 	t.Helper()
 	rs := p.NewRunState()
 	for round := 0; round < 2; round++ {
@@ -145,11 +145,11 @@ func TestRunStateReusePaperApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := rt.Compile(s)
+			p, err := plan.Compile(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := rt.Config{
+			base := plan.Config{
 				Frames: 3, SporadicEvents: c.events,
 				Inputs: c.inputs, Overhead: c.over,
 			}
@@ -161,7 +161,7 @@ func TestRunStateReusePaperApps(t *testing.T) {
 			noEvents := base
 			noEvents.Frames = 4
 			noEvents.SporadicEvents = nil
-			reuseSequence(t, p, []rt.Config{base, traced, shrunk, noEvents})
+			reuseSequence(t, p, []plan.Config{base, traced, shrunk, noEvents})
 		})
 	}
 }
@@ -204,7 +204,7 @@ func TestRunStateReuseRandomNetworks(t *testing.T) {
 					t.Fatalf("no feasible schedule at all: %v", err)
 				}
 			}
-			p, err := rt.Compile(s)
+			p, err := plan.Compile(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func TestRunStateReuseRandomNetworks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			base := rt.Config{
+			base := plan.Config{
 				Frames: 2, SporadicEvents: c.events,
 				Inputs: c.inputs, Exec: jitter,
 				RecordTrace: trial%3 == 0,
@@ -220,7 +220,7 @@ func TestRunStateReuseRandomNetworks(t *testing.T) {
 			shrunk := base
 			shrunk.Frames = 1
 			shrunk.SporadicEvents = nil
-			reuseSequence(t, p, []rt.Config{base, shrunk})
+			reuseSequence(t, p, []plan.Config{base, shrunk})
 		})
 	}
 }
@@ -243,14 +243,14 @@ func FuzzPlanRunStateReuse(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		p, err := rt.Compile(s)
+		p, err := plan.Compile(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		framesA := 1 + rng.Intn(3)
 		framesB := 1 + rng.Intn(3)
 		horizon := tg.Hyperperiod.MulInt(int64(framesA))
-		cfgA := rt.Config{
+		cfgA := plan.Config{
 			Frames:         framesA,
 			SporadicEvents: nettest.RandomEvents(rng, net, horizon),
 			Inputs:         nettest.Inputs(net, 100),
@@ -261,7 +261,7 @@ func FuzzPlanRunStateReuse(f *testing.F) {
 		cfgB.SporadicEvents = nil
 		cfgB.RecordTrace = !cfgA.RecordTrace
 		rs := p.NewRunState()
-		for step, cfg := range []rt.Config{cfgA, cfgB, cfgA} {
+		for step, cfg := range []plan.Config{cfgA, cfgB, cfgA} {
 			concurrent := (int64(step)+seed)%2 == 0
 			gotJSON, gotOutputs := runPooled(t, rs, cfg, concurrent)
 			checkAgainstFresh(t, p, cfg, concurrent,

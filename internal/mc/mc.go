@@ -30,9 +30,9 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -80,10 +80,12 @@ type Schedule struct {
 	// Hi is the degraded-mode schedule: HI jobs only, C_HI budgets,
 	// derived from the HI subnetwork over the same hyperperiod.
 	Hi *sched.Schedule
-	// hiIndex maps (proc, K) to the HI-graph job index.
-	hiIndex map[string]map[int64]int
 	// loOfHi maps HI-graph job indices to LO-graph job indices.
 	loOfHi []int
+	// loOrder and hiOrder are the combined static orders of Lo and Hi;
+	// loPrev and hiPrev their chain-predecessor tables.
+	loOrder, hiOrder []int
+	loPrev, hiPrev   []int
 }
 
 // Build validates the specification, derives both task graphs and finds
@@ -143,14 +145,19 @@ func Build(net *core.Network, spec Spec, m int) (*Schedule, error) {
 		return nil, fmt.Errorf("mc: no feasible HI-mode schedule: %w", err)
 	}
 
-	mcs := &Schedule{Net: net, Spec: spec, Lo: sLo, Hi: sHi}
-	mcs.hiIndex = make(map[string]map[int64]int)
-	mcs.loOfHi = make([]int, len(hiTG.Jobs))
+	mcs := &Schedule{
+		Net: net, Spec: spec, Lo: sLo, Hi: sHi,
+		loOfHi: make([]int, len(hiTG.Jobs)),
+		loPrev: sLo.ChainPrev(),
+		hiPrev: sHi.ChainPrev(),
+	}
+	if mcs.loOrder, err = sLo.CombinedOrder(); err != nil {
+		return nil, fmt.Errorf("mc: LO schedule: %w", err)
+	}
+	if mcs.hiOrder, err = sHi.CombinedOrder(); err != nil {
+		return nil, fmt.Errorf("mc: HI schedule: %w", err)
+	}
 	for i, j := range hiTG.Jobs {
-		if mcs.hiIndex[j.Proc] == nil {
-			mcs.hiIndex[j.Proc] = map[int64]int{}
-		}
-		mcs.hiIndex[j.Proc][j.K] = i
 		lo := loTG.Job(j.Proc, j.K)
 		if lo == nil {
 			return nil, fmt.Errorf("mc: HI job %s missing from the LO graph", j.Name())
@@ -206,11 +213,11 @@ type Report struct {
 	DroppedLO int
 	// HiMisses are deadline violations of HI jobs — the failures the
 	// scheme is designed to prevent.
-	HiMisses []rt.Miss
+	HiMisses []plan.Miss
 	// LoMisses are LO-job violations (only possible pre-switch).
-	LoMisses []rt.Miss
+	LoMisses []plan.Miss
 	Entries  []sched.GanttEntry
-	Skipped  []rt.Skip
+	Skipped  []plan.Skip
 	Outputs  map[string][]core.Sample
 	Makespan Time
 }
@@ -236,7 +243,7 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 	}
 	loTG := mcs.Lo.TG
 	hiTG := mcs.Hi.TG
-	plan, err := rt.PlanInvocations(loTG, cfg.Frames, cfg.SporadicEvents)
+	invs, err := plan.PlanInvocations(loTG, cfg.Frames, cfg.SporadicEvents)
 	if err != nil {
 		return nil, err
 	}
@@ -247,15 +254,6 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 
 	n := len(loTG.Jobs)
 	h := loTG.Hyperperiod
-	loOrder, err := combinedOrder(mcs.Lo)
-	if err != nil {
-		return nil, err
-	}
-	loChainPrev := chainPrev(mcs.Lo)
-	hiOrder, err := combinedOrder(mcs.Hi)
-	if err != nil {
-		return nil, err
-	}
 
 	report := &Report{Frames: cfg.Frames}
 	lastFinishOnProc := make([]Time, mcs.Lo.M)
@@ -289,14 +287,14 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 
 		finish := make([]Time, n)
 		started := make([]bool, n)
-		for _, i := range loOrder {
+		for _, i := range mcs.loOrder {
 			j := loTG.Jobs[i]
-			inv := plan[f][i]
+			inv := invs[f][i]
 			start := base
 			if start.Less(inv.Ready) {
 				start = inv.Ready
 			}
-			if prev := loChainPrev[i]; prev >= 0 {
+			if prev := mcs.loPrev[i]; prev >= 0 {
 				if start.Less(finish[prev]) {
 					start = finish[prev]
 				}
@@ -345,7 +343,7 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 			j := loTG.Jobs[i]
 			state[i] = done{executed: !p.skip, finish: p.end}
 			if p.skip {
-				report.Skipped = append(report.Skipped, rt.Skip{Job: j, Frame: f})
+				report.Skipped = append(report.Skipped, plan.Skip{Job: j, Frame: f})
 				return
 			}
 			proc := mcs.Lo.Assign[i].Proc
@@ -353,7 +351,7 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 				Proc: proc, Label: j.Name(), Start: p.start, End: p.end,
 			})
 			if deadline := base.Add(j.Deadline); deadline.Less(p.end) {
-				miss := rt.Miss{Job: j, Frame: f, Finish: p.end, Deadline: deadline}
+				miss := plan.Miss{Job: j, Frame: f, Finish: p.end, Deadline: deadline}
 				if mcs.Spec.Level(j.Proc) == HI {
 					report.HiMisses = append(report.HiMisses, miss)
 				} else {
@@ -363,7 +361,7 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 			if report.Makespan.Less(p.end) {
 				report.Makespan = p.end
 			}
-			dataJobs = append(dataJobs, dataJob{frame: f, index: i, now: p.start})
+			dataJobs = append(dataJobs, dataJob{frame: f, index: i, now: invs[f][i].Ready})
 			if physFree[proc].Less(p.end) {
 				physFree[proc] = p.end
 			}
@@ -396,24 +394,23 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 					hiFinish[hiIdx] = state[loIdx].finish
 				}
 			}
-			hiPrev := chainPrev(mcs.Hi)
 			procBusy := make([]Time, mcs.Hi.M)
 			for p := range procBusy {
 				procBusy[p] = switchAt.Max(physFree[p])
 			}
-			for _, hiIdx := range hiOrder {
+			for _, hiIdx := range mcs.hiOrder {
 				loIdx := mcs.loOfHi[hiIdx]
 				if kept[loIdx] {
 					continue
 				}
 				j := hiTG.Jobs[hiIdx]
 				p := mcs.Hi.Assign[hiIdx].Proc
-				inv := plan[f][loIdx]
+				inv := invs[f][loIdx]
 				start := procBusy[p]
 				if start.Less(inv.Ready) {
 					start = inv.Ready
 				}
-				if prev := hiPrev[hiIdx]; prev >= 0 && start.Less(hiFinish[prev]) {
+				if prev := mcs.hiPrev[hiIdx]; prev >= 0 && start.Less(hiFinish[prev]) {
 					start = hiFinish[prev]
 				}
 				for _, pre := range hiTG.Pred[hiIdx] {
@@ -424,7 +421,7 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 				if inv.Skip {
 					hiFinish[hiIdx] = start
 					state[loIdx] = done{finish: start}
-					report.Skipped = append(report.Skipped, rt.Skip{Job: loTG.Jobs[loIdx], Frame: f})
+					report.Skipped = append(report.Skipped, plan.Skip{Job: loTG.Jobs[loIdx], Frame: f})
 					continue
 				}
 				actual := exec(loTG.Jobs[loIdx], f)
@@ -435,14 +432,14 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 					Proc: p, Label: j.Name() + "*", Start: start, End: end,
 				})
 				if deadline := base.Add(j.Deadline); deadline.Less(end) {
-					report.HiMisses = append(report.HiMisses, rt.Miss{
+					report.HiMisses = append(report.HiMisses, plan.Miss{
 						Job: loTG.Jobs[loIdx], Frame: f, Finish: end, Deadline: deadline,
 					})
 				}
 				if report.Makespan.Less(end) {
 					report.Makespan = end
 				}
-				dataJobs = append(dataJobs, dataJob{frame: f, index: loIdx, now: start})
+				dataJobs = append(dataJobs, dataJob{frame: f, index: loIdx, now: inv.Ready})
 				procBusy[p] = end
 				if physFree[p].Less(end) {
 					physFree[p] = end
@@ -458,79 +455,23 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 		lastFinishOnProc = physFree
 	}
 
-	// Data semantics: executed jobs in (frame, <_J) order; dropped jobs
-	// never ran, so the executed subset is channel-consistent.
+	// Data semantics: executed jobs in (frame, <_J) order, each stamped
+	// with its invocation time as in plan.Run; dropped jobs never ran, so
+	// the executed subset is channel-consistent.
 	sort.SliceStable(dataJobs, func(a, b int) bool {
 		if dataJobs[a].frame != dataJobs[b].frame {
 			return dataJobs[a].frame < dataJobs[b].frame
 		}
 		return dataJobs[a].index < dataJobs[b].index
 	})
-	for _, dj := range dataJobs {
+	for k, dj := range dataJobs {
+		if k == 0 || !dj.now.Equal(dataJobs[k-1].now) {
+			machine.Wait(dj.now)
+		}
 		if err := machine.ExecJob(loTG.Jobs[dj.index].Proc, dj.now); err != nil {
 			return nil, err
 		}
 	}
 	report.Outputs = machine.Outputs()
 	return report, nil
-}
-
-// combinedOrder and chainPrev mirror the rt package's frame bookkeeping.
-func combinedOrder(s *sched.Schedule) ([]int, error) {
-	tg := s.TG
-	n := len(tg.Jobs)
-	adj := make([][]int, n)
-	indeg := make([]int, n)
-	add := func(a, b int) {
-		adj[a] = append(adj[a], b)
-		indeg[b]++
-	}
-	for _, e := range tg.Edges() {
-		add(e[0], e[1])
-	}
-	for _, chain := range s.ProcessorOrder() {
-		for i := 1; i < len(chain); i++ {
-			add(chain[i-1], chain[i])
-		}
-	}
-	var ready []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Ints(ready)
-	var order []int
-	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
-		order = append(order, v)
-		var next []int
-		for _, u := range adj[v] {
-			indeg[u]--
-			if indeg[u] == 0 {
-				next = append(next, u)
-			}
-		}
-		sort.Ints(next)
-		ready = append(ready, next...)
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("mc: schedule inconsistent with precedence")
-	}
-	return order, nil
-}
-
-func chainPrev(s *sched.Schedule) []int {
-	n := len(s.TG.Jobs)
-	prev := make([]int, n)
-	for i := range prev {
-		prev[i] = -1
-	}
-	for _, chain := range s.ProcessorOrder() {
-		for i := 1; i < len(chain); i++ {
-			prev[chain[i]] = chain[i-1]
-		}
-	}
-	return prev
 }

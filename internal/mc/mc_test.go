@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/rational"
-	"repro/internal/rt"
 	"repro/internal/taskgraph"
 )
 
@@ -114,13 +114,35 @@ func TestNominalRunMatchesPlainRuntime(t *testing.T) {
 	if len(rep.HiMisses)+len(rep.LoMisses) != 0 {
 		t.Errorf("nominal misses: %v %v", rep.HiMisses, rep.LoMisses)
 	}
-	plain, err := rt.Run(mcs.Lo, rt.Config{Frames: 4})
+	p, err := plan.Compile(mcs.Lo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := p.Run(plan.Config{Frames: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !core.SamplesEqual(plain.Outputs, rep.Outputs) {
 		t.Errorf("nominal MC run diverges from plain runtime: %s",
 			core.DiffSamples(plain.Outputs, rep.Outputs))
+	}
+	// SamplesEqual ignores time stamps: every sample carries its job's
+	// invocation time, however long the job waited to start.
+	for ch, want := range plain.Outputs {
+		for k, got := range rep.Outputs[ch] {
+			if !got.Time.Equal(want[k].Time) {
+				t.Errorf("%s sample %d stamped %v, plain runtime %v", ch, k, got.Time, want[k].Time)
+			}
+		}
+	}
+	if len(rep.Entries) != len(plain.Entries) {
+		t.Fatalf("%d Gantt entries, plain runtime %d", len(rep.Entries), len(plain.Entries))
+	}
+	for k, got := range rep.Entries {
+		want := plain.Entries[k]
+		if got.Proc != want.Proc || got.Label != want.Label || !got.Start.Equal(want.Start) || !got.End.Equal(want.End) {
+			t.Errorf("Gantt entry %d = %+v, plain runtime %+v", k, got, want)
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-package rt
+package plan
 
 import (
 	"testing"
@@ -17,14 +17,14 @@ func TestConcurrentMatchesSequentialRun(t *testing.T) {
 	cfg := Config{Frames: 7, SporadicEvents: events, Inputs: inputs}
 
 	s := signalSchedule(t)
-	seq, err := Run(s, cfg)
+	seq, err := runOnce(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The goroutine-based runner really races; repeat to give the
 	// scheduler chances to interleave differently.
 	for round := 0; round < 10; round++ {
-		conc, err := RunConcurrent(s, cfg)
+		conc, err := runConcurrentOnce(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,11 +57,11 @@ func TestConcurrentVirtualTimingExact(t *testing.T) {
 		Inputs:         signal.Inputs(2),
 		Overhead:       platform.OverheadModel{FirstFrameBase: ms(5), FrameBase: ms(3)},
 	}
-	seq, err := Run(s, cfg)
+	seq, err := runOnce(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := RunConcurrent(s, cfg)
+	conc, err := runConcurrentOnce(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestConcurrentWithJitterMatchesZeroDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := signalSchedule(t)
-	rep, err := RunConcurrent(s, Config{
+	rep, err := runConcurrentOnce(s, Config{
 		Frames: 7, SporadicEvents: events, Inputs: inputs, Exec: jitter,
 	})
 	if err != nil {
@@ -160,7 +160,7 @@ func TestConcurrentManyProcessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunConcurrent(s, Config{Frames: 3})
+	rep, err := runConcurrentOnce(s, Config{Frames: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +181,14 @@ func TestConcurrentManyProcessors(t *testing.T) {
 
 func TestConcurrentErrors(t *testing.T) {
 	s := signalSchedule(t)
-	if _, err := RunConcurrent(s, Config{Frames: 0}); err == nil {
+	if _, err := runConcurrentOnce(s, Config{Frames: 0}); err == nil {
 		t.Error("zero frames accepted")
 	}
-	if _, err := RunConcurrent(s, Config{Frames: 1,
+	if _, err := runConcurrentOnce(s, Config{Frames: 1,
 		SporadicEvents: map[string][]Time{"ghost": {ms(1)}}}); err == nil {
 		t.Error("unknown sporadic process accepted")
 	}
-	if _, err := RunConcurrent(s, Config{Frames: 1,
+	if _, err := runConcurrentOnce(s, Config{Frames: 1,
 		Exec: func(j *taskgraph.Job, frame int) Time { return ms(-1) }}); err == nil {
 		t.Error("negative execution time accepted")
 	}

@@ -1,4 +1,4 @@
-package rt
+package plan
 
 import (
 	"strings"
@@ -54,7 +54,7 @@ func TestPipelinedRunMeetsDeadlinesAndStaysDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames := 8
-	rep, err := Run(s, Config{Frames: frames, Pipelined: true})
+	rep, err := runOnce(s, Config{Frames: frames, Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPipelinedCrossFrameConstraintBinds(t *testing.T) {
 		}
 		return j.WCET
 	}
-	rep, err := Run(s, Config{Frames: 3, Pipelined: true, Exec: slowFirst})
+	rep, err := runOnce(s, Config{Frames: 3, Pipelined: true, Exec: slowFirst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRunConcurrentRejectsPipelined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunConcurrent(s, Config{Frames: 2, Pipelined: true})
+	_, err = runConcurrentOnce(s, Config{Frames: 2, Pipelined: true})
 	if err == nil || !strings.Contains(err.Error(), "pipelined") {
 		t.Errorf("RunConcurrent = %v, want pipelined rejection", err)
 	}

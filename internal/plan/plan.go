@@ -11,11 +11,10 @@
 // preallocated tables, so the per-job cost of Run and RunConcurrent is free
 // of map lookups, string keys and per-frame re-planning.
 //
-// The string-keyed entry points rt.Run, rt.RunConcurrent and
-// rt.PlanInvocations remain as thin compile-then-run facades over this
-// package; repeated-execution callers (cmd/fppnsim -frames N, benchmark
-// loops, the generated timed-automata interpreter) should call Compile once
-// and reuse the Plan.
+// This is the module's one runtime: every caller compiles a schedule with
+// Compile and runs the Plan (or a pooled RunState). Repeated-execution
+// callers (cmd/fppnsim -frames N, benchmark loops, the generated
+// timed-automata interpreter) should call Compile once and reuse the Plan.
 package plan
 
 import (
@@ -459,18 +458,10 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		n:             n,
 		h:             tg.Hyperperiod,
 		procOrder:     s.ProcessorOrder(),
-		procChainPrev: make([]int, n),
+		procChainPrev: s.ChainPrev(),
 		jobProc:       make([]int, n),
 		jobPid:        make([]int, n),
 		jobName:       make([]string, n),
-	}
-	for i := range p.procChainPrev {
-		p.procChainPrev[i] = -1
-	}
-	for _, chain := range p.procOrder {
-		for i := 1; i < len(chain); i++ {
-			p.procChainPrev[chain[i]] = chain[i-1]
-		}
 	}
 	for i, j := range tg.Jobs {
 		p.jobProc[i] = s.Assign[i].Proc
@@ -481,8 +472,8 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		}
 		p.jobPid[i] = pid
 	}
-	if p.order, err = combinedOrder(s); err != nil {
-		return nil, err
+	if p.order, err = s.CombinedOrder(); err != nil {
+		return nil, fmt.Errorf("rt: %w", err)
 	}
 	// Related-pid lists for pipelined cross-frame precedence.
 	np := cn.NumProcesses()
@@ -511,51 +502,3 @@ func (p *Plan) TaskGraph() *taskgraph.TaskGraph { return p.tg }
 
 // Compiled returns the interned network the plan executes against.
 func (p *Plan) Compiled() *core.CompiledNet { return p.cn }
-
-// combinedOrder returns a topological order of the frame's jobs with
-// respect to precedence edges plus per-processor static chains. It fails if
-// the static schedule contradicts the precedence constraints.
-func combinedOrder(s *sched.Schedule) ([]int, error) {
-	tg := s.TG
-	n := len(tg.Jobs)
-	adj := make([][]int, n)
-	indeg := make([]int, n)
-	add := func(a, b int) {
-		adj[a] = append(adj[a], b)
-		indeg[b]++
-	}
-	for _, e := range tg.Edges() {
-		add(e[0], e[1])
-	}
-	for _, chain := range s.ProcessorOrder() {
-		for i := 1; i < len(chain); i++ {
-			add(chain[i-1], chain[i])
-		}
-	}
-	var ready []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Ints(ready)
-	var order []int
-	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
-		order = append(order, v)
-		var next []int
-		for _, u := range adj[v] {
-			indeg[u]--
-			if indeg[u] == 0 {
-				next = append(next, u)
-			}
-		}
-		sort.Ints(next)
-		ready = append(ready, next...)
-	}
-	if len(order) != n {
-		return nil, fmt.Errorf("rt: static schedule is inconsistent with the precedence constraints (cycle between processor order and task graph)")
-	}
-	return order, nil
-}

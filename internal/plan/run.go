@@ -10,8 +10,9 @@ import (
 
 // Run executes the static-order policy as an exact discrete-event
 // computation against the compiled plan and returns the full report. It
-// produces byte-identical results to the legacy string-keyed engine
-// (rt.RunReference), which the differential suite asserts.
+// produces byte-identical results to the legacy string-keyed engine kept as
+// a test oracle in internal/integration, which the differential suite
+// asserts.
 //
 // The report and everything it references come from the state's pools: they
 // are valid until the next Run/RunConcurrent call on the same RunState.

@@ -1,4 +1,4 @@
-package rt
+package plan
 
 import (
 	"math/rand"
@@ -15,6 +15,24 @@ import (
 
 func ms(n int64) Time { return rational.Milli(n) }
 
+// runOnce and runConcurrentOnce compile s and execute it once: the one-shot
+// form the behaviour tests below are written in.
+func runOnce(s *sched.Schedule, cfg Config) (*Report, error) {
+	p, err := Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(cfg)
+}
+
+func runConcurrentOnce(s *sched.Schedule, cfg Config) (*Report, error) {
+	p, err := Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunConcurrent(cfg)
+}
+
 func signalSchedule(t *testing.T) *sched.Schedule {
 	t.Helper()
 	tg, err := taskgraph.Derive(signal.New())
@@ -30,7 +48,7 @@ func signalSchedule(t *testing.T) *sched.Schedule {
 
 func TestRunMeetsDeadlinesOnFeasibleSchedule(t *testing.T) {
 	s := signalSchedule(t)
-	rep, err := Run(s, Config{
+	rep, err := runOnce(s, Config{
 		Frames:         7, // one full sporadic period (7 × 200 ms = 1400 ms)
 		SporadicEvents: map[string][]Time{signal.CoefB: {ms(50), ms(350), ms(900)}},
 		Inputs:         signal.Inputs(7),
@@ -76,7 +94,7 @@ func TestProposition41Equivalence(t *testing.T) {
 	}
 	for name, em := range execModels {
 		s := signalSchedule(t)
-		rep, err := Run(s, Config{
+		rep, err := runOnce(s, Config{
 			Frames:         7,
 			SporadicEvents: events,
 			Exec:           em,
@@ -137,7 +155,7 @@ func TestBoundaryRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := build(tc.sporadicFirst)
-			rep, err := Run(s, Config{
+			rep, err := runOnce(s, Config{
 				Frames:         4,
 				SporadicEvents: map[string][]Time{"s": {ms(100)}},
 			})
@@ -203,7 +221,7 @@ func TestSporadicEarlyInvocation(t *testing.T) {
 	// Event at 10 ms -> window (0, 100] -> subset boundary A = 100 ms,
 	// still inside frame 0; invocation sync completes at 10 ms, so the
 	// server job may start well before its nominal arrival.
-	rep, err := Run(s, Config{
+	rep, err := runOnce(s, Config{
 		Frames:         1,
 		SporadicEvents: map[string][]Time{"s": {ms(10)}},
 	})
@@ -233,7 +251,7 @@ func TestEventBeyondLastHandledWindowRejected(t *testing.T) {
 	// window (0, 200] whose subset arrives at 200 ms — after the run.
 	// The runtime must reject it rather than silently drop it.
 	s := signalSchedule(t)
-	_, err := Run(s, Config{
+	_, err := runOnce(s, Config{
 		Frames:         1,
 		SporadicEvents: map[string][]Time{signal.CoefB: {ms(10)}},
 	})
@@ -258,7 +276,7 @@ func TestOverheadCausesMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := Run(s, Config{
+	rep, err := runOnce(s, Config{
 		Frames: 3,
 		Overhead: platform.OverheadModel{
 			FirstFrameBase: ms(41),
@@ -275,7 +293,7 @@ func TestOverheadCausesMisses(t *testing.T) {
 		t.Errorf("max lateness = %v, want 21ms (41 + 80 − 100)", rep.MaxLateness)
 	}
 	// Without overhead the same schedule is clean.
-	clean, err := Run(s, Config{Frames: 3})
+	clean, err := runOnce(s, Config{Frames: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,26 +304,26 @@ func TestOverheadCausesMisses(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	s := signalSchedule(t)
-	if _, err := Run(s, Config{Frames: 0}); err == nil {
+	if _, err := runOnce(s, Config{Frames: 0}); err == nil {
 		t.Error("zero frames accepted")
 	}
-	if _, err := Run(s, Config{Frames: 1,
+	if _, err := runOnce(s, Config{Frames: 1,
 		SporadicEvents: map[string][]Time{"ghost": {ms(0)}}}); err == nil {
 		t.Error("unknown sporadic process accepted")
 	}
-	if _, err := Run(s, Config{Frames: 1,
+	if _, err := runOnce(s, Config{Frames: 1,
 		SporadicEvents: map[string][]Time{signal.InputA: {ms(0)}}}); err == nil {
 		t.Error("events for periodic process accepted")
 	}
-	if _, err := Run(s, Config{Frames: 1,
+	if _, err := runOnce(s, Config{Frames: 1,
 		SporadicEvents: map[string][]Time{signal.CoefB: {ms(500)}}}); err == nil {
 		t.Error("event beyond horizon accepted")
 	}
-	if _, err := Run(s, Config{Frames: 1,
+	if _, err := runOnce(s, Config{Frames: 1,
 		SporadicEvents: map[string][]Time{signal.CoefB: {ms(0), ms(1), ms(2)}}}); err == nil {
 		t.Error("sporadic burst violation accepted")
 	}
-	if _, err := Run(s, Config{Frames: 1,
+	if _, err := runOnce(s, Config{Frames: 1,
 		Exec: func(j *taskgraph.Job, frame int) Time { return ms(-1) }}); err == nil {
 		t.Error("negative execution time accepted")
 	}
@@ -313,7 +331,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestReportRendering(t *testing.T) {
 	s := signalSchedule(t)
-	rep, err := Run(s, Config{Frames: 2, Inputs: signal.Inputs(2)})
+	rep, err := runOnce(s, Config{Frames: 2, Inputs: signal.Inputs(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +346,7 @@ func TestReportRendering(t *testing.T) {
 
 func TestFramesDoNotOverlapOnFeasibleSchedule(t *testing.T) {
 	s := signalSchedule(t)
-	rep, err := Run(s, Config{Frames: 4, Inputs: signal.Inputs(4)})
+	rep, err := runOnce(s, Config{Frames: 4, Inputs: signal.Inputs(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +394,7 @@ func TestProp41Property(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := signalSchedule(t)
-		rep, err := Run(s, Config{
+		rep, err := runOnce(s, Config{
 			Frames: frames, SporadicEvents: ev, Exec: jitter, Inputs: inputs,
 		})
 		if err != nil {

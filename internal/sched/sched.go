@@ -11,7 +11,9 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rational"
@@ -148,22 +150,100 @@ func (s *Schedule) Validate() error {
 // ProcessorOrder returns, for each processor, the job indices in start-time
 // order — the static order the online policy of Section IV executes.
 func (s *Schedule) ProcessorOrder() [][]int {
+	// The chains share one backing array, cut to exact per-processor
+	// capacities: the runtime compiler calls this several times per plan.
+	n := len(s.TG.Jobs)
 	byProc := make([][]int, s.M)
-	for i := range s.TG.Jobs {
+	count := make([]int, s.M)
+	for i := 0; i < n; i++ {
+		count[s.Assign[i].Proc]++
+	}
+	flat := make([]int, n)
+	off := 0
+	for p, c := range count {
+		if c > 0 {
+			byProc[p] = flat[off : off : off+c]
+		}
+		off += c
+	}
+	for i := 0; i < n; i++ {
 		p := s.Assign[i].Proc
 		byProc[p] = append(byProc[p], i)
 	}
-	for p := range byProc {
-		jobs := byProc[p]
-		sort.Slice(jobs, func(a, b int) bool {
-			sa, sb := s.Assign[jobs[a]].Start, s.Assign[jobs[b]].Start
-			if !sa.Equal(sb) {
-				return sa.Less(sb)
+	for _, jobs := range byProc {
+		slices.SortFunc(jobs, func(a, b int) int {
+			if c := s.Assign[a].Start.Cmp(s.Assign[b].Start); c != 0 {
+				return c
 			}
-			return jobs[a] < jobs[b]
+			return a - b
 		})
 	}
 	return byProc
+}
+
+// ChainPrev returns, for each job index, the previous job on the same
+// processor in static order, or -1 for the first job of a chain.
+func (s *Schedule) ChainPrev() []int {
+	prev := make([]int, len(s.TG.Jobs))
+	for i := range prev {
+		prev[i] = -1
+	}
+	for _, chain := range s.ProcessorOrder() {
+		for i := 1; i < len(chain); i++ {
+			prev[chain[i]] = chain[i-1]
+		}
+	}
+	return prev
+}
+
+// CombinedOrder returns a topological order of the frame's jobs with
+// respect to precedence edges plus per-processor static chains, taking the
+// smallest ready index first. It fails if the static schedule contradicts
+// the precedence constraints; the error carries no package prefix, so the
+// runtime that rejects the schedule names itself.
+func (s *Schedule) CombinedOrder() ([]int, error) {
+	tg := s.TG
+	n := len(tg.Jobs)
+	adj := make([][]int, n)
+	indeg := make([]int, n)
+	add := func(a, b int) {
+		adj[a] = append(adj[a], b)
+		indeg[b]++
+	}
+	for _, e := range tg.Edges() {
+		add(e[0], e[1])
+	}
+	for _, chain := range s.ProcessorOrder() {
+		for i := 1; i < len(chain); i++ {
+			add(chain[i-1], chain[i])
+		}
+	}
+	var ready []int
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			ready = append(ready, i)
+		}
+	}
+	sort.Ints(ready)
+	var order []int
+	for len(ready) > 0 {
+		v := ready[0]
+		ready = ready[1:]
+		order = append(order, v)
+		var next []int
+		for _, u := range adj[v] {
+			indeg[u]--
+			if indeg[u] == 0 {
+				next = append(next, u)
+			}
+		}
+		sort.Ints(next)
+		ready = append(ready, next...)
+	}
+	if len(order) != n {
+		return nil, errors.New("static schedule is inconsistent with the precedence constraints (cycle between processor order and task graph)")
+	}
+	return order, nil
 }
 
 // Makespan returns the latest completion time in the frame.
