@@ -618,6 +618,30 @@ func benchmarkScaleSchedule(b *testing.B, jobs int) {
 	}
 }
 
+// benchmarkScaleCompile measures plan.Compile alone on a scheduled
+// scale-tier graph: interning, invocation tables, the combined order, the
+// related-process lists and the static buffer sweep.
+func benchmarkScaleCompile(b *testing.B, jobs int) {
+	tg, err := taskgraph.Derive(scaleNet(jobs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sched.ListSchedule(tg, scaleProcessors, sched.ALAPEDF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC() // see benchmarkScaleDerive
+		b.StartTimer()
+		if _, err := fppn.Compile(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchmarkScaleRun measures steady-state replay of one hyperperiod frame
 // on a warm pooled RunState, the regime the zero-alloc engine work targets.
 func benchmarkScaleRun(b *testing.B, jobs int) {
@@ -658,6 +682,7 @@ func benchmarkScaleRun(b *testing.B, jobs int) {
 func BenchmarkScaleDerive10k(b *testing.B)    { benchmarkScaleDerive(b, 10000) }
 func BenchmarkScaleSchedule10k(b *testing.B)  { benchmarkScaleSchedule(b, 10000) }
 func BenchmarkScaleRun10k(b *testing.B)       { benchmarkScaleRun(b, 10000) }
+func BenchmarkScaleCompile10k(b *testing.B)   { benchmarkScaleCompile(b, 10000) }
 func BenchmarkScaleDerive100k(b *testing.B)   { benchmarkScaleDerive(b, 100000) }
 func BenchmarkScaleSchedule100k(b *testing.B) { benchmarkScaleSchedule(b, 100000) }
 func BenchmarkScaleRun100k(b *testing.B)      { benchmarkScaleRun(b, 100000) }

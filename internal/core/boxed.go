@@ -2,33 +2,36 @@ package core
 
 import "unsafe"
 
-// Boxing a float64 into a Value normally heap-allocates an 8-byte cell per
-// conversion (runtime.convT64), and channel samples are retained until the
-// run ends — so a behavior writing float samples allocates on every job, no
-// matter how carefully the engine itself pools. floatArena removes that
-// last per-frame allocation source: it owns chunks of float64 cells, hands
-// one out per boxed value, and Machine.Reset recycles all of them for the
-// next run. Cells are written exactly once, before the Value escapes, so
-// within a run every boxed Value is immutable, exactly like an ordinary
-// boxed float. Across runs the cells are reused, which is the same
-// lifetime contract as every other pooled run artifact: a Report obtained
-// from a pooled RunState is valid until the next run on that state.
+// Boxing a float64 or an int into a Value normally heap-allocates an
+// 8-byte cell per conversion (runtime.convT64), and channel samples are
+// retained until the run ends — so a behavior writing numeric samples
+// allocates on every job, no matter how carefully the engine itself pools.
+// cellArena removes that last per-frame allocation source: it owns chunks
+// of cells, hands one out per boxed value, and Machine.Reset recycles all
+// of them for the next run. Cells are written exactly once, before the
+// Value escapes, so within a run every boxed Value is immutable, exactly
+// like an ordinary boxed number. Across runs the cells are reused, which
+// is the same lifetime contract as every other pooled run artifact: a
+// Report obtained from a pooled RunState is valid until the next run on
+// that state.
 //
-// The construction copies a prototype interface value and repoints its data
-// word at the arena cell. Both words of the resulting eface reference live
-// objects at all times (the runtime float64 type descriptor and a cell kept
+// The construction copies a prototype interface value and repoints its
+// data word at the arena cell. Both words of the resulting eface reference
+// live objects at all times (the runtime type descriptor and a cell kept
 // reachable by the arena), so the value is indistinguishable from a
-// runtime-boxed float64 — ==, type asserts, reflect.DeepEqual and JSON all
-// behave identically.
-type floatArena struct {
-	chunks [][]float64
+// runtime-boxed value of the cell type — ==, type asserts, reflect.DeepEqual
+// and JSON all behave identically. T must be a non-pointer-shaped type
+// (one stored indirectly in an interface), such as float64 or int.
+type cellArena[T any] struct {
+	proto  Value // a boxed T, whose type word box reuses
+	chunks [][]T
 	ci     int // chunk currently being filled
 	off    int // next free cell in chunks[ci]
 }
 
-// floatChunkSize balances steady-state footprint against append frequency;
-// one chunk covers a typical frame's float traffic.
-const floatChunkSize = 512
+// cellChunkSize balances steady-state footprint against append frequency;
+// one chunk covers a typical frame's numeric traffic.
+const cellChunkSize = 512
 
 // eface mirrors the runtime layout of an empty interface. Value is an
 // empty interface type, so the same layout applies.
@@ -37,24 +40,23 @@ type eface struct {
 	data unsafe.Pointer
 }
 
-// float64Prototype carries the runtime type descriptor for boxed float64
-// values; box copies it and swaps the data word.
-var float64Prototype Value = float64(0)
-
-func (a *floatArena) box(f float64) Value {
+func (a *cellArena[T]) box(x T) Value {
 	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]float64, floatChunkSize))
+		if a.proto == nil {
+			a.proto = Value(*new(T))
+		}
+		a.chunks = append(a.chunks, make([]T, cellChunkSize))
 	}
 	cell := &a.chunks[a.ci][a.off]
-	if a.off++; a.off == floatChunkSize {
+	if a.off++; a.off == cellChunkSize {
 		a.ci++
 		a.off = 0
 	}
-	*cell = f
-	v := float64Prototype
+	*cell = x
+	v := a.proto
 	(*eface)(unsafe.Pointer(&v)).data = unsafe.Pointer(cell)
 	return v
 }
 
 // reset makes every cell reusable; the chunks themselves are retained.
-func (a *floatArena) reset() { a.ci, a.off = 0, 0 }
+func (a *cellArena[T]) reset() { a.ci, a.off = 0, 0 }

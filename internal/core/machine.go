@@ -59,8 +59,9 @@ type Machine struct {
 	outCap  map[string]int
 	trace   Trace
 	record  bool
-	floats  floatArena // recycled cells behind JobContext.BoxFloat
-	ctx     JobContext // reused across ExecJob calls
+	floats  cellArena[float64] // recycled cells behind JobContext.BoxFloat
+	ints    cellArena[int]     // recycled cells behind JobContext.BoxInt
+	ctx     JobContext         // reused across ExecJob calls
 }
 
 // NewMachine creates a Machine for a validated network. Behaviors
@@ -173,6 +174,7 @@ func (m *Machine) Reset(opts MachineOptions) error {
 	}
 	clear(m.outputs)
 	m.floats.reset()
+	m.ints.reset()
 	m.inputs = opts.Inputs
 	m.outCap = opts.OutputCapacity
 	m.record = opts.RecordTrace
@@ -385,6 +387,9 @@ func (c *JobContext) ExternalOutputs() []string { return c.m.cn.extOutSorted[c.p
 // same lifetime as every other pooled run artifact (valid until the next
 // run on the same pooled state).
 func (c *JobContext) BoxFloat(f float64) Value { return c.m.floats.box(f) }
+
+// BoxInt is BoxFloat for int samples.
+func (c *JobContext) BoxInt(i int) Value { return c.m.ints.box(i) }
 
 func (c *JobContext) fail(format string, args ...any) {
 	if c.err == nil {

@@ -291,11 +291,12 @@ func (m *mixer) Step(ctx *core.JobContext) error {
 	}
 	sum = sum*31 + m.k + len(m.name)
 	m.acc = sum % 1000003
+	acc := ctx.BoxInt(m.acc)
 	for _, out := range ctx.Outputs() {
-		ctx.Write(out, m.acc)
+		ctx.Write(out, acc)
 	}
 	for _, ext := range ctx.ExternalOutputs() {
-		ctx.WriteOutput(ext, m.acc)
+		ctx.WriteOutput(ext, acc)
 	}
 	return nil
 }

@@ -10,11 +10,10 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
-	"repro/internal/core"
-	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
@@ -24,10 +23,10 @@ import (
 type vclock struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
-	now      Time
-	live     int // goroutines not yet finished
-	blocked  int // goroutines currently inside a wait
-	timeReqs map[int]Time
+	now      int64 // ticks of the run's timescale
+	live     int   // goroutines not yet finished
+	blocked  int   // goroutines currently inside a wait
+	timeReqs map[int]int64
 	// doneWaits records, per blocked goroutine, the completion flag it is
 	// waiting for. A waiter whose flag is already set still counts as
 	// blocked until it reacquires the mutex after a broadcast; advancing
@@ -41,7 +40,7 @@ type vclock struct {
 func newVclock(procs, flags int) *vclock {
 	c := &vclock{
 		live:      procs,
-		timeReqs:  make(map[int]Time),
+		timeReqs:  make(map[int]int64),
 		doneWaits: make(map[int]int64),
 		done:      make([]bool, flags),
 	}
@@ -68,32 +67,26 @@ func (c *vclock) maybeAdvance() {
 		c.cond.Broadcast()
 		return
 	}
-	min := Time{}
-	first := true
+	earliest := int64(math.MaxInt64)
 	for _, t := range c.timeReqs {
-		if first || t.Less(min) {
-			min = t
-			first = false
-		}
+		earliest = min(earliest, t)
 	}
-	if c.now.Less(min) {
-		c.now = min
-	}
+	c.now = max(c.now, earliest)
 	c.cond.Broadcast()
 }
 
 // waitUntil blocks the goroutine id until virtual time reaches t.
-func (c *vclock) waitUntil(id int, t Time) error {
+func (c *vclock) waitUntil(id int, t int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.now.Less(t) && c.err == nil {
+	for c.now < t && c.err == nil {
 		c.timeReqs[id] = t
 		c.blocked++
 		c.maybeAdvance()
 		// maybeAdvance may have advanced the clock to our own request
 		// (we were the last goroutine to block); its broadcast happened
 		// before we entered Wait, so re-check to avoid a lost wake-up.
-		if c.now.Less(t) && c.err == nil {
+		if c.now < t && c.err == nil {
 			c.cond.Wait()
 		}
 		c.blocked--
@@ -131,7 +124,7 @@ func (c *vclock) markDone(key int64) {
 }
 
 // Now returns the current virtual time.
-func (c *vclock) Now() Time {
+func (c *vclock) Now() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.now
@@ -169,32 +162,14 @@ func (c *vclock) finish() {
 // alone — not any global sequentialization — deliver deterministic outputs.
 func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 	p := rs.p
-	if cfg.Frames < 1 {
-		return nil, fmt.Errorf("rt: %d frames", cfg.Frames)
-	}
 	if cfg.Pipelined {
 		return nil, fmt.Errorf("rt: RunConcurrent does not support pipelined frames; use Run")
 	}
-	if rs.Released() {
-		return nil, fmt.Errorf("rt: RunConcurrent on a RunState parked in its owner's pool; Acquire it first")
-	}
-	exec := cfg.Exec
-	if exec == nil {
-		exec = platform.WCETExec()
-	}
-	flat, err := p.inv.planInto(&rs.scratch, cfg.Frames, cfg.SporadicEvents)
+	flat, machine, err := rs.prepare("RunConcurrent", cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	fifoCap, outCap := rs.capacities(cfg.Frames)
-	machine, err := rs.acquireMachine(core.MachineOptions{
-		Inputs:         cfg.Inputs,
-		FIFOCapacity:   fifoCap,
-		OutputCapacity: outCap,
-	})
-	if err != nil {
-		return nil, err
-	}
+	rt := &rs.timing
 
 	n := p.n
 	tg := p.tg
@@ -204,9 +179,10 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 	var dataMu sync.Mutex // serializes Machine access between processors
 
 	type result struct {
-		entries []sched.GanttEntry
-		misses  []Miss
-		skipped []Skip
+		entries           []sched.GanttEntry
+		misses            []Miss
+		skipped           []Skip
+		makespan, maxLate int64
 	}
 	results := make([]result, p.S.M)
 	var wg sync.WaitGroup
@@ -218,9 +194,7 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 			defer clock.finish()
 			res := &results[proc]
 			for f := 0; f < cfg.Frames; f++ {
-				base := p.h.MulInt(int64(f))
-				avail := base.Add(cfg.Overhead.FrameOverhead(f, n))
-				if err := clock.waitUntil(proc, avail); err != nil {
+				if err := clock.waitUntil(proc, rt.avail[f]); err != nil {
 					return
 				}
 				invs := flat[f*n : (f+1)*n]
@@ -228,7 +202,7 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 					j := tg.Jobs[i]
 					inv := &invs[i]
 					// Synchronize invocation.
-					if err := clock.waitUntil(proc, inv.Ready); err != nil {
+					if err := clock.waitUntil(proc, rt.ready[f*n+i]); err != nil {
 						return
 					}
 					// Synchronize precedence.
@@ -256,21 +230,19 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 						clock.fail(execErr)
 						return
 					}
-					c := exec(j, f)
-					if c.Sign() < 0 {
-						clock.fail(fmt.Errorf("rt: negative execution time %v for %s", c, j.Name()))
-						return
-					}
-					end := start.Add(c)
+					end := start + rt.execTime(p, f, i)
 					if err := clock.waitUntil(proc, end); err != nil {
 						return
 					}
+					endRat := rt.sc.FromTicks(end)
 					res.entries = append(res.entries, sched.GanttEntry{
-						Proc: proc, Label: p.jobName[i], Start: start, End: end,
+						Proc: proc, Label: p.jobName[i], Start: rt.sc.FromTicks(start), End: endRat,
 					})
-					if deadline := base.Add(j.Deadline); deadline.Less(end) {
-						res.misses = append(res.misses, Miss{Job: j, Frame: f, Finish: end, Deadline: deadline})
+					if deadline := rt.deadline(p, f, i); end > deadline {
+						res.misses = append(res.misses, Miss{Job: j, Frame: f, Finish: endRat, Deadline: rt.sc.FromTicks(deadline)})
+						res.maxLate = max(res.maxLate, end-deadline)
 					}
+					res.makespan = max(res.makespan, end)
 					clock.markDone(key(f, i))
 				}
 			}
@@ -315,15 +287,15 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 		}
 		return sa.Job.Index < sb.Job.Index
 	})
-	for _, e := range report.Entries {
-		if report.Makespan.Less(e.End) {
-			report.Makespan = e.End
-		}
+	var makespan, maxLate int64
+	for _, res := range results {
+		makespan, maxLate = max(makespan, res.makespan), max(maxLate, res.maxLate)
 	}
-	for _, m := range report.Misses {
-		if late := m.Finish.Sub(m.Deadline); report.MaxLateness.Less(late) {
-			report.MaxLateness = late
-		}
+	if makespan > 0 {
+		report.Makespan = rt.sc.FromTicks(makespan)
+	}
+	if maxLate > 0 {
+		report.MaxLateness = rt.sc.FromTicks(maxLate)
 	}
 	// Keep the grown arenas, then match the historical surface of this
 	// entry point: every report slice here is append-built, so empty ones

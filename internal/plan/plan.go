@@ -153,6 +153,7 @@ type sporadicTable struct {
 type invTables struct {
 	tg        *taskgraph.TaskGraph
 	h         Time
+	tick      Time // one tick of the task graph's timescale
 	n         int
 	arrival   []Time // frame-relative A_i by job index
 	serverIdx []int  // index into sporadics, or -1 for ordinary jobs
@@ -173,6 +174,9 @@ func buildInvTables(tg *taskgraph.TaskGraph) (*invTables, error) {
 		slot:      make([]int, n),
 		subset:    make([]int, n),
 		byName:    make(map[string]int, len(tg.ServerPeriod)),
+	}
+	if jt, err := tg.Ticks(); err == nil {
+		it.tick = rational.New(1, jt.Scale.Den())
 	}
 	for name, tp := range tg.ServerPeriod {
 		p := tg.Net.Process(name)
@@ -287,6 +291,11 @@ func (it *invTables) planInto(sc *planScratch, frames int, events map[string][]T
 		if !ok {
 			return nil, fmt.Errorf("rt: process %q has no server period in the task graph", proc)
 		}
+		// The window arithmetic below is rational; events off every int64
+		// timescale shared with the plan would overflow it.
+		if !fitsRunTicks(it.tick, it.h, frames, times) {
+			return nil, fmt.Errorf("rt: sporadic events for %q do not fit the run's integer timescale", proc)
+		}
 		st := &it.sporadics[si]
 		sorted := append(sc.sorted[:0], times...)
 		sc.sorted = sorted
@@ -384,8 +393,17 @@ type Plan struct {
 	tg  *taskgraph.TaskGraph
 	cn  *core.CompiledNet
 	inv *invTables
-	n   int  // jobs per frame
-	h   Time // hyperperiod
+	n   int // jobs per frame
+
+	// ticks is the task graph's memoized tick table (A_i, C_i, D_i),
+	// shared, not copied; hTicks is H on the same timescale. Runs lower
+	// their own inputs onto a refinement of ticks.Scale (lowerRun).
+	// wcetTicks is ΣC_i and maxJobTicks the largest |A_i| or |D_i|, the
+	// bounds lowerRun checks a run's refinement against.
+	ticks       *taskgraph.JobTicks
+	hTicks      int64
+	wcetTicks   int64
+	maxJobTicks int64
 
 	// order is the frame's combined topological order: task-graph
 	// precedence plus per-processor static chains.
@@ -449,6 +467,15 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	jt, err := tg.Ticks()
+	if err != nil {
+		return nil, fmt.Errorf("rt: %w", err)
+	}
+	hTicks, ok := jt.Scale.GuardedTicks(tg.Hyperperiod)
+	if !ok {
+		return nil, fmt.Errorf("rt: hyperperiod %v is not a whole number of ticks of the task graph's 1/%d timescale",
+			tg.Hyperperiod, jt.Scale.Den())
+	}
 	n := len(tg.Jobs)
 	p := &Plan{
 		S:             s,
@@ -456,7 +483,8 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		cn:            cn,
 		inv:           it,
 		n:             n,
-		h:             tg.Hyperperiod,
+		ticks:         jt,
+		hTicks:        hTicks,
 		procOrder:     s.ProcessorOrder(),
 		procChainPrev: s.ChainPrev(),
 		jobProc:       make([]int, n),
@@ -464,6 +492,8 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		jobName:       make([]string, n),
 	}
 	for i, j := range tg.Jobs {
+		p.wcetTicks += jt.WCET[i]
+		p.maxJobTicks = max(p.maxJobTicks, jt.Arrival[i], -jt.Arrival[i], jt.Deadline[i], -jt.Deadline[i])
 		p.jobProc[i] = s.Assign[i].Proc
 		p.jobName[i] = j.Name()
 		pid := cn.ProcID(j.Proc)
@@ -475,15 +505,20 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 	if p.order, err = s.CombinedOrder(); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
-	// Related-pid lists for pipelined cross-frame precedence.
+	// Related-pid lists for pipelined cross-frame precedence, in
+	// ascending pid order.
 	np := cn.NumProcesses()
 	p.relPids = make([][]int, np)
 	for a := 0; a < np; a++ {
-		for b := 0; b < np; b++ {
-			if tg.Related(cn.ProcName(a), cn.ProcName(b)) {
-				p.relPids[a] = append(p.relPids[a], b)
+		set := tg.RelatedSet(cn.ProcName(a))
+		rel := append(make([]int, 0, len(set)+1), a)
+		for q := range set {
+			if b := cn.ProcID(q); b >= 0 && b != a {
+				rel = append(rel, b)
 			}
 		}
+		slices.Sort(rel)
+		p.relPids[a] = rel
 	}
 	// Static buffer profile for FIFO/output preallocation. The sweep is
 	// eventless (the plan is compiled before any event schedule exists),

@@ -1,10 +1,8 @@
 package plan
 
 import (
-	"fmt"
+	"math"
 
-	"repro/internal/core"
-	"repro/internal/platform"
 	"repro/internal/sched"
 )
 
@@ -20,30 +18,11 @@ import (
 // configuration shape runs without allocating.
 func (rs *RunState) Run(cfg Config) (*Report, error) {
 	p := rs.p
-	if cfg.Frames < 1 {
-		return nil, fmt.Errorf("rt: %d frames", cfg.Frames)
-	}
-	if rs.Released() {
-		return nil, fmt.Errorf("rt: Run on a RunState parked in its owner's pool; Acquire it first")
-	}
-	exec := cfg.Exec
-	if exec == nil {
-		exec = platform.WCETExec()
-	}
-	flat, err := p.inv.planInto(&rs.scratch, cfg.Frames, cfg.SporadicEvents)
+	flat, machine, err := rs.prepare("Run", cfg, cfg.RecordTrace)
 	if err != nil {
 		return nil, err
 	}
-	fifoCap, outCap := rs.capacities(cfg.Frames)
-	machine, err := rs.acquireMachine(core.MachineOptions{
-		Inputs:         cfg.Inputs,
-		RecordTrace:    cfg.RecordTrace,
-		FIFOCapacity:   fifoCap,
-		OutputCapacity: outCap,
-	})
-	if err != nil {
-		return nil, err
-	}
+	rt := &rs.timing
 
 	n := p.n
 	tg := p.tg
@@ -55,30 +34,25 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 	report.Entries = rs.entries[:0]
 	report.Misses = rs.misses[:0]
 	report.Skipped = rs.skipped[:0]
-	if len(rs.finish) != n {
-		rs.finish = make([]Time, n)
-	} else {
-		clear(rs.finish)
+	finish := zeroed(&rs.finish, n)
+	lastFinishOnProc := zeroed(&rs.lastFinishOnProc, p.S.M) // carry-over across frames
+	// lastEnd[proc] is the processor's latest Gantt entry End, in ticks
+	// (math.MinInt64 before the first) and as the rational already
+	// written: a job that starts when its processor's last job ends
+	// reuses that rational instead of converting again.
+	lastEnd := zeroed(&rs.lastEnd, p.S.M)
+	for proc := range lastEnd {
+		lastEnd[proc] = math.MinInt64
 	}
-	finish := rs.finish
-	if len(rs.lastFinishOnProc) != p.S.M {
-		rs.lastFinishOnProc = make([]Time, p.S.M)
-	} else {
-		clear(rs.lastFinishOnProc)
-	}
-	lastFinishOnProc := rs.lastFinishOnProc // carry-over across frames
+	lastEndRat := zeroed(&rs.lastEndRat, p.S.M)
 	// In pipelined mode, cross-frame precedence: a job must wait for the
 	// previous frame's jobs of every related process. prevProcFinish
 	// holds each process's latest finish in the previous frame, by pid.
-	var prevProcFinish []Time
+	var prevProcFinish []int64
 	if cfg.Pipelined {
-		if np := p.cn.NumProcesses(); len(rs.prevProcFinish) != np {
-			rs.prevProcFinish = make([]Time, np)
-		} else {
-			clear(rs.prevProcFinish)
-		}
-		prevProcFinish = rs.prevProcFinish
+		prevProcFinish = zeroed(&rs.prevProcFinish, p.cn.NumProcesses())
 	}
+	var makespan, maxLate int64
 
 	// The data semantics run in the zero-delay total order
 	// (frame, <_J index): precedence and mutual-exclusion synchronization
@@ -86,87 +60,76 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 	// jobs that share state. Since the timing sweep never touches the
 	// machine, the per-frame data pass below performs the same machine
 	// action sequence as a run-global pass would.
-	var lastWait Time
-	haveWait := false
+	lastWait := int64(math.MinInt64)
 
 	for f := 0; f < cfg.Frames; f++ {
-		base := p.h.MulInt(int64(f))
-		avail := base.Add(cfg.Overhead.FrameOverhead(f, n))
+		avail := rt.avail[f]
 		invs := flat[f*n : (f+1)*n]
+		ready := rt.ready[f*n : (f+1)*n]
 		for _, i := range p.order {
-			j := tg.Jobs[i]
-			inv := &invs[i]
-			start := avail
-			if start.Less(inv.Ready) {
-				start = inv.Ready
-			}
+			start := max(avail, ready[i])
+			proc := p.jobProc[i]
 			if prev := p.procChainPrev[i]; prev >= 0 {
-				if start.Less(finish[prev]) {
-					start = finish[prev]
-				}
-			} else if carry := lastFinishOnProc[p.jobProc[i]]; start.Less(carry) {
-				start = carry
+				start = max(start, finish[prev])
+			} else {
+				start = max(start, lastFinishOnProc[proc])
 			}
 			for _, pre := range tg.Pred[i] {
-				if start.Less(finish[pre]) {
-					start = finish[pre]
-				}
+				start = max(start, finish[pre])
 			}
 			if cfg.Pipelined && f > 0 {
 				for _, q := range p.relPids[p.jobPid[i]] {
-					if fin := prevProcFinish[q]; start.Less(fin) {
-						start = fin
-					}
+					start = max(start, prevProcFinish[q])
 				}
 			}
-			if inv.Skip {
+			if invs[i].Skip {
 				finish[i] = start
-				report.Skipped = append(report.Skipped, Skip{Job: j, Frame: f})
+				report.Skipped = append(report.Skipped, Skip{Job: tg.Jobs[i], Frame: f})
 				continue
 			}
-			c := exec(j, f)
-			if c.Sign() < 0 {
-				return nil, fmt.Errorf("rt: negative execution time %v for %s", c, j.Name())
+			end := start + rt.execTime(p, f, i)
+			finish[i] = end
+			var startRat Time
+			switch {
+			case start == lastEnd[proc]:
+				startRat = lastEndRat[proc]
+			case start == ready[i] && invs[i].EventIndex == 0:
+				startRat = invs[i].Ready // f·H + A_i, already normalized by planInto
+			default:
+				startRat = rt.sc.FromTicks(start)
 			}
-			finish[i] = start.Add(c)
+			endRat := startRat
+			if end != start {
+				endRat = rt.sc.FromTicks(end)
+			}
+			lastEnd[proc], lastEndRat[proc] = end, endRat
 			report.Entries = append(report.Entries, sched.GanttEntry{
-				Proc:  p.jobProc[i],
+				Proc:  proc,
 				Label: p.jobName[i],
-				Start: start,
-				End:   finish[i],
+				Start: startRat,
+				End:   endRat,
 			})
-			deadline := base.Add(j.Deadline)
-			if deadline.Less(finish[i]) {
+			if deadline := rt.deadline(p, f, i); end > deadline {
 				report.Misses = append(report.Misses, Miss{
-					Job: j, Frame: f, Finish: finish[i], Deadline: deadline,
+					Job: tg.Jobs[i], Frame: f, Finish: endRat, Deadline: rt.sc.FromTicks(deadline),
 				})
-				if late := finish[i].Sub(deadline); report.MaxLateness.Less(late) {
-					report.MaxLateness = late
-				}
+				maxLate = max(maxLate, end-deadline)
 			}
-			if report.Makespan.Less(finish[i]) {
-				report.Makespan = finish[i]
-			}
+			makespan = max(makespan, end)
 		}
 		for proc := 0; proc < p.S.M; proc++ {
 			// The frame's last finish on each processor carries over.
 			last := lastFinishOnProc[proc]
 			for _, i := range p.procOrder[proc] {
-				if last.Less(finish[i]) {
-					last = finish[i]
-				}
+				last = max(last, finish[i])
 			}
 			lastFinishOnProc[proc] = last
 		}
 		if cfg.Pipelined {
-			for q := range prevProcFinish {
-				prevProcFinish[q] = Time{}
-			}
+			clear(prevProcFinish)
 			for i := 0; i < n; i++ {
 				pid := p.jobPid[i]
-				if prevProcFinish[pid].Less(finish[i]) {
-					prevProcFinish[pid] = finish[i]
-				}
+				prevProcFinish[pid] = max(prevProcFinish[pid], finish[i])
 			}
 		}
 		// Data pass for this frame, in <_J index order.
@@ -175,15 +138,20 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 			if inv.Skip {
 				continue
 			}
-			if !haveWait || !inv.Ready.Equal(lastWait) {
+			if ready[i] != lastWait {
 				machine.Wait(inv.Ready)
-				lastWait = inv.Ready
-				haveWait = true
+				lastWait = ready[i]
 			}
 			if err := machine.ExecJobID(p.jobPid[i], inv.Ready); err != nil {
 				return nil, err
 			}
 		}
+	}
+	if makespan > 0 {
+		report.Makespan = rt.sc.FromTicks(makespan)
+	}
+	if maxLate > 0 {
+		report.MaxLateness = rt.sc.FromTicks(maxLate)
 	}
 
 	// Keep the (possibly grown) report arenas for the next run, and match
@@ -202,4 +170,11 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 	report.Channels = rs.snapMap
 	report.Trace = machine.Trace()
 	return report, nil
+}
+
+// zeroed resizes *buf to n zero elements, reusing its storage.
+func zeroed[T any](buf *[]T, n int) []T {
+	*buf = resize(*buf, n)
+	clear(*buf)
+	return *buf
 }

@@ -408,3 +408,35 @@ func TestProp41Property(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsTimingBeyondTicks feeds runs whose timing has no int64
+// timescale or lies beyond the 2^60-tick guard: both engines must return an
+// rt: error instead of panicking or overflowing.
+func TestRunRejectsTimingBeyondTicks(t *testing.T) {
+	s := signalSchedule(t)
+	const mersenne61 = int64(1)<<61 - 1 // prime, so its lcm with the plan's denominator overflows
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"execution time off every int64 timescale", Config{Frames: 1,
+			Exec: func(j *taskgraph.Job, frame int) Time { return rational.New(1, mersenne61) }}},
+		{"event time off every int64 timescale", Config{Frames: 7,
+			SporadicEvents: map[string][]Time{signal.CoefB: {rational.New(1, mersenne61)}}}},
+		{"horizon beyond the guard", Config{Frames: 100,
+			Exec: func(j *taskgraph.Job, frame int) Time { return rational.New(1, 1<<55) }}},
+		{"overhead beyond the guard", Config{Frames: 1,
+			Overhead: platform.OverheadModel{FirstFrameBase: rational.New(1<<61, 1)}}},
+	}
+	for _, c := range cases {
+		for _, engine := range []struct {
+			name string
+			run  func(*sched.Schedule, Config) (*Report, error)
+		}{{"Run", runOnce}, {"RunConcurrent", runConcurrentOnce}} {
+			_, err := engine.run(s, c.cfg)
+			if err == nil || !strings.HasPrefix(err.Error(), "rt: ") {
+				t.Errorf("%s, %s: err = %v, want an rt: error", c.name, engine.name, err)
+			}
+		}
+	}
+}

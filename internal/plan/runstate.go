@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -55,11 +56,16 @@ type RunState struct {
 	misses  []Miss
 	skipped []Skip
 
-	// Timing scratch of Run: per-job finish times, per-processor
-	// carry-over, per-process previous-frame finish (pipelined mode).
-	finish           []Time
-	lastFinishOnProc []Time
-	prevProcFinish   []Time
+	// timing is the run's lowering onto ticks, read by both engines.
+	timing runTiming
+	// Timing scratch of Run, in ticks: per-job finish times, per-processor
+	// carry-over and last Gantt end, per-process previous-frame finish
+	// (pipelined mode).
+	finish           []int64
+	lastFinishOnProc []int64
+	lastEnd          []int64
+	lastEndRat       []Time
+	prevProcFinish   []int64
 
 	// Channel snapshot pool: the map and the one backing array its value
 	// slices are carved from.
@@ -128,6 +134,33 @@ func (rs *RunState) capacities(frames int) (fifo, output map[string]int) {
 		rs.capFrames = frames
 	}
 	return rs.capFIFO, rs.capOut
+}
+
+// prepare is the prelude both engines share: it checks the run, plans its
+// invocations, lowers its timing onto rs.timing and resets the pooled
+// machine.
+func (rs *RunState) prepare(engine string, cfg Config, recordTrace bool) ([]JobPlan, *core.Machine, error) {
+	if cfg.Frames < 1 {
+		return nil, nil, fmt.Errorf("rt: %d frames", cfg.Frames)
+	}
+	if rs.Released() {
+		return nil, nil, fmt.Errorf("rt: %s on a RunState parked in its owner's pool; Acquire it first", engine)
+	}
+	flat, err := rs.p.inv.planInto(&rs.scratch, cfg.Frames, cfg.SporadicEvents)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := rs.p.lowerRun(&rs.timing, flat, cfg); err != nil {
+		return nil, nil, err
+	}
+	fifoCap, outCap := rs.capacities(cfg.Frames)
+	machine, err := rs.acquireMachine(core.MachineOptions{
+		Inputs:         cfg.Inputs,
+		RecordTrace:    recordTrace,
+		FIFOCapacity:   fifoCap,
+		OutputCapacity: outCap,
+	})
+	return flat, machine, err
 }
 
 // acquireMachine returns the pooled machine reset for a new run, building

@@ -100,6 +100,14 @@ func (r Rat) Neg() Rat {
 // Add returns r + s.
 func (r Rat) Add(s Rat) Rat {
 	r, s = r.normalized(), s.normalized()
+	// Adding zero (frame 0's offset f·H, a zero overhead) needs no
+	// normalization: the other operand is already in lowest terms.
+	if r.num == 0 {
+		return s
+	}
+	if s.num == 0 {
+		return r
+	}
 	// Fast paths for the dominant cases in the execution engines: integer
 	// time stamps and equal denominators (frame offsets f·H added to
 	// arrivals sharing H's denominator). Both skip the lcm computation;

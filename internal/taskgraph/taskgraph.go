@@ -130,6 +130,10 @@ func (tg *TaskGraph) Related(p, q string) bool {
 	return p == q || tg.related[p][q]
 }
 
+// RelatedSet returns the processes FP'-related to p (every q ≠ p with
+// p ⋈ q), or nil. The set is shared; callers must not mutate it.
+func (tg *TaskGraph) RelatedSet(p string) map[string]bool { return tg.related[p] }
+
 // EdgeCount returns the number of precedence edges after transitive
 // reduction.
 func (tg *TaskGraph) EdgeCount() int {
