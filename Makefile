@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzHBSoundVsConcurrentTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzDeriveTickMatchesRational -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzPlanRunStateReuse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzMCMatchesReference -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

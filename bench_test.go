@@ -439,11 +439,10 @@ func BenchmarkFMSOriginalHyperperiod(b *testing.B) {
 
 func BenchmarkBufferBounds(b *testing.B) {
 	net := signal.New()
-	inputs := signal.Inputs(7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fppn.BufferBounds(net, 7, nil, inputs)
+		rep, err := fppn.BufferBounds(net, 7, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

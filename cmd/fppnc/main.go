@@ -25,6 +25,7 @@ import (
 	"repro/internal/export"
 	"repro/internal/lint"
 	"repro/internal/sched"
+	"repro/internal/staticflow"
 	"repro/internal/taskgraph"
 )
 
@@ -113,7 +114,7 @@ func run(app string, m, workers int, heuristic, vet, dot, jsonOut string, gantt,
 		return nil
 	}
 	if buffers {
-		rep, err := analysis.BufferBounds(net, 3, nil, nil)
+		rep, err := staticflow.Buffers(net, 3, nil)
 		if err != nil {
 			return err
 		}
@@ -125,8 +126,8 @@ func run(app string, m, workers int, heuristic, vet, dot, jsonOut string, gantt,
 			slots, _ := rep.Bound(c.Name)
 			fmt.Printf("  %-14s %d slots\n", c.Name, slots)
 		}
-		if len(rep.Unbalanced) > 0 {
-			fmt.Println("  UNBALANCED channels:", rep.Unbalanced)
+		if unb := rep.Unbalanced(); len(unb) > 0 {
+			fmt.Println("  UNBALANCED channels:", unb)
 		}
 	}
 	if compare {

@@ -2,7 +2,7 @@
 // closes with ("we plan to support buffering and pipelining, as well as
 // mixed-critical scheduling"), implemented on top of the core flow:
 //
-//  1. buffering — FIFO capacity bounds from multi-frame analysis;
+//  1. buffering — FIFO capacity bounds from the static buffer sweep;
 //  2. pipelining — a 3-stage software pipeline whose end-to-end latency
 //     exceeds its period, schedulable only with overlapping frames;
 //  3. mixed criticality — dual LO/HI budgets with runtime mode switching
@@ -39,17 +39,17 @@ func buffering() {
 				}
 			}
 		}))
-	n.Connect("fast", "slow", "q", fppn.FIFO)
+	n.Connect("fast", "slow", "q", fppn.FIFO).Drain() // slow reads until q is empty
 	n.Priority("fast", "slow")
 
-	rep, err := fppn.BufferBounds(n, 5, nil, nil)
+	rep, err := fppn.BufferBounds(n, 5, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	slots, _ := rep.Bound("q")
 	fmt.Printf("producer at 100 ms, draining consumer at 400 ms -> channel q needs %d slots\n",
 		slots)
-	if unb, _ := fppn.RateBalanced(n); len(unb) == 0 {
+	if len(rep.Unbalanced()) == 0 {
 		fmt.Println("static rate check: balanced (the consumer drains)")
 	}
 	fmt.Println()

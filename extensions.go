@@ -10,6 +10,7 @@ import (
 	"repro/internal/export"
 	"repro/internal/mc"
 	"repro/internal/sched"
+	"repro/internal/staticflow"
 	"repro/internal/taskgraph"
 	"repro/internal/unisched"
 )
@@ -32,20 +33,27 @@ func PipelineSchedule(tg *TaskGraph, m int) (*Schedule, error) {
 
 // Buffer analysis (paper future work: "buffering").
 type (
-	// BufferReport bounds FIFO capacities.
-	BufferReport = analysis.BufferReport
+	// BufferReport is a network's static buffer profile: per-channel
+	// high-water bounds, end-of-frame backlogs and unbalance verdicts.
+	BufferReport = staticflow.BufferProfile
 )
 
-// BufferBounds executes the zero-delay semantics over several hyperperiods
-// and reports per-channel capacity bounds plus rate-imbalance warnings.
-func BufferBounds(net *Network, frames int, events map[string][]Time,
-	inputs map[string][]Value) (*BufferReport, error) {
-	return analysis.BufferBounds(net, frames, events, inputs)
+// BufferBounds sweeps the zero-delay job order over the given number of
+// hyperperiods (at least 2) without running any behaviour, and reports
+// per-channel capacity bounds and the channels whose backlog grows from
+// frame to frame.
+//
+// The contract is each channel's declared access profile. A writer job
+// produces one token and a reader job consumes at most one, unless the
+// channel declares Drain (each reader job empties it) or GatedBy (the
+// writer writes only when its read of the named input succeeded in the
+// same job); a process whose behaviour is core.NopBehavior touches no
+// channel. The bounds are exact for behaviours that follow their declared
+// profile. Lint rule FPPN014 and the runtime's FIFO preallocation read the
+// same analysis.
+func BufferBounds(net *Network, frames int, events map[string][]Time) (*BufferReport, error) {
+	return staticflow.Buffers(net, frames, events)
 }
-
-// RateBalanced statically flags FIFO channels whose producer invokes more
-// often per hyperperiod than their consumer.
-func RateBalanced(net *Network) ([]string, error) { return analysis.RateBalanced(net) }
 
 // Schedule statistics and heuristic ablations.
 type (

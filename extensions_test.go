@@ -11,15 +11,15 @@ func TestPublicAPIExtensions(t *testing.T) {
 	net := buildPipeline()
 
 	// Buffer bounds.
-	rep, err := fppn.BufferBounds(net, 3, nil, pipelineInputs(9))
+	rep, err := fppn.BufferBounds(net, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bound, ok := rep.Bound("raw"); !ok || bound < 1 {
 		t.Errorf("raw channel bound %d (tracked %v)", bound, ok)
 	}
-	if unb, err := fppn.RateBalanced(net); err != nil || len(unb) != 0 {
-		t.Errorf("RateBalanced = %v, %v", unb, err)
+	if unb := rep.Unbalanced(); len(unb) != 0 {
+		t.Errorf("Unbalanced = %v, want none", unb)
 	}
 
 	// Schedule stats and ablations.

@@ -14,122 +14,6 @@ import (
 
 func ms(n int64) Time { return rational.Milli(n) }
 
-// multiRate builds producer (100 ms) -> consumer (400 ms) where the
-// consumer drains everything each job, so the backlog peaks at 4 and stays
-// bounded.
-func multiRate(drain bool) *core.Network {
-	n := core.NewNetwork("multi-rate")
-	n.AddPeriodic("prod", ms(100), ms(100), ms(5), core.BehaviorFunc(func(ctx *core.JobContext) error {
-		ctx.Write("q", int(ctx.K()))
-		return nil
-	}))
-	n.AddPeriodic("cons", ms(400), ms(400), ms(5), core.BehaviorFunc(func(ctx *core.JobContext) error {
-		if drain {
-			for {
-				if _, ok := ctx.Read("q"); !ok {
-					break
-				}
-			}
-		} else {
-			ctx.Read("q") // reads one token per job: producer outpaces it
-		}
-		return nil
-	}))
-	n.Connect("prod", "cons", "q", core.FIFO)
-	n.Priority("prod", "cons")
-	return n
-}
-
-func TestBufferBoundsBalanced(t *testing.T) {
-	rep, err := BufferBounds(multiRate(true), 5, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Within a 400 ms frame the producer writes at 0,100,200,300; the
-	// consumer (lower priority at t=0) drains right after the write at
-	// each multiple of 400. Peak backlog: 4 (writes at 400,500,600,700
-	// before the drain at 800 — i.e. 4 samples pending).
-	if got, ok := rep.Bound("q"); !ok || got != 4 {
-		t.Errorf("high water = %d (tracked %v), want 4", got, ok)
-	}
-	if len(rep.Unbalanced) != 0 {
-		t.Errorf("balanced network flagged unbalanced: %v", rep.Unbalanced)
-	}
-	// A channel the network does not have is "untracked", not "bound 0".
-	if got, ok := rep.Bound("no-such-channel"); ok {
-		t.Errorf("missing channel reported as tracked with bound %d", got)
-	}
-}
-
-func TestBufferBoundsUnbalanced(t *testing.T) {
-	rep, err := BufferBounds(multiRate(false), 6, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Unbalanced) != 1 || rep.Unbalanced[0] != "q" {
-		t.Errorf("Unbalanced = %v, want [q]", rep.Unbalanced)
-	}
-	backlog := rep.EndOfFrameBacklog["q"]
-	for i := 1; i < len(backlog); i++ {
-		if backlog[i] <= backlog[i-1] {
-			t.Errorf("backlog not strictly growing: %v", backlog)
-		}
-	}
-}
-
-func TestBufferBoundsErrors(t *testing.T) {
-	if _, err := BufferBounds(multiRate(true), 1, nil, nil); err == nil {
-		t.Error("single frame accepted")
-	}
-	bad := core.NewNetwork("bad")
-	bad.AddPeriodic("p", ms(0), ms(1), ms(1), nil)
-	if _, err := BufferBounds(bad, 2, nil, nil); err == nil {
-		t.Error("invalid network accepted")
-	}
-}
-
-func TestBufferBoundsSignalApp(t *testing.T) {
-	rep, err := BufferBounds(signal.New(), 7,
-		map[string][]Time{signal.CoefB: {ms(50)}}, signal.Inputs(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// NormA drains 'filtered' every frame; FilterA writes twice per
-	// frame: bound 2. The blackboards stay at 1.
-	if got, ok := rep.Bound(signal.ChanFiltered); !ok || got != 2 {
-		t.Errorf("filtered bound = %d (tracked %v), want 2", got, ok)
-	}
-	if got, ok := rep.Bound(signal.ChanFeedback); !ok || got > 1 {
-		t.Errorf("blackboard bound = %d (tracked %v), want <= 1", got, ok)
-	}
-	if len(rep.Unbalanced) != 0 {
-		t.Errorf("signal app flagged unbalanced: %v", rep.Unbalanced)
-	}
-}
-
-func TestRateBalanced(t *testing.T) {
-	unb, err := RateBalanced(multiRate(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unb) != 1 || unb[0] != "q" {
-		t.Errorf("RateBalanced = %v, want [q] (static producer/consumer invocation mismatch)", unb)
-	}
-	// Equal-rate network is statically balanced.
-	even := core.NewNetwork("even")
-	even.AddPeriodic("a", ms(100), ms(100), ms(1), nil)
-	even.AddPeriodic("b", ms(100), ms(100), ms(1), nil)
-	even.Connect("a", "b", "q", core.FIFO)
-	even.Priority("a", "b")
-	unb, err = RateBalanced(even)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unb) != 0 {
-		t.Errorf("even rates flagged: %v", unb)
-	}
-}
-
 func TestStatsAndCompare(t *testing.T) {
 	tg, err := taskgraph.Derive(signal.New())
 	if err != nil {

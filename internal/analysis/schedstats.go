@@ -1,3 +1,6 @@
+// Package analysis provides model-level analyses on top of the FPPN core:
+// static-schedule statistics used by the ablation experiments, end-to-end
+// chain latencies and the WCET provisioning margin.
 package analysis
 
 import (
@@ -8,6 +11,9 @@ import (
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
+
+// Time aliases the exact rational time type.
+type Time = rational.Rat
 
 // SchedStats summarizes a static schedule for ablation comparisons.
 type SchedStats struct {

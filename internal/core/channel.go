@@ -85,11 +85,6 @@ type channelState interface {
 	snapshot() []Value
 	// len returns the number of immediately readable values.
 	len() int
-	// highWater returns the maximum number of simultaneously buffered
-	// values observed since the last reset — the buffer capacity an
-	// implementation of the channel must provision (the paper lists
-	// buffering support as future work; this is the analysis side of it).
-	highWater() int
 }
 
 // fifoState implements channelState with queue semantics over a ring
@@ -101,7 +96,6 @@ type fifoState struct {
 	buf  []Value
 	head int
 	n    int
-	max  int
 }
 
 func (f *fifoState) write(v Value) {
@@ -110,9 +104,6 @@ func (f *fifoState) write(v Value) {
 	}
 	f.buf[(f.head+f.n)%len(f.buf)] = v
 	f.n++
-	if f.n > f.max {
-		f.max = f.n
-	}
 }
 
 func (f *fifoState) grow() {
@@ -142,7 +133,7 @@ func (f *fifoState) reset() {
 	for i := 0; i < f.n; i++ {
 		f.buf[(f.head+i)%len(f.buf)] = nil
 	}
-	f.head, f.n, f.max = 0, 0, 0
+	f.head, f.n = 0, 0
 }
 
 func (f *fifoState) snapshot() []Value {
@@ -154,8 +145,6 @@ func (f *fifoState) snapshot() []Value {
 }
 
 func (f *fifoState) len() int { return f.n }
-
-func (f *fifoState) highWater() int { return f.max }
 
 // blackboardState implements channelState with last-value semantics.
 type blackboardState struct {
@@ -199,9 +188,6 @@ func (b *blackboardState) len() int {
 	}
 	return 0
 }
-
-// highWater of a blackboard is at most one slot: it stores a single value.
-func (b *blackboardState) highWater() int { return b.len() }
 
 // newChannelState allocates the runtime state for a channel description.
 func newChannelState(c *Channel) channelState {

@@ -13,8 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"repro/internal/rational"
 )
 
 // CompiledNet is the interned, validated form of a Network. Process IDs
@@ -247,50 +245,10 @@ func (cn *CompiledNet) linearExtension(seed int64) ([]int, error) {
 // string-keyed core.RunZeroDelay facade. Repeated calls share all compile
 // work (validation, interning, the default FP linear extension).
 func (cn *CompiledNet) RunZeroDelay(horizon Time, opts ZeroDelayOptions) (*ZeroDelayResult, error) {
-	if horizon.Sign() <= 0 {
-		return nil, fmt.Errorf("core: non-positive horizon %v", horizon)
+	entries, err := jobEntries(cn.net, cn.procs, horizon, opts.SporadicEvents)
+	if err != nil {
+		return nil, err
 	}
-
-	type entry struct {
-		t   Time
-		pid int
-	}
-	var entries []entry
-	for pid, p := range cn.procs {
-		switch p.Gen.Kind {
-		case Periodic:
-			for t := rational.Zero; t.Less(horizon); t = t.Add(p.Gen.Period) {
-				for b := 0; b < p.Gen.Burst; b++ {
-					entries = append(entries, entry{t, pid})
-				}
-			}
-		case Sporadic:
-			times := opts.SporadicEvents[p.Name]
-			sorted := make([]Time, len(times))
-			copy(sorted, times)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-			if err := p.Gen.CheckSporadic(sorted); err != nil {
-				return nil, fmt.Errorf("core: process %q: %w", p.Name, err)
-			}
-			for _, t := range sorted {
-				if !t.Less(horizon) {
-					return nil, fmt.Errorf("core: process %q: sporadic event at %v is beyond horizon %v",
-						p.Name, t, horizon)
-				}
-				entries = append(entries, entry{t, pid})
-			}
-		}
-	}
-	for proc := range opts.SporadicEvents {
-		p := cn.net.Process(proc)
-		if p == nil {
-			return nil, fmt.Errorf("core: sporadic events for unknown process %q", proc)
-		}
-		if !p.IsSporadic() {
-			return nil, fmt.Errorf("core: sporadic events supplied for non-sporadic process %q", proc)
-		}
-	}
-
 	rank, err := cn.linearExtension(opts.Seed)
 	if err != nil {
 		return nil, err

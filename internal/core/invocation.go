@@ -33,19 +33,50 @@ func (j JobRef) String() string { return fmt.Sprintf("%s[%d]@%v", j.Proc, j.K, j
 // generators fire at the times supplied in sporadicEvents (validated against
 // the (m, T) constraint; events at or beyond the horizon are rejected).
 func GenerateInvocations(net *Network, horizon Time, sporadicEvents map[string][]Time) ([]Invocation, error) {
+	procs := net.Processes()
+	entries, err := jobEntries(net, procs, horizon, sporadicEvents)
+	if err != nil {
+		return nil, err
+	}
+	sort.SliceStable(entries, func(i, j int) bool {
+		if c := entries[i].t.Cmp(entries[j].t); c != 0 {
+			return c < 0
+		}
+		return procs[entries[i].pid].Name < procs[entries[j].pid].Name
+	})
+	var out []Invocation
+	for _, e := range entries {
+		name := procs[e.pid].Name
+		if n := len(out); n > 0 && out[n-1].Time.Equal(e.t) {
+			out[n-1].Procs = append(out[n-1].Procs, name)
+		} else {
+			out = append(out, Invocation{Time: e.t, Procs: []string{name}})
+		}
+	}
+	return out, nil
+}
+
+// jobEntry is one job invocation: its time stamp and the index of its
+// process in the slice handed to jobEntries.
+type jobEntry struct {
+	t   Time
+	pid int
+}
+
+// jobEntries expands the invocations of procs, the processes of net, over
+// [0, horizon) in process order: every periodic burst and every sporadic
+// event, the latter checked against the (m, T) constraint and the horizon.
+// Each caller sorts the entries into its own order.
+func jobEntries(net *Network, procs []*Process, horizon Time, sporadicEvents map[string][]Time) ([]jobEntry, error) {
 	if horizon.Sign() <= 0 {
 		return nil, fmt.Errorf("core: non-positive horizon %v", horizon)
 	}
-	type entry struct {
-		t    Time
-		proc string
-	}
-	var entries []entry
-	for _, p := range net.Processes() {
+	var entries []jobEntry
+	for pid, p := range procs {
 		switch p.Gen.Kind {
 		case Periodic:
 			for _, t := range p.Gen.PeriodicTimes(horizon) {
-				entries = append(entries, entry{t, p.Name})
+				entries = append(entries, jobEntry{t, pid})
 			}
 		case Sporadic:
 			times := sporadicEvents[p.Name]
@@ -60,7 +91,7 @@ func GenerateInvocations(net *Network, horizon Time, sporadicEvents map[string][
 					return nil, fmt.Errorf("core: process %q: sporadic event at %v is beyond horizon %v",
 						p.Name, t, horizon)
 				}
-				entries = append(entries, entry{t, p.Name})
+				entries = append(entries, jobEntry{t, pid})
 			}
 		}
 	}
@@ -73,21 +104,7 @@ func GenerateInvocations(net *Network, horizon Time, sporadicEvents map[string][
 			return nil, fmt.Errorf("core: sporadic events supplied for non-sporadic process %q", proc)
 		}
 	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if c := entries[i].t.Cmp(entries[j].t); c != 0 {
-			return c < 0
-		}
-		return entries[i].proc < entries[j].proc
-	})
-	var out []Invocation
-	for _, e := range entries {
-		if n := len(out); n > 0 && out[n-1].Time.Equal(e.t) {
-			out[n-1].Procs = append(out[n-1].Procs, e.proc)
-		} else {
-			out = append(out, Invocation{Time: e.t, Procs: []string{e.proc}})
-		}
-	}
-	return out, nil
+	return entries, nil
 }
 
 // LinearExtension returns a rank for every process forming a total order

@@ -330,18 +330,6 @@ func (m *Machine) ChannelLen(name string) int {
 	return m.chans[cid].len()
 }
 
-// ChannelHighWater returns, per channel, the maximum number of values
-// buffered simultaneously during the execution so far: the capacity a
-// bounded-buffer implementation of each channel must provision. Blackboards
-// report at most 1.
-func (m *Machine) ChannelHighWater() map[string]int {
-	out := make(map[string]int, len(m.chans))
-	for cid, s := range m.chans {
-		out[m.cn.chans[cid].Name] = s.highWater()
-	}
-	return out
-}
-
 // JobContext is the channel-access interface handed to a Behavior during one
 // job execution run. All methods follow the paper's access rules: internal
 // reads and writes are non-blocking, external I/O is indexed by the job's

@@ -1,6 +1,6 @@
 // Differential harness for the static dataflow analysis: the symbolic
 // token-counting sweep (staticflow.Buffers) must reproduce the executed
-// buffer analysis (analysis.BufferBounds) exactly — the same high-water
+// buffer sweep (executedBufferBounds) exactly — the same high-water
 // marks, the same per-frame backlogs, the same unbalance verdicts — and
 // the processor-demand lower bound (staticflow.Demand) must never
 // exceed the exact sched.MinProcessors. Checked on the paper
@@ -13,7 +13,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/apps/fft"
 	"repro/internal/apps/fms"
 	"repro/internal/apps/signal"
@@ -34,9 +33,9 @@ func assertStaticBuffersMatch(t *testing.T, net *core.Network, frames int,
 	if err != nil {
 		t.Fatalf("staticflow.Buffers: %v", err)
 	}
-	exec, err := analysis.BufferBounds(net, frames, events, inputs)
+	exec, err := executedBufferBounds(net, frames, events, inputs)
 	if err != nil {
-		t.Fatalf("analysis.BufferBounds: %v", err)
+		t.Fatalf("executedBufferBounds: %v", err)
 	}
 	if got, want := static.HighWater(), exec.HighWater; !reflect.DeepEqual(got, want) {
 		t.Fatalf("high-water marks diverge:\nstatic:   %v\nexecuted: %v", got, want)
@@ -121,6 +120,24 @@ func TestStaticBuffersDifferentialPaperApps(t *testing.T) {
 			t.Parallel()
 			assertStaticBuffersMatch(t, tc.build(), tc.frames, tc.events, tc.inputs)
 		})
+	}
+}
+
+// TestExecutedBufferBoundsRefusesSelfLoop pins the oracle's guard: on a
+// channel a process both writes and reads, the length after a job is not
+// the job's peak, so the executed sweep must refuse the network.
+func TestExecutedBufferBoundsRefusesSelfLoop(t *testing.T) {
+	t.Parallel()
+	net := core.NewNetwork("self-loop")
+	net.AddPeriodic("p", rational.Milli(100), rational.Milli(100), rational.Milli(1),
+		core.BehaviorFunc(func(ctx *core.JobContext) error {
+			ctx.Write("acc", 1)
+			ctx.Read("acc")
+			return nil
+		}))
+	net.Connect("p", "p", "acc", core.FIFO)
+	if _, err := executedBufferBounds(net, 2, nil, nil); err == nil {
+		t.Fatal("executed sweep accepted a channel that loops back to its own process")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/nettest"
 	"repro/internal/sched"
@@ -15,7 +14,7 @@ import (
 
 // FuzzStaticBuffersMatchExecuted feeds seeds into the random-network
 // generator and demands that the symbolic token-counting sweep reproduce
-// the executed buffer analysis exactly — same high-water marks, same
+// the executed buffer sweep exactly — same high-water marks, same
 // per-frame backlogs, same unbalance verdicts. As a plain test it replays
 // a seed corpus sized by FPPN_FUZZ_TRIALS; under `go test -fuzz` the
 // engine pair is explored with arbitrary seeds.
@@ -34,7 +33,7 @@ func FuzzStaticBuffersMatchExecuted(f *testing.F) {
 		events := nettest.RandomEvents(rng, net, h.MulInt(int64(frames)))
 		inputs := nettest.Inputs(net, 8)
 		static, sErr := staticflow.Buffers(net, frames, events)
-		exec, eErr := analysis.BufferBounds(net, frames, events, inputs)
+		exec, eErr := executedBufferBounds(net, frames, events, inputs)
 		if (sErr == nil) != (eErr == nil) {
 			t.Fatalf("error verdict mismatch: static %v, executed %v", sErr, eErr)
 		}

@@ -27,7 +27,7 @@ package mc
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -80,8 +80,15 @@ type Schedule struct {
 	// Hi is the degraded-mode schedule: HI jobs only, C_HI budgets,
 	// derived from the HI subnetwork over the same hyperperiod.
 	Hi *sched.Schedule
+	// lo is Lo compiled: its invocation planner and tick lowering are
+	// what every run reads.
+	lo *plan.Plan
 	// loOfHi maps HI-graph job indices to LO-graph job indices.
 	loOfHi []int
+	// isHi[i] reports whether LO-graph job i belongs to a HI process;
+	// pid[i] is the compiled pid of its process.
+	isHi []bool
+	pid  []int
 	// loOrder and hiOrder are the combined static orders of Lo and Hi;
 	// loPrev and hiPrev their chain-predecessor tables.
 	loOrder, hiOrder []int
@@ -148,8 +155,17 @@ func Build(net *core.Network, spec Spec, m int) (*Schedule, error) {
 	mcs := &Schedule{
 		Net: net, Spec: spec, Lo: sLo, Hi: sHi,
 		loOfHi: make([]int, len(hiTG.Jobs)),
+		isHi:   make([]bool, len(loTG.Jobs)),
+		pid:    make([]int, len(loTG.Jobs)),
 		loPrev: sLo.ChainPrev(),
 		hiPrev: sHi.ChainPrev(),
+	}
+	if mcs.lo, err = plan.Compile(sLo); err != nil {
+		return nil, fmt.Errorf("mc: LO schedule: %w", err)
+	}
+	for i, j := range loTG.Jobs {
+		mcs.isHi[i] = spec.Level(j.Proc) == HI
+		mcs.pid[i] = mcs.lo.Compiled().ProcID(j.Proc)
 	}
 	if mcs.loOrder, err = sLo.CombinedOrder(); err != nil {
 		return nil, fmt.Errorf("mc: LO schedule: %w", err)
@@ -232,246 +248,197 @@ type Config struct {
 	Inputs         map[string][]core.Value
 }
 
-// Run simulates the dual-mode static-order policy.
+// Run simulates the dual-mode static-order policy. It reads the run's
+// timing from the LO plan's tick lowering (plan.Plan.Lower), sweeps both
+// modes with int64 max and add, and converts to exact time only when it
+// writes the report.
 func Run(mcs *Schedule, cfg Config) (*Report, error) {
 	if cfg.Frames < 1 {
 		return nil, fmt.Errorf("mc: %d frames", cfg.Frames)
 	}
-	exec := cfg.Exec
-	if exec == nil {
-		exec = platform.WCETExec()
+	pcfg := plan.Config{Frames: cfg.Frames, SporadicEvents: cfg.SporadicEvents}
+	var budgetErr error
+	if cfg.Exec != nil {
+		// The lowering reads every executed instance's time once: check
+		// its budget there.
+		pcfg.Exec = func(j *taskgraph.Job, f int) Time {
+			c := cfg.Exec(j, f)
+			if budgetErr == nil {
+				budgetErr = mcs.checkBudget(j, c)
+			}
+			return c
+		}
 	}
-	loTG := mcs.Lo.TG
-	hiTG := mcs.Hi.TG
-	invs, err := plan.PlanInvocations(loTG, cfg.Frames, cfg.SporadicEvents)
+	invs, tm, err := mcs.lo.Lower(pcfg)
+	if budgetErr != nil {
+		return nil, budgetErr
+	}
 	if err != nil {
 		return nil, err
 	}
-	machine, err := core.NewMachine(mcs.Net, core.MachineOptions{Inputs: cfg.Inputs})
+	machine, err := core.NewMachineCompiled(mcs.lo.Compiled(), core.MachineOptions{Inputs: cfg.Inputs})
 	if err != nil {
 		return nil, err
 	}
 
+	loTG, hiTG := mcs.Lo.TG, mcs.Hi.TG
 	n := len(loTG.Jobs)
-	h := loTG.Hyperperiod
-
 	report := &Report{Frames: cfg.Frames}
-	lastFinishOnProc := make([]Time, mcs.Lo.M)
-
-	type done struct {
-		executed bool
-		finish   Time
-	}
-	type dataJob struct {
-		frame, index int
-		now          Time
-	}
-	var dataJobs []dataJob
+	// Per-frame scratch in ticks: LO-phase starts and finishes, which jobs
+	// keep their LO placement and which execute, HI-phase finishes by
+	// HI-graph index and processor availability. physFree carries each
+	// processor's last finish across frames.
+	start := make([]int64, n)
+	finish := make([]int64, n)
+	kept := make([]bool, n)
+	executed := make([]bool, n)
+	hiFinish := make([]int64, len(hiTG.Jobs))
+	physFree := make([]int64, mcs.Lo.M)
+	procBusy := make([]int64, mcs.Hi.M)
+	var makespan int64
+	lastWait := int64(math.MinInt64)
 
 	for f := 0; f < cfg.Frames; f++ {
-		base := h.MulInt(int64(f))
-		state := make([]done, n)
-		physFree := append([]Time(nil), lastFinishOnProc...)
-
-		// --- LO phase: execute in S_LO order, watching HI budgets.
-		type placed struct {
-			index      int
-			start, end Time
-			actual     Time
-			skip       bool
-		}
-		var loPlaced []placed
-		switchAt := Time{}
-		switched := false
-		var culprit *taskgraph.Job
-
-		finish := make([]Time, n)
-		started := make([]bool, n)
-		for _, i := range mcs.loOrder {
-			j := loTG.Jobs[i]
-			inv := invs[f][i]
-			start := base
-			if start.Less(inv.Ready) {
-				start = inv.Ready
-			}
-			if prev := mcs.loPrev[i]; prev >= 0 {
-				if start.Less(finish[prev]) {
-					start = finish[prev]
-				}
-			} else if carry := physFree[mcs.Lo.Assign[i].Proc]; start.Less(carry) {
-				start = carry
-			}
-			for _, p := range loTG.Pred[i] {
-				if start.Less(finish[p]) {
-					start = finish[p]
-				}
-			}
-			if inv.Skip {
-				finish[i] = start
-				started[i] = true
-				loPlaced = append(loPlaced, placed{index: i, start: start, end: start, skip: true})
-				continue
-			}
-			actual := exec(j, f)
-			if actual.Sign() < 0 {
-				return nil, fmt.Errorf("mc: negative execution time for %s", j.Name())
-			}
-			isHi := mcs.Spec.Level(j.Proc) == HI
-			if isHi {
-				chi := mcs.Spec.WCETHi[j.Proc]
-				if chi.Less(actual) {
-					return nil, fmt.Errorf("mc: %s executed %v, beyond its C_HI budget %v — system failure", j.Name(), actual, chi)
-				}
-				if j.WCET.Less(actual) { // C_LO overrun
-					t := start.Add(j.WCET)
-					if !switched || t.Less(switchAt) {
-						switchAt = t
-						switched = true
-						culprit = j
-					}
-				}
-			} else if j.WCET.Less(actual) {
-				return nil, fmt.Errorf("mc: LO job %s executed %v beyond its budget %v", j.Name(), actual, j.WCET)
-			}
-			finish[i] = start.Add(actual)
-			started[i] = true
-			loPlaced = append(loPlaced, placed{index: i, start: start, end: finish[i], actual: actual})
-		}
-
-		commit := func(p placed) {
-			i := p.index
-			j := loTG.Jobs[i]
-			state[i] = done{executed: !p.skip, finish: p.end}
-			if p.skip {
-				report.Skipped = append(report.Skipped, plan.Skip{Job: j, Frame: f})
-				return
-			}
-			proc := mcs.Lo.Assign[i].Proc
+		frame := invs[f*n : (f+1)*n]
+		// record writes an executed job's Gantt entry and deadline check.
+		// HI jobs share their LO twin's arrival and deadline: same
+		// process, period, deadline and hyperperiod.
+		record := func(i, proc int, s, end int64, label string) {
 			report.Entries = append(report.Entries, sched.GanttEntry{
-				Proc: proc, Label: j.Name(), Start: p.start, End: p.end,
+				Proc: proc, Label: label, Start: tm.Time(s), End: tm.Time(end),
 			})
-			if deadline := base.Add(j.Deadline); deadline.Less(p.end) {
-				miss := plan.Miss{Job: j, Frame: f, Finish: p.end, Deadline: deadline}
-				if mcs.Spec.Level(j.Proc) == HI {
+			if deadline := tm.Deadline(f, i); end > deadline {
+				miss := plan.Miss{Job: loTG.Jobs[i], Frame: f, Finish: tm.Time(end), Deadline: tm.Time(deadline)}
+				if mcs.isHi[i] {
 					report.HiMisses = append(report.HiMisses, miss)
 				} else {
 					report.LoMisses = append(report.LoMisses, miss)
 				}
 			}
-			if report.Makespan.Less(p.end) {
-				report.Makespan = p.end
+			makespan = max(makespan, end)
+			executed[i] = true
+			physFree[proc] = max(physFree[proc], end)
+		}
+
+		// LO phase: place every job in S_LO order, watching HI budgets.
+		// The first C_LO overrun, by switch instant, switches the frame.
+		switchAt, culprit := int64(0), -1
+		for _, i := range mcs.loOrder {
+			s := max(tm.Start(f), tm.Ready(f, i))
+			if prev := mcs.loPrev[i]; prev >= 0 {
+				s = max(s, finish[prev])
+			} else {
+				s = max(s, physFree[mcs.Lo.Assign[i].Proc])
 			}
-			dataJobs = append(dataJobs, dataJob{frame: f, index: i, now: invs[f][i].Ready})
-			if physFree[proc].Less(p.end) {
-				physFree[proc] = p.end
+			for _, p := range loTG.Pred[i] {
+				s = max(s, finish[p])
+			}
+			start[i], finish[i] = s, s
+			if frame[i].Skip {
+				continue
+			}
+			c := tm.Exec(f, i)
+			if cLo := tm.WCET(i); mcs.isHi[i] && c > cLo {
+				if t := s + cLo; culprit < 0 || t < switchAt {
+					switchAt, culprit = t, i
+				}
+			}
+			finish[i] = s + c
+		}
+
+		// Commit the LO placements: all of them in a nominal frame, only
+		// those started before the switch in a degraded one. The kept
+		// prefix is causally identical to the pure-LO computation.
+		clear(executed)
+		for _, i := range mcs.loOrder {
+			s := start[i]
+			kept[i] = culprit < 0 || s < switchAt || frame[i].Skip && s <= switchAt
+			switch {
+			case !kept[i]:
+			case frame[i].Skip:
+				report.Skipped = append(report.Skipped, plan.Skip{Job: loTG.Jobs[i], Frame: f})
+			default:
+				record(i, mcs.Lo.Assign[i].Proc, s, finish[i], loTG.Jobs[i].Name())
 			}
 		}
 
-		if !switched {
-			for _, p := range loPlaced {
-				commit(p)
+		if culprit >= 0 {
+			report.Switches = append(report.Switches, ModeSwitch{Frame: f, At: tm.Time(switchAt), Culprit: loTG.Jobs[culprit]})
+			// Remaining HI jobs continue under S_HI's mapping and
+			// order, a topological order of HI precedence and S_HI
+			// chains, so every predecessor's finish is known when read;
+			// remaining LO jobs are dropped.
+			for hiIdx, i := range mcs.loOfHi {
+				hiFinish[hiIdx] = finish[i] // final for kept jobs; the sweep overwrites the rest first
 			}
-		} else {
-			report.Switches = append(report.Switches, ModeSwitch{Frame: f, At: switchAt, Culprit: culprit})
-			// Keep only jobs that started before the switch; the LO
-			// prefix up to switchAt is causally identical to the
-			// pure-LO computation above.
-			kept := make([]bool, n)
-			for _, p := range loPlaced {
-				if p.start.Less(switchAt) || p.skip && p.start.LessEq(switchAt) {
-					commit(p)
-					kept[p.index] = true
-				}
-			}
-			// Remaining HI jobs continue under S_HI; remaining LO
-			// jobs are dropped. Process the remaining jobs in a
-			// topological order of (HI precedence + S_HI processor
-			// chains) so cross-processor predecessor finishes are
-			// known when needed.
-			hiFinish := make([]Time, len(hiTG.Jobs))
-			for hiIdx, loIdx := range mcs.loOfHi {
-				if kept[loIdx] {
-					hiFinish[hiIdx] = state[loIdx].finish
-				}
-			}
-			procBusy := make([]Time, mcs.Hi.M)
 			for p := range procBusy {
-				procBusy[p] = switchAt.Max(physFree[p])
+				procBusy[p] = max(switchAt, physFree[p])
 			}
 			for _, hiIdx := range mcs.hiOrder {
-				loIdx := mcs.loOfHi[hiIdx]
-				if kept[loIdx] {
+				i := mcs.loOfHi[hiIdx]
+				if kept[i] {
 					continue
 				}
-				j := hiTG.Jobs[hiIdx]
-				p := mcs.Hi.Assign[hiIdx].Proc
-				inv := invs[f][loIdx]
-				start := procBusy[p]
-				if start.Less(inv.Ready) {
-					start = inv.Ready
-				}
-				if prev := mcs.hiPrev[hiIdx]; prev >= 0 && start.Less(hiFinish[prev]) {
-					start = hiFinish[prev]
+				proc := mcs.Hi.Assign[hiIdx].Proc
+				s := max(procBusy[proc], tm.Ready(f, i))
+				if prev := mcs.hiPrev[hiIdx]; prev >= 0 {
+					s = max(s, hiFinish[prev])
 				}
 				for _, pre := range hiTG.Pred[hiIdx] {
-					if start.Less(hiFinish[pre]) {
-						start = hiFinish[pre]
-					}
+					s = max(s, hiFinish[pre])
 				}
-				if inv.Skip {
-					hiFinish[hiIdx] = start
-					state[loIdx] = done{finish: start}
-					report.Skipped = append(report.Skipped, plan.Skip{Job: loTG.Jobs[loIdx], Frame: f})
+				hiFinish[hiIdx] = s
+				if frame[i].Skip {
+					report.Skipped = append(report.Skipped, plan.Skip{Job: loTG.Jobs[i], Frame: f})
 					continue
 				}
-				actual := exec(loTG.Jobs[loIdx], f)
-				end := start.Add(actual)
+				end := s + tm.Exec(f, i)
 				hiFinish[hiIdx] = end
-				state[loIdx] = done{executed: true, finish: end}
-				report.Entries = append(report.Entries, sched.GanttEntry{
-					Proc: p, Label: j.Name() + "*", Start: start, End: end,
-				})
-				if deadline := base.Add(j.Deadline); deadline.Less(end) {
-					report.HiMisses = append(report.HiMisses, plan.Miss{
-						Job: loTG.Jobs[loIdx], Frame: f, Finish: end, Deadline: deadline,
-					})
-				}
-				if report.Makespan.Less(end) {
-					report.Makespan = end
-				}
-				dataJobs = append(dataJobs, dataJob{frame: f, index: loIdx, now: inv.Ready})
-				procBusy[p] = end
-				if physFree[p].Less(end) {
-					physFree[p] = end
-				}
+				record(i, proc, s, end, loTG.Jobs[i].Name()+"*")
+				procBusy[proc] = end
 			}
-			// Count the dropped LO jobs.
-			for i := range loTG.Jobs {
-				if !kept[i] && mcs.Spec.Level(loTG.Jobs[i].Proc) == LO && !state[i].executed {
+			for i := range kept {
+				if !kept[i] && !mcs.isHi[i] {
 					report.DroppedLO++
 				}
 			}
 		}
-		lastFinishOnProc = physFree
-	}
 
-	// Data semantics: executed jobs in (frame, <_J) order, each stamped
-	// with its invocation time as in plan.Run; dropped jobs never ran, so
-	// the executed subset is channel-consistent.
-	sort.SliceStable(dataJobs, func(a, b int) bool {
-		if dataJobs[a].frame != dataJobs[b].frame {
-			return dataJobs[a].frame < dataJobs[b].frame
+		// Data pass for this frame in <_J order, each job stamped with
+		// its invocation time as in plan.Run. Dropped jobs never ran, so
+		// the executed subset is channel-consistent.
+		for i := range frame {
+			if !executed[i] {
+				continue
+			}
+			if r := tm.Ready(f, i); r != lastWait {
+				machine.Wait(frame[i].Ready)
+				lastWait = r
+			}
+			if err := machine.ExecJobID(mcs.pid[i], frame[i].Ready); err != nil {
+				return nil, err
+			}
 		}
-		return dataJobs[a].index < dataJobs[b].index
-	})
-	for k, dj := range dataJobs {
-		if k == 0 || !dj.now.Equal(dataJobs[k-1].now) {
-			machine.Wait(dj.now)
-		}
-		if err := machine.ExecJob(loTG.Jobs[dj.index].Proc, dj.now); err != nil {
-			return nil, err
-		}
+	}
+	if makespan > 0 {
+		report.Makespan = tm.Time(makespan)
 	}
 	report.Outputs = machine.Outputs()
 	return report, nil
+}
+
+// checkBudget rejects an execution time that no budget admits: a negative
+// one, a HI job's beyond C_HI, or a LO job's beyond its WCET.
+func (s *Schedule) checkBudget(j *taskgraph.Job, c Time) error {
+	switch {
+	case c.Sign() < 0:
+		return fmt.Errorf("mc: negative execution time for %s", j.Name())
+	case s.Spec.Level(j.Proc) == HI:
+		if chi := s.Spec.WCETHi[j.Proc]; chi.Less(c) {
+			return fmt.Errorf("mc: %s executed %v, beyond its C_HI budget %v — system failure", j.Name(), c, chi)
+		}
+	case j.WCET.Less(c):
+		return fmt.Errorf("mc: LO job %s executed %v beyond its budget %v", j.Name(), c, j.WCET)
+	}
+	return nil
 }

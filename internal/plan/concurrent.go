@@ -230,7 +230,7 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 						clock.fail(execErr)
 						return
 					}
-					end := start + rt.execTime(p, f, i)
+					end := start + rt.Exec(f, i)
 					if err := clock.waitUntil(proc, end); err != nil {
 						return
 					}
@@ -238,7 +238,7 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 					res.entries = append(res.entries, sched.GanttEntry{
 						Proc: proc, Label: p.jobName[i], Start: rt.sc.FromTicks(start), End: endRat,
 					})
-					if deadline := rt.deadline(p, f, i); end > deadline {
+					if deadline := rt.Deadline(f, i); end > deadline {
 						res.misses = append(res.misses, Miss{Job: j, Frame: f, Finish: endRat, Deadline: rt.sc.FromTicks(deadline)})
 						res.maxLate = max(res.maxLate, end-deadline)
 					}

@@ -87,7 +87,7 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 				report.Skipped = append(report.Skipped, Skip{Job: tg.Jobs[i], Frame: f})
 				continue
 			}
-			end := start + rt.execTime(p, f, i)
+			end := start + rt.Exec(f, i)
 			finish[i] = end
 			var startRat Time
 			switch {
@@ -109,7 +109,7 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 				Start: startRat,
 				End:   endRat,
 			})
-			if deadline := rt.deadline(p, f, i); end > deadline {
+			if deadline := rt.Deadline(f, i); end > deadline {
 				report.Misses = append(report.Misses, Miss{
 					Job: tg.Jobs[i], Frame: f, Finish: endRat, Deadline: rt.sc.FromTicks(deadline),
 				})

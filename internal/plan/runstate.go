@@ -57,7 +57,7 @@ type RunState struct {
 	skipped []Skip
 
 	// timing is the run's lowering onto ticks, read by both engines.
-	timing runTiming
+	timing RunTiming
 	// Timing scratch of Run, in ticks: per-job finish times, per-processor
 	// carry-over and last Gantt end, per-process previous-frame finish
 	// (pipelined mode).

@@ -15,14 +15,17 @@ import (
 // arithmetic never overflows.
 const maxRunTick = int64(1) << 60
 
-// runTiming is one run's timing on int64 ticks: lowerRun fills it from the
+// RunTiming is one run's timing on int64 ticks: lowerRun fills it from the
 // invocation plan, the overhead model and the execution-time model, and
-// both engines read it, so neither computes with a rational until the
+// every engine reads it — Run, RunConcurrent and, through Lower, the
+// mixed-criticality runtime — so none computes with a rational until the
 // report is written. The timescale refines the plan's (JobTicks.Scale) by
 // the factor k the denominators of the run's own inputs require; with WCET
 // execution, zero overhead and events on the plan's grid, k is 1. A
-// RunState keeps one across runs and its slices are arenas.
-type runTiming struct {
+// RunState keeps one across runs and its slices are arenas. It is
+// read-only outside this package.
+type RunTiming struct {
+	p  *Plan
 	sc rational.Scale
 	k  int64 // run ticks per plan tick
 	h  int64 // H in run ticks
@@ -39,17 +42,51 @@ type runTiming struct {
 	vals, over, execVals []Time
 }
 
-// execTime is the execution time of job i in frame f.
-func (t *runTiming) execTime(p *Plan, f, i int) int64 {
+// Start is the instant frame f's jobs may start: f·H plus the frame
+// overhead.
+func (t *RunTiming) Start(f int) int64 { return t.avail[f] }
+
+// Ready is the instant job i of frame f is invoked (JobPlan.Ready).
+func (t *RunTiming) Ready(f, i int) int64 { return t.ready[f*t.p.n+i] }
+
+// Exec is the execution time of job i in frame f.
+func (t *RunTiming) Exec(f, i int) int64 {
 	if len(t.exec) > 0 {
-		return t.exec[f*p.n+i]
+		return t.exec[f*t.p.n+i]
 	}
-	return p.ticks.WCET[i] * t.k
+	return t.WCET(i)
 }
 
-// deadline is the absolute deadline f·H + D_i of job i in frame f.
-func (t *runTiming) deadline(p *Plan, f, i int) int64 {
-	return int64(f)*t.h + p.ticks.Deadline[i]*t.k
+// WCET is job i's C_i.
+func (t *RunTiming) WCET(i int) int64 { return t.p.ticks.WCET[i] * t.k }
+
+// Deadline is the absolute deadline f·H + D_i of job i in frame f.
+func (t *RunTiming) Deadline(f, i int) int64 {
+	return int64(f)*t.h + t.p.ticks.Deadline[i]*t.k
+}
+
+// Time converts an instant in ticks to exact time.
+func (t *RunTiming) Time(ticks int64) Time { return t.sc.FromTicks(ticks) }
+
+// Lower plans a run's invocations and lowers its timing onto int64 ticks:
+// the lowering Run and RunConcurrent read, for an engine outside this
+// package that sweeps the plan's jobs itself. The invocation plan is
+// indexed [frame*n + job index]. Every instant such an engine derives as a
+// ready time or frame start plus a sum of the run's execution times fits
+// int64.
+func (p *Plan) Lower(cfg Config) ([]JobPlan, *RunTiming, error) {
+	if cfg.Frames < 1 {
+		return nil, nil, fmt.Errorf("rt: %d frames", cfg.Frames)
+	}
+	flat, err := p.inv.planInto(&planScratch{}, cfg.Frames, cfg.SporadicEvents)
+	if err != nil {
+		return nil, nil, err
+	}
+	rt := &RunTiming{}
+	if err := p.lowerRun(rt, flat, cfg); err != nil {
+		return nil, nil, err
+	}
+	return flat, rt, nil
 }
 
 // lowerRun lowers one run onto int64 ticks: the ready times of the
@@ -58,7 +95,7 @@ func (t *runTiming) deadline(p *Plan, f, i int) int64 {
 // refinement of the plan's that holds all of them (rational.CommonScale).
 // It fails with an rt: error when an execution time is negative or the
 // run does not fit the maxRunTick guard.
-func (p *Plan) lowerRun(rt *runTiming, flat []JobPlan, cfg Config) error {
+func (p *Plan) lowerRun(rt *RunTiming, flat []JobPlan, cfg Config) error {
 	n, frames, jt := p.n, cfg.Frames, p.ticks
 
 	// Gather the values that may lie between the plan's ticks. Periodic
@@ -93,7 +130,7 @@ func (p *Plan) lowerRun(rt *runTiming, flat []JobPlan, cfg Config) error {
 	if !fits {
 		return errRunTicks
 	}
-	rt.sc, rt.k, rt.h = sc, k, p.hTicks*k
+	rt.p, rt.sc, rt.k, rt.h = p, sc, k, p.hTicks*k
 	rt.avail = resize(rt.avail, frames)
 	rt.ready = resize(rt.ready, frames*n)
 	for f := 0; f < frames; f++ {

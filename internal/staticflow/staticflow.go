@@ -1,20 +1,19 @@
 // Package staticflow computes dataflow facts of an FPPN model in closed
-// form, without executing any process behaviour. It is the static
-// counterpart of internal/analysis (which learns the same facts by
-// running the model) and the analysis engine behind the lint rules
-// FPPN014–017:
+// form, without executing any process behaviour. It is the module's one
+// buffer analysis: fppn.BufferBounds, cmd/fppnc -buffers, the lint rules
+// FPPN014–017 and plan.Compile's FIFO preallocation all read it.
 //
 //   - Buffers sweeps the zero-delay job order symbolically — counting
 //     tokens instead of moving values — and returns, per channel, exact
 //     token production/consumption counts, the FIFO high-water bound,
-//     per-frame backlogs and an unbalance verdict. The numbers agree
-//     byte-for-byte with the executed analysis.BufferBounds, which the
-//     differential suite in internal/integration enforces. This is the
+//     per-frame backlogs and an unbalance verdict. This is the
 //     SDF balance-equation idea (Lee & Messerschmitt 1987) transplanted
 //     to FPPN: rates, bursts and the FP order alone determine the
 //     occupancy profile, because the access profile of every channel
 //     (how many tokens a job moves) is declared on the model, not
-//     hidden in code.
+//     hidden in code. The differential suite in internal/integration
+//     checks the numbers against an executed sweep that runs the
+//     behaviours and reads each channel's length after every job.
 //   - Demand applies the processor-demand criterion (Baruah et al.) to
 //     one hyperperiod frame of the server-transformed network PN',
 //     yielding a lower bound on the processor count that the true
@@ -26,9 +25,11 @@
 // Token counting relies on each channel's declared access profile: by
 // default a writer job produces one token and a reader job consumes at
 // most one; core.Channel.DrainReads declares a read-until-empty loop
-// and core.Channel.WriteGatedBy a write conditional on a same-job read.
-// Blackboards hold at most one value and are bound to 1 once written or
-// initialized.
+// and core.Channel.WriteGatedBy a write conditional on a same-job read;
+// a process whose behaviour is core.NopBehavior (or nil) touches no
+// channel. The numbers are exact for a model whose behaviours follow
+// their declared profile. Blackboards hold at most one value and are
+// bound to 1 once written or initialized.
 package staticflow
 
 import (
@@ -100,8 +101,7 @@ func (p *BufferProfile) Bound(channel string) (bound int, ok bool) {
 	return c.HighWater, true
 }
 
-// HighWater returns the per-channel high-water bounds in the same shape
-// as the executed analysis.BufferReport.HighWater.
+// HighWater returns the per-channel high-water bounds.
 func (p *BufferProfile) HighWater() map[string]int {
 	out := make(map[string]int, len(p.channels))
 	for name, c := range p.channels {
@@ -110,8 +110,7 @@ func (p *BufferProfile) HighWater() map[string]int {
 	return out
 }
 
-// EndOfFrameBacklog returns the per-channel boundary backlogs in the
-// same shape as the executed analysis.BufferReport.EndOfFrameBacklog.
+// EndOfFrameBacklog returns the per-channel boundary backlogs.
 func (p *BufferProfile) EndOfFrameBacklog() map[string][]int {
 	out := make(map[string][]int, len(p.channels))
 	for name, c := range p.channels {

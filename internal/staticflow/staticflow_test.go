@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/apps/signal"
 	"repro/internal/core"
 	"repro/internal/rational"
 )
@@ -52,6 +53,13 @@ func TestBuffersDrainBalancesRateMismatch(t *testing.T) {
 	}
 	if c.Unbalanced {
 		t.Fatal("draining reader reported unbalanced")
+	}
+	if b, ok := p.Bound("x"); !ok || b != 4 {
+		t.Fatalf("Bound(x) = %d,%v, want 4,true", b, ok)
+	}
+	// A channel the network does not have is untracked, not bound 0.
+	if b, ok := p.Bound("no-such-channel"); ok {
+		t.Fatalf("missing channel reported as tracked with bound %d", b)
 	}
 }
 
@@ -136,6 +144,29 @@ func TestBuffersRejectsIllFormedInput(t *testing.T) {
 	n.Connect("w", "r", "x", core.FIFO) // no FP edge: FPPN003
 	if _, err := Buffers(n, 2, nil); err == nil {
 		t.Fatal("uncovered channel accepted; zero-delay order is undefined")
+	}
+	bad := core.NewNetwork("bad")
+	bad.AddPeriodic("p", ms(0), ms(1), ms(1), stub)
+	if _, err := Buffers(bad, 2, nil); err == nil {
+		t.Fatal("zero period accepted")
+	}
+}
+
+func TestBufferBoundsSignalApp(t *testing.T) {
+	p, err := Buffers(signal.New(), 7, map[string][]core.Time{signal.CoefB: {ms(50)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NormA drains 'filtered' every frame; FilterA writes twice per
+	// frame: bound 2. The blackboards stay at 1.
+	if got, ok := p.Bound(signal.ChanFiltered); !ok || got != 2 {
+		t.Errorf("filtered bound = %d (tracked %v), want 2", got, ok)
+	}
+	if got, ok := p.Bound(signal.ChanFeedback); !ok || got > 1 {
+		t.Errorf("blackboard bound = %d (tracked %v), want <= 1", got, ok)
+	}
+	if unb := p.Unbalanced(); len(unb) != 0 {
+		t.Errorf("signal app flagged unbalanced: %v", unb)
 	}
 }
 
