@@ -54,13 +54,6 @@ func TestBuffersDrainBalancesRateMismatch(t *testing.T) {
 	if c.Unbalanced {
 		t.Fatal("draining reader reported unbalanced")
 	}
-	if b, ok := p.Bound("x"); !ok || b != 4 {
-		t.Fatalf("Bound(x) = %d,%v, want 4,true", b, ok)
-	}
-	// A channel the network does not have is untracked, not bound 0.
-	if b, ok := p.Bound("no-such-channel"); ok {
-		t.Fatalf("missing channel reported as tracked with bound %d", b)
-	}
 }
 
 func TestBuffersDetectUnbalancedChannel(t *testing.T) {
@@ -145,10 +138,72 @@ func TestBuffersRejectsIllFormedInput(t *testing.T) {
 	if _, err := Buffers(n, 2, nil); err == nil {
 		t.Fatal("uncovered channel accepted; zero-delay order is undefined")
 	}
+}
+
+// multiRate builds producer (100 ms) -> consumer (400 ms). With drain the
+// consumer declares that it empties q each job, so the backlog peaks at 4
+// and stays bounded; without it the consumer takes one token per job and
+// the producer outpaces it.
+func multiRate(drain bool) *core.Network {
+	n := core.NewNetwork("multi-rate")
+	n.AddPeriodic("prod", ms(100), ms(100), ms(5), stub)
+	n.AddPeriodic("cons", ms(400), ms(400), ms(5), stub)
+	c := n.Connect("prod", "cons", "q", core.FIFO)
+	if drain {
+		c.Drain()
+	}
+	n.Priority("prod", "cons")
+	return n
+}
+
+func TestBufferBoundsBalanced(t *testing.T) {
+	p, err := Buffers(multiRate(true), 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Within a 400 ms frame the producer writes at 0,100,200,300; the
+	// consumer (lower priority at t=0) drains right after the write at
+	// each multiple of 400. Peak backlog: 4 (writes at 400,500,600,700
+	// before the drain at 800).
+	if got, ok := p.Bound("q"); !ok || got != 4 {
+		t.Errorf("high water = %d (tracked %v), want 4", got, ok)
+	}
+	if unb := p.Unbalanced(); len(unb) != 0 {
+		t.Errorf("balanced network flagged unbalanced: %v", unb)
+	}
+	// A channel the network does not have is untracked, not bound 0.
+	if got, ok := p.Bound("no-such-channel"); ok {
+		t.Errorf("missing channel reported as tracked with bound %d", got)
+	}
+}
+
+func TestBufferBoundsUnbalanced(t *testing.T) {
+	p, err := Buffers(multiRate(false), 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unb := p.Unbalanced(); len(unb) != 1 || unb[0] != "q" {
+		t.Errorf("Unbalanced = %v, want [q]", unb)
+	}
+	backlog := p.Channel("q").EndOfFrameBacklog
+	if len(backlog) != 6 {
+		t.Fatalf("backlog has %d frames, want 6: %v", len(backlog), backlog)
+	}
+	for i := 1; i < len(backlog); i++ {
+		if backlog[i] <= backlog[i-1] {
+			t.Errorf("backlog not strictly growing: %v", backlog)
+		}
+	}
+}
+
+func TestBufferBoundsErrors(t *testing.T) {
+	if _, err := Buffers(multiRate(true), 1, nil); err == nil {
+		t.Error("single frame accepted")
+	}
 	bad := core.NewNetwork("bad")
 	bad.AddPeriodic("p", ms(0), ms(1), ms(1), stub)
 	if _, err := Buffers(bad, 2, nil); err == nil {
-		t.Fatal("zero period accepted")
+		t.Error("invalid network accepted")
 	}
 }
 
