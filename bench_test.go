@@ -279,6 +279,20 @@ func BenchmarkHBVerifyFMS(b *testing.B) {
 	}
 }
 
+// BenchmarkFig7FMSCompile measures the compile stage alone: interning,
+// invocation tables, the processor-order sort and the static buffer sweep
+// for preallocation. BenchmarkFig7FMSCompileAndRun adds one replay.
+func BenchmarkFig7FMSCompile(b *testing.B) {
+	s, _ := fmsRunFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fppn.Compile(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig7FMSCompileAndRun measures the one-shot facade: fppn.Run
 // compiles the schedule on every call, so each iteration pays for interning
 // plus execution. The delta against BenchmarkFig7FMSRun is the compile cost

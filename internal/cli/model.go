@@ -17,6 +17,7 @@ import (
 	"repro/internal/export"
 	"repro/internal/nettest"
 	"repro/internal/sched"
+	"repro/internal/taskgraph"
 )
 
 // Model couples a built network with its canonical serialized form and the
@@ -69,7 +70,9 @@ const scalePrefix = "scale:"
 const scaleSeed = 1
 
 // parseScaleTarget decodes the job target of a "scale:N" spec; N accepts a
-// plain integer or a "k" suffix ("scale:10k" = 10000 jobs).
+// plain integer or a "k" suffix ("scale:10k" = 10000 jobs). Targets above
+// taskgraph.MaxFrameJobs, which Derive would reject only after building
+// the network, are usage errors.
 func parseScaleTarget(spec string) (int, error) {
 	raw := strings.TrimPrefix(spec, scalePrefix)
 	mult := 1
@@ -79,6 +82,9 @@ func parseScaleTarget(spec string) (int, error) {
 	n, err := strconv.Atoi(raw)
 	if err != nil || n <= 0 {
 		return 0, Usagef("bad scale spec %q (want scale:10k or scale:25000)", spec)
+	}
+	if n > taskgraph.MaxFrameJobs/mult {
+		return 0, Usagef("scale spec %q asks for more than %d jobs per frame", spec, taskgraph.MaxFrameJobs)
 	}
 	return n * mult, nil
 }

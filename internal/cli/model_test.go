@@ -76,6 +76,36 @@ func TestLoadModelUnknownIsUsageError(t *testing.T) {
 	}
 }
 
+// TestParseScaleTargetBound accepts targets up to taskgraph.MaxFrameJobs
+// and rejects larger ones, including those whose "k" multiply overflows,
+// as usage errors before any network is built.
+func TestParseScaleTargetBound(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		spec string
+		want int // 0: usage error
+	}{
+		{"scale:10k", 10_000},
+		{"scale:100k", 100_000},
+		{"scale:1048k", 1_048_000},
+		{"scale:1048576", 1 << 20},
+		{"scale:1048577", 0},
+		{"scale:1049k", 0},
+		{"scale:100000k", 0},
+		{"scale:9223372036854775807k", 0},
+		{"scale:9223372036854775807", 0},
+		{"scale:99999999999999999999", 0},
+	} {
+		got, err := parseScaleTarget(tc.spec)
+		switch {
+		case tc.want == 0 && !IsUsage(err):
+			t.Errorf("parseScaleTarget(%q) = %d, %v; want a usage error", tc.spec, got, err)
+		case tc.want != 0 && (err != nil || got != tc.want):
+			t.Errorf("parseScaleTarget(%q) = %d, %v; want %d", tc.spec, got, err, tc.want)
+		}
+	}
+}
+
 func TestModelInputsCoverEveryRegistryApp(t *testing.T) {
 	t.Parallel()
 	for _, name := range apps.Names() {

@@ -168,7 +168,10 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 	}
 
 	// Scheduler automata, one per processor.
-	procOrder := s.ProcessorOrder()
+	procOrder, err := s.ProcessorOrder()
+	if err != nil {
+		return nil, err
+	}
 	net.Init[wrappedVar] = int64(s.M) // frame 0 starts "wrapped"
 	for procIdx := 0; procIdx < s.M; procIdx++ {
 		a := &ta.Automaton{

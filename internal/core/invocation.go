@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rational"
@@ -65,35 +66,52 @@ type jobEntry struct {
 
 // jobEntries expands the invocations of procs, the processes of net, over
 // [0, horizon) in process order: every periodic burst and every sporadic
-// event, the latter checked against the (m, T) constraint and the horizon.
-// Each caller sorts the entries into its own order.
+// event, the latter checked by SporadicEvents. Each caller sorts the
+// entries into its own order.
 func jobEntries(net *Network, procs []*Process, horizon Time, sporadicEvents map[string][]Time) ([]jobEntry, error) {
-	if horizon.Sign() <= 0 {
-		return nil, fmt.Errorf("core: non-positive horizon %v", horizon)
+	events, err := SporadicEvents(net, procs, horizon, sporadicEvents)
+	if err != nil {
+		return nil, err
 	}
 	var entries []jobEntry
 	for pid, p := range procs {
-		switch p.Gen.Kind {
-		case Periodic:
-			for _, t := range p.Gen.PeriodicTimes(horizon) {
-				entries = append(entries, jobEntry{t, pid})
-			}
-		case Sporadic:
-			times := sporadicEvents[p.Name]
-			sorted := make([]Time, len(times))
-			copy(sorted, times)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-			if err := p.Gen.CheckSporadic(sorted); err != nil {
-				return nil, fmt.Errorf("core: process %q: %w", p.Name, err)
-			}
-			for _, t := range sorted {
-				if !t.Less(horizon) {
-					return nil, fmt.Errorf("core: process %q: sporadic event at %v is beyond horizon %v",
-						p.Name, t, horizon)
-				}
-				entries = append(entries, jobEntry{t, pid})
+		times := events[pid]
+		if p.Gen.Kind == Periodic {
+			times = p.Gen.PeriodicTimes(horizon)
+		}
+		for _, t := range times {
+			entries = append(entries, jobEntry{t, pid})
+		}
+	}
+	return entries, nil
+}
+
+// SporadicEvents validates the sporadic event times supplied for net over
+// [0, horizon) — each process's (m, T) constraint, the horizon, and that
+// every named process exists and is sporadic — and returns them sorted, one
+// slice per process of procs (net's processes; nil when periodic).
+func SporadicEvents(net *Network, procs []*Process, horizon Time, sporadicEvents map[string][]Time) ([][]Time, error) {
+	if horizon.Sign() <= 0 {
+		return nil, fmt.Errorf("core: non-positive horizon %v", horizon)
+	}
+	out := make([][]Time, len(procs))
+	for pid, p := range procs {
+		if p.Gen.Kind != Sporadic {
+			continue
+		}
+		times := sporadicEvents[p.Name]
+		sorted := slices.Clone(times)
+		slices.SortFunc(sorted, Time.Cmp)
+		if err := p.Gen.CheckSporadic(sorted); err != nil {
+			return nil, fmt.Errorf("core: process %q: %w", p.Name, err)
+		}
+		for _, t := range sorted {
+			if !t.Less(horizon) {
+				return nil, fmt.Errorf("core: process %q: sporadic event at %v is beyond horizon %v",
+					p.Name, t, horizon)
 			}
 		}
+		out[pid] = sorted
 	}
 	for proc := range sporadicEvents {
 		p := net.Process(proc)
@@ -104,7 +122,7 @@ func jobEntries(net *Network, procs []*Process, horizon Time, sporadicEvents map
 			return nil, fmt.Errorf("core: sporadic events supplied for non-sporadic process %q", proc)
 		}
 	}
-	return entries, nil
+	return out, nil
 }
 
 // LinearExtension returns a rank for every process forming a total order

@@ -20,8 +20,8 @@
 //
 //   - nodes: every job instance (frame, job) of the window, one per
 //     potential machine action;
-//   - program-order edges: consecutive jobs of one processor's static
-//     chain, and the chain's frame-to-frame continuation (one goroutine
+//   - program-order edges: consecutive jobs of the plan's processor
+//     chains, and each chain's frame-to-frame continuation (one goroutine
 //     runs its frames sequentially);
 //   - precedence edges: the task graph's edges within each frame (the
 //     paper's step-3 FP-derived precedence, which RunConcurrent enforces
@@ -33,7 +33,8 @@
 //     than its ready wait. The ready lower bound is g·H + A_j for
 //     ordinary jobs and g·H for server jobs (a sporadic event may invoke
 //     a server job before its nominal arrival, but never before its
-//     processor entered the frame).
+//     processor entered the frame). These bounds are int64 ticks of the
+//     task graph's timescale (TaskGraph.Ticks), as the plan replays them.
 //
 // Conflicting accesses are enumerated structurally: every pair of
 // instances of the same process conflicts (invocation counter, behavior
@@ -57,10 +58,12 @@ package hb
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/rational"
+	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
 
@@ -141,135 +144,119 @@ func Verify(p *plan.Plan) Verdict {
 
 // graph is the happens-before graph over the verification window.
 type graph struct {
-	p  *plan.Plan
 	tg *taskgraph.TaskGraph
-	n  int // jobs per frame
-	w  int // window size in frames
+	s  *sched.Schedule // for the witness's processors
+	n  int             // jobs per frame
+	w  int             // window size in frames
 
-	jobProc []int // processor per frame-job index
+	// nodes counts the w*n job nodes and the gate nodes. The successors
+	// of node v are succ[off[v]:off[v+1]].
+	nodes int
+	off   []int
+	succ  []int32
 
-	nodes int     // w*n job nodes + gate nodes
-	succ  [][]int // adjacency
-	edges int
-
-	// desc[v] is the bitset of JOB nodes reachable from job node v
-	// (excluding v itself unless v lies on a cycle, which validated plans
-	// never do). Gate nodes have no retained rows: conflict queries only
-	// ever name job nodes, so gate reachability is transient DP state.
-	desc [][]uint64
+	// desc holds, for every JOB node v, the bitset of job nodes reachable
+	// from v (excluding v itself unless v lies on a cycle, which validated
+	// plans never do) as words uint64s at desc[v*words:]. Gate nodes have
+	// no retained rows: conflict queries only ever name job nodes, so gate
+	// reachability is transient DP state.
+	words int
+	desc  []uint64
 }
 
 // node returns the graph node of job i in window frame f.
 func (g *graph) node(f, i int) int { return f*g.n + i }
 
-func (g *graph) addEdge(a, b int) {
-	g.succ[a] = append(g.succ[a], b)
-	g.edges++
-}
-
-// buildGraph assembles the nodes and the three edge classes.
+// buildGraph assembles the nodes and the three edge classes on the task
+// graph's integer timescale.
 func buildGraph(p *plan.Plan) *graph {
 	tg := p.TaskGraph()
-	s := p.S
+	jt, h := p.Ticks()
 	n := len(tg.Jobs)
-	h := tg.Hyperperiod
 
 	// Window: 1 + ceil(maxD / H) frames (at least 2).
-	maxD := Time{}
-	for _, j := range tg.Jobs {
-		if maxD.Less(j.Deadline) {
-			maxD = j.Deadline
-		}
+	maxD := int64(0)
+	for _, d := range jt.Deadline {
+		maxD = max(maxD, d)
 	}
-	span := 1
-	for h.MulInt(int64(span)).Less(maxD) {
-		span++
-	}
-	w := span + 1
+	w := int(max(1, (maxD+h-1)/h)) + 1
 
-	g := &graph{p: p, tg: tg, n: n, w: w}
-	g.jobProc = make([]int, n)
-	for i := range tg.Jobs {
-		g.jobProc[i] = s.Assign[i].Proc
+	g := &graph{tg: tg, s: p.S, n: n, w: w}
+
+	// Absolute ready lower bounds and deadlines per (frame, job) node
+	// drive the gate chain: one gate per distinct value, in time order.
+	jobs := w * n
+	ready := make([]int64, jobs)
+	deadline := make([]int64, jobs)
+	for v := range ready {
+		base, i := int64(v/n)*h, v%n
+		ready[v] = base + jt.Arrival[i]
+		if tg.Jobs[i].Server {
+			ready[v] = base
+		}
+		deadline[v] = base + jt.Deadline[i]
+	}
+	gates := append(slices.Clone(ready), deadline...)
+	slices.Sort(gates)
+	gates = slices.Compact(gates)
+	g.nodes = jobs + len(gates)
+	// From here on, ready and deadline hold each job node's gate node.
+	for v := range ready {
+		k, _ := slices.BinarySearch(gates, ready[v])
+		ready[v] = int64(jobs + k)
+		k, _ = slices.BinarySearch(gates, deadline[v])
+		deadline[v] = int64(jobs + k)
 	}
 
-	// Absolute ready lower bounds and deadlines per (frame, job) drive
-	// the gate chain. Collect the distinct time values first.
-	ready := func(f, i int) Time {
-		j := tg.Jobs[i]
-		base := h.MulInt(int64(f))
-		if j.Server {
-			return base
-		}
-		return base.Add(j.Arrival)
-	}
-	deadline := func(f, i int) Time {
-		return h.MulInt(int64(f)).Add(tg.Jobs[i].Deadline)
-	}
-	values := make([]Time, 0, 2*w*n)
-	for f := 0; f < w; f++ {
-		for i := 0; i < n; i++ {
-			values = append(values, ready(f, i), deadline(f, i))
-		}
-	}
-	sort.Slice(values, func(a, b int) bool { return values[a].Less(values[b]) })
-	gates := values[:0]
-	for _, v := range values {
-		if len(gates) == 0 || !gates[len(gates)-1].Equal(v) {
-			gates = append(gates, v)
-		}
-	}
-	gateID := func(t Time) int {
-		// t is always a member of gates.
-		lo, hi := 0, len(gates)-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if gates[mid].Less(t) {
-				lo = mid + 1
-			} else {
-				hi = mid
+	chains := p.ProcessorOrder()
+	edges := tg.Edges()
+	emit := func(add func(a, b int)) {
+		// Program order: each processor goroutine runs its static chain
+		// once per frame, frames in sequence.
+		for _, chain := range chains {
+			for f := 0; f < w; f++ {
+				for k := 1; k < len(chain); k++ {
+					add(g.node(f, chain[k-1]), g.node(f, chain[k]))
+				}
+				if f+1 < w && len(chain) > 0 {
+					add(g.node(f, chain[len(chain)-1]), g.node(f+1, chain[0]))
+				}
 			}
 		}
-		return w*n + lo
-	}
-
-	g.nodes = w*n + len(gates)
-	g.succ = make([][]int, g.nodes)
-
-	// Program order: each processor goroutine runs its static chain once
-	// per frame, frames in sequence.
-	for _, chain := range s.ProcessorOrder() {
-		for f := 0; f < w; f++ {
-			for k := 1; k < len(chain); k++ {
-				g.addEdge(g.node(f, chain[k-1]), g.node(f, chain[k]))
-			}
-			if f+1 < w && len(chain) > 0 {
-				g.addEdge(g.node(f, chain[len(chain)-1]), g.node(f+1, chain[0]))
+		// Precedence: the task graph's edges, per frame (RunConcurrent
+		// waits on same-frame predecessor completion).
+		for _, e := range edges {
+			for f := 0; f < w; f++ {
+				add(g.node(f, e[0]), g.node(f, e[1]))
 			}
 		}
-	}
-
-	// Precedence: the task graph's edges, per frame (RunConcurrent waits
-	// on same-frame predecessor completion).
-	for _, e := range tg.Edges() {
-		for f := 0; f < w; f++ {
-			g.addEdge(g.node(f, e[0]), g.node(f, e[1]))
+		// Time separation, via the gate chain: job → gate(deadline) and
+		// gate(ready) → job, so a ⇝ b exactly when deadline(a) ≤ ready(b).
+		for k := jobs + 1; k < g.nodes; k++ {
+			add(k-1, k)
+		}
+		for v := 0; v < jobs; v++ {
+			add(v, int(deadline[v]))
+			add(int(ready[v]), v)
 		}
 	}
-
-	// Time separation, via the gate chain: job → gate(deadline) and
-	// gate(ready) → job, so a ⇝ b exactly when deadline(a) ≤ ready(b).
-	for k := 1; k < len(gates); k++ {
-		g.addEdge(w*n+k-1, w*n+k)
+	// Compressed adjacency: count the out-degrees, then fill.
+	g.off = make([]int, g.nodes+1)
+	emit(func(a, _ int) { g.off[a+1]++ })
+	for v := 0; v < g.nodes; v++ {
+		g.off[v+1] += g.off[v]
 	}
-	for f := 0; f < w; f++ {
-		for i := 0; i < n; i++ {
-			g.addEdge(g.node(f, i), gateID(deadline(f, i)))
-			g.addEdge(gateID(ready(f, i)), g.node(f, i))
-		}
-	}
+	g.succ = make([]int32, g.off[g.nodes])
+	next := slices.Clone(g.off[:g.nodes])
+	emit(func(a, b int) {
+		g.succ[next[a]] = int32(b)
+		next[a]++
+	})
 	return g
 }
+
+// successors returns the successors of node v.
+func (g *graph) successors(v int) []int32 { return g.succ[g.off[v]:g.off[v+1]] }
 
 // close computes per-job-node descendant bitsets, restricted to job-node
 // columns. The graph of a validated plan is a DAG (all edge classes point
@@ -282,34 +269,29 @@ func buildGraph(p *plan.Plan) *graph {
 func (g *graph) close() {
 	jobs := g.w * g.n
 	words := (jobs + 63) / 64
-	g.desc = make([][]uint64, jobs)
-	backing := make([]uint64, jobs*words)
-	for v := range g.desc {
-		g.desc[v] = backing[v*words : (v+1)*words]
-	}
+	g.words = words
+	g.desc = make([]uint64, jobs*words)
 
-	order, acyclic := g.topoOrder()
-	if !acyclic {
-		g.closeFixpoint(order)
+	order := g.topoOrder()
+	if len(order) < g.nodes {
+		g.closeCyclic()
 		return
 	}
 
 	// pending[s] counts unprocessed predecessors: once it hits zero no
 	// later sweep step reads s's row, so a gate row can be recycled.
-	pending := make([]int, g.nodes)
-	for _, succ := range g.succ {
-		for _, s := range succ {
-			pending[s]++
-		}
+	pending := make([]int32, g.nodes)
+	for _, s := range g.succ {
+		pending[s]++
 	}
 	gateRow := make([][]uint64, g.nodes-jobs)
 	var pool [][]uint64
 	// Reverse topological order: successors first.
 	for k := len(order) - 1; k >= 0; k-- {
-		v := order[k]
+		v := int(order[k])
 		var dv []uint64
 		if v < jobs {
-			dv = g.desc[v]
+			dv = g.desc[v*words : (v+1)*words]
 		} else {
 			if n := len(pool) - 1; n >= 0 {
 				dv, pool = pool[n], pool[:n]
@@ -319,15 +301,16 @@ func (g *graph) close() {
 			}
 			gateRow[v-jobs] = dv
 		}
-		for _, s := range g.succ[v] {
+		for _, s32 := range g.successors(v) {
+			s := int(s32)
 			var ds []uint64
 			if s < jobs {
 				dv[s/64] |= 1 << (s % 64)
-				ds = g.desc[s]
+				ds = g.desc[s*words : (s+1)*words]
 			} else {
 				ds = gateRow[s-jobs]
 			}
-			for w := 0; w < words; w++ {
+			for w := range dv {
 				dv[w] |= ds[w]
 			}
 			if pending[s]--; pending[s] == 0 && s >= jobs {
@@ -338,187 +321,180 @@ func (g *graph) close() {
 	}
 }
 
-// closeFixpoint is the defensive slow path for graphs with a cycle
-// (impossible for validated plans, reachable from hand-built inputs): the
-// full per-node closure matrix, iterated to a fixpoint. Job rows keep
-// full-node width here — ordered only tests job-node bits, which occupy
-// the same positions either way.
-func (g *graph) closeFixpoint(order []int) {
-	words := (g.nodes + 63) / 64
-	desc := make([][]uint64, g.nodes)
-	backing := make([]uint64, g.nodes*words)
-	for v := range desc {
-		desc[v] = backing[v*words : (v+1)*words]
-	}
-	for pass := 0; pass < g.nodes; pass++ {
-		changed := false
-		// Reverse topological order: successors first.
-		for k := len(order) - 1; k >= 0; k-- {
-			v := order[k]
-			dv := desc[v]
-			for _, s := range g.succ[v] {
-				if dv[s/64]&(1<<(s%64)) == 0 {
-					dv[s/64] |= 1 << (s % 64)
-					changed = true
-				}
-				ds := desc[s]
-				for w := 0; w < words; w++ {
-					if ds[w]&^dv[w] != 0 {
-						dv[w] |= ds[w]
-						changed = true
-					}
-				}
+// closeCyclic is the defensive slow path for graphs with a cycle
+// (impossible for validated plans, reachable from hand-built inputs): one
+// graph search per job node.
+func (g *graph) closeCyclic() {
+	jobs := g.w * g.n
+	seen := make([]bool, g.nodes)
+	var stack []int32
+	for v := 0; v < jobs; v++ {
+		clear(seen)
+		row := g.desc[v*g.words : (v+1)*g.words]
+		for stack = append(stack[:0], g.successors(v)...); len(stack) > 0; {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if seen[u] {
+				continue
 			}
-		}
-		if !changed {
-			break
+			seen[u] = true
+			if int(u) < jobs {
+				row[u/64] |= 1 << (u % 64)
+			}
+			stack = append(stack, g.successors(int(u))...)
 		}
 	}
-	g.desc = desc[:g.w*g.n]
 }
 
-// topoOrder returns a topological order via Kahn's algorithm and whether
-// it covered every node; nodes on a cycle (impossible for validated plans)
-// are appended in index order and handled by the fixpoint slow path.
-func (g *graph) topoOrder() ([]int, bool) {
-	indeg := make([]int, g.nodes)
-	for _, succ := range g.succ {
-		for _, s := range succ {
-			indeg[s]++
-		}
+// topoOrder returns a topological order via Kahn's algorithm; it omits
+// the nodes on or behind a cycle (impossible for validated plans).
+func (g *graph) topoOrder() []int32 {
+	indeg := make([]int32, g.nodes)
+	for _, s := range g.succ {
+		indeg[s]++
 	}
-	order := make([]int, 0, g.nodes)
-	queue := make([]int, 0, g.nodes)
+	order := make([]int32, 0, g.nodes)
 	for v := 0; v < g.nodes; v++ {
 		if indeg[v] == 0 {
-			queue = append(queue, v)
+			order = append(order, int32(v))
 		}
 	}
-	seen := make([]bool, g.nodes)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		seen[v] = true
-		for _, s := range g.succ[v] {
+	// order doubles as the FIFO queue: entries before head are emitted.
+	for head := 0; head < len(order); head++ {
+		for _, s := range g.successors(int(order[head])) {
 			if indeg[s]--; indeg[s] == 0 {
-				queue = append(queue, s)
+				order = append(order, s)
 			}
 		}
 	}
-	acyclic := len(order) == g.nodes
-	for v := 0; v < g.nodes; v++ {
-		if !seen[v] {
-			order = append(order, v)
-		}
-	}
-	return order, acyclic
+	return order
 }
 
-// ordered reports whether the two job instances are happens-before
-// related (in either direction).
-func (g *graph) ordered(fa, a, fb, b int) bool {
-	na, nb := g.node(fa, a), g.node(fb, b)
-	return g.desc[na][nb/64]&(1<<(nb%64)) != 0 ||
-		g.desc[nb][na/64]&(1<<(na%64)) != 0
+// ordered reports whether job a of window frame 0 and job b of window
+// frame delta are happens-before related (in either direction).
+func (g *graph) ordered(a, delta, b int) bool {
+	nb := g.node(delta, b)
+	return g.desc[a*g.words+nb/64]&(1<<(nb%64)) != 0 ||
+		g.desc[nb*g.words+a/64]&(1<<(a%64)) != 0
 }
 
-// conflict is one structural conflict: two frame-job indices, the shared
-// resource (kind + name, joined lazily — only a witness ever renders the
-// string) and the operation labels.
-type conflict struct {
-	a, b       int
-	kind, name string
-	opA, opB   string
+// conflictSite is one shared resource and the frame-job indices that
+// access it: a process's own state (self; every instance pair of as = bs)
+// or an internal channel (writer instances as × reader instances bs).
+type conflictSite struct {
+	name   string
+	as, bs []int
+	self   bool
 }
 
 // checkConflicts enumerates the conflicting access pairs and queries the
-// closed graph. Pairs are checked smallest frame delta first so the
-// witness is minimal in window distance. The enumeration is streamed:
-// conflicts are regenerated from the network structure for every frame
-// delta instead of being materialized into a scratch slice — on job-heavy
-// plans that slice is quadratic in the per-frame job count and dominated
-// the verifier's footprint.
+// closed graph. Pairs at each frame distance are counted a bitset word at
+// a time; the witness is the first unordered pair in the enumeration order
+// smallest frame delta first, then sites (processes in ProcessNames order,
+// then channels), then instance pairs, so it is minimal in window distance.
+// Only the witness renders names.
 func (g *graph) checkConflicts() Verdict {
 	tg := g.tg
-	byProc := make(map[string][]int, len(tg.Net.ProcessNames()))
+	names := tg.Net.ProcessNames()
+	byProc := make(map[string][]int, len(names))
 	for i, j := range tg.Jobs {
 		byProc[j.Proc] = append(byProc[j.Proc], i)
 	}
-	names := tg.Net.ProcessNames()
-	chans := tg.Net.Channels()
+	var sites []conflictSite
+	for _, name := range names {
+		sites = append(sites, conflictSite{name: name, as: byProc[name], bs: byProc[name], self: true})
+	}
+	for _, c := range tg.Net.Channels() {
+		if c.Writer != c.Reader { // else ordered by the process's own job order
+			sites = append(sites, conflictSite{name: c.Name, as: byProc[c.Writer], bs: byProc[c.Reader]})
+		}
+	}
 
-	v := Verdict{RaceFree: true, Frames: g.w, Nodes: g.nodes, Edges: g.edges}
-	report := func(delta int, c conflict, swapped bool) {
-		v.Unordered++
-		if v.Witness != nil {
-			return
-		}
-		a := Access{Frame: 0, Job: c.a, Name: tg.Jobs[c.a].Name(), Proc: g.jobProc[c.a], Op: c.opA}
-		b := Access{Frame: delta, Job: c.b, Name: tg.Jobs[c.b].Name(), Proc: g.jobProc[c.b], Op: c.opB}
-		if swapped {
-			a, b = Access{Frame: 0, Job: c.b, Name: tg.Jobs[c.b].Name(), Proc: g.jobProc[c.b], Op: c.opB},
-				Access{Frame: delta, Job: c.a, Name: tg.Jobs[c.a].Name(), Proc: g.jobProc[c.a], Op: c.opA}
-		}
-		v.Witness = &Witness{Resource: c.kind + " " + c.name, A: a, B: b}
-	}
-	check := func(delta int, c conflict) {
-		if delta == 0 {
-			if c.a == c.b {
-				return // one instance is not a pair
-			}
-			v.Pairs++
-			if !g.ordered(0, c.a, 0, c.b) {
-				v.RaceFree = false
-				report(0, c, false)
-			}
-			return
-		}
-		// (0, a) against (delta, b) and (0, b) against (delta, a):
-		// with a frame shift these cover every instance pair of the
-		// conflict at this distance.
-		v.Pairs++
-		if !g.ordered(0, c.a, delta, c.b) {
-			v.RaceFree = false
-			report(delta, c, false)
-		}
-		if c.a != c.b {
-			v.Pairs++
-			if !g.ordered(0, c.b, delta, c.a) {
-				v.RaceFree = false
-				report(delta, c, true)
-			}
-		}
-	}
+	v := Verdict{RaceFree: true, Frames: g.w, Nodes: g.nodes, Edges: len(g.succ)}
+	mask := make([]uint64, g.words)
+	var first *conflictSite
+	firstDelta := 0
 	for delta := 0; delta < g.w; delta++ {
-		// Same-process shared state: every instance pair of a process.
-		for _, name := range names {
-			jobs := byProc[name]
-			for x := 0; x < len(jobs); x++ {
-				for y := x; y < len(jobs); y++ {
-					check(delta, conflict{
-						a: jobs[x], b: jobs[y],
-						kind: "process", name: name,
-						opA: "state", opB: "state",
-					})
-				}
+		for i := range sites {
+			s := &sites[i]
+			n, pairs := g.unordered(mask, s.as, s.bs, delta), len(s.as)*len(s.bs)
+			switch {
+			case s.self && delta == 0: // {a, b} and {b, a} are one pair
+				n, pairs = n/2, len(s.as)*(len(s.as)-1)/2
+			case delta > 0 && !s.self: // readers of frame 0 against writers of frame delta
+				n, pairs = n+g.unordered(mask, s.bs, s.as, delta), 2*pairs
 			}
+			if v.Unordered == 0 && n > 0 {
+				first, firstDelta = s, delta
+			}
+			v.Pairs += pairs
+			v.Unordered += n
 		}
-		// Internal channels: writer instance × reader instance.
-		for _, c := range chans {
-			if c.Writer == c.Reader {
-				continue // ordered by the process's own job order
-			}
-			for _, wj := range byProc[c.Writer] {
-				for _, rj := range byProc[c.Reader] {
-					check(delta, conflict{
-						a: wj, b: rj,
-						kind: "channel", name: c.Name,
-						opA: "writes", opB: "reads",
-					})
-				}
-			}
+	}
+	if first != nil {
+		v.RaceFree = false
+		a, b, swapped := g.witness(first, firstDelta)
+		resource, opA, opB := "channel ", "writes", "reads"
+		if first.self {
+			resource, opA, opB = "process ", "state", "state"
 		}
+		if swapped {
+			opA, opB = opB, opA
+		}
+		access := func(frame, i int, op string) Access {
+			return Access{Frame: frame, Job: i, Name: tg.Jobs[i].Name(), Proc: g.s.Assign[i].Proc, Op: op}
+		}
+		v.Witness = &Witness{Resource: resource + first.name, A: access(0, a, opA), B: access(firstDelta, b, opB)}
 	}
 	return v
+}
+
+// unordered counts the pairs of job a in frame 0 and job b in frame delta,
+// a ∈ as, b ∈ bs (a ≠ b at delta 0), that no happens-before path orders.
+// Each row of as is scanned a word at a time against the mask of bs in
+// frame delta; only the pairs the row does not reach need the reverse
+// lookup.
+func (g *graph) unordered(mask []uint64, as, bs []int, delta int) int {
+	clear(mask)
+	for _, b := range bs {
+		nb := g.node(delta, b)
+		mask[nb/64] |= 1 << (nb % 64)
+	}
+	lo, hi := delta*g.n/64, ((delta+1)*g.n+63)/64
+	n := 0
+	for _, a := range as {
+		row := g.desc[a*g.words:]
+		for k := lo; k < hi; k++ {
+			for m := mask[k] &^ row[k]; m != 0; m &= m - 1 {
+				nb := k*64 + bits.TrailingZeros64(m)
+				if nb != a && g.desc[nb*g.words+a/64]&(1<<(a%64)) == 0 {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// witness returns the site's first unordered pair at frame distance delta
+// in enumeration order: instance pairs (x ≤ y for a process), each checked
+// as (0, a) against (delta, b) and then, swapped, (0, b) against
+// (delta, a). With a frame shift these cover every instance pair of the
+// conflict at this distance.
+func (g *graph) witness(s *conflictSite, delta int) (a, b int, swapped bool) {
+	for x, a := range s.as {
+		bs := s.bs
+		if s.self {
+			bs = bs[x:]
+		}
+		for _, b := range bs {
+			if (delta > 0 || a != b) && !g.ordered(a, delta, b) {
+				return a, b, false
+			}
+			if delta > 0 && a != b && !g.ordered(b, delta, a) {
+				return b, a, true
+			}
+		}
+	}
+	panic("hb: counted an unordered pair that the enumeration does not reach")
 }

@@ -12,9 +12,11 @@ package integration
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/apps/fft"
 	"repro/internal/apps/fms"
 	"repro/internal/apps/signal"
@@ -173,4 +175,180 @@ func TestHBSoundOnRandomNetworks(t *testing.T) {
 			})
 		})
 	}
+}
+
+// assertHBMatchesReference compiles the schedule and demands that
+// hb.Verify return the rational reference verifier's verdict, every field
+// including the witness and the graph sizes.
+func assertHBMatchesReference(t *testing.T, s *sched.Schedule, uncovered bool) hb.Verdict {
+	t.Helper()
+	p, err := plan.CompileOpts(s, plan.CompileOptions{AllowUncoveredChannels: uncovered})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	got, want := hb.Verify(p), hbVerifyReference(p)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts diverge:\ngot:  %+v (witness %v)\nwant: %+v (witness %v)", got, got.Witness, want, want.Witness)
+	}
+	return got
+}
+
+// randomUncovered builds a random network whose channels get an FP edge
+// between their endpoints only half of the time, with heavy WCETs so that
+// multiprocessor schedules leave uncovered accesses unordered.
+func randomUncovered(rng *rand.Rand) *core.Network {
+	n := core.NewNetwork(fmt.Sprintf("uncovered-%d", rng.Int63()))
+	stub := core.BehaviorFunc(func(*core.JobContext) error { return nil })
+	procs := 2 + rng.Intn(4)
+	for i := 0; i < procs; i++ {
+		period := []int64{100, 200, 400}[rng.Intn(3)]
+		n.AddPeriodic(fmt.Sprintf("p%d", i), rational.Milli(period), rational.Milli(period),
+			rational.Milli(1+rng.Int63n(period/3)), stub)
+	}
+	for i := 0; i < procs; i++ {
+		for j := i + 1; j < procs; j++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			a, b := fmt.Sprintf("p%d", i), fmt.Sprintf("p%d", j)
+			if rng.Intn(3) == 0 {
+				n.ConnectInit(a, b, a+b, 0)
+			} else {
+				n.Connect(a, b, a+b, core.FIFO)
+			}
+			if rng.Intn(2) == 0 {
+				n.Priority(a, b)
+			}
+		}
+	}
+	return n
+}
+
+// TestHBMatchesReference pins the tick-gated verifier to the rational one
+// on the paper applications at 1–4 processors under every heuristic, on
+// random networks (some with deadline slack, so the window spans more
+// than two frames), on random networks with uncovered channels, and on
+// hand-built schedules whose same-process and cross-frame pairs go
+// unordered, where witnesses and unordered counts are exercised.
+func TestHBMatchesReference(t *testing.T) {
+	for _, name := range apps.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			net, err := apps.Build(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tg, err := taskgraph.Derive(net)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := 1; m <= 4; m++ {
+				for _, h := range sched.Heuristics {
+					s, err := sched.ListSchedule(tg, m, h)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertHBMatchesReference(t, s, false)
+				}
+			}
+		})
+	}
+	rng := rand.New(rand.NewSource(31337))
+	for trial := 0; trial < trialCount(t, 40); trial++ {
+		net := nettest.Random(rng, nettest.Options{})
+		// Deadline slack stretches the window past two frames.
+		slack := rational.Milli(int64(rng.Intn(4)) * 300)
+		tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{DeadlineSlack: slack})
+		if err != nil {
+			t.Fatalf("trial %d: derive: %v", trial, err)
+		}
+		s, err := sched.ListSchedule(tg, 1+rng.Intn(4), sched.Heuristics[rng.Intn(len(sched.Heuristics))])
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		assertHBMatchesReference(t, s, false)
+	}
+	races := 0
+	for trial := 0; trial < trialCount(t, 60); trial++ {
+		net := randomUncovered(rng)
+		tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{AllowUncoveredChannels: true})
+		if err != nil {
+			t.Fatalf("uncovered trial %d: derive: %v", trial, err)
+		}
+		s, err := sched.ListSchedule(tg, 1+rng.Intn(4), sched.Heuristics[rng.Intn(len(sched.Heuristics))])
+		if err != nil {
+			t.Fatalf("uncovered trial %d: %v", trial, err)
+		}
+		if v := assertHBMatchesReference(t, s, true); v.Unordered > 0 {
+			races++
+		}
+	}
+	if races == 0 {
+		t.Fatal("no uncovered network produced an unordered pair; the witness path went unchecked")
+	}
+	kinds := map[string]bool{}
+	for trial := 0; trial < trialCount(t, 60); trial++ {
+		tg, err := taskgraph.Derive(nettest.Random(rng, nettest.Options{}))
+		if err != nil {
+			t.Fatalf("hand-built trial %d: derive: %v", trial, err)
+		}
+		if v := assertHBMatchesReference(t, handBuiltSchedule(rng, tg, trial%3), false); v.Witness != nil {
+			kinds[fmt.Sprintf("%s delta=%d", v.Witness.A.Op, v.Witness.B.Frame)] = true
+		}
+	}
+	for _, k := range []string{"state delta=0", "writes delta=0", "state delta=1"} {
+		if !kinds[k] {
+			t.Errorf("no hand-built schedule produced a %q witness (got %v)", k, kinds)
+		}
+	}
+}
+
+// handBuiltSchedule returns an unvalidated schedule of a hand-built copy
+// of tg whose deadlines are stretched, so that same-process and
+// cross-frame pairs can go unordered. Mode 0 drops every precedence edge
+// and starts jobs at random instants, some between the timescale's ticks,
+// so chains and time separation can form cycles. Mode 1 keeps half of the
+// edges and starts jobs at their arrivals, so the chains agree with
+// precedence. Both stretch deadlines by 0, H/2 or H and use 1–4
+// processors. Mode 2 keeps every edge, gives each job its own processor
+// and stretches every deadline by H: every frame is ordered on its own,
+// and only cross-frame pairs can race.
+func handBuiltSchedule(rng *rand.Rand, tg *taskgraph.TaskGraph, mode int) *sched.Schedule {
+	n, h := len(tg.Jobs), tg.Hyperperiod
+	hand := &taskgraph.TaskGraph{
+		Net: tg.Net, Hyperperiod: h, ServerPeriod: tg.ServerPeriod, IncludeRight: tg.IncludeRight, User: tg.User,
+		Succ: make([][]int, n), Pred: make([][]int, n),
+	}
+	for _, j := range tg.Jobs {
+		c := *j
+		stretch := int64(2)
+		if mode < 2 {
+			stretch = int64(rng.Intn(3))
+		}
+		c.Deadline = c.Deadline.Add(h.MulInt(stretch).DivInt(2))
+		hand.Jobs = append(hand.Jobs, &c)
+	}
+	for _, e := range tg.Edges() {
+		if mode == 2 || (mode == 1 && rng.Intn(2) == 0) {
+			hand.Succ[e[0]] = append(hand.Succ[e[0]], e[1])
+			hand.Pred[e[1]] = append(hand.Pred[e[1]], e[0])
+		}
+	}
+	m := 1 + rng.Intn(4)
+	if mode == 2 {
+		m = n
+	}
+	s := &sched.Schedule{TG: hand, M: m, Assign: make([]sched.Assignment, n)}
+	for i, j := range hand.Jobs {
+		a := sched.Assignment{Proc: i, Start: j.Arrival}
+		if mode < 2 {
+			a.Proc = rng.Intn(m)
+		}
+		if mode == 0 {
+			a.Start = h.MulInt(int64(rng.Intn(8))).DivInt(8).Add(rational.New(int64(rng.Intn(3)), 7000))
+		}
+		s.Assign[i] = a
+	}
+	return s
 }

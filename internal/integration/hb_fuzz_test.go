@@ -72,3 +72,29 @@ func FuzzHBSoundVsConcurrentTrace(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHBMatchesReference compares hb.Verify with the rational reference
+// verifier on arbitrary seeds: random networks, covered or with uncovered
+// channels, scheduled on 1–4 processors by a random heuristic.
+func FuzzHBMatchesReference(f *testing.F) {
+	for seed := 0; seed < trialCount(f, 16); seed++ {
+		f.Add(int64(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		uncovered := seed%2 != 0
+		net := nettest.Random(rng, nettest.Options{})
+		if uncovered {
+			net = randomUncovered(rng)
+		}
+		tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{AllowUncoveredChannels: uncovered})
+		if err != nil {
+			t.Skip()
+		}
+		s, err := sched.ListSchedule(tg, 1+rng.Intn(4), sched.Heuristics[rng.Intn(len(sched.Heuristics))])
+		if err != nil {
+			t.Skip()
+		}
+		assertHBMatchesReference(t, s, uncovered)
+	})
+}

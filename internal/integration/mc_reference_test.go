@@ -26,15 +26,16 @@ func mcRunReference(mcs *mc.Schedule, cfg mc.Config) (*mc.Report, error) {
 	}
 	loTG := mcs.Lo.TG
 	hiTG := mcs.Hi.TG
-	loOrder, err := mcs.Lo.CombinedOrder()
+	loChains, hiChains := rationalProcessorOrder(mcs.Lo), rationalProcessorOrder(mcs.Hi)
+	loOrder, err := mcs.Lo.CombinedOrder(loChains)
 	if err != nil {
 		return nil, err
 	}
-	hiOrder, err := mcs.Hi.CombinedOrder()
+	hiOrder, err := mcs.Hi.CombinedOrder(hiChains)
 	if err != nil {
 		return nil, err
 	}
-	loPrev, hiPrev := mcs.Lo.ChainPrev(), mcs.Hi.ChainPrev()
+	loPrev, hiPrev := mcs.Lo.ChainPrev(loChains), mcs.Hi.ChainPrev(hiChains)
 	loOfHi := make([]int, len(hiTG.Jobs))
 	for i, j := range hiTG.Jobs {
 		loOfHi[i] = loTG.Job(j.Proc, j.K).Index

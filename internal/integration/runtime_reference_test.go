@@ -164,7 +164,8 @@ func runReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	order, err := s.CombinedOrder()
+	procOrder := rationalProcessorOrder(s)
+	order, err := s.CombinedOrder(procOrder)
 	if err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
@@ -177,8 +178,7 @@ func runReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, error) {
 	}
 
 	n := len(tg.Jobs)
-	procOrder := s.ProcessorOrder()
-	procChainPrev := s.ChainPrev() // previous job index on the same processor, or -1
+	procChainPrev := s.ChainPrev(procOrder) // previous job index on the same processor, or -1
 
 	report := &plan.Report{Schedule: s, Frames: cfg.Frames}
 	h := tg.Hyperperiod
@@ -469,7 +469,8 @@ func runConcurrentReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, e
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.CombinedOrder(); err != nil {
+	procOrder := rationalProcessorOrder(s)
+	if _, err := s.CombinedOrder(procOrder); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 	machine, err := core.NewMachine(tg.Net, core.MachineOptions{Inputs: cfg.Inputs})
@@ -479,7 +480,6 @@ func runConcurrentReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, e
 
 	n := len(tg.Jobs)
 	clock := newVclock(s.M)
-	procOrder := s.ProcessorOrder()
 	key := func(frame, index int) int64 { return int64(frame)*int64(n) + int64(index) }
 
 	var dataMu sync.Mutex // serializes Machine access between processors

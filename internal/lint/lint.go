@@ -24,6 +24,7 @@ import (
 	"repro/internal/feas"
 	"repro/internal/hb"
 	"repro/internal/staticflow"
+	"repro/internal/taskgraph"
 )
 
 // Severity ranks findings. Higher is worse.
@@ -210,9 +211,11 @@ type context struct {
 	bufferProfile *staticflow.BufferProfile // nil when skipped or failed
 	suggestTried  bool                      // FP completion computed
 	suggest       []staticflow.Suggestion
-	feasTried     bool         // schedulability suite attempted
-	feasRep       *feas.Report // nil when skipped or failed
-	jobsTried     bool         // frame job estimate computed
+	tgTried       bool                 // task graph derived
+	tg            *taskgraph.TaskGraph // nil when the derivation failed
+	feasTried     bool                 // schedulability suite attempted
+	feasRep       *feas.Report         // nil when skipped or failed
+	jobsTried     bool                 // frame job estimate computed
 	jobsVal       int64
 	jobsOK        bool
 	hbTried       bool        // happens-before verification attempted

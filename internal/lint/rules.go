@@ -617,6 +617,17 @@ func runFPSuggestions(c *context, r Rule) {
 // feas CLI surface, not the vet pass.
 const maxFeasJobs = 512
 
+// taskGraph lazily derives the task graph feasReport and hbVerdict share
+// (hbVerdict derives its own only for FP-coverage gaps, when feasReport
+// does not run); nil when the derivation fails.
+func (c *context) taskGraph() *taskgraph.TaskGraph {
+	if !c.tgTried {
+		c.tgTried = true
+		c.tg, _ = taskgraph.Derive(c.net)
+	}
+	return c.tg
+}
+
 // feasReport lazily derives the task graph and runs the schedulability
 // suite at the assumed capacity. nil silently skips FPPN018/FPPN019:
 // ill-formed networks (the error rules already fired), frames beyond
@@ -638,8 +649,8 @@ func (c *context) feasReport() *feas.Report {
 				rep = nil
 			}
 		}()
-		tg, err := taskgraph.Derive(c.net)
-		if err != nil {
+		tg := c.taskGraph()
+		if tg == nil {
 			return nil
 		}
 		r, err := feas.Analyze(tg, c.opts.Processors, feas.Options{})
@@ -744,8 +755,13 @@ func (c *context) hbVerdict() *hb.Verdict {
 				v = nil
 			}
 		}()
-		tg, err := taskgraph.DeriveOpts(c.net, taskgraph.Options{AllowUncoveredChannels: uncovered})
-		if err != nil {
+		var tg *taskgraph.TaskGraph
+		if uncovered {
+			tg, _ = taskgraph.DeriveOpts(c.net, taskgraph.Options{AllowUncoveredChannels: true})
+		} else {
+			tg = c.taskGraph()
+		}
+		if tg == nil {
 			return nil
 		}
 		s, err := sched.FindFeasible(tg, c.opts.Processors)

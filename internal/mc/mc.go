@@ -95,6 +95,17 @@ type Schedule struct {
 	loPrev, hiPrev   []int
 }
 
+// staticOrder returns a schedule's chain predecessors and combined
+// order, from one processor-order sort.
+func staticOrder(s *sched.Schedule) (prev, order []int, err error) {
+	chains, err := s.ProcessorOrder()
+	if err != nil {
+		return nil, nil, err
+	}
+	order, err = s.CombinedOrder(chains)
+	return s.ChainPrev(chains), order, err
+}
+
 // Build validates the specification, derives both task graphs and finds
 // feasible schedules for both modes on m processors.
 func Build(net *core.Network, spec Spec, m int) (*Schedule, error) {
@@ -157,8 +168,6 @@ func Build(net *core.Network, spec Spec, m int) (*Schedule, error) {
 		loOfHi: make([]int, len(hiTG.Jobs)),
 		isHi:   make([]bool, len(loTG.Jobs)),
 		pid:    make([]int, len(loTG.Jobs)),
-		loPrev: sLo.ChainPrev(),
-		hiPrev: sHi.ChainPrev(),
 	}
 	if mcs.lo, err = plan.Compile(sLo); err != nil {
 		return nil, fmt.Errorf("mc: LO schedule: %w", err)
@@ -167,10 +176,10 @@ func Build(net *core.Network, spec Spec, m int) (*Schedule, error) {
 		mcs.isHi[i] = spec.Level(j.Proc) == HI
 		mcs.pid[i] = mcs.lo.Compiled().ProcID(j.Proc)
 	}
-	if mcs.loOrder, err = sLo.CombinedOrder(); err != nil {
+	if mcs.loPrev, mcs.loOrder, err = staticOrder(sLo); err != nil {
 		return nil, fmt.Errorf("mc: LO schedule: %w", err)
 	}
-	if mcs.hiOrder, err = sHi.CombinedOrder(); err != nil {
+	if mcs.hiPrev, mcs.hiOrder, err = staticOrder(sHi); err != nil {
 		return nil, fmt.Errorf("mc: HI schedule: %w", err)
 	}
 	for i, j := range hiTG.Jobs {

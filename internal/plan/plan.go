@@ -478,18 +478,16 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 	}
 	n := len(tg.Jobs)
 	p := &Plan{
-		S:             s,
-		tg:            tg,
-		cn:            cn,
-		inv:           it,
-		n:             n,
-		ticks:         jt,
-		hTicks:        hTicks,
-		procOrder:     s.ProcessorOrder(),
-		procChainPrev: s.ChainPrev(),
-		jobProc:       make([]int, n),
-		jobPid:        make([]int, n),
-		jobName:       make([]string, n),
+		S:       s,
+		tg:      tg,
+		cn:      cn,
+		inv:     it,
+		n:       n,
+		ticks:   jt,
+		hTicks:  hTicks,
+		jobProc: make([]int, n),
+		jobPid:  make([]int, n),
+		jobName: make([]string, n),
 	}
 	for i, j := range tg.Jobs {
 		p.wcetTicks += jt.WCET[i]
@@ -502,7 +500,11 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		}
 		p.jobPid[i] = pid
 	}
-	if p.order, err = s.CombinedOrder(); err != nil {
+	if p.procOrder, err = s.ProcessorOrder(); err != nil {
+		return nil, fmt.Errorf("rt: %w", err)
+	}
+	p.procChainPrev = s.ChainPrev(p.procOrder)
+	if p.order, err = s.CombinedOrder(p.procOrder); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 	// Related-pid lists for pipelined cross-frame precedence, in
@@ -537,3 +539,11 @@ func (p *Plan) TaskGraph() *taskgraph.TaskGraph { return p.tg }
 
 // Compiled returns the interned network the plan executes against.
 func (p *Plan) Compiled() *core.CompiledNet { return p.cn }
+
+// Ticks returns the task graph's tick table (shared, read-only) and the
+// hyperperiod H on its timescale; every compiled plan has both.
+func (p *Plan) Ticks() (*taskgraph.JobTicks, int64) { return p.ticks, p.hTicks }
+
+// ProcessorOrder returns the static chains the plan replays, from its one
+// sched.Schedule.ProcessorOrder call (shared, read-only).
+func (p *Plan) ProcessorOrder() [][]int { return p.procOrder }

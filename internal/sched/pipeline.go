@@ -70,7 +70,10 @@ func (s *Schedule) ValidatePipelined() error {
 	reps := makespan.Div(h).Ceil() // how many shifted copies can overlap
 
 	// Processor mutual exclusion across repetitions.
-	byProc := s.ProcessorOrder()
+	byProc, err := s.ProcessorOrder()
+	if err != nil {
+		return err
+	}
 	for p, jobs := range byProc {
 		for _, i := range jobs {
 			for _, j := range jobs {

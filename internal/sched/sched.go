@@ -11,6 +11,7 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -120,14 +121,25 @@ func (s *Schedule) Misses() []Miss {
 // and a start that fits no refinement within the rational.MaxTick guard is
 // itself a violation naming the job.
 func (s *Schedule) Validate() error {
+	jt, startT, err := s.startTicks()
+	if err != nil {
+		return err
+	}
+	return validateTicks(s, jt, startT)
+}
+
+// startTicks lowers the start times onto the task graph's timescale (or
+// its coarsest refinement holding every start) and returns the tick table
+// on that scale with the starts in ticks.
+func (s *Schedule) startTicks() (*taskgraph.JobTicks, []int64, error) {
 	tg := s.TG
 	n := len(tg.Jobs)
 	if len(s.Assign) != n {
-		return fmt.Errorf("sched: %d assignments for %d jobs", len(s.Assign), n)
+		return nil, nil, fmt.Errorf("sched: %d assignments for %d jobs", len(s.Assign), n)
 	}
 	jt, err := tg.Ticks()
 	if err != nil {
-		return fmt.Errorf("sched: %w", err)
+		return nil, nil, fmt.Errorf("sched: %w", err)
 	}
 	startT := make([]int64, n)
 	for i, a := range s.Assign {
@@ -138,20 +150,24 @@ func (s *Schedule) Validate() error {
 				starts[k] = s.Assign[k].Start
 			}
 			if jt, startT, err = tg.TicksWithStarts(starts); err != nil {
-				return fmt.Errorf("sched: %w", err)
+				return nil, nil, fmt.Errorf("sched: %w", err)
 			}
 			break
 		}
 		startT[i] = t
 	}
-	return validateTicks(s, jt, startT)
+	return jt, startT, nil
 }
 
 // ProcessorOrder returns, for each processor, the job indices in start-time
-// order — the static order the online policy of Section IV executes.
-func (s *Schedule) ProcessorOrder() [][]int {
-	// The chains share one backing array, cut to exact per-processor
-	// capacities: the runtime compiler calls this several times per plan.
+// order — the static order the online policy of Section IV executes —
+// comparing starts in ticks; it fails where Validate cannot lower them.
+func (s *Schedule) ProcessorOrder() ([][]int, error) {
+	_, startT, err := s.startTicks()
+	if err != nil {
+		return nil, err
+	}
+	// The chains share one backing array, cut to exact capacities.
 	n := len(s.TG.Jobs)
 	byProc := make([][]int, s.M)
 	count := make([]int, s.M)
@@ -171,24 +187,20 @@ func (s *Schedule) ProcessorOrder() [][]int {
 		byProc[p] = append(byProc[p], i)
 	}
 	for _, jobs := range byProc {
-		slices.SortFunc(jobs, func(a, b int) int {
-			if c := s.Assign[a].Start.Cmp(s.Assign[b].Start); c != 0 {
-				return c
-			}
-			return a - b
-		})
+		// Stable: start ties keep index order.
+		slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(startT[a], startT[b]) })
 	}
-	return byProc
+	return byProc, nil
 }
 
 // ChainPrev returns, for each job index, the previous job on the same
-// processor in static order, or -1 for the first job of a chain.
-func (s *Schedule) ChainPrev() []int {
+// processor in the chains from ProcessorOrder, or -1 for a chain's first.
+func (s *Schedule) ChainPrev(chains [][]int) []int {
 	prev := make([]int, len(s.TG.Jobs))
 	for i := range prev {
 		prev[i] = -1
 	}
-	for _, chain := range s.ProcessorOrder() {
+	for _, chain := range chains {
 		for i := 1; i < len(chain); i++ {
 			prev[chain[i]] = chain[i-1]
 		}
@@ -197,11 +209,11 @@ func (s *Schedule) ChainPrev() []int {
 }
 
 // CombinedOrder returns a topological order of the frame's jobs with
-// respect to precedence edges plus per-processor static chains, taking the
-// smallest ready index first. It fails if the static schedule contradicts
-// the precedence constraints; the error carries no package prefix, so the
-// runtime that rejects the schedule names itself.
-func (s *Schedule) CombinedOrder() ([]int, error) {
+// respect to precedence edges plus the static chains from ProcessorOrder,
+// taking the smallest ready index first. It fails if the static schedule
+// contradicts the precedence constraints; the error carries no package
+// prefix, so the runtime that rejects the schedule names itself.
+func (s *Schedule) CombinedOrder(chains [][]int) ([]int, error) {
 	tg := s.TG
 	n := len(tg.Jobs)
 	adj := make([][]int, n)
@@ -213,7 +225,7 @@ func (s *Schedule) CombinedOrder() ([]int, error) {
 	for _, e := range tg.Edges() {
 		add(e[0], e[1])
 	}
-	for _, chain := range s.ProcessorOrder() {
+	for _, chain := range chains {
 		for i := 1; i < len(chain); i++ {
 			add(chain[i-1], chain[i])
 		}

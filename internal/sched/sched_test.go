@@ -103,7 +103,10 @@ func TestProcessorOrderSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := s.ProcessorOrder()
+	order, err := s.ProcessorOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != 2 {
 		t.Fatalf("%d processor rows", len(order))
 	}
@@ -251,10 +254,14 @@ func TestListSchedulePropertyStructural(t *testing.T) {
 					t.Fatalf("trial %d %v: arrival violated", trial, h)
 				}
 			}
+			chains, err := s.ProcessorOrder()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for p := 0; p < m; p++ {
 				var prevEnd Time
 				first := true
-				for _, i := range s.ProcessorOrder()[p] {
+				for _, i := range chains[p] {
 					if !first && s.Assign[i].Start.Less(prevEnd) {
 						t.Fatalf("trial %d %v: overlap on processor %d", trial, h, p)
 					}

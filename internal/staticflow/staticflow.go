@@ -33,7 +33,10 @@
 package staticflow
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -130,15 +133,87 @@ func (p *BufferProfile) Unbalanced() []string {
 	return out
 }
 
-// chanEffect precomputes what one job of a process does to one channel.
+// sweepJob is one job of the zero-delay order <_J: process pid (index into
+// net.Processes()) of FP rank rank, at offset (k/n)·h into frame frame.
+type sweepJob struct {
+	pid, rank, frame int
+	k, n             int64
+}
+
+// cmpJobs orders jobs by frame, then offset, compared by exact 128-bit
+// cross-multiplication, then FP rank. It ties only identical burst jobs.
+func cmpJobs(a, b sweepJob) int {
+	ah, al := bits.Mul64(uint64(a.k), uint64(b.n))
+	bh, bl := bits.Mul64(uint64(b.k), uint64(a.n))
+	switch {
+	case a.frame != b.frame:
+		return a.frame - b.frame
+	case ah != bh:
+		return cmp.Compare(ah, bh)
+	case al != bl:
+		return cmp.Compare(al, bl)
+	}
+	return a.rank - b.rank
+}
+
+// jobOrder returns the zero-delay job order of the network's first frames
+// frames of length h. Burst k of periodic process p falls at k·h/n_p with
+// n_p = h/T_p, so one raw frame's periodic order is sorted once, without a
+// common tick (a stable sort, which merges the per-process runs cheaply),
+// and replayed every frame; sporadic event jobs are merged in by the same
+// exact comparison. Event validation and its error texts are
+// core.SporadicEvents'.
+func jobOrder(net *core.Network, h Time, frames int, events map[string][]Time) ([]sweepJob, error) {
+	procs := net.Processes()
+	times, err := core.SporadicEvents(net, procs, h.MulInt(int64(frames)), events)
+	if err != nil {
+		return nil, err
+	}
+	rank, err := net.LinearExtension(-1)
+	if err != nil {
+		return nil, err
+	}
+	var raw, evs []sweepJob
+	for pid, p := range procs {
+		r := rank[p.Name]
+		if p.Gen.Kind == core.Periodic {
+			n := h.Div(p.Period()).Num()
+			for k := int64(0); k < n; k++ {
+				for b := 0; b < p.Burst(); b++ {
+					raw = append(raw, sweepJob{pid: pid, rank: r, k: k, n: n})
+				}
+			}
+		}
+		for _, t := range times[pid] {
+			f := t.FloorDiv(h)
+			off := t.Sub(h.MulInt(f)).Div(h)
+			evs = append(evs, sweepJob{pid: pid, rank: r, frame: int(f), k: off.Num(), n: off.Den()})
+		}
+	}
+	slices.SortStableFunc(raw, cmpJobs)
+	jobs := make([]sweepJob, 0, frames*len(raw)+len(evs))
+	for f := 0; f < frames; f++ {
+		for _, j := range raw {
+			j.frame = f
+			jobs = append(jobs, j)
+		}
+	}
+	if len(evs) > 0 {
+		jobs = append(jobs, evs...)
+		slices.SortStableFunc(jobs, cmpJobs)
+	}
+	return jobs, nil
+}
+
+// chanEffect is one write of a job: the channel index and the index of
+// the gating read in the process's read list, or -1 (unconditional).
 type chanEffect struct {
-	ch      *core.Channel
-	gateIdx int // index into the process's read list, or -1 (unconditional)
+	ch, gateIdx int
 }
 
 // procEffects is the per-process token footprint of one job.
 type procEffects struct {
-	reads  []*core.Channel
+	reads  []int
 	writes []chanEffect
 }
 
@@ -158,82 +233,63 @@ func Buffers(net *core.Network, frames int, events map[string][]Time) (*BufferPr
 	if err != nil {
 		return nil, err
 	}
-	horizon := h.MulInt(int64(frames))
-	invs, err := core.GenerateInvocations(net, horizon, events)
+	jobs, err := jobOrder(net, h, frames, events)
 	if err != nil {
 		return nil, err
 	}
-	rank, err := net.LinearExtension(-1)
-	if err != nil {
-		return nil, err
-	}
-	jobs := core.JobSequence(net, invs, rank)
 
 	profile := &BufferProfile{
 		Hyperperiod: h,
 		Frames:      frames,
 		channels:    make(map[string]*ChannelBounds),
 	}
-	for _, c := range net.Channels() {
+	// Interpreter state by channel index: occupancy, blackboard init.
+	chans := net.Channels()
+	cid := make(map[string]int, len(chans))
+	cbs := make([]*ChannelBounds, len(chans))
+	occ := make([]int, len(chans))
+	initialized := make([]bool, len(chans))
+	for i, c := range chans {
 		cb := &ChannelBounds{
 			Name: c.Name, Kind: c.Kind, Writer: c.Writer, Reader: c.Reader,
 			Produced: make([]int, frames), Consumed: make([]int, frames),
 		}
 		profile.channels[c.Name] = cb
 		profile.order = append(profile.order, c.Name)
+		cid[c.Name] = i
+		cbs[i] = cb
+		initialized[i] = c.Kind == core.Blackboard && c.HasInitial
 	}
 	sort.Strings(profile.order)
 
-	// Interpreter state: FIFO occupancy and blackboard initialization.
-	occ := make(map[string]int, len(profile.channels))
-	initialized := make(map[string]bool)
-	for _, c := range net.Channels() {
-		if c.Kind == core.Blackboard && c.HasInitial {
-			initialized[c.Name] = true
-		}
-	}
-
 	// Per-process token effects, resolved once.
-	effects := make(map[string]*procEffects, len(net.Processes()))
-	maxReads := 0
-	for _, p := range net.Processes() {
-		e := &procEffects{}
+	procs := net.Processes()
+	effects := make([]procEffects, len(procs))
+	for pid, p := range procs {
 		if p.Behavior == nil || p.Behavior == core.NopBehavior {
-			effects[p.Name] = e // declared no-op: touches no channels
-			continue
+			continue // declared no-op: touches no channels
 		}
+		e := &effects[pid]
 		for _, name := range p.Inputs() {
-			e.reads = append(e.reads, net.Channel(name))
+			e.reads = append(e.reads, cid[name])
 		}
 		for _, name := range p.Outputs() {
-			c := net.Channel(name)
-			w := chanEffect{ch: c, gateIdx: -1}
-			if c.WriteGatedBy != "" {
-				for i, rc := range e.reads {
-					if rc.Name == c.WriteGatedBy {
-						w.gateIdx = i
-						break
-					}
-				}
+			w := chanEffect{ch: cid[name], gateIdx: -1}
+			if g, ok := cid[chans[w.ch].WriteGatedBy]; ok {
+				w.gateIdx = slices.Index(e.reads, g)
 			}
 			e.writes = append(e.writes, w)
 		}
-		if len(e.reads) > maxReads {
-			maxReads = len(e.reads)
-		}
-		effects[p.Name] = e
 	}
 
 	frame := 0
-	readOK := make([]bool, maxReads)
-	nextBoundary := h
+	readOK := make([]bool, len(chans)) // a job reads each channel at most once
 	recordBoundary := func() {
-		for _, name := range profile.order {
-			cb := profile.channels[name]
-			backlog := occ[name]
+		for i, cb := range cbs {
+			backlog := occ[i]
 			if cb.Kind == core.Blackboard {
 				backlog = 0
-				if initialized[name] {
+				if initialized[i] {
 					backlog = 1
 				}
 			}
@@ -242,25 +298,23 @@ func Buffers(net *core.Network, frames int, events map[string][]Time) (*BufferPr
 	}
 
 	for _, j := range jobs {
-		for nextBoundary.LessEq(j.Time) {
+		for ; frame < j.frame; frame++ {
 			recordBoundary()
-			nextBoundary = nextBoundary.Add(h)
-			frame++
 		}
-		e := effects[j.Proc]
+		e := &effects[j.pid]
 		for i, c := range e.reads {
-			if c.Kind == core.Blackboard {
-				readOK[i] = initialized[c.Name]
+			cb := cbs[c]
+			if cb.Kind == core.Blackboard {
+				readOK[i] = initialized[c]
 				continue
 			}
-			o := occ[c.Name]
+			o := occ[c]
 			readOK[i] = o > 0
-			cb := profile.channels[c.Name]
-			if c.DrainReads {
-				occ[c.Name] = 0
+			if chans[c].DrainReads {
+				occ[c] = 0
 				cb.Consumed[frame] += o
 			} else if o > 0 {
-				occ[c.Name] = o - 1
+				occ[c] = o - 1
 				cb.Consumed[frame]++
 			}
 		}
@@ -269,43 +323,32 @@ func Buffers(net *core.Network, frames int, events map[string][]Time) (*BufferPr
 				continue
 			}
 			c := w.ch
-			cb := profile.channels[c.Name]
+			cb := cbs[c]
 			cb.Produced[frame]++
-			if c.Kind == core.Blackboard {
-				initialized[c.Name] = true
+			if cb.Kind == core.Blackboard {
+				initialized[c] = true
 				continue
 			}
-			occ[c.Name]++
-			if occ[c.Name] > cb.HighWater {
-				cb.HighWater = occ[c.Name]
-			}
+			occ[c]++
+			cb.HighWater = max(cb.HighWater, occ[c])
 		}
 	}
-	for !horizon.Less(nextBoundary) {
+	for ; frame < frames; frame++ {
 		recordBoundary()
-		nextBoundary = nextBoundary.Add(h)
 	}
 
-	for _, name := range profile.order {
-		cb := profile.channels[name]
+	for i, cb := range cbs {
 		if cb.Kind == core.Blackboard {
-			if initialized[name] {
+			if initialized[i] {
 				cb.HighWater = 1
 			}
 			continue
 		}
-		backlog := cb.EndOfFrameBacklog
-		if len(backlog) < 2 {
-			continue
+		b := cb.EndOfFrameBacklog
+		cb.Unbalanced = len(b) >= 2 && b[len(b)-1] > b[0]
+		for i := 1; i < len(b); i++ {
+			cb.Unbalanced = cb.Unbalanced && b[i] > b[i-1]
 		}
-		growing := true
-		for i := 1; i < len(backlog); i++ {
-			if backlog[i] <= backlog[i-1] {
-				growing = false
-				break
-			}
-		}
-		cb.Unbalanced = growing && backlog[len(backlog)-1] > backlog[0]
 	}
 	return profile, nil
 }

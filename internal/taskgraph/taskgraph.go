@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -66,7 +67,7 @@ type Job struct {
 }
 
 // Name returns the paper's p[k] notation.
-func (j *Job) Name() string { return fmt.Sprintf("%s[%d]", j.Proc, j.K) }
+func (j *Job) Name() string { return j.Proc + "[" + strconv.FormatInt(j.K, 10) + "]" }
 
 // String renders the node like Fig. 3: "p[k] (A,D,C)" in milliseconds.
 func (j *Job) String() string {
@@ -306,7 +307,7 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tm.Jobs > maxFrameJobs {
+	if tm.Jobs > MaxFrameJobs {
 		return nil, &TimescaleError{Kind: "network", Subject: net.Name,
 			Reason: fmt.Sprintf("its hyperperiod %vs holds more than 2^20 jobs", tm.Hyperperiod)}
 	}

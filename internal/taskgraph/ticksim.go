@@ -21,7 +21,7 @@ import (
 
 // rankBits packs an invocation's FP' rank into the low bits of its sort
 // key: key = t<<rankBits | rank. Ranks are a permutation of the processes
-// and the frame has at most maxFrameJobs = 2^20 jobs (hence processes), so
+// and the frame has at most MaxFrameJobs = 2^20 jobs (hence processes), so
 // 20 bits always hold the rank; t is guarded to 2^40, so the packed key
 // stays within int64 and sorting the keys IS the (t, rank) lexicographic
 // sort — over plain int64s, which slices.Sort handles without the

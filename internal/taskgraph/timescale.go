@@ -10,7 +10,7 @@ package taskgraph
 // whose timing does not fit (the common denominator overflows, a value
 // exceeds the rational.MaxTick guard) is rejected up front with a
 // *TimescaleError: taskgraph.Derive fails with it and lint reports it as
-// FPPN021. Derive also rejects frames of more than maxFrameJobs jobs, a
+// FPPN021. Derive also rejects frames of more than MaxFrameJobs jobs, a
 // size lint already flags as the FPPN012 hyperperiod blow-up.
 
 import (
@@ -20,11 +20,11 @@ import (
 	"repro/internal/rational"
 )
 
-// maxFrameJobs bounds the jobs of one frame. With every value within
+// MaxFrameJobs bounds the jobs of one frame; Derive rejects larger frames. With every value within
 // rational.MaxTick = 2^40 ticks, sums of one value per job stay below
 // 2^60; the bound also keeps the FP' rank inside the rankBits field of the
 // simulation's packed sort key.
-const maxFrameJobs = 1 << 20
+const MaxFrameJobs = 1 << 20
 
 // TimescaleError reports timing that does not fit the integer timescale.
 type TimescaleError struct {
@@ -54,7 +54,7 @@ type Timing struct {
 	// processes), d_p and C_p, in ticks.
 	Period, Deadline, WCET []int64
 	// Jobs is the frame's job count Σ_p m_p · H/T'_p, or some count
-	// beyond maxFrameJobs when the frame is larger than that.
+	// beyond MaxFrameJobs when the frame is larger than that.
 	Jobs int
 }
 
@@ -133,7 +133,7 @@ func lowerTiming(net *core.Network, serverPeriod map[string]Time, deadlineSlack 
 	}
 	tm.Horizon = h + slack
 	for pi, p := range procs {
-		if tm.Jobs += int(h/tm.Period[pi]) * p.Burst(); tm.Jobs > maxFrameJobs {
+		if tm.Jobs += int(h/tm.Period[pi]) * p.Burst(); tm.Jobs > MaxFrameJobs {
 			break // counted far enough for the frame-size guard
 		}
 	}
@@ -196,7 +196,7 @@ func (tg *TaskGraph) TicksWithStarts(starts []Time) (*JobTicks, []int64, error) 
 // nil, holds one start time per job, lowered into the second result.
 func lowerJobs(name string, jobs []*Job, tick Time, starts []Time) (*JobTicks, []int64, error) {
 	n := len(jobs)
-	if n > maxFrameJobs {
+	if n > MaxFrameJobs {
 		return nil, nil, &TimescaleError{Kind: "network", Subject: name,
 			Reason: fmt.Sprintf("its %d jobs exceed 2^20", n)}
 	}
