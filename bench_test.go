@@ -280,8 +280,8 @@ func BenchmarkHBVerifyFMS(b *testing.B) {
 }
 
 // BenchmarkFig7FMSCompile measures the compile stage alone: interning,
-// invocation tables, the processor-order sort and the static buffer sweep
-// for preallocation. BenchmarkFig7FMSCompileAndRun adds one replay.
+// invocation tables and the processor-order sort.
+// BenchmarkFig7FMSCompileAndRun adds one replay.
 func BenchmarkFig7FMSCompile(b *testing.B) {
 	s, _ := fmsRunFixture(b)
 	b.ReportAllocs()

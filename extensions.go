@@ -49,8 +49,7 @@ type (
 // writer writes only when its read of the named input succeeded in the
 // same job); a process whose behaviour is core.NopBehavior touches no
 // channel. The bounds are exact for behaviours that follow their declared
-// profile. Lint rule FPPN014 and the runtime's FIFO preallocation read the
-// same analysis.
+// profile. Lint rule FPPN014 reads the same analysis.
 func BufferBounds(net *Network, frames int, events map[string][]Time) (*BufferReport, error) {
 	return staticflow.Buffers(net, frames, events)
 }

@@ -78,7 +78,7 @@ var retainerTypes = map[string]map[string]retainerSpec{
 // state.
 type frozenWrite struct {
 	pos  token.Pos
-	expr string // rendered LHS, e.g. "p.capFrames"
+	expr string // rendered LHS, e.g. "p.jobProc[i]"
 	typ  string // the frozen type written through, e.g. "plan.Plan"
 	src  string // for alias findings: the rendered frozen-rooted value
 }
@@ -335,7 +335,7 @@ func deepFrozenRef(e ast.Expr, frozen map[string]string, retainer map[string]ret
 }
 
 // lhsRoot unwraps an assignment target to its base identifier and the
-// selector/index chain applied to it: p.capFIFO[k] -> (p, [".capFIFO",
+// selector/index chain applied to it: p.jobProc[i] -> (p, [".jobProc",
 // "[…]"]). A nil base or empty chain means the target is not a mutation
 // through a tracked value.
 func lhsRoot(lhs ast.Expr) (*ast.Ident, []string) {

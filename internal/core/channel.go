@@ -88,10 +88,9 @@ type channelState interface {
 }
 
 // fifoState implements channelState with queue semantics over a ring
-// buffer. When the backing storage is pre-sized to the channel's static
-// high-water bound (see MachineOptions.FIFOCapacity), steady-state
-// execution never allocates; an underestimated capacity only costs a
-// doubling copy, never correctness.
+// buffer. The ring starts empty and doubles when full; reset keeps the
+// storage, so a pooled machine reaches the channel's high-water occupancy
+// once and steady-state replay of the same run never allocates.
 type fifoState struct {
 	buf  []Value
 	head int

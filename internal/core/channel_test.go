@@ -51,9 +51,13 @@ func TestFIFOSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-// Property: a FIFO preserves order and multiplicity (queue axioms).
+// Property: a FIFO preserves order and multiplicity (queue axioms), both
+// when filled before draining and under interleaved reads, writes and
+// resets checked against a slice model. The interleaved case is what makes
+// the ring wrap, so it also covers grow copying out a ring whose head is
+// not at index 0.
 func TestFIFOQueueProperty(t *testing.T) {
-	prop := func(values []int) bool {
+	fillThenDrain := func(values []int) bool {
 		f := &fifoState{}
 		for _, v := range values {
 			f.write(v)
@@ -67,8 +71,58 @@ func TestFIFOQueueProperty(t *testing.T) {
 		_, ok := f.read()
 		return !ok
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(fillThenDrain, nil); err != nil {
 		t.Error(err)
+	}
+
+	wrappedGrowths := 0
+	// Each op byte is a reset (op%8 == 7), a read (op%3 == 0) or a write
+	// of the op's position.
+	interleaved := func(ops []byte) bool {
+		f := &fifoState{}
+		var model []int
+		for i, op := range ops {
+			switch {
+			case op%8 == 7:
+				f.reset()
+				model = model[:0]
+			case op%3 == 0:
+				v, ok := f.read()
+				if ok != (len(model) > 0) || ok && v.(int) != model[0] {
+					return false
+				}
+				if ok {
+					model = model[1:]
+				}
+			default:
+				if f.n == len(f.buf) && f.head != 0 {
+					wrappedGrowths++
+				}
+				f.write(i)
+				model = append(model, i)
+			}
+			snap := f.snapshot()
+			if f.len() != len(model) || len(snap) != len(model) {
+				return false
+			}
+			for k, v := range snap {
+				if v.(int) != model[k] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	// Three writes, two reads, five writes: the fourth of the last writes
+	// finds the 4-slot ring full with head at 2.
+	if !interleaved([]byte{1, 1, 1, 0, 0, 1, 1, 1, 1, 1}) {
+		t.Error("wrapped-growth sequence broke queue order")
+	}
+	if err := quick.Check(interleaved, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+	if wrappedGrowths == 0 {
+		t.Error("no write grew a wrapped ring")
 	}
 }
 

@@ -21,15 +21,6 @@ type MachineOptions struct {
 	Inputs map[string][]Value
 	// RecordTrace enables action-trace recording.
 	RecordTrace bool
-	// FIFOCapacity pre-sizes the ring storage of named FIFO channels,
-	// typically from staticflow high-water bounds. All pre-sized rings
-	// are carved from one contiguous block; channels without an entry
-	// (or whose bound is exceeded at run time) grow on demand.
-	FIFOCapacity map[string]int
-	// OutputCapacity pre-sizes the sample slice of named external output
-	// channels (a capacity hint; exceeding it falls back to append
-	// growth).
-	OutputCapacity map[string]int
 }
 
 // Machine executes jobs of a validated Network against shared channel
@@ -56,7 +47,6 @@ type Machine struct {
 	// first write of the next run takes it back — steady-state replay
 	// re-creates the same key set without allocating.
 	outPool map[string][]Sample
-	outCap  map[string]int
 	trace   Trace
 	record  bool
 	floats  cellArena[float64] // recycled cells behind JobContext.BoxFloat
@@ -94,32 +84,23 @@ func NewMachineCompiled(cn *CompiledNet, opts MachineOptions) (*Machine, error) 
 		record:    opts.RecordTrace,
 	}
 	m.ctx.m = m
-	// Channel states live in two contiguous pools (one per kind), and all
-	// pre-sized FIFO rings share one backing block: machine construction
-	// costs a fixed number of allocations regardless of channel count.
-	fifoCount, ringTotal := 0, 0
+	// Channel states live in two contiguous pools (one per kind): machine
+	// construction costs a fixed number of allocations regardless of
+	// channel count. FIFO rings start empty and grow on demand.
+	fifoCount := 0
 	for _, c := range cn.chans {
 		if c.Kind == FIFO {
 			fifoCount++
-			ringTotal += opts.FIFOCapacity[c.Name]
 		}
 	}
 	fifos := make([]fifoState, fifoCount)
 	boards := make([]blackboardState, len(cn.chans)-fifoCount)
-	var ring []Value
-	if ringTotal > 0 {
-		ring = make([]Value, ringTotal)
-	}
 	fi, bi := 0, 0
 	for cid, c := range cn.chans {
 		switch c.Kind {
 		case FIFO:
-			f := &fifos[fi]
+			m.chans[cid] = &fifos[fi]
 			fi++
-			if capa := opts.FIFOCapacity[c.Name]; capa > 0 {
-				f.buf, ring = ring[:capa:capa], ring[capa:]
-			}
-			m.chans[cid] = f
 		case Blackboard:
 			b := &boards[bi]
 			bi++
@@ -130,7 +111,6 @@ func NewMachineCompiled(cn *CompiledNet, opts MachineOptions) (*Machine, error) 
 			m.chans[cid] = newChannelState(c) // panics on unknown kinds
 		}
 	}
-	m.outCap = opts.OutputCapacity
 	for pid, p := range cn.procs {
 		b := p.behavior()
 		if c, ok := b.(Cloner); ok {
@@ -150,9 +130,8 @@ func NewMachineCompiled(cn *CompiledNet, opts MachineOptions) (*Machine, error) 
 // reuses one machine with zero per-run allocations.
 //
 // Behaviors are re-Init-ed, relying on the same contract as construction:
-// Init fully resets behavior state. FIFOCapacity hints in opts are ignored
-// (the rings already exist and grow on demand); Inputs, OutputCapacity and
-// RecordTrace are applied as in NewMachineCompiled.
+// Init fully resets behavior state. Inputs and RecordTrace are applied as
+// in NewMachineCompiled.
 func (m *Machine) Reset(opts MachineOptions) error {
 	for ch := range opts.Inputs {
 		if _, ok := m.cn.net.extIn[ch]; !ok {
@@ -176,7 +155,6 @@ func (m *Machine) Reset(opts MachineOptions) error {
 	m.floats.reset()
 	m.ints.reset()
 	m.inputs = opts.Inputs
-	m.outCap = opts.OutputCapacity
 	m.record = opts.RecordTrace
 	if m.record {
 		m.trace = m.trace[:0]
@@ -474,13 +452,8 @@ func (c *JobContext) WriteOutput(channel string, v Value) {
 	out := c.m.outputs[channel]
 	if out == nil {
 		// First write: recycle the storage parked by Reset if this channel
-		// was written in a previous run, else apply the capacity hint so a
-		// correctly sized hint means the sample slice never reallocates.
-		if pooled, ok := c.m.outPool[channel]; ok {
-			out = pooled[:0]
-		} else if capa := c.m.outCap[channel]; capa > 0 {
-			out = make([]Sample, 0, capa)
-		}
+		// was written in a previous run.
+		out = c.m.outPool[channel]
 	}
 	c.m.outputs[channel] = append(out, Sample{K: c.k, Time: c.now, Value: v})
 	if c.m.record {

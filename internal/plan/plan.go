@@ -26,7 +26,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rational"
 	"repro/internal/sched"
-	"repro/internal/staticflow"
 	"repro/internal/taskgraph"
 )
 
@@ -424,18 +423,7 @@ type Plan struct {
 	// relPids[pid] lists the pids FP'-related to pid (including itself),
 	// for the pipelined cross-frame precedence rule.
 	relPids [][]int
-	// buffers is the eventless two-frame static buffer profile, used by
-	// RunState to preallocate FIFO rings and output slices in
-	// Run/RunConcurrent. nil when the sweep was skipped (oversized
-	// frame); capacities are hints only, so execution is identical
-	// either way.
-	buffers *staticflow.BufferProfile
 }
-
-// maxProfiledFrameJobs skips the compile-time buffer sweep on frames too
-// large to enumerate twice more; preallocation is an optimization, not a
-// requirement.
-const maxProfiledFrameJobs = 100_000
 
 // Compile lowers a static schedule into an execution plan. It validates
 // the network once (interning it), checks the schedule against the
@@ -521,15 +509,6 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		}
 		slices.Sort(rel)
 		p.relPids[a] = rel
-	}
-	// Static buffer profile for FIFO/output preallocation. The sweep is
-	// eventless (the plan is compiled before any event schedule exists),
-	// so sporadic writers may push occupancy past the hint at run time —
-	// harmless, because capacities are hints and rings grow on demand.
-	if n <= maxProfiledFrameJobs {
-		if prof, err := staticflow.Buffers(tg.Net, 2, nil); err == nil {
-			p.buffers = prof
-		}
 	}
 	return p, nil
 }

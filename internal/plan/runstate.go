@@ -6,13 +6,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/staticflow"
 )
 
 // RunState is the per-run mutable execution context of a compiled plan.
 // A Plan is immutable after Compile and safe to share between goroutines;
-// everything a run mutates lives here: the frame-keyed capacity hints, the
-// pooled data machine, and the arenas the planner and report writer fill.
+// everything a run mutates lives here: the pooled data machine and the
+// arenas the planner and report writer fill.
 // A RunState is NOT safe for concurrent use: give each goroutine its own.
 //
 // Reusing one RunState across runs is the steady-state replay path: after
@@ -35,15 +34,10 @@ type RunState struct {
 	// pool exactly once.
 	released uint32
 
-	// Capacity maps are cached per frame count: the maps are read-only
-	// for the machine, so repeated runs of the same frame count share
-	// them instead of rebuilding two maps per run.
-	capFrames int
-	capFIFO   map[string]int
-	capOut    map[string]int
-
 	// machine is the pooled data machine: built on the first run,
-	// Reset (not reconstructed) on every following one.
+	// Reset (not reconstructed) on every following one, so its FIFO
+	// rings and output sample slices keep the size the largest past run
+	// grew them to.
 	machine *core.Machine
 	// scratch holds the invocation planner's arenas (flat plan, event
 	// spans, sort buffer).
@@ -79,7 +73,7 @@ type RunState struct {
 // one-shot callers can use the Plan.Run / Plan.RunConcurrent conveniences,
 // which allocate a RunState per call.
 func (p *Plan) NewRunState() *RunState {
-	return &RunState{p: p, capFrames: -1}
+	return &RunState{p: p}
 }
 
 // Plan returns the immutable compiled plan this state executes.
@@ -93,7 +87,7 @@ func (rs *RunState) Plan() *Plan { return rs.p }
 // it back into an owner's free pool a second time.
 func (rs *RunState) Reset() {
 	released := atomic.LoadUint32(&rs.released)
-	*rs = RunState{p: rs.p, capFrames: -1}
+	*rs = RunState{p: rs.p}
 	atomic.StoreUint32(&rs.released, released)
 }
 
@@ -120,22 +114,6 @@ func (rs *RunState) Released() bool {
 	return atomic.LoadUint32(&rs.released) == 1
 }
 
-// capacities returns the FIFO ring and external-output capacity hints for
-// a run of the given frame count, rebuilding the cached maps when the
-// frame count changes.
-func (rs *RunState) capacities(frames int) (fifo, output map[string]int) {
-	p := rs.p
-	if p.buffers == nil {
-		return nil, nil
-	}
-	if rs.capFrames != frames {
-		rs.capFIFO = p.buffers.FIFOCapacities(frames)
-		rs.capOut = staticflow.OutputCapacities(p.tg.Net, frames)
-		rs.capFrames = frames
-	}
-	return rs.capFIFO, rs.capOut
-}
-
 // prepare is the prelude both engines share: it checks the run, plans its
 // invocations, lowers its timing onto rs.timing and resets the pooled
 // machine.
@@ -153,12 +131,9 @@ func (rs *RunState) prepare(engine string, cfg Config, recordTrace bool) ([]JobP
 	if err := rs.p.lowerRun(&rs.timing, flat, cfg); err != nil {
 		return nil, nil, err
 	}
-	fifoCap, outCap := rs.capacities(cfg.Frames)
 	machine, err := rs.acquireMachine(core.MachineOptions{
-		Inputs:         cfg.Inputs,
-		RecordTrace:    recordTrace,
-		FIFOCapacity:   fifoCap,
-		OutputCapacity: outCap,
+		Inputs:      cfg.Inputs,
+		RecordTrace: recordTrace,
 	})
 	return flat, machine, err
 }

@@ -538,7 +538,7 @@ func TestCommonScaleOverflow(t *testing.T) {
 	}
 	// A representable scale whose tick conversion overflows for a large
 	// numerator must fail in Ticks, not panic.
-	sc, ok := CommonScale([]Rat{New(1, 1 << 20)})
+	sc, ok := CommonScale([]Rat{New(1, 1<<20)})
 	if !ok {
 		t.Fatal("small scale rejected")
 	}

@@ -46,8 +46,8 @@ type Entry struct {
 	metrics *Metrics
 
 	// mu guards the frames-keyed sub-caches below. Pools are bucketed by
-	// frame count so a recycled RunState's frame-keyed capacity cache and
-	// arena sizes match the next request of the same shape — states never
+	// frame count so a recycled RunState's arena, ring and output-slice
+	// sizes match the next request of the same shape — states never
 	// ping-pong between frame counts.
 	mu     sync.Mutex
 	pools  map[int]*sync.Pool
@@ -65,7 +65,7 @@ const (
 
 // AcquireState checks a RunState for the given frame count out of the
 // entry's free pool, creating one when the pool is empty. Warm states
-// carry their arenas and frame-keyed capacity hints from previous runs, so
+// carry their arenas, FIFO rings and output slices from previous runs, so
 // steady-state requests replay on the zero-alloc path.
 func (e *Entry) AcquireState(frames int) *plan.RunState {
 	e.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -457,6 +458,51 @@ func TestRequestValidation(t *testing.T) {
 	s.ServeHTTP(w, r)
 	if w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /compile: status %d, want 405", w.Code)
+	}
+}
+
+// TestRequestBodyCap pins the body cap on every POST endpoint: a body of
+// exactly maxRequestBody bytes is served, one byte more is refused with
+// 413 and counted in Errors (whether the JSON value itself or trailing
+// bytes after it cross the cap), and the server keeps serving.
+func TestRequestBodyCap(t *testing.T) {
+	t.Parallel()
+	s := newTestServer(t, Options{})
+	// paddedValue pads a string field so the JSON value itself is n bytes
+	// long; trailing pads an n-byte body with spaces after a short value.
+	paddedValue := func(n int) []byte {
+		head, tail := `{"app":"signal","pad":"`, `"}`
+		return []byte(head + strings.Repeat("x", n-len(head)-len(tail)) + tail)
+	}
+	trailing := func(n int) []byte {
+		value := `{"app":"signal"}`
+		return []byte(value + strings.Repeat(" ", n-len(value)))
+	}
+	send := func(path string, body []byte) int {
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, r)
+		return w.Code
+	}
+	paths := []string{"/compile", "/simulate", "/analyze"}
+	for _, path := range paths {
+		for _, body := range []struct {
+			name string
+			make func(int) []byte
+		}{{"value", paddedValue}, {"trailing", trailing}} {
+			if code := send(path, body.make(maxRequestBody)); code != http.StatusOK {
+				t.Errorf("%s %s body at the cap: status %d, want 200", path, body.name, code)
+			}
+			if code := send(path, body.make(maxRequestBody+1)); code != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s %s body one byte over the cap: status %d, want 413", path, body.name, code)
+			}
+		}
+		if code := post(t, s, path, map[string]any{"app": "signal"}, nil); code != http.StatusOK {
+			t.Errorf("%s after oversized bodies: status %d, want 200", path, code)
+		}
+	}
+	if got, want := s.metrics.Errors.Load(), int64(2*len(paths)); got != want {
+		t.Fatalf("Errors = %d, want %d", got, want)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -167,12 +168,13 @@ func errorStatus(err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// instrument wraps a handler with request/error counting and the
-// endpoint's latency histogram.
+// instrument wraps a handler with request/error counting, the endpoint's
+// latency histogram and the request body cap.
 func (s *Server) instrument(h *Histogram, fn func(r *http.Request) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.metrics.Requests.Add(1)
+		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 		resp, err := fn(r)
 		h.Observe(time.Since(start))
 		if err != nil {
@@ -230,9 +232,25 @@ type jobRequest struct {
 	Concurrent bool `json:"concurrent"`
 }
 
+// maxRequestBody caps every POST body (413 beyond it). It is far above
+// any legitimate request, including one carrying sporadic events for
+// MaxFrames frames.
+const maxRequestBody = 1 << 20
+
 func decodeRequest(r *http.Request) (*jobRequest, error) {
 	var req jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	err := json.NewDecoder(r.Body).Decode(&req)
+	if err == nil {
+		// Read to the end so the cap applies to the whole body, not only
+		// to the JSON value at its start.
+		_, err = io.Copy(io.Discard, r.Body)
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return nil, &apiError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	if err != nil {
 		return nil, badRequest("bad request body: %v", err)
 	}
 	if req.M == 0 {

@@ -1,7 +1,7 @@
 // Package staticflow computes dataflow facts of an FPPN model in closed
 // form, without executing any process behaviour. It is the module's one
-// buffer analysis: fppn.BufferBounds, cmd/fppnc -buffers, the lint rules
-// FPPN014–017 and plan.Compile's FIFO preallocation all read it.
+// buffer analysis: fppn.BufferBounds, cmd/fppnc -buffers and the lint
+// rules FPPN014–017 all read it.
 //
 //   - Buffers sweeps the zero-delay job order symbolically — counting
 //     tokens instead of moving values — and returns, per channel, exact
@@ -351,54 +351,4 @@ func Buffers(net *core.Network, frames int, events map[string][]Time) (*BufferPr
 		}
 	}
 	return profile, nil
-}
-
-// FIFOCapacities extrapolates the swept occupancy profile to a run of
-// the given number of frames and returns a ring-capacity hint per FIFO
-// channel, suitable for core.MachineOptions.FIFOCapacity. Balanced
-// channels keep their observed high-water mark; channels whose backlog
-// grows by Δ per frame get Δ·(frames − swept) extra slots. The hints
-// trade exactness for closed form — an undershoot only costs the
-// machine a ring-doubling copy.
-func (p *BufferProfile) FIFOCapacities(frames int) map[string]int {
-	out := make(map[string]int, len(p.channels))
-	for name, cb := range p.channels {
-		if cb.Kind != core.FIFO || cb.HighWater == 0 {
-			continue
-		}
-		capa := cb.HighWater
-		if n := len(cb.EndOfFrameBacklog); frames > p.Frames && n >= 2 {
-			if delta := cb.EndOfFrameBacklog[n-1] - cb.EndOfFrameBacklog[n-2]; delta > 0 {
-				capa += delta * (frames - p.Frames)
-			}
-		}
-		out[name] = capa
-	}
-	return out
-}
-
-// OutputCapacities returns a per-external-output sample-count upper
-// bound for a run of the given number of frames: the attached process's
-// jobs per frame times frames (conditional writers may emit fewer;
-// the hint is a capacity, not a length). Sporadic writers are bounded
-// by their (m, T) event constraint.
-func OutputCapacities(net *core.Network, frames int) map[string]int {
-	h, err := core.Hyperperiod(net, nil)
-	if err != nil {
-		return nil
-	}
-	out := make(map[string]int)
-	for _, p := range net.Processes() {
-		if len(p.ExternalOutputs()) == 0 {
-			continue
-		}
-		if p.Period().Sign() <= 0 {
-			continue
-		}
-		jobsPerFrame := int(h.Div(p.Period()).Ceil()) * p.Burst()
-		for _, ch := range p.ExternalOutputs() {
-			out[ch] = jobsPerFrame * frames
-		}
-	}
-	return out
 }
