@@ -13,6 +13,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/rational"
 )
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -462,21 +466,25 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestRequestBodyCap pins the body cap on every POST endpoint: a body of
-// exactly maxRequestBody bytes is served, one byte more is refused with
-// 413 and counted in Errors (whether the JSON value itself or trailing
-// bytes after it cross the cap), and the server keeps serving.
+// exactly the cap is served, one byte more is refused with 413 and counted
+// in Errors (whether the JSON value itself or trailing bytes after it
+// cross the cap), and the server keeps serving. The cap follows MaxFrames,
+// so a small MaxFrames keeps the bodies small.
 func TestRequestBodyCap(t *testing.T) {
 	t.Parallel()
-	s := newTestServer(t, Options{})
+	s := newTestServer(t, Options{MaxFrames: 2})
+	if want := int64(requestBodyBase + 2*requestBodyPerFrame); s.maxBody != want {
+		t.Fatalf("maxBody = %d, want %d", s.maxBody, want)
+	}
 	// paddedValue pads a string field so the JSON value itself is n bytes
 	// long; trailing pads an n-byte body with spaces after a short value.
-	paddedValue := func(n int) []byte {
+	paddedValue := func(n int64) []byte {
 		head, tail := `{"app":"signal","pad":"`, `"}`
-		return []byte(head + strings.Repeat("x", n-len(head)-len(tail)) + tail)
+		return []byte(head + strings.Repeat("x", int(n)-len(head)-len(tail)) + tail)
 	}
-	trailing := func(n int) []byte {
+	trailing := func(n int64) []byte {
 		value := `{"app":"signal"}`
-		return []byte(value + strings.Repeat(" ", n-len(value)))
+		return []byte(value + strings.Repeat(" ", int(n)-len(value)))
 	}
 	send := func(path string, body []byte) int {
 		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
@@ -488,12 +496,12 @@ func TestRequestBodyCap(t *testing.T) {
 	for _, path := range paths {
 		for _, body := range []struct {
 			name string
-			make func(int) []byte
+			make func(int64) []byte
 		}{{"value", paddedValue}, {"trailing", trailing}} {
-			if code := send(path, body.make(maxRequestBody)); code != http.StatusOK {
+			if code := send(path, body.make(s.maxBody)); code != http.StatusOK {
 				t.Errorf("%s %s body at the cap: status %d, want 200", path, body.name, code)
 			}
-			if code := send(path, body.make(maxRequestBody+1)); code != http.StatusRequestEntityTooLarge {
+			if code := send(path, body.make(s.maxBody+1)); code != http.StatusRequestEntityTooLarge {
 				t.Errorf("%s %s body one byte over the cap: status %d, want 413", path, body.name, code)
 			}
 		}
@@ -504,6 +512,100 @@ func TestRequestBodyCap(t *testing.T) {
 	if got, want := s.metrics.Errors.Load(), int64(2*len(paths)); got != want {
 		t.Fatalf("Errors = %d, want %d", got, want)
 	}
+}
+
+// TestRequestBodyCapAdmitsDenseEvents sends an fms /simulate over many
+// frames with every sporadic process at its full (m, T) rate in all but
+// the last frame (events there would be handled after the run): a legal
+// request whose body is larger than a fixed 1 MiB cap would allow. Under
+// the default MaxFrames it must be served.
+func TestRequestBodyCapAdmitsDenseEvents(t *testing.T) {
+	t.Parallel()
+	const frames = 256
+	s := newTestServer(t, Options{})
+	net, frame := fmsFrame(t)
+	events := denseEvents(net, rational.Zero, frame.MulInt(frames-1))
+	body, err := json.Marshal(map[string]any{"app": "fms", "frames": frames, "events": events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 1<<20 {
+		t.Fatalf("dense body is %d bytes; raise frames so it passes 1 MiB", len(body))
+	}
+	r := httptest.NewRequest(http.MethodPost, "/simulate", bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, r)
+	if w.Code != http.StatusOK {
+		t.Fatalf("%d-byte fms /simulate over %d frames: status %d, want 200\n%s",
+			len(body), frames, w.Code, w.Body.String())
+	}
+}
+
+// TestRequestBodyPerFrameCoversFMS checks the per-frame allowance against
+// the densest frame the registry allows: fms, whose seven sporadic
+// processes fire at their full (m, T) rate from the frame start, at the
+// last frame of the default MaxFrames (the longest time stamps), written
+// as exact rationals.
+func TestRequestBodyPerFrameCoversFMS(t *testing.T) {
+	t.Parallel()
+	net, frame := fmsFrame(t)
+	last := int64(Options{}.withDefaults().MaxFrames - 1)
+	events := denseEvents(net, frame.MulInt(last), frame.MulInt(last+1))
+	body, err := json.Marshal(map[string]any{"events": events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > requestBodyPerFrame {
+		t.Fatalf("one dense fms frame is %d bytes, over the %d-byte per-frame allowance",
+			len(body), requestBodyPerFrame)
+	}
+}
+
+// fmsFrame loads fms and returns its network and frame length: the
+// hyperperiod with each sporadic process at its user's period.
+func fmsFrame(t *testing.T) (*core.Network, rational.Rat) {
+	t.Helper()
+	m, err := cli.LoadModel("fms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := make(map[string]core.Time)
+	for _, p := range m.Net.Processes() {
+		if p.IsSporadic() {
+			u, err := m.Net.UserOf(p.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			users[p.Name] = u.Period()
+		}
+	}
+	frame, err := core.Hyperperiod(m.Net, users)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Net, frame
+}
+
+// denseEvents fires every sporadic process of net at its full (m, T)
+// rate over [from, to): a burst of m events 1 ms apart at the start of
+// each period, the periods anchored at from.
+func denseEvents(net *core.Network, from, to rational.Rat) map[string][]string {
+	out := make(map[string][]string)
+	for _, p := range net.Processes() {
+		if !p.IsSporadic() {
+			continue
+		}
+		var times []string
+		for start := from; start.Less(to); start = start.Add(p.Gen.Period) {
+			for j := 0; j < p.Gen.Burst; j++ {
+				if t := start.Add(rational.Milli(int64(j))); t.Less(to) {
+					times = append(times, t.String())
+				}
+			}
+		}
+		out[p.Name] = times
+	}
+	return out
 }
 
 // TestEvictionUnderTinyBudget forces the cost budget down until inserting

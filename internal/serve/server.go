@@ -86,6 +86,8 @@ type Server struct {
 	// registry is finite, so this cache never needs eviction.
 	modelsMu sync.Mutex
 	models   map[string]*cli.Model
+
+	maxBody int64 // POST body cap, see requestBodyBase
 }
 
 // NewServer returns a ready-to-serve handler.
@@ -96,6 +98,7 @@ func NewServer(opts Options) *Server {
 		start:   time.Now(),
 		models:  make(map[string]*cli.Model),
 	}
+	s.maxBody = requestBodyBase + requestBodyPerFrame*int64(s.opts.MaxFrames)
 	s.cache = newCache(s.opts.CacheBudget, s.metrics)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /compile", s.instrument(&s.metrics.CompileLatency, s.handleCompile))
@@ -174,7 +177,7 @@ func (s *Server) instrument(h *Histogram, fn func(r *http.Request) (any, error))
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.metrics.Requests.Add(1)
-		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 		resp, err := fn(r)
 		h.Observe(time.Since(start))
 		if err != nil {
@@ -232,10 +235,19 @@ type jobRequest struct {
 	Concurrent bool `json:"concurrent"`
 }
 
-// maxRequestBody caps every POST body (413 beyond it). It is far above
-// any legitimate request, including one carrying sporadic events for
-// MaxFrames frames.
-const maxRequestBody = 1 << 20
+// Every POST body is capped (413 beyond the cap) at requestBodyBase plus
+// requestBodyPerFrame for each of the MaxFrames frames a /simulate may ask
+// for, so the cap follows the frame bound the server already enforces.
+// The base covers a request without events; the per-frame allowance
+// covers one frame of the densest legal sporadic event list of every
+// loadable model. That is fms: 585 events per 10 s frame, 7.9 KB of
+// JSON as exact rationals at frame 4095, about half the allowance
+// (TestRequestBodyPerFrameCoversFMS). Scale models have no sporadic
+// processes. The default cap is 64 MiB + 64 KiB.
+const (
+	requestBodyBase     = 64 << 10
+	requestBodyPerFrame = 16 << 10
+)
 
 func decodeRequest(r *http.Request) (*jobRequest, error) {
 	var req jobRequest
