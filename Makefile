@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build test test-cpu vet vet-custom analyze race fuzz bench bench-json bench-serve bench-analyzers bench-compare experiments serve smoke golden-update lint-golden-update fppnlint-golden-update
+.PHONY: all build test test-cpu vet vet-custom analyze race fuzz bench bench-json bench-serve bench-analyzers bench-compare experiments serve smoke golden-update lint-golden-update fppnlint-golden-update programs-golden-update
 
 all: build vet vet-custom analyze test
 
@@ -59,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzDeriveTickMatchesRational -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzPlanRunStateReuse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzMCMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzJobOrderMatchesReference -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...
@@ -122,3 +123,8 @@ lint-golden-update:
 # planted-bug fixture module after an intended diagnostics change.
 fppnlint-golden-update:
 	$(GO) test ./cmd/fppnlint-go -run TestGoldenReports -update
+
+# Rewrite the golden standard outputs of cmd/experiments and every
+# example after an intended output change.
+programs-golden-update:
+	$(GO) test . -run TestProgramOutputs -update

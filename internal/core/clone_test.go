@@ -62,49 +62,3 @@ func TestCloneRunsIdentically(t *testing.T) {
 		t.Errorf("clone behaves differently: %s", DiffSamples(a.Outputs, b.Outputs))
 	}
 }
-
-// TestGenerateInvocationsCounts: the number of invocations of a periodic
-// process over [0, n·T) is exactly n·burst for any parameters.
-func TestGenerateInvocationsCounts(t *testing.T) {
-	for _, tc := range []struct {
-		period int64
-		burst  int
-		mult   int64
-	}{
-		{100, 1, 7}, {200, 2, 3}, {50, 3, 5}, {700, 2, 2},
-	} {
-		n := NewNetwork("count")
-		n.AddMultiPeriodic("p", tc.burst, ms(tc.period), ms(tc.period), ms(1), nil)
-		horizon := ms(tc.period * tc.mult)
-		invs, err := GenerateInvocations(n, horizon, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, inv := range invs {
-			total += len(inv.Procs)
-		}
-		want := int(tc.mult) * tc.burst
-		if total != want {
-			t.Errorf("T=%d m=%d over %d periods: %d invocations, want %d",
-				tc.period, tc.burst, tc.mult, total, want)
-		}
-	}
-}
-
-// TestInvocationTimesSortedAndMerged: instants are strictly increasing and
-// no two instants share a time stamp.
-func TestInvocationTimesSortedAndMerged(t *testing.T) {
-	n := buildFig1(t)
-	invs, err := GenerateInvocations(n, ms(1400), map[string][]Time{
-		"CoefB": {ms(100), ms(150)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(invs); i++ {
-		if !invs[i-1].Time.Less(invs[i].Time) {
-			t.Fatalf("instants not strictly increasing at %d", i)
-		}
-	}
-}

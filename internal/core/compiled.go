@@ -47,18 +47,8 @@ type CompiledNet struct {
 	// sporadicPid lists the pids of sporadic processes.
 	sporadicPid []int
 
-	// fpSucc[hi] lists the pids lo with an FP edge hi -> lo, in
-	// lo-name order (the tie-break order of LinearExtension).
-	fpSucc  [][]int
-	fpIndeg []int
-
-	// defaultRank caches LinearExtension(seed < 0).
+	// defaultRank caches Network.FPRank(-1).
 	defaultRank []int
-
-	// hyper memoizes Hyperperiod(net, nil); hyperErr records the failure
-	// if the raw periods are unusable (never for a validated network).
-	hyper    Time
-	hyperErr error
 }
 
 // CompileNetwork validates the network and builds its interned form. The
@@ -141,33 +131,11 @@ func CompileNetworkOpts(net *Network, opts CompileOptions) (*CompiledNet, error)
 		}
 	}
 
-	// Interned FP graph. Successor lists are sorted by the successor's
-	// name so LinearExtension's unblocked queue reproduces the legacy
-	// (name-sorted) tie-break order exactly.
-	cn.fpSucc = make([][]int, n)
-	cn.fpIndeg = make([]int, n)
-	for hi, los := range net.fp {
-		hiID := cn.procID[hi]
-		for lo := range los {
-			loID := cn.procID[lo]
-			cn.fpSucc[hiID] = append(cn.fpSucc[hiID], loID)
-			cn.fpIndeg[loID]++
-		}
-	}
-	for pid := range cn.fpSucc {
-		succ := cn.fpSucc[pid]
-		sort.Slice(succ, func(a, b int) bool {
-			return cn.procs[succ[a]].Name < cn.procs[succ[b]].Name
-		})
-	}
-
-	rank, err := cn.linearExtension(-1)
+	rank, err := net.FPRank(-1)
 	if err != nil {
 		return nil, err
 	}
 	cn.defaultRank = rank
-
-	cn.hyper, cn.hyperErr = Hyperperiod(net, nil)
 	return cn, nil
 }
 
@@ -188,100 +156,41 @@ func (cn *CompiledNet) ProcID(name string) int {
 // ProcName returns the name of the process with the given id.
 func (cn *CompiledNet) ProcName(pid int) string { return cn.procs[pid].Name }
 
-// Hyperperiod returns the memoized LCM of the raw process periods.
-func (cn *CompiledNet) Hyperperiod() (Time, error) { return cn.hyper, cn.hyperErr }
-
-// linearExtension computes a rank per pid forming a total order extending
-// the FP DAG, reproducing Network.LinearExtension exactly: seed < 0 breaks
-// ties by insertion order, seed >= 0 pseudo-randomly via splitmix64.
-func (cn *CompiledNet) linearExtension(seed int64) ([]int, error) {
-	if seed < 0 && cn.defaultRank != nil {
-		return cn.defaultRank, nil
-	}
-	n := len(cn.procs)
-	indeg := make([]int, n)
-	copy(indeg, cn.fpIndeg)
-	var rng *splitmix64
-	if seed >= 0 {
-		rng = newSplitmix64(uint64(seed))
-	}
-	ready := make([]int, 0, n)
-	for pid := 0; pid < n; pid++ {
-		if indeg[pid] == 0 {
-			ready = append(ready, pid)
-		}
-	}
-	rank := make([]int, n)
-	for i := range rank {
-		rank[i] = -1
-	}
-	next := 0
-	for len(ready) > 0 {
-		i := 0
-		if rng != nil {
-			i = rng.Intn(len(ready))
-		}
-		pid := ready[i]
-		ready = append(ready[:i], ready[i+1:]...)
-		rank[pid] = next
-		next++
-		// fpSucc is name-sorted, so unblocked pids append in the legacy
-		// tie-break order.
-		for _, lo := range cn.fpSucc[pid] {
-			indeg[lo]--
-			if indeg[lo] == 0 {
-				ready = append(ready, lo)
-			}
-		}
-	}
-	if next != n {
-		return nil, fmt.Errorf("core: functional priority graph has a cycle")
-	}
-	return rank, nil
-}
-
 // RunZeroDelay executes the compiled network under the zero-delay
 // semantics over [0, horizon) — the interned fast path behind the
 // string-keyed core.RunZeroDelay facade. Repeated calls share all compile
 // work (validation, interning, the default FP linear extension).
 func (cn *CompiledNet) RunZeroDelay(horizon Time, opts ZeroDelayOptions) (*ZeroDelayResult, error) {
-	entries, err := jobEntries(cn.net, cn.procs, horizon, opts.SporadicEvents)
-	if err != nil {
-		return nil, err
-	}
-	rank, err := cn.linearExtension(opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// The legacy pipeline sorts invocations by (time, process name),
-	// then orders simultaneous jobs by (rank, name). Ranks are a total
-	// order over processes, so sorting by (time, rank) directly yields
-	// the same <_J sequence; the stable sort keeps burst jobs of one
-	// process adjacent and in emission order.
-	sort.SliceStable(entries, func(i, j int) bool {
-		if c := entries[i].t.Cmp(entries[j].t); c != 0 {
-			return c < 0
+	rank := cn.defaultRank
+	if opts.Seed >= 0 {
+		var err error
+		if rank, err = cn.net.FPRank(opts.Seed); err != nil {
+			return nil, err
 		}
-		return rank[entries[i].pid] < rank[entries[j].pid]
-	})
+	}
+	return cn.RunRanked(horizon, rank, opts)
+}
 
+// RunRanked is RunZeroDelay with simultaneous jobs ordered by rank, one
+// entry per process (a permutation; lower runs first), in place of a
+// linear extension of FP; opts.Seed is not read. With a rank that does not
+// extend FP it runs an order the zero-delay semantics do not allow, which
+// is how the uniprocessor baseline shows a priority assignment diverging.
+func (cn *CompiledNet) RunRanked(horizon Time, rank []int, opts ZeroDelayOptions) (*ZeroDelayResult, error) {
+	order, err := JobOrder(cn.net, rank, horizon, opts.SporadicEvents)
+	if err != nil {
+		return nil, err
+	}
+	jobs := order.Refs()
 	m, err := NewMachineCompiled(cn, MachineOptions{Inputs: opts.Inputs, RecordTrace: opts.RecordTrace})
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]JobRef, 0, len(entries))
-	counts := make([]int64, len(cn.procs))
-	var lastTime Time
-	first := true
-	for _, e := range entries {
-		if first || !e.t.Equal(lastTime) {
-			m.Wait(e.t)
-			lastTime = e.t
-			first = false
+	for i, j := range jobs {
+		if i == 0 || !j.Time.Equal(jobs[i-1].Time) {
+			m.Wait(j.Time)
 		}
-		counts[e.pid]++
-		jobs = append(jobs, JobRef{Proc: cn.procs[e.pid].Name, K: counts[e.pid], Time: e.t})
-		if err := m.ExecJobID(e.pid, e.t); err != nil {
+		if err := m.ExecJobID(order.Jobs[i].Pid, j.Time); err != nil {
 			return nil, fmt.Errorf("core: zero-delay run of %q: %w", cn.net.Name, err)
 		}
 	}

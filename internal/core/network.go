@@ -321,67 +321,27 @@ func (n *Network) ValidateSchedulable() error {
 	return joinProblems(append(n.Problems(), n.SchedulableProblems()...))
 }
 
-// TopoOrder returns the processes in a topological order of the FP DAG,
-// with ties broken by insertion order. It returns an error naming a cycle
-// if FP is cyclic.
+// TopoOrder returns the processes in the default linear extension of the
+// FP DAG (see PriorityOrder). It returns an error naming the processes on
+// or behind a cycle if FP is cyclic.
 func (n *Network) TopoOrder() ([]string, error) {
-	indeg := make(map[string]int, len(n.procOrder))
-	for _, p := range n.procOrder {
-		indeg[p] = 0
-	}
-	for _, los := range n.fp {
-		for lo := range los {
-			indeg[lo]++
-		}
-	}
-	// Kahn's algorithm with a deterministic ready queue.
-	var ready []string
-	for _, p := range n.procOrder {
-		if indeg[p] == 0 {
-			ready = append(ready, p)
-		}
-	}
-	var order []string
-	for len(ready) > 0 {
-		p := ready[0]
-		ready = ready[1:]
-		order = append(order, p)
-		var next []string
-		for lo := range n.fp[p] {
-			indeg[lo]--
-			if indeg[lo] == 0 {
-				next = append(next, lo)
-			}
-		}
-		sort.Strings(next)
-		ready = append(ready, next...)
-	}
-	if len(order) != len(n.procOrder) {
+	rank, ok := n.fpOrder(-1)
+	if !ok {
 		var stuck []string
-		for p, d := range indeg {
-			if d > 0 {
-				stuck = append(stuck, p)
+		for i, r := range rank {
+			if r < 0 {
+				stuck = append(stuck, n.procOrder[i])
 			}
 		}
 		sort.Strings(stuck)
 		return nil, fmt.Errorf("functional priority graph has a cycle through %s",
 			strings.Join(stuck, ", "))
 	}
+	order := make([]string, len(rank))
+	for i, r := range rank {
+		order[r] = n.procOrder[i]
+	}
 	return order, nil
-}
-
-// topoRank returns the position of each process in TopoOrder. It must only
-// be called on validated (acyclic) networks.
-func (n *Network) topoRank() map[string]int {
-	order, err := n.TopoOrder()
-	if err != nil {
-		panic("core: topoRank on cyclic network: " + err.Error())
-	}
-	rank := make(map[string]int, len(order))
-	for i, p := range order {
-		rank[p] = i
-	}
-	return rank
 }
 
 // CloneStructure returns a structural copy of the network — processes

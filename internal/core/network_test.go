@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -297,12 +298,16 @@ func TestAccessors(t *testing.T) {
 func TestLinearExtensionRespectsFP(t *testing.T) {
 	n := buildFig1(t)
 	for seed := int64(-1); seed < 30; seed++ {
-		rank, err := n.LinearExtension(seed)
+		rank, err := n.FPRank(seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		pid := map[string]int{}
+		for i, p := range n.ProcessNames() {
+			pid[p] = i
+		}
 		for _, e := range n.PriorityEdges() {
-			if rank[e[0]] >= rank[e[1]] {
+			if rank[pid[e[0]]] >= rank[pid[e[1]]] {
 				t.Fatalf("seed %d: linear extension violates %s -> %s", seed, e[0], e[1])
 			}
 		}
@@ -313,10 +318,10 @@ func TestLinearExtensionSeedsDiffer(t *testing.T) {
 	// With several FP-unrelated processes there must exist seeds giving
 	// different orders (otherwise the determinism test is vacuous).
 	n := buildFig1(t)
-	base, _ := n.LinearExtension(-1)
+	base, _ := n.FPRank(-1)
 	different := false
 	for seed := int64(0); seed < 50 && !different; seed++ {
-		r, _ := n.LinearExtension(seed)
+		r, _ := n.FPRank(seed)
 		for p, rk := range r {
 			if base[p] != rk {
 				different = true
@@ -326,5 +331,28 @@ func TestLinearExtensionSeedsDiffer(t *testing.T) {
 	}
 	if !different {
 		t.Error("no seed produced a different linear extension; determinism tests are vacuous")
+	}
+}
+
+// TestPriorityOrderIgnoresEdgeOrder: the extension depends on the edge
+// set only, so building it from FP's map in any iteration order is safe.
+func TestPriorityOrderIgnoresEdgeOrder(t *testing.T) {
+	n := buildFig1(t)
+	pid := map[string]int{}
+	for i, p := range n.ProcessNames() {
+		pid[p] = i
+	}
+	var edges [][2]int
+	for _, e := range n.PriorityEdges() {
+		edges = append(edges, [2]int{pid[e[0]], pid[e[1]]})
+	}
+	reversed := slices.Clone(edges)
+	slices.Reverse(reversed)
+	for seed := int64(-1); seed < 8; seed++ {
+		want, _ := PriorityOrder(n.ProcessNames(), edges, seed)
+		got, _ := PriorityOrder(n.ProcessNames(), reversed, seed)
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: reversed edges give %v, sorted edges %v", seed, got, want)
+		}
 	}
 }

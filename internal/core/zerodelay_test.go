@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/rational"
@@ -255,52 +257,6 @@ func TestRunZeroDelayErrors(t *testing.T) {
 	}
 }
 
-func TestGenerateInvocationsMergesInstants(t *testing.T) {
-	n := buildFig1(t)
-	invs, err := GenerateInvocations(n, ms(200), map[string][]Time{"CoefB": {ms(0), ms(150)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(invs) != 3 {
-		t.Fatalf("got %d instants, want 3 (0, 100, 150): %v", len(invs), invs)
-	}
-	if !invs[0].Time.IsZero() || len(invs[0].Procs) != 7 {
-		t.Errorf("instant 0: %v, want 7 invocations (6 periodic + CoefB)", invs[0])
-	}
-	if !invs[1].Time.Equal(ms(100)) || len(invs[1].Procs) != 2 {
-		t.Errorf("instant 100: %v, want FilterA+OutputB", invs[1])
-	}
-	if !invs[2].Time.Equal(ms(150)) || len(invs[2].Procs) != 1 || invs[2].Procs[0] != "CoefB" {
-		t.Errorf("instant 150: %v, want CoefB only", invs[2])
-	}
-}
-
-func TestJobSequenceAssignsK(t *testing.T) {
-	n := buildFig1(t)
-	invs, err := GenerateInvocations(n, ms(400), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rank, err := n.LinearExtension(-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := JobSequence(n, invs, rank)
-	ks := map[string][]int64{}
-	for _, j := range jobs {
-		ks[j.Proc] = append(ks[j.Proc], j.K)
-	}
-	if got := ks["FilterA"]; len(got) != 4 || got[0] != 1 || got[3] != 4 {
-		t.Errorf("FilterA invocation counts = %v, want 1..4", got)
-	}
-	// Jobs must be sorted by time.
-	for i := 1; i < len(jobs); i++ {
-		if jobs[i].Time.Less(jobs[i-1].Time) {
-			t.Fatal("job sequence not sorted by time")
-		}
-	}
-}
-
 func TestHyperperiod(t *testing.T) {
 	n := buildFig1(t)
 	// Raw periods: lcm(200, 100, 700) = 1400 ms.
@@ -330,6 +286,13 @@ func TestHyperperiodErrors(t *testing.T) {
 	n := buildFig1(t)
 	if _, err := Hyperperiod(n, map[string]Time{"CoefB": rational.Zero}); err == nil {
 		t.Error("non-positive substituted period accepted")
+	}
+	wide := NewNetwork("wide")
+	for i, p := range []int64{1<<31 - 1, 1 << 31, 1<<31 + 1} {
+		wide.AddPeriodic(fmt.Sprintf("p%d", i), rational.FromInt(p), rational.FromInt(p), ms(1), nil)
+	}
+	if _, err := Hyperperiod(wide, nil); err == nil || !strings.Contains(err.Error(), "overflows int64") {
+		t.Errorf("hyperperiod past int64: error %v, want an overflow error", err)
 	}
 }
 

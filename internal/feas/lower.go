@@ -63,24 +63,6 @@ func lower(tg *taskgraph.TaskGraph) (*lowering, error) {
 	return lo, nil
 }
 
-// addOK adds non-negative ticks, reporting overflow.
-func addOK(a, b int64) (int64, bool) {
-	s := a + b
-	return s, s >= 0
-}
-
-// mulOK multiplies non-negative ticks, reporting overflow.
-func mulOK(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
-	}
-	hi, lo := bits.Mul64(uint64(a), uint64(b))
-	if hi != 0 || lo > uint64(1<<63-1) {
-		return 0, false
-	}
-	return int64(lo), true
-}
-
 // ceilDiv returns ⌈a/b⌉ for a >= 0, b > 0.
 func ceilDiv(a, b int64) int64 {
 	q := a / b
@@ -306,20 +288,20 @@ func runTestTicks(lo *lowering, wt workTicks, t Test, m int, opts Options) Resul
 	switch t {
 	case EDF:
 		boundTicks(lo, m, &res, func(i int) (int64, bool) {
-			return addOK(g[i], wt.volume)
+			return rational.AddOK(g[i], wt.volume)
 		}, "Graham chain bound with total volume")
 	case DM:
 		dm := dmTicks(lo)
 		boundTicks(lo, m, &res, func(i int) (int64, bool) {
-			v, ok := addOK(g[i], dm.hpvol[dm.wr[i]])
+			v, ok := rational.AddOK(g[i], dm.hpvol[dm.wr[i]])
 			if !ok {
 				return 0, false
 			}
-			blk, ok := mulOK(int64(m)*dm.chain[i], dm.blockMax[dm.wr[i]])
+			blk, ok := rational.MulOK(int64(m)*dm.chain[i], dm.blockMax[dm.wr[i]])
 			if !ok {
 				return 0, false
 			}
-			return addOK(v, blk)
+			return rational.AddOK(v, blk)
 		}, "deadline-monotonic chain bound with rank-filtered interference")
 	case RTA:
 		s, ok := rtaTicks(lo, wt, g, m, opts)
@@ -346,7 +328,7 @@ func grahamTicks(lo *lowering, m int) ([]int64, bool) {
 	n := len(lo.tg.Jobs)
 	g := make([]int64, n)
 	for i := range lo.tg.Jobs {
-		base, ok := mulOK(int64(m), lo.a[i])
+		base, ok := rational.MulOK(int64(m), lo.a[i])
 		if !ok {
 			return nil, false
 		}
@@ -355,11 +337,11 @@ func grahamTicks(lo *lowering, m int) ([]int64, bool) {
 				base = g[p]
 			}
 		}
-		step, ok := mulOK(int64(m-1), lo.c[i])
+		step, ok := rational.MulOK(int64(m-1), lo.c[i])
 		if !ok {
 			return nil, false
 		}
-		v, ok := addOK(base, step)
+		v, ok := rational.AddOK(base, step)
 		if !ok {
 			return nil, false
 		}
@@ -512,13 +494,13 @@ func rtaTicks(lo *lowering, wt workTicks, g []int64, m int, opts Options) ([]int
 	out := make([]int64, n)
 	overflow := make([]bool, n)
 	_ = parallel.ForEach(nil, n, opts.Workers, func(i int) error {
-		s, ok := addOK(g[i], wt.volume)
+		s, ok := rational.AddOK(g[i], wt.volume)
 		if !ok {
 			overflow[i] = true
 			return nil
 		}
 		for iter := 0; iter < 64; iter++ {
-			s2, ok := addOK(g[i], volBefore(s))
+			s2, ok := rational.AddOK(g[i], volBefore(s))
 			if !ok {
 				overflow[i] = true
 				return nil

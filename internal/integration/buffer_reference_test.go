@@ -43,11 +43,7 @@ func executedBufferBounds(net *core.Network, frames int,
 		return nil, err
 	}
 	horizon := h.MulInt(int64(frames))
-	invs, err := core.GenerateInvocations(net, horizon, events)
-	if err != nil {
-		return nil, err
-	}
-	rank, err := net.LinearExtension(-1)
+	jobs, err := zeroDelayJobsReference(net, horizon, events, -1)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +74,7 @@ func executedBufferBounds(net *core.Network, frames int,
 
 	observe()
 	nextBoundary := h
-	for _, j := range core.JobSequence(net, invs, rank) {
+	for _, j := range jobs {
 		for nextBoundary.LessEq(j.Time) {
 			recordBoundary()
 			nextBoundary = nextBoundary.Add(h)

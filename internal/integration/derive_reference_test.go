@@ -109,40 +109,8 @@ func fpPrimeRanks(net *core.Network, user map[string]string) (map[string]int, er
 		}
 		adj[s][u] = true
 	}
-	// Kahn with insertion-order tie break.
-	indeg := make(map[string]int, len(procs))
-	for _, p := range procs {
-		indeg[p] = 0
-	}
-	for _, los := range adj {
-		for lo := range los {
-			indeg[lo]++
-		}
-	}
-	var ready []string
-	for _, p := range procs {
-		if indeg[p] == 0 {
-			ready = append(ready, p)
-		}
-	}
-	rank := make(map[string]int, len(procs))
-	next := 0
-	for len(ready) > 0 {
-		p := ready[0]
-		ready = ready[1:]
-		rank[p] = next
-		next++
-		var unblocked []string
-		for lo := range adj[p] {
-			indeg[lo]--
-			if indeg[lo] == 0 {
-				unblocked = append(unblocked, lo)
-			}
-		}
-		sort.Strings(unblocked)
-		ready = append(ready, unblocked...)
-	}
-	if next != len(procs) {
+	rank, ok := linearExtensionReference(procs, adj, -1)
+	if !ok {
 		return nil, fmt.Errorf("FP' graph has a cycle (check priorities between sporadic processes and their users)")
 	}
 	return rank, nil

@@ -21,15 +21,10 @@ import (
 )
 
 // runZeroDelayReference is the original string-keyed zero-delay executor,
-// the oracle for the interned engine: GenerateInvocations →
-// LinearExtension → JobSequence, with every lookup going through process
-// names.
+// the oracle for the interned engine: the order of
+// zeroDelayJobsReference, with every lookup going through process names.
 func runZeroDelayReference(net *core.Network, horizon core.Time, opts core.ZeroDelayOptions) (*core.ZeroDelayResult, error) {
-	invs, err := core.GenerateInvocations(net, horizon, opts.SporadicEvents)
-	if err != nil {
-		return nil, err
-	}
-	rank, err := net.LinearExtension(opts.Seed)
+	jobs, err := zeroDelayJobsReference(net, horizon, opts.SporadicEvents, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -37,7 +32,6 @@ func runZeroDelayReference(net *core.Network, horizon core.Time, opts core.ZeroD
 	if err != nil {
 		return nil, err
 	}
-	jobs := core.JobSequence(net, invs, rank)
 	var lastTime core.Time
 	first := true
 	for _, j := range jobs {

@@ -117,34 +117,44 @@ func TestSchedDifferentialRandomNetworks(t *testing.T) {
 }
 
 // TestSchedDifferentialPortfolioWorkers checks that the shared-precompute
-// portfolio fan-out (workers != 1) returns lane-for-lane the same results
-// as the self-contained sequential execution (workers == 1).
+// portfolio fan-out returns, for every worker count, lane-for-lane the
+// results of the self-contained ListSchedule followed by Validate — the
+// same verdicts, error texts and schedules, m < 1 included.
 func TestSchedDifferentialPortfolioWorkers(t *testing.T) {
 	tg, err := taskgraph.Derive(fms.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []int{1, 2, 3} {
-		ref := sched.RunPortfolio(tg, m, sched.PortfolioOptions{Workers: 1})
-		for _, w := range []int{0, 2, 3, 8} {
+	for _, m := range []int{0, 1, 2, 3} {
+		ref := make([]sched.HeuristicResult, len(sched.Heuristics))
+		for i, h := range sched.Heuristics {
+			ref[i].Heuristic = h
+			ref[i].Schedule, ref[i].Err = sched.ListSchedule(tg, m, h)
+			if ref[i].Err == nil {
+				ref[i].Err = ref[i].Schedule.Validate()
+				ref[i].Feasible = ref[i].Err == nil
+			}
+		}
+		for _, w := range []int{0, 1, 2, 3, 8} {
 			got := sched.RunPortfolio(tg, m, sched.PortfolioOptions{Workers: w})
 			if len(got) != len(ref) {
-				t.Fatalf("m=%d workers=%d: %d lanes, sequential has %d", m, w, len(got), len(ref))
+				t.Fatalf("m=%d workers=%d: %d lanes, reference has %d", m, w, len(got), len(ref))
 			}
 			for i := range ref {
 				if got[i].Heuristic != ref[i].Heuristic || got[i].Feasible != ref[i].Feasible {
-					t.Fatalf("m=%d workers=%d lane %d: (%v feasible=%t), sequential (%v feasible=%t)",
+					t.Fatalf("m=%d workers=%d lane %d: (%v feasible=%t), reference (%v feasible=%t)",
 						m, w, i, got[i].Heuristic, got[i].Feasible, ref[i].Heuristic, ref[i].Feasible)
 				}
 				if (got[i].Err == nil) != (ref[i].Err == nil) {
-					t.Fatalf("m=%d workers=%d lane %d: err %v, sequential %v", m, w, i, got[i].Err, ref[i].Err)
+					t.Fatalf("m=%d workers=%d lane %d: err %v, reference %v", m, w, i, got[i].Err, ref[i].Err)
 				}
 				if got[i].Err != nil && got[i].Err.Error() != ref[i].Err.Error() {
-					t.Fatalf("m=%d workers=%d lane %d: err text %q, sequential %q",
+					t.Fatalf("m=%d workers=%d lane %d: err text %q, reference %q",
 						m, w, i, got[i].Err, ref[i].Err)
 				}
-				if ref[i].Schedule != nil && !reflect.DeepEqual(got[i].Schedule.Assign, ref[i].Schedule.Assign) {
-					t.Fatalf("m=%d workers=%d lane %d (%v): schedule differs from sequential",
+				if (got[i].Schedule == nil) != (ref[i].Schedule == nil) ||
+					ref[i].Schedule != nil && !reflect.DeepEqual(got[i].Schedule.Assign, ref[i].Schedule.Assign) {
+					t.Fatalf("m=%d workers=%d lane %d (%v): schedule differs from reference",
 						m, w, i, ref[i].Heuristic)
 				}
 			}

@@ -190,3 +190,43 @@ func TestOptionThresholds(t *testing.T) {
 		t.Error("broken-timing must stay error-free")
 	}
 }
+
+// Periods whose frame does not fit int64 — an LCM past int64, or a
+// representable LCM whose job count is not — give FPPN012's overflow
+// finding instead of a panic.
+func TestHyperperiodOverflow(t *testing.T) {
+	const overflow = "hyperperiod of the process periods overflows exact rational arithmetic; the periods are severely non-harmonic"
+	type proc struct {
+		burst  int
+		period rational.Rat
+	}
+	for _, tc := range []struct {
+		name  string
+		procs []proc
+		want  string
+	}{
+		// 2^31 − 1, 2^31 and 2^31 + 1 are pairwise coprime: H ≈ 2^93.
+		{"lcm", []proc{{1, rational.FromInt(1<<31 - 1)}, {1, rational.FromInt(1 << 31)}, {1, rational.FromInt(1<<31 + 1)}}, overflow},
+		// H = 2^31 holds 2^62 bursts of 2 jobs of the fast process.
+		{"jobs", []proc{{1, rational.FromInt(1 << 31)}, {2, rational.New(1, 1<<31)}}, overflow},
+		// H = 2^40 and the job count fit, but comparing the two periods
+		// by cross-multiplication would need 2^40·(2^24+1) ≈ 2^64.
+		{"ratio", []proc{{1, rational.New(1<<40, 3)}, {1, rational.New(1<<40, 1<<24+1)}},
+			"hyperperiod 1099511627776s spans 16777220 jobs per frame (H/min-period = 16777217); non-harmonic periods blow the task graph up"},
+	} {
+		net := core.NewNetwork(tc.name)
+		// Quarter-period WCETs keep every other rule's sums representable.
+		for i, p := range tc.procs {
+			net.AddMultiPeriodic(string(rune('a'+i)), p.burst, p.period, p.period, p.period.DivInt(4), core.NopBehavior)
+		}
+		var msgs []string
+		for _, f := range Run(net, Options{}).Findings {
+			if f.Code == CodeHyperperiod {
+				msgs = append(msgs, f.Message)
+			}
+		}
+		if len(msgs) != 1 || msgs[0] != tc.want {
+			t.Errorf("%s: FPPN012 findings %q, want one %q", tc.name, msgs, tc.want)
+		}
+	}
+}

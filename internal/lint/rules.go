@@ -372,16 +372,18 @@ func runDeadProcesses(c *context, r Rule) {
 
 // runHyperperiod warns when non-harmonic periods blow the frame up: too
 // many jobs per hyperperiod, or a hyperperiod vastly longer than the
-// fastest period. Exact-arithmetic overflow while forming the LCM is
-// itself reported as a (worst-case) instance of the same diagnostic.
+// fastest period. Exact-arithmetic overflow while forming the LCM or the
+// job count is itself reported as a (worst-case) instance of the same
+// diagnostic.
 func runHyperperiod(c *context, r Rule) {
 	procs := c.net.Processes()
 	if len(procs) == 0 {
 		return
 	}
 	// Derived periods: sporadic processes run at their server period.
-	substitute := make(map[string]core.Time)
-	for _, p := range procs {
+	periods := make([]core.Time, len(procs))
+	for i, p := range procs {
+		periods[i] = p.Period()
 		if !p.IsSporadic() {
 			continue
 		}
@@ -393,42 +395,51 @@ func runHyperperiod(c *context, r Rule) {
 		if !tu.Less(p.Deadline()) && p.Deadline().Sign() > 0 {
 			tu = tu.DivInt(tu.Div(p.Deadline()).Floor() + 1)
 		}
-		substitute[p.Name] = tu
+		periods[i] = tu
 	}
-	defer func() {
-		if recover() != nil {
-			c.addf(r, "network", c.net.Name,
-				"harmonize the process periods",
-				"hyperperiod of the process periods overflows exact rational arithmetic; the periods are severely non-harmonic")
-		}
-	}()
-	h, err := core.Hyperperiod(c.net, substitute)
-	if err != nil {
-		return // empty network; FPPN013 fires instead
-	}
-	jobs := int64(0)
-	minT := core.Time{}
-	first := true
-	for _, p := range procs {
-		t := p.Period()
-		if s, ok := substitute[p.Name]; ok {
-			t = s
-		}
+	for _, t := range periods {
 		if t.Sign() <= 0 {
 			return // FPPN001 already fired
 		}
-		jobs += h.Div(t).Floor() * int64(p.Burst())
-		if first || t.Less(minT) {
-			minT, first = t, false
-		}
 	}
-	ratio := h.Div(minT).Floor()
+	h, ok := rational.LcmAll(periods)
+	var jobs, ratio int64
+	if ok {
+		jobs, ratio, ok = frameJobs(h, procs, periods)
+	}
+	if !ok {
+		c.addf(r, "network", c.net.Name,
+			"harmonize the process periods",
+			"hyperperiod of the process periods overflows exact rational arithmetic; the periods are severely non-harmonic")
+		return
+	}
 	if jobs > int64(c.opts.MaxFrameJobs) || ratio > c.opts.MaxPeriodRatio {
 		c.addf(r, "network", c.net.Name,
 			"harmonize the process periods (cf. the paper's FMS reduction 1600 ms → 400 ms)",
 			"hyperperiod %vs spans %d jobs per frame (H/min-period = %d); non-harmonic periods blow the task graph up",
 			h, jobs, ratio)
 	}
+}
+
+// frameJobs returns the job count of one frame of length h, the sum of
+// ⌊h/T⌋·burst over procs with T taken from periods, and the largest
+// ⌊h/T⌋, which is H/min-period; ok is false when either overflows int64.
+func frameJobs(h core.Time, procs []*core.Process, periods []core.Time) (jobs, ratio int64, ok bool) {
+	for i, p := range procs {
+		n, ok := h.FloorDivOK(periods[i])
+		if !ok {
+			return 0, 0, false
+		}
+		ratio = max(ratio, n)
+		prod, ok := rational.MulOK(n, int64(p.Burst()))
+		if !ok {
+			return 0, 0, false
+		}
+		if jobs, ok = rational.AddOK(jobs, prod); !ok {
+			return 0, 0, false
+		}
+	}
+	return jobs, ratio, true
 }
 
 // frameJobEstimate returns the job count of one hyperperiod frame of the
@@ -443,24 +454,18 @@ func (c *context) frameJobEstimate() (int64, bool) {
 	return c.jobsVal, c.jobsOK
 }
 
-func (c *context) countFrameJobs() (jobs int64, ok bool) {
-	defer func() {
-		if recover() != nil {
-			jobs, ok = 0, false
-		}
-	}()
+func (c *context) countFrameJobs() (int64, bool) {
 	h, err := core.Hyperperiod(c.net, nil)
 	if err != nil {
 		return 0, false
 	}
-	for _, p := range c.net.Processes() {
-		t := p.Period()
-		if t.Sign() <= 0 {
-			return 0, false
-		}
-		jobs += h.Div(t).Floor() * int64(p.Burst())
+	procs := c.net.Processes()
+	periods := make([]core.Time, len(procs))
+	for i, p := range procs {
+		periods[i] = p.Period()
 	}
-	return jobs, true
+	jobs, _, ok := frameJobs(h, procs, periods)
+	return jobs, ok
 }
 
 // maxStaticSweepJobs caps the two-frame buffer sweep regardless of how

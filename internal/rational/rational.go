@@ -16,7 +16,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Rat is an exact rational number. The zero value is 0.
@@ -241,6 +240,19 @@ func (r Rat) FloorDiv(s Rat) int64 {
 	return floorQuot(q.num, q.den)
 }
 
+// FloorDivOK returns ⌊r / s⌋ for s > 0; ok is false when the quotient,
+// or an intermediate product of the exact division, overflows int64.
+func (r Rat) FloorDivOK(s Rat) (q int64, ok bool) {
+	r, s = r.normalized(), s.normalized()
+	g1, g2 := gcd64(abs64(r.num), s.num), gcd64(s.den, r.den)
+	num, okN := MulOK(r.num/g1, s.den/g2)
+	den, okD := MulOK(r.den/g2, s.num/g1)
+	if !okN || !okD {
+		return 0, false
+	}
+	return floorQuot(num, den), true
+}
+
 // Floor returns ⌊r⌋.
 func (r Rat) Floor() int64 {
 	r = r.normalized()
@@ -282,44 +294,27 @@ func Lcm(r, s Rat) Rat {
 }
 
 // LcmAll returns the least common multiple of all values, which must be
-// positive. It panics if values is empty.
-func LcmAll(values []Rat) Rat {
+// positive. ok is false when the LCM overflows int64. It panics if values
+// is empty.
+func LcmAll(values []Rat) (lcm Rat, ok bool) {
 	if len(values) == 0 {
 		panic("rational: LcmAll of empty slice")
 	}
-	acc := values[0]
-	for _, v := range values[1:] {
-		acc = Lcm(acc, v)
-	}
-	return acc
-}
-
-// lcmMemo caches pairwise Lcm results for LcmAllCached. Hyperperiod
-// computations fold the same period multiset on every compile (execution
-// plans recompile networks repeatedly), and exact pairwise LCMs are
-// immutable values, so a process-wide cache changes nothing observable.
-// sync.Map keeps it safe under the parallel compile pipeline.
-var lcmMemo sync.Map // [2]Rat -> Rat
-
-// LcmAllCached is LcmAll with pairwise memoization: the hyperperiod fold
-// H = lcm(T_1, ..., T_n) hits the same (accumulator, period) pairs on
-// every recompilation of a network, so repeated compiles skip the gcd
-// chains entirely. Semantically identical to LcmAll.
-func LcmAllCached(values []Rat) Rat {
-	if len(values) == 0 {
-		panic("rational: LcmAllCached of empty slice")
+	for _, v := range values {
+		if v.Sign() <= 0 {
+			panic("rational: LcmAll of non-positive values")
+		}
 	}
 	acc := values[0].normalized()
 	for _, v := range values[1:] {
-		key := [2]Rat{acc, v.normalized()}
-		if hit, ok := lcmMemo.Load(key); ok {
-			acc = hit.(Rat)
-			continue
+		v = v.normalized()
+		num, ok := MulOK(acc.num/gcd64(acc.num, v.num), v.num)
+		if !ok {
+			return Rat{}, false
 		}
-		acc = Lcm(acc, v)
-		lcmMemo.Store(key, acc)
+		acc = New(num, gcd64(acc.den, v.den))
 	}
-	return acc
+	return acc, true
 }
 
 // Scale maps a family of rationals onto a shared integer timescale: every
@@ -342,7 +337,7 @@ func CommonScale(groups ...[]Rat) (Scale, bool) {
 		for _, r := range g {
 			d := r.Den()
 			g2 := gcd64(den, d)
-			next, ok := mulOK(den/g2, d)
+			next, ok := MulOK(den/g2, d)
 			if !ok {
 				return Scale{}, false
 			}
@@ -368,7 +363,7 @@ func (s Scale) Ticks(r Rat) (int64, bool) {
 	if den%r.den != 0 {
 		return 0, false
 	}
-	return mulOK(r.num, den/r.den)
+	return MulOK(r.num, den/r.den)
 }
 
 // MaxTick is the tick guard of the integer timescale: every value lowered
@@ -390,16 +385,25 @@ func InTickRange(t int64) bool { return -MaxTick <= t && t <= MaxTick }
 // FromTicks converts t ticks back to the exact rational t/den.
 func (s Scale) FromTicks(t int64) Rat { return New(t, s.Den()) }
 
-// mulOK is mulChecked without the panic: it reports overflow instead.
-func mulOK(a, b int64) (int64, bool) {
+// MulOK returns a·b; ok is false when the product overflows int64.
+func MulOK(a, b int64) (p int64, ok bool) {
 	if a == 0 || b == 0 {
 		return 0, true
 	}
-	p := a * b
+	p = a * b
 	if p/b != a || (a == math.MinInt64 && b == -1) {
 		return 0, false
 	}
 	return p, true
+}
+
+// AddOK returns a+b; ok is false when the sum overflows int64.
+func AddOK(a, b int64) (s int64, ok bool) {
+	s = a + b
+	if (a > 0 && b > 0 && s <= 0) || (a < 0 && b < 0 && s >= 0) {
+		return 0, false
+	}
+	return s, true
 }
 
 // String formats r as "n" for integers and "n/d" otherwise.
@@ -532,8 +536,8 @@ func lcm64(a, b int64) int64 {
 }
 
 func addChecked(a, b int64) int64 {
-	s := a + b
-	if (a > 0 && b > 0 && s <= 0) || (a < 0 && b < 0 && s >= 0) {
+	s, ok := AddOK(a, b)
+	if !ok {
 		panic(fmt.Sprintf("rational: integer overflow in %d + %d", a, b))
 	}
 	return s
@@ -548,11 +552,8 @@ func subChecked(a, b int64) int64 {
 }
 
 func mulChecked(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/b != a || (a == math.MinInt64 && b == -1) {
+	p, ok := MulOK(a, b)
+	if !ok {
 		panic(fmt.Sprintf("rational: integer overflow in %d * %d", a, b))
 	}
 	return p

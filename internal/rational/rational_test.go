@@ -185,12 +185,12 @@ func TestLcmAllFMSHyperperiods(t *testing.T) {
 	t.Parallel()
 	// The FMS case study: lcm(200ms, 5000ms, 1600ms, 1000ms) = 40 s,
 	// reduced to 10 s when MagnDeclin runs at 400 ms.
-	orig := LcmAll([]Rat{Milli(200), Milli(5000), Milli(1600), Milli(1000)})
-	if !orig.Equal(FromInt(40)) {
+	orig, ok := LcmAll([]Rat{Milli(200), Milli(5000), Milli(1600), Milli(1000)})
+	if !ok || !orig.Equal(FromInt(40)) {
 		t.Errorf("original FMS hyperperiod = %v, want 40", orig)
 	}
-	reduced := LcmAll([]Rat{Milli(200), Milli(5000), Milli(400), Milli(1000)})
-	if !reduced.Equal(FromInt(10)) {
+	reduced, ok := LcmAll([]Rat{Milli(200), Milli(5000), Milli(400), Milli(1000)})
+	if !ok || !reduced.Equal(FromInt(10)) {
 		t.Errorf("reduced FMS hyperperiod = %v, want 10", reduced)
 	}
 }
@@ -468,22 +468,19 @@ func TestSubOverflowPanics(t *testing.T) {
 	_ = FromInt(math.MinInt64 + 1).Sub(FromInt(math.MaxInt64))
 }
 
-// TestLcmAllCached must agree with LcmAll on repeated folds (the memo is
-// warm on the second call) and on the FMS period set.
-func TestLcmAllCached(t *testing.T) {
+// TestLcmAllOverflow: an LCM past int64 is reported, not panicked, and
+// the fold agrees with pairwise Lcm while it fits.
+func TestLcmAllOverflow(t *testing.T) {
 	t.Parallel()
-	sets := [][]Rat{
-		{Milli(100), Milli(200), Milli(400)},
-		{Milli(100), Milli(200), Milli(400), Milli(500), Milli(1000), FromInt(10)},
-		{New(1, 3), New(1, 4), New(5, 6)},
+	// 2^31 − 1, 2^31 and 2^31 + 1 are pairwise coprime: their LCM is
+	// their product, about 2^93.
+	if _, ok := LcmAll([]Rat{FromInt(1<<31 - 1), FromInt(1 << 31), FromInt(1<<31 + 1)}); ok {
+		t.Error("LcmAll accepted an LCM past int64")
 	}
-	for _, set := range sets {
-		want := LcmAll(set)
-		for pass := 0; pass < 2; pass++ {
-			if got := LcmAllCached(set); !got.Equal(want) {
-				t.Errorf("pass %d: LcmAllCached(%v) = %v, want %v", pass, set, got, want)
-			}
-		}
+	set := []Rat{New(1, 3), New(1, 4), New(5, 6), Milli(700)}
+	got, ok := LcmAll(set)
+	if want := Lcm(Lcm(Lcm(set[0], set[1]), set[2]), set[3]); !ok || !got.Equal(want) {
+		t.Errorf("LcmAll(%v) = %v, %v; want %v", set, got, ok, want)
 	}
 }
 

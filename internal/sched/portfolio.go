@@ -10,13 +10,8 @@ import (
 // PortfolioOptions tunes the schedule-priority portfolio race.
 type PortfolioOptions struct {
 	// Workers bounds the number of heuristics scheduled concurrently.
-	// 0 selects GOMAXPROCS; 1 forces the reference sequential execution,
-	// in which every lane runs the self-contained ListSchedule end to end.
-	// Any other value shares one per-graph precomputation (predecessor
-	// counts, ALAP times, b-levels, rank permutations) across all lanes
-	// before the fan-out, so the race scales with workers instead of
-	// re-deriving per heuristic. Every worker count produces identical
-	// results.
+	// 0 selects GOMAXPROCS; 1 runs the lanes one after another. Every
+	// worker count produces identical results.
 	Workers int
 	// Heuristics overrides the portfolio membership and its tie-break
 	// order; nil means the package-level Heuristics list.
@@ -42,37 +37,15 @@ type HeuristicResult struct {
 // results are collected positionally and are identical for every worker
 // count.
 //
-// Unless opts.Workers pins the reference sequential execution (1), the
-// per-graph work every lane needs — the memoized edge list and tick
-// table, predecessor counts and the per-heuristic rank permutations —
-// is computed once before the fan-out and shared read-only, so each lane
-// runs only its own event loop and feasibility check.
+// The per-graph work every lane needs — the memoized edge list and tick
+// table, predecessor counts and the per-heuristic rank permutations — is
+// computed once before the fan-out and shared read-only, so each lane
+// runs only its own event loop and feasibility check. Lane for lane the
+// results equal ListSchedule followed by Schedule.Validate.
 func RunPortfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) []HeuristicResult {
 	hs := opts.Heuristics
 	if hs == nil {
 		hs = Heuristics
-	}
-	lane := func(h Heuristic, schedule func() (*Schedule, error)) HeuristicResult {
-		r := HeuristicResult{Heuristic: h}
-		s, err := schedule()
-		if err != nil {
-			r.Err = err
-			return r
-		}
-		r.Schedule = s
-		if err := s.Validate(); err != nil {
-			r.Err = err
-			return r
-		}
-		r.Feasible = true
-		return r
-	}
-	if opts.Workers == 1 {
-		results := make([]HeuristicResult, len(hs))
-		for i, h := range hs {
-			results[i] = lane(h, func() (*Schedule, error) { return ListSchedule(tg, m, h) })
-		}
-		return results
 	}
 	tg.Prewarm() // materialize the lazy memos before concurrent readers
 	pc, err := newPrecomp(tg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -63,9 +64,14 @@ func orderCases(t *testing.T) []orderCase {
 	return cases
 }
 
-// TestJobOrderMatchesJobSequence pins the integer job order to the
-// rational zero-delay order it replaces: core.JobSequence over
-// core.GenerateInvocations, job for job, with each job's frame.
+// TestJobOrderMatchesJobSequence checks the order Buffers sweeps against
+// the definition of <_J that the rational job sequence implements: times
+// never decrease, simultaneous jobs of different processes run in strictly
+// increasing FP rank, each job's frame is that of its time, and every
+// process gets exactly its generated jobs — periodic bursts at 0, T, 2T,
+// ... and sporadic jobs at the supplied events. Together these fix the
+// order up to swapping identical burst jobs. The oracle comparison lives
+// in internal/integration (FuzzJobOrderMatchesReference).
 func TestJobOrderMatchesJobSequence(t *testing.T) {
 	for _, tc := range orderCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,36 +79,52 @@ func TestJobOrderMatchesJobSequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			invs, err := core.GenerateInvocations(tc.net, h.MulInt(int64(tc.frames)), tc.events)
+			rank, err := tc.net.FPRank(-1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rank, err := tc.net.LinearExtension(-1)
+			horizon := h.MulInt(int64(tc.frames))
+			order, err := core.JobOrder(tc.net, rank, horizon, tc.events)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []string
-			for _, j := range core.JobSequence(tc.net, invs, rank) {
-				want = append(want, fmt.Sprintf("%s@%d", j.Proc, j.Time.Div(h).Floor()))
-			}
-			jobs, err := jobOrder(tc.net, h, tc.frames, tc.events)
-			if err != nil {
-				t.Fatal(err)
-			}
+			jobs := order.Jobs
 			procs := tc.net.Processes()
-			var got []string
-			for _, j := range jobs {
-				got = append(got, fmt.Sprintf("%s@%d", procs[j.pid].Name, j.frame))
+			got := make([][]core.Time, len(procs))
+			var prev core.Time
+			for i, j := range jobs {
+				if j.Num < 0 || j.Num >= j.Den {
+					t.Fatalf("job %d: offset %d/%d outside its frame", i, j.Num, j.Den)
+				}
+				at := h.Mul(rational.New(j.Num, j.Den).Add(rational.FromInt(int64(j.Frame))))
+				if i > 0 {
+					c := at.Cmp(prev)
+					last := jobs[i-1].Pid
+					if c < 0 || c == 0 && j.Pid != last && rank[j.Pid] <= rank[last] {
+						t.Fatalf("job %d (%s@%v) out of order after %s@%v",
+							i, procs[j.Pid].Name, at, procs[last].Name, prev)
+					}
+				}
+				prev = at
+				got[j.Pid] = append(got[j.Pid], at)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("job order diverges from JobSequence:\ngot:  %v\nwant: %v", got, want)
+			for pid, p := range procs {
+				want := tc.events[p.Name]
+				if p.Gen.Kind == core.Periodic {
+					want = p.Gen.PeriodicTimes(horizon)
+				}
+				want = slices.Clone(want)
+				slices.SortFunc(want, core.Time.Cmp)
+				if !slices.EqualFunc(got[pid], want, core.Time.Equal) {
+					t.Fatalf("%s: jobs at %v, want %v", p.Name, got[pid], want)
+				}
 			}
 		})
 	}
 }
 
 // TestBuffersMatchRationalSweep compares whole profiles, field for field,
-// against the rational sweep over core.JobSequence.
+// against the rational, name-keyed sweep of buffersReference.
 func TestBuffersMatchRationalSweep(t *testing.T) {
 	for _, tc := range orderCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,10 +144,14 @@ func TestBuffersMatchRationalSweep(t *testing.T) {
 }
 
 // TestBuffersEventErrorsMatchInvocations checks that bad event schedules
-// fail with the texts of core.GenerateInvocations.
+// fail with the texts of the zero-delay job order.
 func TestBuffersEventErrorsMatchInvocations(t *testing.T) {
 	net := rateMismatch(true)
 	net.AddSporadic("s", 1, ms(100), ms(100), ms(1), stub)
+	rank, err := net.FPRank(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h, _ := core.Hyperperiod(net, nil)
 	for _, events := range []map[string][]core.Time{
 		{"s": {ms(0), ms(50)}},
@@ -134,7 +160,7 @@ func TestBuffersEventErrorsMatchInvocations(t *testing.T) {
 		{"w": {ms(0)}},
 		{"nope": {ms(0)}},
 	} {
-		_, want := core.GenerateInvocations(net, h.MulInt(2), events)
+		_, want := core.JobOrder(net, rank, h.MulInt(2), events)
 		_, got := Buffers(net, 2, events)
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Errorf("events %v: got error %v, want %v", events, got, want)
@@ -142,8 +168,8 @@ func TestBuffersEventErrorsMatchInvocations(t *testing.T) {
 	}
 }
 
-// buffersReference is the rational static sweep: the zero-delay order from
-// core.JobSequence, frames found by comparing each job's time with the
+// buffersReference is the rational static sweep: the zero-delay jobs with
+// their exact times, frames found by comparing each job's time with the
 // next frame boundary, and channel state keyed by name.
 func buffersReference(net *core.Network, frames int, events map[string][]core.Time) (*BufferProfile, error) {
 	h, err := core.Hyperperiod(net, nil)
@@ -151,14 +177,15 @@ func buffersReference(net *core.Network, frames int, events map[string][]core.Ti
 		return nil, err
 	}
 	horizon := h.MulInt(int64(frames))
-	invs, err := core.GenerateInvocations(net, horizon, events)
+	rank, err := net.FPRank(-1)
 	if err != nil {
 		return nil, err
 	}
-	rank, err := net.LinearExtension(-1)
+	order, err := core.JobOrder(net, rank, horizon, events)
 	if err != nil {
 		return nil, err
 	}
+	jobs := order.Refs()
 	profile := &BufferProfile{Hyperperiod: h, Frames: frames, channels: make(map[string]*ChannelBounds)}
 	for _, c := range net.Channels() {
 		profile.channels[c.Name] = &ChannelBounds{
@@ -188,7 +215,7 @@ func buffersReference(net *core.Network, frames int, events map[string][]core.Ti
 			cb.EndOfFrameBacklog = append(cb.EndOfFrameBacklog, backlog)
 		}
 	}
-	for _, j := range core.JobSequence(net, invs, rank) {
+	for _, j := range jobs {
 		for nextBoundary.LessEq(j.Time) {
 			recordBoundary()
 			nextBoundary = nextBoundary.Add(h)

@@ -33,9 +33,7 @@
 package staticflow
 
 import (
-	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -133,78 +131,6 @@ func (p *BufferProfile) Unbalanced() []string {
 	return out
 }
 
-// sweepJob is one job of the zero-delay order <_J: process pid (index into
-// net.Processes()) of FP rank rank, at offset (k/n)·h into frame frame.
-type sweepJob struct {
-	pid, rank, frame int
-	k, n             int64
-}
-
-// cmpJobs orders jobs by frame, then offset, compared by exact 128-bit
-// cross-multiplication, then FP rank. It ties only identical burst jobs.
-func cmpJobs(a, b sweepJob) int {
-	ah, al := bits.Mul64(uint64(a.k), uint64(b.n))
-	bh, bl := bits.Mul64(uint64(b.k), uint64(a.n))
-	switch {
-	case a.frame != b.frame:
-		return a.frame - b.frame
-	case ah != bh:
-		return cmp.Compare(ah, bh)
-	case al != bl:
-		return cmp.Compare(al, bl)
-	}
-	return a.rank - b.rank
-}
-
-// jobOrder returns the zero-delay job order of the network's first frames
-// frames of length h. Burst k of periodic process p falls at k·h/n_p with
-// n_p = h/T_p, so one raw frame's periodic order is sorted once, without a
-// common tick (a stable sort, which merges the per-process runs cheaply),
-// and replayed every frame; sporadic event jobs are merged in by the same
-// exact comparison. Event validation and its error texts are
-// core.SporadicEvents'.
-func jobOrder(net *core.Network, h Time, frames int, events map[string][]Time) ([]sweepJob, error) {
-	procs := net.Processes()
-	times, err := core.SporadicEvents(net, procs, h.MulInt(int64(frames)), events)
-	if err != nil {
-		return nil, err
-	}
-	rank, err := net.LinearExtension(-1)
-	if err != nil {
-		return nil, err
-	}
-	var raw, evs []sweepJob
-	for pid, p := range procs {
-		r := rank[p.Name]
-		if p.Gen.Kind == core.Periodic {
-			n := h.Div(p.Period()).Num()
-			for k := int64(0); k < n; k++ {
-				for b := 0; b < p.Burst(); b++ {
-					raw = append(raw, sweepJob{pid: pid, rank: r, k: k, n: n})
-				}
-			}
-		}
-		for _, t := range times[pid] {
-			f := t.FloorDiv(h)
-			off := t.Sub(h.MulInt(f)).Div(h)
-			evs = append(evs, sweepJob{pid: pid, rank: r, frame: int(f), k: off.Num(), n: off.Den()})
-		}
-	}
-	slices.SortStableFunc(raw, cmpJobs)
-	jobs := make([]sweepJob, 0, frames*len(raw)+len(evs))
-	for f := 0; f < frames; f++ {
-		for _, j := range raw {
-			j.frame = f
-			jobs = append(jobs, j)
-		}
-	}
-	if len(evs) > 0 {
-		jobs = append(jobs, evs...)
-		slices.SortStableFunc(jobs, cmpJobs)
-	}
-	return jobs, nil
-}
-
 // chanEffect is one write of a job: the channel index and the index of
 // the gating read in the process's read list, or -1 (unconditional).
 type chanEffect struct {
@@ -233,7 +159,11 @@ func Buffers(net *core.Network, frames int, events map[string][]Time) (*BufferPr
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := jobOrder(net, h, frames, events)
+	rank, err := net.FPRank(-1)
+	if err != nil {
+		return nil, err
+	}
+	order, err := core.JobOrder(net, rank, h.MulInt(int64(frames)), events)
 	if err != nil {
 		return nil, err
 	}
@@ -297,11 +227,11 @@ func Buffers(net *core.Network, frames int, events map[string][]Time) (*BufferPr
 		}
 	}
 
-	for _, j := range jobs {
-		for ; frame < j.frame; frame++ {
+	for _, j := range order.Jobs {
+		for ; frame < j.Frame; frame++ {
 			recordBoundary()
 		}
-		e := &effects[j.pid]
+		e := &effects[j.Pid]
 		for i, c := range e.reads {
 			cb := cbs[c]
 			if cb.Kind == core.Blackboard {

@@ -22,7 +22,6 @@ package taskgraph
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -444,65 +443,32 @@ func serverPeriodFor(p, u *core.Process) (Time, error) {
 	return tu.DivInt(q), nil
 }
 
-// fpPrimeRanks computes a linear extension of FP' = FP with all edges
-// touching sporadic processes removed and server->user edges added.
-func fpPrimeRanks(net *core.Network, user map[string]string) (map[string]int, error) {
-	procs := net.ProcessNames()
-	sporadic := make(map[string]bool, len(user))
-	for s := range user {
-		sporadic[s] = true
+// fpPrimeRanks ranks the processes (indexed as net.Processes) in a linear
+// extension of FP' = FP with all edges touching sporadic processes removed
+// and server->user edges added.
+func fpPrimeRanks(net *core.Network, user map[string]string) ([]int, error) {
+	names := net.ProcessNames()
+	idx := make(map[string]int, len(names))
+	for i, p := range names {
+		idx[p] = i
 	}
-	adj := make(map[string]map[string]bool)
+	var edges [][2]int
 	for _, e := range net.PriorityEdges() {
-		hi, lo := e[0], e[1]
-		if sporadic[hi] || sporadic[lo] {
+		if _, s := user[e[0]]; s {
 			continue
 		}
-		if adj[hi] == nil {
-			adj[hi] = map[string]bool{}
+		if _, s := user[e[1]]; s {
+			continue
 		}
-		adj[hi][lo] = true
+		edges = append(edges, [2]int{idx[e[0]], idx[e[1]]})
 	}
-	for s, u := range user {
-		if adj[s] == nil {
-			adj[s] = map[string]bool{}
-		}
-		adj[s][u] = true
-	}
-	// Kahn with insertion-order tie break.
-	indeg := make(map[string]int, len(procs))
-	for _, p := range procs {
-		indeg[p] = 0
-	}
-	for _, los := range adj {
-		for lo := range los {
-			indeg[lo]++
+	for i, s := range names {
+		if u, ok := user[s]; ok {
+			edges = append(edges, [2]int{i, idx[u]})
 		}
 	}
-	var ready []string
-	for _, p := range procs {
-		if indeg[p] == 0 {
-			ready = append(ready, p)
-		}
-	}
-	rank := make(map[string]int, len(procs))
-	next := 0
-	for len(ready) > 0 {
-		p := ready[0]
-		ready = ready[1:]
-		rank[p] = next
-		next++
-		var unblocked []string
-		for lo := range adj[p] {
-			indeg[lo]--
-			if indeg[lo] == 0 {
-				unblocked = append(unblocked, lo)
-			}
-		}
-		sort.Strings(unblocked)
-		ready = append(ready, unblocked...)
-	}
-	if next != len(procs) {
+	rank, ok := core.PriorityOrder(names, edges, -1)
+	if !ok {
 		return nil, fmt.Errorf("taskgraph: FP' graph has a cycle (check priorities between sporadic processes and their users)")
 	}
 	return rank, nil

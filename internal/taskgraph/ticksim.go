@@ -33,7 +33,7 @@ const rankBits = 20
 // truncated to the horizon H + DeadlineSlack. Besides the jobs it returns
 // the per-job tick table and each job's process index (position in
 // net.Processes()) for the edge pipeline.
-func simulateFrameTicks(net *core.Network, tm *Timing, rank map[string]int, workers int) (
+func simulateFrameTicks(net *core.Network, tm *Timing, rank []int, workers int) (
 	jobs []*Job, index map[string]map[int64]int, jobPid []int32, ticks *JobTicks) {
 
 	procs := net.Processes()
@@ -46,7 +46,7 @@ func simulateFrameTicks(net *core.Network, tm *Timing, rank map[string]int, work
 	off := make([]int, np+1) // invocation-slice offsets per process
 	total := 0
 	for pi, p := range procs {
-		rankOf[pi] = int32(rank[p.Name])
+		rankOf[pi] = int32(rank[pi])
 		off[pi] = total
 		total += int(tm.H/tm.Period[pi]) * p.Burst()
 	}

@@ -21,8 +21,11 @@
 package unisched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/rational"
@@ -89,8 +92,8 @@ type FunctionalResult struct {
 
 // RunFunctional executes the network's processes the way an idealized
 // fixed-priority uniprocessor would: jobs ordered by release time stamp,
-// ties broken by scheduling priority. This is the legacy behaviour that an
-// FPPN port must reproduce.
+// ties broken by scheduling priority, then by process name. This is the
+// legacy behaviour that an FPPN port must reproduce.
 func RunFunctional(net *core.Network, horizon Time, pr Priority,
 	sporadicEvents map[string][]Time, inputs map[string][]core.Value,
 	recordTrace bool) (*FunctionalResult, error) {
@@ -98,42 +101,49 @@ func RunFunctional(net *core.Network, horizon Time, pr Priority,
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("unisched: %w", err)
 	}
-	for _, p := range net.Processes() {
-		if _, ok := pr[p.Name]; !ok {
-			return nil, fmt.Errorf("unisched: no priority for process %q", p.Name)
-		}
-	}
-	invs, err := core.GenerateInvocations(net, horizon, sporadicEvents)
-	if err != nil {
-		return nil, fmt.Errorf("unisched: %w", err)
-	}
-	rank := make(map[string]int, len(pr))
-	for p, r := range pr {
-		rank[p] = r
-	}
-	jobs := core.JobSequence(net, invs, rank)
-	m, err := core.NewMachine(net, core.MachineOptions{Inputs: inputs, RecordTrace: recordTrace})
+	rank, err := denseRank(net, pr)
 	if err != nil {
 		return nil, err
 	}
-	var last Time
-	first := true
-	for _, j := range jobs {
-		if first || !j.Time.Equal(last) {
-			m.Wait(j.Time)
-			last = j.Time
-			first = false
-		}
-		if err := m.ExecJob(j.Proc, j.Time); err != nil {
-			return nil, err
-		}
+	cn, err := core.CompileNetwork(net)
+	if err != nil {
+		return nil, err
+	}
+	res, err := cn.RunRanked(horizon, rank, core.ZeroDelayOptions{
+		SporadicEvents: sporadicEvents, Inputs: inputs, RecordTrace: recordTrace,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("unisched: %w", err)
 	}
 	return &FunctionalResult{
-		Jobs:     jobs,
-		Outputs:  m.Outputs(),
-		Channels: m.ChannelSnapshot(),
-		Trace:    m.Trace(),
+		Jobs:     res.Jobs,
+		Outputs:  res.Outputs,
+		Channels: res.Channels,
+		Trace:    res.Trace,
 	}, nil
+}
+
+// denseRank ranks the processes (indexed as net.Processes) by
+// (priority, name): the order in which an idealized fixed-priority
+// uniprocessor runs jobs released together.
+func denseRank(net *core.Network, pr Priority) ([]int, error) {
+	procs := net.Processes()
+	idx := make([]int, len(procs))
+	for i, p := range procs {
+		if _, ok := pr[p.Name]; !ok {
+			return nil, fmt.Errorf("unisched: no priority for process %q", p.Name)
+		}
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(pr[procs[a].Name], pr[procs[b].Name]),
+			strings.Compare(procs[a].Name, procs[b].Name))
+	})
+	rank := make([]int, len(procs))
+	for r, i := range idx {
+		rank[i] = r
+	}
+	return rank, nil
 }
 
 // JobTiming is the timing record of one job in a preemptive fixed-priority
@@ -172,10 +182,15 @@ func Simulate(net *core.Network, horizon Time, pr Priority,
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("unisched: %w", err)
 	}
-	invs, err := core.GenerateInvocations(net, horizon, sporadicEvents)
+	rank, err := denseRank(net, pr)
+	if err != nil {
+		return nil, err
+	}
+	order, err := core.JobOrder(net, rank, horizon, sporadicEvents)
 	if err != nil {
 		return nil, fmt.Errorf("unisched: %w", err)
 	}
+	refs := order.Refs()
 
 	type job struct {
 		proc      string
@@ -189,27 +204,17 @@ func Simulate(net *core.Network, horizon Time, pr Priority,
 		rank      int
 		seq       int
 	}
-	var pending []*job
-	counts := make(map[string]int64)
-	seq := 0
-	for _, inv := range invs {
-		for _, pn := range inv.Procs {
-			p := net.Process(pn)
-			counts[pn]++
-			r, ok := pr[pn]
-			if !ok {
-				return nil, fmt.Errorf("unisched: no priority for process %q", pn)
-			}
-			pending = append(pending, &job{
-				proc:      pn,
-				k:         counts[pn],
-				release:   inv.Time,
-				remaining: p.WCET,
-				deadline:  inv.Time.Add(p.Deadline()),
-				rank:      r,
-				seq:       seq,
-			})
-			seq++
+	pending := make([]*job, len(refs))
+	for seq, r := range refs {
+		p := net.Process(r.Proc)
+		pending[seq] = &job{
+			proc:      r.Proc,
+			k:         r.K,
+			release:   r.Time,
+			remaining: p.WCET,
+			deadline:  r.Time.Add(p.Deadline()),
+			rank:      pr[r.Proc],
+			seq:       seq,
 		}
 	}
 	// Event-driven simulation: at each instant run the highest-priority

@@ -1,6 +1,7 @@
 package unisched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -259,5 +260,27 @@ func TestConsistencyErrorMessage(t *testing.T) {
 	err := Consistent(net, pr)
 	if err == nil || !strings.Contains(err.Error(), "contradicts functional priority") {
 		t.Errorf("Consistent = %v, want contradiction", err)
+	}
+}
+
+// TestRunFunctionalTiedPriorities pins the tie-break among jobs released
+// together: by priority, then by process name, whatever the insertion
+// order.
+func TestRunFunctionalTiedPriorities(t *testing.T) {
+	net := core.NewNetwork("tied")
+	for _, name := range []string{"mid", "zeta", "alpha"} {
+		net.AddPeriodic(name, ms(100), ms(100), ms(1), nil)
+	}
+	res, err := RunFunctional(net, ms(200), Priority{"mid": 1, "zeta": 0, "alpha": 0}, nil, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, j := range res.Jobs {
+		got = append(got, j.String())
+	}
+	want := []string{"alpha[1]@0", "zeta[1]@0", "mid[1]@0", "alpha[2]@1/10", "zeta[2]@1/10", "mid[2]@1/10"}
+	if !slices.Equal(got, want) {
+		t.Errorf("job order %v, want %v", got, want)
 	}
 }
