@@ -46,6 +46,7 @@ race:
 # randomized integration trials) to crank coverage.
 fuzz:
 	$(GO) test ./internal/rational -fuzz FuzzParseRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rational -run '^$$' -fuzz FuzzRatCmp -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzNetworkValidate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -fuzz FuzzLintNeverPanics -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzPlanMatchesZeroDelay -fuzztime $(FUZZTIME)

@@ -544,29 +544,6 @@ func BenchmarkResponseTimeAnalysis(b *testing.B) {
 	}
 }
 
-// benchmarkFMSDerivationWorkers measures the parallel compile pipeline on
-// the largest derivation in the repository (FMS, 812 jobs) at a fixed
-// fan-out. workers=1 is the sequential reference; the parallel settings
-// must win on multicore hosts while producing an identical graph.
-func benchmarkFMSDerivationWorkers(b *testing.B, workers int) {
-	net := fms.New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tg.Jobs) != 812 {
-			b.Fatalf("%d jobs", len(tg.Jobs))
-		}
-	}
-}
-
-func BenchmarkFMSDerivationSequential(b *testing.B) { benchmarkFMSDerivationWorkers(b, 1) }
-func BenchmarkFMSDerivationWorkers4(b *testing.B)   { benchmarkFMSDerivationWorkers(b, 4) }
-func BenchmarkFMSDerivationDefault(b *testing.B)    { benchmarkFMSDerivationWorkers(b, 0) }
-
 // --- Scale tier: generated networks at 10k and 100k jobs/hyperperiod ---
 //
 // The paper's largest case study stops at 812 jobs per hyperperiod; the

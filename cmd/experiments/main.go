@@ -292,33 +292,23 @@ func propositions() {
 		fmt.Sprintf("%v", concOK), concOK)
 }
 
-// portfolio checks the parallel compile pipeline: the heuristic portfolio
-// race picks the best feasible makespan, and both the derivation and the
-// portfolio are byte-identical at workers=1 (sequential reference) and
-// workers=4.
+// portfolio checks the parallel portfolio: the heuristic race picks the
+// best feasible makespan, and its schedule is byte-identical at workers=1
+// (sequential reference) and workers=4.
 func portfolio() {
-	seqTG, err := taskgraph.DeriveOpts(fms.New(), taskgraph.Options{Workers: 1})
+	tg, err := taskgraph.Derive(fms.New())
 	if err != nil {
-		row("§III-B", "parallel derivation", "succeeds", err.Error(), false)
+		row("§III-B", "FMS derivation", "succeeds", err.Error(), false)
 		return
 	}
-	parTG, err := taskgraph.DeriveOpts(fms.New(), taskgraph.Options{Workers: 4})
-	if err != nil {
-		row("§III-B", "parallel derivation", "succeeds", err.Error(), false)
-		return
-	}
-	seqJSON, _ := export.MarshalIndent(export.TaskGraph(seqTG))
-	parJSON, _ := export.MarshalIndent(export.TaskGraph(parTG))
-	row("§III-B", "FMS derivation workers=1 vs 4", "byte-identical",
-		fmt.Sprintf("%v", seqJSON == parJSON), seqJSON == parJSON)
 
-	best, err := sched.Portfolio(parTG, 2, sched.PortfolioOptions{})
+	best, err := sched.Portfolio(tg, 2, sched.PortfolioOptions{})
 	if err != nil {
 		row("§III-B", "heuristic portfolio on FMS", "feasible", err.Error(), false)
 		return
 	}
 	atLeastAsGood := true
-	for _, r := range sched.RunPortfolio(parTG, 2, sched.PortfolioOptions{}) {
+	for _, r := range sched.RunPortfolio(tg, 2, sched.PortfolioOptions{}) {
 		if r.Feasible && r.Schedule.Makespan().Less(best.Makespan()) {
 			atLeastAsGood = false
 		}
@@ -326,8 +316,8 @@ func portfolio() {
 	row("§III-B", "portfolio winner makespan", "min over heuristics",
 		fmt.Sprintf("%v (%vs)", best.Heuristic, best.Makespan()), atLeastAsGood)
 
-	seqS, err1 := sched.Portfolio(seqTG, 2, sched.PortfolioOptions{Workers: 1})
-	parS, err2 := sched.Portfolio(parTG, 2, sched.PortfolioOptions{Workers: 4})
+	seqS, err1 := sched.Portfolio(tg, 2, sched.PortfolioOptions{Workers: 1})
+	parS, err2 := sched.Portfolio(tg, 2, sched.PortfolioOptions{Workers: 4})
 	if err1 != nil || err2 != nil {
 		row("§III-B", "portfolio workers=1 vs 4", "byte-identical",
 			fmt.Sprintf("%v / %v", err1, err2), false)

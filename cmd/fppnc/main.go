@@ -33,7 +33,7 @@ func main() {
 	app := flag.String("app", "signal", "model spec: registry app or scale:N")
 	m := flag.Int("m", 2, "number of processors")
 	heuristic := flag.String("heuristic", "alap-edf", "schedule priority: alap-edf, b-level, deadline-monotonic, edf, portfolio (race all, keep best makespan)")
-	workers := flag.Int("workers", 0, "compile-pipeline fan-out: 0 = GOMAXPROCS, 1 = sequential")
+	workers := flag.Int("workers", 0, "portfolio/feas fan-out: 0 = GOMAXPROCS, 1 = sequential")
 	dot := flag.String("dot", "", "emit Graphviz for: taskgraph, network")
 	gantt := flag.Bool("gantt", true, "print the ASCII Gantt chart")
 	table := flag.Bool("table", false, "print the schedule table")
@@ -91,7 +91,7 @@ func run(app string, m, workers int, heuristic, vet, dot, jsonOut string, gantt,
 		fmt.Printf("  %v (C=%vs)\n", p, p.WCET)
 	}
 
-	tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{Workers: workers})
+	tg, err := taskgraph.Derive(net)
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func main() {
 	maxM := flag.Int("max-m", 64, "largest processor count a request may ask for")
 	maxFrames := flag.Int("max-frames", 4096, "largest frame count one /simulate may ask for")
 	maxAnalyze := flag.Int("max-analyze-jobs", 4096, "job gate for the expensive /analyze passes")
-	workers := flag.Int("workers", 0, "compile-pipeline fan-out: 0 = GOMAXPROCS, 1 = sequential")
+	workers := flag.Int("workers", 0, "portfolio/feas fan-out: 0 = GOMAXPROCS, 1 = sequential")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
 	flag.Parse()
 

@@ -65,16 +65,15 @@ func main() {
 	concurrent := flag.Bool("concurrent", false, "use the goroutine-per-processor runner")
 	zerocheck := flag.Bool("zerocheck", true, "verify outputs against the zero-delay semantics")
 	width := flag.Int("width", 100, "Gantt chart width")
-	workers := flag.Int("workers", 0, "compile-pipeline fan-out: 0 = GOMAXPROCS, 1 = sequential")
 	flag.Parse()
 
-	if err := run(*app, *m, *frames, *workers, *overhead, *events, *concurrent, *zerocheck, *width); err != nil {
+	if err := run(*app, *m, *frames, *overhead, *events, *concurrent, *zerocheck, *width); err != nil {
 		fmt.Fprintln(os.Stderr, "fppnsim:", err)
 		os.Exit(cli.ExitCode(err))
 	}
 }
 
-func run(app string, m, frames, workers int, overheadName, eventSpec string, concurrent, zerocheck bool, width int) error {
+func run(app string, m, frames int, overheadName, eventSpec string, concurrent, zerocheck bool, width int) error {
 	model, err := cli.LoadModel(app)
 	if err != nil {
 		return err
@@ -93,7 +92,7 @@ func run(app string, m, frames, workers int, overheadName, eventSpec string, con
 	}
 
 	fmt.Printf("model %s digest %s\n", model.Name, model.Digest[:12])
-	tg, err := taskgraph.DeriveOpts(model.Net, taskgraph.Options{Workers: workers})
+	tg, err := taskgraph.Derive(model.Net)
 	if err != nil {
 		return err
 	}

@@ -34,14 +34,14 @@ func TestParseEvents(t *testing.T) {
 func TestRunSmoke(t *testing.T) {
 	// End-to-end smoke of the simulator command path for each app.
 	for _, app := range []string{"signal", "fft"} {
-		if err := run(app, 2, 2, 0, "none", "", false, true, 80); err != nil {
+		if err := run(app, 2, 2, "none", "", false, true, 80); err != nil {
 			t.Errorf("%s: %v", app, err)
 		}
 	}
-	if err := run("fft", 1, 3, 1, "mppa", "", false, false, 80); err != nil {
+	if err := run("fft", 1, 3, "mppa", "", false, false, 80); err != nil {
 		t.Errorf("fft overloaded: %v", err)
 	}
-	if err := run("signal", 2, 7, 4, "none", "CoefB@0.05", true, true, 80); err != nil {
+	if err := run("signal", 2, 7, "none", "CoefB@0.05", true, true, 80); err != nil {
 		t.Errorf("concurrent signal: %v", err)
 	}
 	for _, bad := range []struct{ app, overhead, events string }{
@@ -49,7 +49,7 @@ func TestRunSmoke(t *testing.T) {
 		{"signal", "warp", ""},
 		{"signal", "none", "bad"},
 	} {
-		err := run(bad.app, 1, 1, 0, bad.overhead, bad.events, false, false, 80)
+		err := run(bad.app, 1, 1, bad.overhead, bad.events, false, false, 80)
 		if err == nil {
 			t.Errorf("run(%+v) accepted", bad)
 		} else if got := cli.ExitCode(err); got != cli.ExitUsage {

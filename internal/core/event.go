@@ -73,21 +73,6 @@ func (g Generator) String() string {
 	return prefix + period
 }
 
-// PeriodicTimes returns the invocation time stamps of a periodic generator
-// in [0, horizon), with each burst expanded to Burst entries.
-func (g Generator) PeriodicTimes(horizon Time) []Time {
-	if g.Kind != Periodic {
-		panic("core: PeriodicTimes on non-periodic generator")
-	}
-	var out []Time
-	for t := rational.Zero; t.Less(horizon); t = t.Add(g.Period) {
-		for i := 0; i < g.Burst; i++ {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // CheckSporadic verifies that the sorted sequence of event time stamps
 // respects the sporadic constraint: at most Burst events in any half-open
 // interval of length Period. Negative time stamps are rejected; equal time

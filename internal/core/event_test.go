@@ -43,9 +43,26 @@ func TestGeneratorString(t *testing.T) {
 	}
 }
 
+// periodicJobTimes returns the invocation times of a one-process network
+// with generator g over [0, horizon), read off the zero-delay job order.
+func periodicJobTimes(t *testing.T, g Generator, horizon Time) []Time {
+	t.Helper()
+	n := NewNetwork("gen")
+	n.AddProcess("p", g, ms(1), NopBehavior)
+	o, err := JobOrder(n, []int{0}, horizon, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var times []Time
+	for _, r := range o.Refs() {
+		times = append(times, r.Time)
+	}
+	return times
+}
+
 func TestPeriodicTimes(t *testing.T) {
 	g := Generator{Kind: Periodic, Period: ms(100), Burst: 1, Deadline: ms(100)}
-	times := g.PeriodicTimes(ms(300))
+	times := periodicJobTimes(t, g, ms(300))
 	want := []Time{ms(0), ms(100), ms(200)}
 	if len(times) != len(want) {
 		t.Fatalf("got %d times, want %d", len(times), len(want))
@@ -59,7 +76,7 @@ func TestPeriodicTimes(t *testing.T) {
 
 func TestPeriodicTimesBurst(t *testing.T) {
 	g := Generator{Kind: Periodic, Period: ms(200), Burst: 2, Deadline: ms(200)}
-	times := g.PeriodicTimes(ms(400))
+	times := periodicJobTimes(t, g, ms(400))
 	if len(times) != 4 {
 		t.Fatalf("got %d times, want 4", len(times))
 	}
@@ -71,19 +88,10 @@ func TestPeriodicTimesBurst(t *testing.T) {
 
 func TestPeriodicTimesHorizonExclusive(t *testing.T) {
 	g := Generator{Kind: Periodic, Period: ms(100), Burst: 1, Deadline: ms(100)}
-	times := g.PeriodicTimes(ms(200))
+	times := periodicJobTimes(t, g, ms(200))
 	if len(times) != 2 {
 		t.Errorf("horizon must be exclusive: got %d times, want 2", len(times))
 	}
-}
-
-func TestPeriodicTimesPanicsOnSporadic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	Generator{Kind: Sporadic, Period: ms(100), Burst: 1, Deadline: ms(100)}.PeriodicTimes(ms(200))
 }
 
 func TestCheckSporadic(t *testing.T) {

@@ -1,6 +1,6 @@
-// Differential determinism harness for the parallel compile pipeline: every
-// worker count must produce byte-for-byte the same task graph, the same
-// portfolio schedule and the same runtime report as the sequential
+// Differential determinism harness for the parallel portfolio: on one
+// derived task graph, every worker count must produce byte-for-byte the
+// same portfolio schedule and the same runtime report as the sequential
 // (workers=1) reference. Checked on the three paper applications and on a
 // corpus of random networks.
 package integration
@@ -27,19 +27,14 @@ import (
 // exceeding any input size dimension likely on CI.
 var workerCounts = []int{0, 2, 3, 8}
 
-// deriveJSON derives net with the given worker count and returns the graph
-// plus its canonical JSON serialization.
-func deriveJSON(t *testing.T, net *core.Network, workers int) (*taskgraph.TaskGraph, string) {
+// derive derives net's task graph, failing the test on error.
+func derive(t *testing.T, net *core.Network) *taskgraph.TaskGraph {
 	t.Helper()
-	tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{Workers: workers})
+	tg, err := taskgraph.Derive(net)
 	if err != nil {
-		t.Fatalf("derive workers=%d: %v", workers, err)
+		t.Fatalf("derive: %v", err)
 	}
-	text, err := export.MarshalIndent(export.TaskGraph(tg))
-	if err != nil {
-		t.Fatalf("marshal workers=%d: %v", workers, err)
-	}
-	return tg, text
+	return tg
 }
 
 // scheduleJSON runs the heuristic portfolio with the given worker count and
@@ -57,9 +52,9 @@ func scheduleJSON(t *testing.T, tg *taskgraph.TaskGraph, m, workers int) (*sched
 	return s, text
 }
 
-// TestDifferentialPaperApps proves the parallel pipeline changes nothing on
-// the three applications of the paper: derivation, portfolio scheduling and
-// the runtime report are deep-equal and JSON byte-identical at every worker
+// TestDifferentialPaperApps proves the parallel portfolio changes nothing
+// on the three applications of the paper: the portfolio schedule and the
+// runtime report are deep-equal and JSON byte-identical at every worker
 // count.
 func TestDifferentialPaperApps(t *testing.T) {
 	apps := []struct {
@@ -77,12 +72,8 @@ func TestDifferentialPaperApps(t *testing.T) {
 		app := app
 		t.Run(app.name, func(t *testing.T) {
 			t.Parallel()
-			// One network instance throughout: behaviours are closures, so
-			// graphs derived from two build() calls are never DeepEqual
-			// even when structurally identical.
-			net := app.build()
-			refTG, refTGJSON := deriveJSON(t, net, 1)
-			refS, refSJSON := scheduleJSON(t, refTG, app.m, 1)
+			tg := derive(t, app.build())
+			refS, refSJSON := scheduleJSON(t, tg, app.m, 1)
 			refPlan, err := plan.Compile(refS)
 			if err != nil {
 				t.Fatal(err)
@@ -97,13 +88,6 @@ func TestDifferentialPaperApps(t *testing.T) {
 			}
 
 			for _, w := range workerCounts {
-				tg, tgJSON := deriveJSON(t, net, w)
-				if !reflect.DeepEqual(tg, refTG) {
-					t.Fatalf("workers=%d: task graph differs from sequential", w)
-				}
-				if tgJSON != refTGJSON {
-					t.Fatalf("workers=%d: task-graph JSON differs from sequential", w)
-				}
 				s, sJSON := scheduleJSON(t, tg, app.m, w)
 				if s.Heuristic != refS.Heuristic || !reflect.DeepEqual(s.Assign, refS.Assign) {
 					t.Fatalf("workers=%d: portfolio schedule differs from sequential", w)
@@ -132,8 +116,7 @@ func TestDifferentialPaperApps(t *testing.T) {
 }
 
 // TestDifferentialRandomNetworks sweeps ≥50 random networks: for each, the
-// parallel derivation and portfolio must match the sequential reference
-// byte-for-byte.
+// parallel portfolio must match the sequential reference byte-for-byte.
 func TestDifferentialRandomNetworks(t *testing.T) {
 	trials := trialCount(t, 50)
 	rng := rand.New(rand.NewSource(4242))
@@ -146,17 +129,10 @@ func TestDifferentialRandomNetworks(t *testing.T) {
 		trial, net := trial, net
 		t.Run(fmt.Sprintf("net%03d", trial), func(t *testing.T) {
 			t.Parallel()
-			refTG, refTGJSON := deriveJSON(t, net, 1)
-			m := len(refTG.Jobs) // feasible by construction at one job per processor
-			refS, refSJSON := scheduleJSON(t, refTG, m, 1)
+			tg := derive(t, net)
+			m := len(tg.Jobs) // feasible by construction at one job per processor
+			refS, refSJSON := scheduleJSON(t, tg, m, 1)
 			for _, w := range workerCounts {
-				tg, tgJSON := deriveJSON(t, net, w)
-				if !reflect.DeepEqual(tg, refTG) {
-					t.Fatalf("workers=%d: task graph differs from sequential", w)
-				}
-				if tgJSON != refTGJSON {
-					t.Fatalf("workers=%d: task-graph JSON differs from sequential", w)
-				}
 				s, sJSON := scheduleJSON(t, tg, m, w)
 				if s.Heuristic != refS.Heuristic {
 					t.Fatalf("workers=%d: portfolio winner %v, sequential picked %v",

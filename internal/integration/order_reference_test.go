@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/rational"
 )
 
 // invocation is the multiset of process invocations occurring at one time
@@ -38,7 +39,12 @@ func generateInvocations(net *core.Network, horizon core.Time, sporadicEvents ma
 	for _, p := range net.Processes() {
 		times := sporadicEvents[p.Name]
 		if p.Gen.Kind == core.Periodic {
-			times = p.Gen.PeriodicTimes(horizon)
+			times = nil
+			for t := rational.Zero; t.Less(horizon); t = t.Add(p.Gen.Period) {
+				for b := 0; b < p.Gen.Burst; b++ {
+					times = append(times, t)
+				}
+			}
 		} else {
 			sorted := slices.Clone(times)
 			slices.SortFunc(sorted, core.Time.Cmp)

@@ -220,6 +220,8 @@ type context struct {
 	jobsOK        bool
 	hbTried       bool        // happens-before verification attempted
 	hbVerd        *hb.Verdict // nil when skipped or failed
+	timingTried   bool        // integer timescale lowered
+	timingErr     error       // taskgraph.LowerTiming's error, or nil
 }
 
 func (c *context) addf(r Rule, subjectKind, subject, fix, format string, args ...any) {

@@ -230,3 +230,40 @@ func TestHyperperiodOverflow(t *testing.T) {
 		}
 	}
 }
+
+// TestServerDeadlineOverflow: FPPN006 stays a finding, not a panic, when
+// d − T_u or the fractional server period T_u/q does not fit int64; the
+// message then omits the value that does not fit.
+func TestServerDeadlineOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tu, d rational.Rat
+		want  string
+	}{
+		{"fits", rational.New(2, 5), rational.New(3, 10),
+			`sporadic "s": corrected server deadline d−T_u = -1/10s is not positive (d=3/10s, user "u" period 2/5s); derivation falls back to fractional server period T_u/2 = 1/5s`},
+		// d − T_u needs the denominator 3·(2^24+1) and a numerator of
+		// about 2^64.
+		{"difference", rational.New(1<<40, 3), rational.New(1<<40, 1<<24+1),
+			`sporadic "s": corrected server deadline d−T_u is not positive (d=1099511627776/16777217s, user "u" period 1099511627776/3s); derivation falls back to fractional server period T_u/5592406 = 549755813888/8388609s`},
+		// q = 2^80 + 1.
+		{"fraction", rational.FromInt(1 << 40), rational.New(1, 1<<40),
+			`sporadic "s": corrected server deadline d−T_u is not positive (d=1/1099511627776s, user "u" period 1099511627776s); no fractional server period T_u/q fits int64`},
+	} {
+		net := core.NewNetwork(tc.name)
+		// Quarter-period WCETs keep every other rule's sums representable.
+		net.AddPeriodic("u", tc.tu, tc.tu, tc.tu.DivInt(4), core.NopBehavior)
+		net.AddSporadic("s", 1, tc.tu, tc.d, tc.tu.DivInt(4), core.NopBehavior)
+		net.ConnectInit("s", "u", "c", 0)
+		net.Priority("s", "u")
+		var msgs []string
+		for _, f := range Run(net, Options{}).Findings {
+			if f.Code == CodeServerDeadline {
+				msgs = append(msgs, f.Message)
+			}
+		}
+		if len(msgs) != 1 || msgs[0] != tc.want {
+			t.Errorf("%s: FPPN006 findings %q, want one %q", tc.name, msgs, tc.want)
+		}
+	}
+}

@@ -189,16 +189,36 @@ func runServerDeadline(c *context, r Rule) {
 		if err != nil {
 			continue // FPPN004 already fired
 		}
-		tu := u.Period()
-		if tu.Less(p.Deadline()) {
-			continue
+		tu, d := u.Period(), p.Deadline()
+		if tu.Less(d) || d.Sign() <= 0 {
+			continue // a non-positive deadline is FPPN001's
 		}
-		q := tu.Div(p.Deadline()).Floor() + 1
+		slack := ""
+		if diff, ok := subOK(d, tu); ok {
+			slack = fmt.Sprintf(" = %vs", diff)
+		}
+		fallback := "no fractional server period T_u/q fits int64"
+		if q, tp, ok := taskgraph.FractionalServerPeriod(tu, d); ok {
+			fallback = fmt.Sprintf("derivation falls back to fractional server period T_u/%d = %vs", q, tp)
+		}
 		c.addf(r, "process", p.Name,
 			fmt.Sprintf("raise the deadline of %q above the user period %vs", p.Name, tu),
-			"sporadic %q: corrected server deadline d−T_u = %vs is not positive (d=%vs, user %q period %vs); derivation falls back to fractional server period T_u/%d = %vs",
-			p.Name, p.Deadline().Sub(tu), p.Deadline(), u.Name, tu, q, tu.DivInt(q))
+			"sporadic %q: corrected server deadline d−T_u%s is not positive (d=%vs, user %q period %vs); %s",
+			p.Name, slack, d, u.Name, tu, fallback)
 	}
+}
+
+// subOK returns a − b; ok is false when the exact difference does not fit
+// an int64 numerator and denominator.
+func subOK(a, b rational.Rat) (rational.Rat, bool) {
+	x, okX := rational.MulOK(a.Num(), b.Den())
+	y, okY := rational.MulOK(b.Num(), -a.Den())
+	num, okN := rational.AddOK(x, y)
+	den, okD := rational.MulOK(a.Den(), b.Den())
+	if !okX || !okY || !okN || !okD {
+		return rational.Rat{}, false
+	}
+	return rational.New(num, den), true
 }
 
 // runWCETDeadline warns when a process's WCET exceeds its relative
@@ -381,7 +401,9 @@ func runHyperperiod(c *context, r Rule) {
 		return
 	}
 	// Derived periods: sporadic processes run at their server period.
+	// fits turns false when a fractional server period overflows.
 	periods := make([]core.Time, len(procs))
+	fits := true
 	for i, p := range procs {
 		periods[i] = p.Period()
 		if !p.IsSporadic() {
@@ -391,11 +413,14 @@ func runHyperperiod(c *context, r Rule) {
 		if err != nil {
 			return // FPPN004 already fired; H of PN' is undefined
 		}
-		tu := u.Period()
-		if !tu.Less(p.Deadline()) && p.Deadline().Sign() > 0 {
-			tu = tu.DivInt(tu.Div(p.Deadline()).Floor() + 1)
+		periods[i] = u.Period()
+		if !u.Period().Less(p.Deadline()) && p.Deadline().Sign() > 0 {
+			_, frac, ok := taskgraph.FractionalServerPeriod(u.Period(), p.Deadline())
+			if ok {
+				periods[i] = frac
+			}
+			fits = fits && ok
 		}
-		periods[i] = tu
 	}
 	for _, t := range periods {
 		if t.Sign() <= 0 {
@@ -404,10 +429,10 @@ func runHyperperiod(c *context, r Rule) {
 	}
 	h, ok := rational.LcmAll(periods)
 	var jobs, ratio int64
-	if ok {
+	if ok && fits {
 		jobs, ratio, ok = frameJobs(h, procs, periods)
 	}
-	if !ok {
+	if !ok || !fits {
 		c.addf(r, "network", c.net.Name,
 			"harmonize the process periods",
 			"hyperperiod of the process periods overflows exact rational arithmetic; the periods are severely non-harmonic")
@@ -549,8 +574,8 @@ const maxDemandJobs = 1000
 // out a schedule on the assumed capacity: some window must contain more
 // execution time than Options.Processors can serve.
 func runDemandBound(c *context, r Rule) {
-	if len(c.coreProblems()) > 0 {
-		return // Demand requires a schedulable network
+	if len(c.coreProblems()) > 0 || c.timingError() != nil {
+		return // Demand requires a schedulable network on the integer timescale
 	}
 	if jobs, ok := c.frameJobEstimate(); !ok || jobs > int64(c.opts.MaxFrameJobs) || jobs > maxDemandJobs {
 		return
@@ -808,15 +833,24 @@ func runHBUnordered(c *context, r Rule) {
 		c.opts.Processors, v.Unordered, v.Pairs, *w)
 }
 
+// timingError lazily lowers the network onto the integer timescale and
+// returns taskgraph.LowerTiming's error, or nil when the timing fits.
+func (c *context) timingError() error {
+	if !c.timingTried {
+		c.timingTried = true
+		_, c.timingErr = taskgraph.LowerTiming(c.net, rational.Zero)
+	}
+	return c.timingErr
+}
+
 // runTimescale reports timing that does not fit the integer timescale the
 // compile pipeline computes on: taskgraph.Derive would reject the model
 // with the same error. LowerTiming is O(processes), so the rule runs at
 // every frame size; networks without a derived network PN' (FPPN004,
 // FPPN001 periods) are left to the rules that already fired.
 func runTimescale(c *context, r Rule) {
-	_, err := taskgraph.LowerTiming(c.net, rational.Zero)
 	var te *taskgraph.TimescaleError
-	if !errors.As(err, &te) {
+	if !errors.As(c.timingError(), &te) {
 		return
 	}
 	c.addf(r, te.Kind, te.Subject,

@@ -1,7 +1,6 @@
 // Package parallel is the bounded worker-pool primitive behind the
-// compile-time pipeline: task-graph derivation, the schedule-priority
-// portfolio and the cross-executor fuzz harness all fan their independent
-// work units out through it.
+// schedule-priority portfolio and the feasibility analysis: both fan their
+// independent work units out through it.
 //
 // The package is deliberately small and deterministic-by-construction:
 //
@@ -33,12 +32,11 @@ import (
 	"sync/atomic"
 )
 
-// PanicError is the value ForEach, Map and ForEachChunk re-raise on the
-// calling goroutine when a work unit panics on a worker goroutine. Its
-// message carries the worker's stack, which the re-raise would otherwise
-// lose.
+// PanicError is the value ForEach and Map re-raise on the calling
+// goroutine when a work unit panics on a worker goroutine. Its message
+// carries the worker's stack, which the re-raise would otherwise lose.
 type PanicError struct {
-	// Index is the work unit (the chunk, for ForEachChunk) that panicked.
+	// Index is the work unit that panicked.
 	Index int
 	// Value is the value the unit panicked with.
 	Value any
@@ -177,38 +175,4 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForEachChunk covers [0, n) with contiguous half-open chunks [lo, hi) and
-// runs fn on each with at most workers goroutines. It amortizes dispatch
-// overhead when per-index work is small; chunk boundaries depend only on n
-// and workers, never on scheduling. Error selection follows ForEach (the
-// chunk with the lowest lo wins).
-func ForEachChunk(ctx context.Context, n, workers int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Workers(workers)
-	if workers == 1 {
-		if ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fn(0, n)
-	}
-	// A few chunks per worker smooths imbalance between cheap and
-	// expensive regions without resorting to per-index dispatch.
-	chunks := workers * 4
-	if chunks > n {
-		chunks = n
-	}
-	size := (n + chunks - 1) / chunks
-	count := (n + size - 1) / size
-	return ForEach(ctx, count, workers, func(c int) error {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		return fn(lo, hi)
-	})
 }

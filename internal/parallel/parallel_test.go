@@ -109,39 +109,12 @@ func TestFnErrorOutranksCancellation(t *testing.T) {
 	}
 }
 
-func TestForEachChunkCoversRange(t *testing.T) {
-	t.Parallel()
-	for _, workers := range []int{1, 3, 8} {
-		for _, n := range []int{1, 2, 7, 100, 1023} {
-			covered := make([]atomic.Int32, n)
-			err := ForEachChunk(nil, n, workers, func(lo, hi int) error {
-				if lo < 0 || hi > n || lo >= hi {
-					return fmt.Errorf("bad chunk [%d, %d)", lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					covered[i].Add(1)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("workers=%d n=%d: %v", workers, n, err)
-			}
-			for i := range covered {
-				if covered[i].Load() != 1 {
-					t.Fatalf("workers=%d n=%d: index %d covered %d times",
-						workers, n, i, covered[i].Load())
-				}
-			}
-		}
-	}
-}
-
 func TestEmptyRangeIsNoOp(t *testing.T) {
 	t.Parallel()
 	if err := ForEach(nil, 0, 4, func(int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEachChunk(nil, -3, 4, func(int, int) error { t.Fatal("ran"); return nil }); err != nil {
+	if err := ForEach(nil, -3, 4, func(int) error { t.Fatal("ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -178,7 +151,7 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		t.Errorf("panic message lacks the value or the stack:\n%s", msg)
 	}
 
-	// Map and ForEachChunk fan out through ForEach and inherit the re-raise.
+	// Map fans out through ForEach and inherits the re-raise.
 	got = nil
 	func() {
 		defer func() { got = recover() }()
@@ -186,20 +159,5 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 	}()
 	if pe, ok := got.(*PanicError); !ok || pe.Index != 0 {
 		t.Errorf("Map: recovered %v, want the unit-0 *PanicError", got)
-	}
-	got = nil
-	func() {
-		defer func() { got = recover() }()
-		_ = ForEachChunk(nil, 64, 4, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if err := panicUnit(i); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}()
-	if _, ok := got.(*PanicError); !ok {
-		t.Errorf("ForEachChunk: recovered %T, want *PanicError", got)
 	}
 }

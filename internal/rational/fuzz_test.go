@@ -1,6 +1,8 @@
 package rational
 
 import (
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 )
@@ -41,6 +43,46 @@ func FuzzParseRoundTrip(f *testing.F) {
 			if back.String() != text {
 				t.Fatalf("canonical form unstable: %q -> %q", text, back.String())
 			}
+		}
+	})
+}
+
+// FuzzRatCmp pins Cmp to math/big on arbitrary numerator/denominator
+// pairs: the comparison is exact, so it must agree with big.Rat.Cmp and
+// never panic, however large the cross products. Pairs New cannot build
+// (a zero denominator, or math.MinInt64 in either part, which Parse also
+// rejects) are skipped.
+//
+// Run with: go test ./internal/rational -run '^$' -fuzz FuzzRatCmp
+func FuzzRatCmp(f *testing.F) {
+	for _, seed := range [][4]int64{
+		{1, 2, 1, 3},
+		{-1, 2, 1, 3},
+		{0, 1, 0, 7},
+		{1 << 40, 3, 1 << 40, 1<<24 + 1},
+		{-(1 << 40), 3, -(1 << 40), 1<<24 + 1},
+		{math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 1, math.MaxInt64 - 2},
+		{math.MaxInt64, 2, math.MaxInt64 - 2, 1},
+		{-math.MaxInt64, 3, math.MaxInt64, -5},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3])
+	}
+	f.Fuzz(func(t *testing.T, a, b, c, d int64) {
+		for _, v := range []int64{a, b, c, d} {
+			if v == math.MinInt64 {
+				return
+			}
+		}
+		if b == 0 || d == 0 {
+			return
+		}
+		r, s := New(a, b), New(c, d)
+		want := big.NewRat(a, b).Cmp(big.NewRat(c, d))
+		if got := r.Cmp(s); got != want {
+			t.Fatalf("(%v).Cmp(%v) = %d, math/big says %d", r, s, got, want)
+		}
+		if got := s.Cmp(r); got != -want {
+			t.Fatalf("(%v).Cmp(%v) = %d, math/big says %d", s, r, got, -want)
 		}
 	})
 }

@@ -12,8 +12,10 @@
 package rational
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -170,40 +172,27 @@ func (r Rat) canon() Rat {
 }
 
 // Cmp compares r and s and returns -1 if r < s, 0 if r == s, +1 if r > s.
+// The comparison is exact for every pair of values and never panics.
 func (r Rat) Cmp(s Rat) int {
 	r, s = r.normalized(), s.normalized()
-	// Normalized forms are unique, so equal values are identical structs;
-	// without this fast path comparing a value to itself could overflow in
-	// the cross multiplication below.
-	if r == s {
-		return 0
-	}
 	// Equal denominators (in particular both integers) compare by
-	// numerator alone — no cross multiplication, no overflow risk.
+	// numerator alone.
 	if r.den == s.den {
-		switch {
-		case r.num < s.num:
-			return -1
-		case r.num > s.num:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(r.num, s.num)
 	}
-	// Compare a/b vs c/d via a*(d/g) vs c*(b/g) with g = gcd(b, d): the
-	// common factor cancels on both sides and widens the overflow-free
-	// range of the checked multiplication.
+	if c := cmp.Compare(r.Sign(), s.Sign()); c != 0 {
+		return c
+	}
+	// Same sign: compare |a|·(d/g) with |c|·(b/g), g = gcd(b, d), as
+	// 128-bit products, and flip the result for negative values.
 	g := gcd64(r.den, s.den)
-	lhs := mulChecked(r.num, s.den/g)
-	rhs := mulChecked(s.num, r.den/g)
-	switch {
-	case lhs < rhs:
-		return -1
-	case lhs > rhs:
-		return 1
-	default:
-		return 0
+	lhi, llo := bits.Mul64(uabs64(r.num), uint64(s.den/g))
+	rhi, rlo := bits.Mul64(uabs64(s.num), uint64(r.den/g))
+	c := cmp.Compare(lhi, rhi)
+	if c == 0 {
+		c = cmp.Compare(llo, rlo)
 	}
+	return c * r.Sign()
 }
 
 // Less reports whether r < s.
@@ -519,6 +508,14 @@ func abs64(a int64) int64 {
 		return -a
 	}
 	return a
+}
+
+// uabs64 returns |a|, exact also for math.MinInt64.
+func uabs64(a int64) uint64 {
+	if a < 0 {
+		return uint64(-a)
+	}
+	return uint64(a)
 }
 
 func gcd64(a, b int64) int64 {

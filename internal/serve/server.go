@@ -52,7 +52,7 @@ type Options struct {
 	// of /analyze: graphs with more jobs per frame report those sections
 	// as skipped (default 4096), mirroring the FPPN018–020 lint gates.
 	MaxAnalyzeJobs int
-	// Workers bounds the compile-pipeline fan-out (0 = GOMAXPROCS).
+	// Workers bounds the portfolio/feas fan-out (0 = GOMAXPROCS).
 	Workers int
 }
 
@@ -302,7 +302,7 @@ func (s *Server) resolve(req *jobRequest) (*Entry, bool, error) {
 // cache miss. Exactly one of these runs per key at a time (singleflight).
 func (s *Server) compileEntry(model *cli.Model, m int, heuristic string) (*Entry, error) {
 	start := time.Now()
-	tg, err := taskgraph.DeriveOpts(model.Net, taskgraph.Options{Workers: s.opts.Workers})
+	tg, err := taskgraph.Derive(model.Net)
 	if err != nil {
 		return nil, unprocessable("derive %s: %v", model.Name, err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rational"
+	"repro/internal/taskgraph"
 )
 
 // DemandJob is one job of the server-transformed network PN' over one
@@ -86,15 +87,14 @@ func demandJobs(net *core.Network) ([]DemandJob, Time, error) {
 		if err != nil {
 			return nil, rational.Zero, fmt.Errorf("staticflow: %w", err)
 		}
-		tu := u.Period()
-		tp := tu
-		if !tu.Less(p.Deadline()) {
-			q := tu.Div(p.Deadline()).Floor() + 1
-			if q < 1 {
+		tp := u.Period()
+		if !tp.Less(p.Deadline()) {
+			_, frac, ok := taskgraph.FractionalServerPeriod(tp, p.Deadline())
+			if !ok {
 				return nil, rational.Zero, fmt.Errorf(
 					"staticflow: cannot find server period for sporadic %q", p.Name)
 			}
-			tp = tu.DivInt(q)
+			tp = frac
 		}
 		substitute[p.Name] = tp
 		serverPeriod[p.Name] = tp

@@ -111,7 +111,12 @@ func TestJobOrderMatchesJobSequence(t *testing.T) {
 			for pid, p := range procs {
 				want := tc.events[p.Name]
 				if p.Gen.Kind == core.Periodic {
-					want = p.Gen.PeriodicTimes(horizon)
+					want = nil
+					for t := rational.Zero; t.Less(horizon); t = t.Add(p.Gen.Period) {
+						for b := 0; b < p.Gen.Burst; b++ {
+							want = append(want, t)
+						}
+					}
 				}
 				want = slices.Clone(want)
 				slices.SortFunc(want, core.Time.Cmp)

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/rational"
 )
 
@@ -109,7 +108,7 @@ type TaskGraph struct {
 	// edges memoizes Edges(): the reduced edge list in lexicographic
 	// order, computed eagerly at derivation so repeated calls (scheduling,
 	// export, the rt precedence closure) stop re-sorting the adjacency
-	// lists. Deterministic for every worker count.
+	// lists.
 	edges [][2]int
 	// ticks memoizes Ticks(): the jobs' timing on the integer timescale,
 	// filled by the frame simulation at derivation. ticksErr memoizes the
@@ -242,12 +241,6 @@ type Options struct {
 	// slack (the paper's future-work item); such schedules must pass
 	// sched.ValidatePipelined instead of the plain feasibility check.
 	DeadlineSlack Time
-	// Workers bounds the fan-out of the derivation pipeline: invocation
-	// simulation runs per process, edge generation and the transitive-
-	// reduction reachability sweep run over independent job buckets.
-	// 0 selects GOMAXPROCS; 1 forces the reference sequential execution.
-	// Every worker count produces byte-identical task graphs.
-	Workers int
 	// AllowUncoveredChannels derives a task graph even when some channel
 	// pairs lack functional-priority coverage (FPPN003). Every other
 	// validation rule still applies. Jobs of the uncovered endpoint
@@ -318,18 +311,8 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 		return nil, err
 	}
 
-	workers := parallel.Workers(opts.Workers)
-	if opts.Workers <= 0 {
-		// The fan-out is only worth its dispatch overhead when every worker
-		// owns a substantial slice of the frame; on small graphs the
-		// GOMAXPROCS default used to *lose* to the sequential loop. Size
-		// the pool from the exact job count, known before simulation
-		// because H is a common multiple of every (substituted) period.
-		workers = defaultDeriveWorkers(tm.Jobs, workers)
-	}
-
 	// Step 2: simulate the invocation order of PN' over [0, H).
-	jobs, index, jobPid, ticks := simulateFrameTicks(net, tm, rank, workers)
+	jobs, index, jobPid, ticks := simulateFrameTicks(net, tm, rank)
 
 	tg := &TaskGraph{
 		Net:          net,
@@ -346,7 +329,7 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 	related := relatedSets(net, srv.user)
 	tg.related = related
 	ec := newEdgeCtx(net, jobs, related, jobPid)
-	cand := candidateEdges(ec, len(jobs), workers)
+	cand := candidateEdges(ec, len(jobs))
 	tg.CandidateEdgeCount = countEdges(cand)
 
 	// Step 5: transitive reduction (step 4, deadline truncation, happened
@@ -359,7 +342,7 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 		if len(jobs) >= chainReductionMinJobs {
 			cand = transitiveReductionChains(cand, ec)
 		} else {
-			cand, tg.reach = transitiveReduction(cand, workers)
+			cand, tg.reach = transitiveReduction(cand)
 		}
 	}
 	tg.Succ = cand
@@ -402,45 +385,46 @@ func serverTransform(net *core.Network) (servers, error) {
 	return srv, nil
 }
 
-// derivationJobsPerWorker is the minimum frame-job count one derivation
-// worker should own. Below it, goroutine dispatch and per-chunk setup cost
-// more than the parallelism recovers. The tick lowering moved the knee
-// far up: per-job work is now a handful of integer ops, so the 812-job
-// FMS frame runs fastest sequentially (the old 256-job cutoff made the
-// GOMAXPROCS default strictly slower than the sequential loop) and
-// fan-out only pays off on the multi-thousand-job scale tier.
-const derivationJobsPerWorker = 4096
-
-// defaultDeriveWorkers sizes the derivation pool for a frame of the given
-// job count: one worker per derivationJobsPerWorker jobs, at least 1, at
-// most the GOMAXPROCS-resolved limit.
-func defaultDeriveWorkers(jobs, limit int) int {
-	w := jobs / derivationJobsPerWorker
-	if w < 1 {
-		return 1
-	}
-	if w > limit {
-		return limit
-	}
-	return w
-}
-
 // serverPeriodFor computes T_p' for sporadic p with user u: T_u, or the
 // largest fraction T_u/q that keeps the corrected deadline d_p − T_p'
 // positive (footnote 3 of the paper).
 func serverPeriodFor(p, u *core.Process) (Time, error) {
-	tu := u.Period()
-	if tu.Less(p.Deadline()) {
+	tu, d := u.Period(), p.Deadline()
+	if d.Sign() <= 0 {
+		return rational.Zero, fmt.Errorf(
+			"taskgraph: cannot find server period for sporadic %q (T_u=%v, d=%v)", p.Name, tu, d)
+	}
+	if tu.Less(d) {
 		return tu, nil
 	}
-	// Need T' = T_u/q < d_p, i.e. q > T_u/d_p.
-	q := tu.Div(p.Deadline()).Floor() + 1
-	if q < 1 {
-		return rational.Zero, fmt.Errorf(
-			"taskgraph: cannot find server period for sporadic %q (T_u=%v, d=%v)",
-			p.Name, tu, p.Deadline())
+	_, tp, ok := FractionalServerPeriod(tu, d)
+	if !ok {
+		return rational.Zero, &TimescaleError{Kind: "process", Subject: p.Name,
+			Reason: fmt.Sprintf("no fraction of the user period %vs below the deadline %vs fits int64", tu, d)}
 	}
-	return tu.DivInt(q), nil
+	return tp, nil
+}
+
+// FractionalServerPeriod returns the fractional server period T_u/q of
+// footnote 3 for a sporadic deadline 0 < d ≤ T_u: the largest fraction of
+// the user period below d, with q = ⌊T_u/d⌋ + 1. ok is false when d is
+// not positive or when q or T_u/q does not fit int64.
+func FractionalServerPeriod(tu, d Time) (q int64, tp Time, ok bool) {
+	if d.Sign() <= 0 {
+		return 0, rational.Zero, false
+	}
+	q, ok = tu.FloorDivOK(d)
+	if ok {
+		q, ok = rational.AddOK(q, 1)
+	}
+	var den int64
+	if ok {
+		den, ok = rational.MulOK(tu.Den(), q)
+	}
+	if !ok || q < 1 {
+		return 0, rational.Zero, false
+	}
+	return q, rational.New(tu.Num(), den), true
 }
 
 // fpPrimeRanks ranks the processes (indexed as net.Processes) in a linear
@@ -516,103 +500,46 @@ func dedupInts(s []int) []int {
 // from v through another successor, and returns the per-node
 // strict-descendant bitsets its sweep computes as a byproduct (kept on the
 // TaskGraph for O(1) HasPath queries). Nodes are assumed topologically
-// ordered by index (edges go forward), which the derivation guarantees.
-//
-// The reachability sweep computes desc[v] (the bitset of strict descendants
-// of v) bottom-up. Sequentially that is a single reverse-index scan; with
-// workers > 1 the nodes are swept level by level — level(v) = longest edge
-// path from v to a sink — because nodes on the same level are never related
-// and depend only on levels already completed. Both orders compute the same
-// per-node fixpoint, so the reduced graph is identical for every worker
-// count.
-func transitiveReduction(succ [][]int, workers int) ([][]int, [][]uint64) {
+// ordered by index (edges go forward), which the derivation guarantees, so
+// one reverse-index scan sees every successor's desc[u] (the bitset of its
+// strict descendants) complete before it reaches v.
+func transitiveReduction(succ [][]int) ([][]int, [][]uint64) {
 	n := len(succ)
 	words := (n + 63) / 64
-	// desc[v] = bitset of all strict descendants of v.
 	desc := make([][]uint64, n)
 	buf := make([]uint64, n*words)
 	for v := 0; v < n; v++ {
 		desc[v] = buf[v*words : (v+1)*words]
 	}
 	out := make([][]int, n)
-	// Kept-edge lists are carved from one arena, pre-offset by candidate
-	// degree; regions are disjoint per node, so the parallel levels write
-	// without coordination and allocate nothing.
-	offs := make([]int, n+1)
+	// Kept-edge lists are carved from one arena sized by the candidate
+	// edge count.
 	total := 0
-	for v, s := range succ {
-		offs[v] = total
+	for _, s := range succ {
 		total += len(s)
 	}
-	offs[n] = total
-	arena := make([]int, total)
+	arena := make([]int, 0, total)
 
-	// reduce resolves one node, given desc of all its successors.
 	// Redundancy: edge (v,u) is redundant iff u is a descendant of some
 	// other successor w. Since desc[w] never contains w, unioning all
 	// desc[w] first and testing membership is equivalent to the per-u
 	// exclusion. The successors themselves are added afterwards: every
 	// successor is a descendant either way.
-	reduce := func(v int) {
+	for v := n - 1; v >= 0; v-- {
 		d := desc[v]
 		for _, u := range succ[v] {
 			orBits(d, desc[u])
 		}
-		kept := arena[offs[v]:offs[v]:offs[v+1]]
+		base := len(arena)
 		for _, u := range succ[v] {
 			if !bitSet(d, u) {
-				kept = append(kept, u)
+				arena = append(arena, u)
 			}
 		}
 		for _, u := range succ[v] {
 			setBit(d, u)
 		}
-		out[v] = kept
-	}
-
-	if workers <= 1 {
-		for v := n - 1; v >= 0; v-- {
-			reduce(v)
-		}
-		return out, desc
-	}
-
-	// Partition nodes by level; an edge v -> u forces
-	// level(v) >= level(u) + 1, so a level's inputs are all complete
-	// once the lower levels are done.
-	level := make([]int, n)
-	maxLevel := 0
-	for v := n - 1; v >= 0; v-- {
-		l := 0
-		for _, u := range succ[v] {
-			if level[u]+1 > l {
-				l = level[u] + 1
-			}
-		}
-		level[v] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	byLevel := make([][]int, maxLevel+1)
-	for v := 0; v < n; v++ {
-		byLevel[level[v]] = append(byLevel[level[v]], v)
-	}
-	const minParallelLevel = 32 // fan-out overhead beats tiny levels
-	for l := 0; l <= maxLevel; l++ {
-		nodes := byLevel[l]
-		if len(nodes) < minParallelLevel {
-			for _, v := range nodes {
-				reduce(v)
-			}
-			continue
-		}
-		parallel.ForEachChunk(nil, len(nodes), workers, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				reduce(nodes[i])
-			}
-			return nil
-		})
+		out[v] = arena[base:len(arena):len(arena)]
 	}
 	return out, desc
 }

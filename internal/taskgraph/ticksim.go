@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/parallel"
 )
 
 // rankBits packs an invocation's FP' rank into the low bits of its sort
@@ -33,7 +32,7 @@ const rankBits = 20
 // truncated to the horizon H + DeadlineSlack. Besides the jobs it returns
 // the per-job tick table and each job's process index (position in
 // net.Processes()) for the edge pipeline.
-func simulateFrameTicks(net *core.Network, tm *Timing, rank []int, workers int) (
+func simulateFrameTicks(net *core.Network, tm *Timing, rank []int) (
 	jobs []*Job, index map[string]map[int64]int, jobPid []int32, ticks *JobTicks) {
 
 	procs := net.Processes()
@@ -43,40 +42,30 @@ func simulateFrameTicks(net *core.Network, tm *Timing, rank []int, workers int) 
 	// Exact invocation counts: H is a common multiple of every substituted
 	// period, so count = H/T' divides evenly.
 	rankOf := make([]int32, np)
-	off := make([]int, np+1) // invocation-slice offsets per process
+	perProc := make([]int, np) // invocations per process
 	total := 0
 	for pi, p := range procs {
 		rankOf[pi] = int32(rank[pi])
-		off[pi] = total
-		total += int(tm.H/tm.Period[pi]) * p.Burst()
+		perProc[pi] = int(tm.H/tm.Period[pi]) * p.Burst()
+		total += perProc[pi]
 	}
-	off[np] = total
 
-	// Generate each process's stream of packed (t, rank) keys into its own
-	// pre-offset region — independent regions, so the fan-out needs no
-	// collection pass and the result is identical for every worker count.
-	// Ranks are a permutation of the processes, so the key's rank field
-	// recovers the process after the sort.
+	// Generate each process's stream of packed (t, rank) keys. Ranks are a
+	// permutation of the processes, so the key's rank field recovers the
+	// process after the sort.
 	pidOfRank := make([]int32, np)
 	for pi := range rankOf {
 		pidOfRank[rankOf[pi]] = int32(pi)
 	}
-	keys := make([]int64, total)
-	parallel.ForEachChunk(nil, np, workers, func(lo, hi int) error {
-		for pi := lo; pi < hi; pi++ {
-			burst := procs[pi].Burst()
-			base := int64(rankOf[pi])
-			w := off[pi]
-			for t := int64(0); t < tm.H; t += tm.Period[pi] {
-				key := t<<rankBits | base
-				for b := 0; b < burst; b++ {
-					keys[w] = key
-					w++
-				}
+	keys := make([]int64, 0, total)
+	for pi, p := range procs {
+		for t := int64(0); t < tm.H; t += tm.Period[pi] {
+			key := t<<rankBits | int64(rankOf[pi])
+			for b := 0; b < p.Burst(); b++ {
+				keys = append(keys, key)
 			}
 		}
-		return nil
-	})
+	}
 
 	// <_J order: (t, FP' rank), i.e. ascending packed key. Ties are
 	// invocations of one process at one instant — identical keys, for
@@ -96,7 +85,7 @@ func simulateFrameTicks(net *core.Network, tm *Timing, rank []int, workers int) 
 	index = make(map[string]map[int64]int, np)
 	idxOf := make([]map[int64]int, np)
 	for pi, p := range procs {
-		if n := off[pi+1] - off[pi]; n > 0 {
+		if n := perProc[pi]; n > 0 {
 			idxOf[pi] = make(map[int64]int, n)
 			index[p.Name] = idxOf[pi]
 		}
@@ -179,34 +168,16 @@ func newEdgeCtx(net *core.Network, jobs []*Job, related map[string]map[string]bo
 	return ec
 }
 
-// nextAfter32 returns the smallest element of sorted that is > i, or -1.
-func nextAfter32(sorted []int32, i int) int {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(sorted[mid]) <= i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(sorted) {
-		return -1
-	}
-	return int(sorted[lo])
-}
-
 // candidateEdges produces, for every job, an edge to the next job (in <_J)
 // of the same process and to the next job of every related process. The
 // transitive closure of this set equals the full precedence relation of the
 // paper's step 3, because later jobs of the same target process are reached
 // through that process's own chain. Successor lists are carved from one
 // arena sized by the exact per-job degree bound (1 + |related|), so the
-// generation allocates O(1) slices regardless of job count. Each worker
-// owns an index chunk and sweeps it descending, maintaining nextOf[q] =
-// smallest job index of process q strictly above the sweep position —
-// seeded per chunk by one binary search per process, then O(1) per job.
-func candidateEdges(ec *edgeCtx, n, workers int) [][]int {
+// generation allocates O(1) slices regardless of job count. One descending
+// sweep maintains nextOf[q] = smallest job index of process q strictly
+// above the sweep position, O(1) per job.
+func candidateEdges(ec *edgeCtx, n int) [][]int {
 	off := make([]int, n+1)
 	total := 0
 	for i := 0; i < n; i++ {
@@ -216,29 +187,26 @@ func candidateEdges(ec *edgeCtx, n, workers int) [][]int {
 	off[n] = total
 	arena := make([]int, total)
 	succ := make([][]int, n)
-	parallel.ForEachChunk(nil, n, workers, func(lo, hi int) error {
-		nextOf := make([]int32, ec.np)
-		for pi := 0; pi < ec.np; pi++ {
-			nextOf[pi] = int32(nextAfter32(ec.byProc[pi], hi-1))
+	nextOf := make([]int32, ec.np)
+	for pi := range nextOf {
+		nextOf[pi] = -1
+	}
+	for i := n - 1; i >= 0; i-- {
+		pi := ec.jobPid[i]
+		out := arena[off[i]:off[i]:off[i+1]]
+		// Next job of the same process.
+		if nx := nextOf[pi]; nx >= 0 {
+			out = append(out, int(nx))
 		}
-		for i := hi - 1; i >= lo; i-- {
-			pi := ec.jobPid[i]
-			out := arena[off[i]:off[i]:off[i+1]]
-			// Next job of the same process.
-			if nx := nextOf[pi]; nx >= 0 {
+		for _, qi := range ec.relPid[pi] {
+			if nx := nextOf[qi]; nx >= 0 {
 				out = append(out, int(nx))
 			}
-			for _, qi := range ec.relPid[pi] {
-				if nx := nextOf[qi]; nx >= 0 {
-					out = append(out, int(nx))
-				}
-			}
-			sort.Ints(out)
-			succ[i] = dedupInts(out)
-			nextOf[pi] = int32(i)
 		}
-		return nil
-	})
+		sort.Ints(out)
+		succ[i] = dedupInts(out)
+		nextOf[pi] = int32(i)
+	}
 	return succ
 }
 

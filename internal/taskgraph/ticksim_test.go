@@ -3,6 +3,7 @@ package taskgraph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -38,9 +39,9 @@ func TestChainReductionMatchesBitset(t *testing.T) {
 		np := 1 + rng.Intn(6)
 		n := 1 + rng.Intn(150)
 		ec := randomEdgeCtx(rng, n, np)
-		cand := candidateEdges(ec, n, 1)
+		cand := candidateEdges(ec, n)
 		fromChains := transitiveReductionChains(cand, ec)
-		fromBitset, _ := transitiveReduction(cand, 1)
+		fromBitset, _ := transitiveReduction(cand)
 		if !reflect.DeepEqual(fromChains, fromBitset) {
 			t.Fatalf("trial %d (n=%d, np=%d): chain reduction diverges from bitset sweep\nchains: %v\nbitset: %v",
 				trial, n, np, fromChains, fromBitset)
@@ -48,19 +49,57 @@ func TestChainReductionMatchesBitset(t *testing.T) {
 	}
 }
 
-// TestCandidateEdgesSweepMatchesWorkers checks the per-chunk nextOf sweep
-// is worker-count independent (each chunk seeds its own scan position).
-func TestCandidateEdgesSweepMatchesWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		np := 1 + rng.Intn(5)
-		n := 1 + rng.Intn(200)
-		ec := randomEdgeCtx(rng, n, np)
-		ref := candidateEdges(ec, n, 1)
-		for _, w := range []int{2, 3, 8} {
-			if got := candidateEdges(ec, n, w); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("trial %d workers=%d: candidate edges differ from sequential", trial, w)
+// reachRows returns the transitive closure of a forward-edge relation as
+// one reachability row per node: rows[a][b] reports a path a -> b.
+func reachRows(succ [][]int) [][]bool {
+	n := len(succ)
+	rows := make([][]bool, n)
+	for a := n - 1; a >= 0; a-- {
+		rows[a] = make([]bool, n)
+		for _, b := range succ[a] {
+			rows[a][b] = true
+			for c := b + 1; c < n; c++ {
+				rows[a][c] = rows[a][c] || rows[b][c]
 			}
+		}
+	}
+	return rows
+}
+
+// TestCandidateEdgesMatchPaperStep3 checks candidateEdges against the
+// definition of step 3: J_a precedes J_b when a < b in <_J and the two
+// jobs belong to the same process or to related processes. Every
+// candidate edge must be such a pair, and the candidate set must have the
+// same transitive closure as the full relation.
+func TestCandidateEdgesMatchPaperStep3(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		np := 1 + rng.Intn(5)
+		n := 1 + rng.Intn(120)
+		ec := randomEdgeCtx(rng, n, np)
+		related := func(a, b int) bool {
+			pa, pb := ec.jobPid[a], ec.jobPid[b]
+			return pa == pb || slices.Contains(ec.relPid[pa], pb)
+		}
+		full := make([][]int, n)
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if related(a, b) {
+					full[a] = append(full[a], b)
+				}
+			}
+		}
+		cand := candidateEdges(ec, n)
+		for a, out := range cand {
+			for _, b := range out {
+				if b <= a || !related(a, b) {
+					t.Fatalf("trial %d (n=%d, np=%d): candidate edge %d->%d is not a step-3 pair", trial, n, np, a, b)
+				}
+			}
+		}
+		if got, want := reachRows(cand), reachRows(full); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d, np=%d): closure of candidate edges differs from step 3\ncandidates: %v",
+				trial, n, np, cand)
 		}
 	}
 }

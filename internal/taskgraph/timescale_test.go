@@ -2,6 +2,7 @@ package taskgraph
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/signal"
@@ -94,5 +95,40 @@ func TestTicksOfDerivedAndHandBuiltGraphs(t *testing.T) {
 	}
 	if _, again := hand.Ticks(); again != err {
 		t.Error("the lowering error is not memoized")
+	}
+}
+
+// serverNet is a periodic user u with period tu and a sporadic process s
+// with deadline d that u serves; WCETs are a quarter of tu.
+func serverNet(tu, d rational.Rat) *core.Network {
+	n := core.NewNetwork("server")
+	n.AddPeriodic("u", tu, tu, tu.DivInt(4), core.NopBehavior)
+	n.AddSporadic("s", 1, tu, d, tu.DivInt(4), core.NopBehavior)
+	n.ConnectInit("s", "u", "c", 0)
+	n.Priority("s", "u")
+	n.Output("u", "OUT")
+	return n
+}
+
+// TestDeriveServerPeriodOverflow: server periods whose exact arithmetic
+// leaves int64 fail with a *TimescaleError instead of a panic. Comparing
+// T_u = 2^40/3 s with d = 2^40/(2^24+1) s cross-multiplies to about 2^64;
+// with T_u = 2^40 s and d = 2^-40 s the fraction T_u/q itself overflows.
+func TestDeriveServerPeriodOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		tu, d         rational.Rat
+		subject, text string
+	}{
+		{"compare", rational.New(1<<40, 3), rational.New(1<<40, 1<<24+1), "u",
+			"period 1099511627776/3s is beyond 2^40 ticks"},
+		{"fraction", rational.FromInt(1 << 40), rational.New(1, 1<<40), "s",
+			"no fraction of the user period 1099511627776s below the deadline 1/1099511627776s fits int64"},
+	} {
+		_, err := Derive(serverNet(tc.tu, tc.d))
+		var te *TimescaleError
+		if !errors.As(err, &te) || te.Kind != "process" || te.Subject != tc.subject || !strings.Contains(te.Reason, tc.text) {
+			t.Errorf("%s: error %v, want a timescale error on process %q containing %q", tc.name, err, tc.subject, tc.text)
+		}
 	}
 }
