@@ -47,6 +47,7 @@ race:
 fuzz:
 	$(GO) test ./internal/rational -fuzz FuzzParseRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rational -run '^$$' -fuzz FuzzRatCmp -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/rational -run '^$$' -fuzz FuzzRatNew -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzNetworkValidate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -fuzz FuzzLintNeverPanics -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzPlanMatchesZeroDelay -fuzztime $(FUZZTIME)

@@ -65,12 +65,7 @@ func MeasureChainLatency(rep *plan.Report, chain []string) (ChainLatency, error)
 		if p.IsSporadic() {
 			return out, fmt.Errorf("analysis: chain process %q is sporadic; latency needs periodic stages", proc)
 		}
-		count := int64(0)
-		for _, j := range tg.Jobs {
-			if j.Proc == proc {
-				count++
-			}
-		}
+		count := int64(len(tg.JobsOf(tg.Net.Pid(proc))))
 		if perFrame == -1 {
 			perFrame = count
 		} else if count != perFrame {
@@ -82,10 +77,8 @@ func MeasureChainLatency(rep *plan.Report, chain []string) (ChainLatency, error)
 	first, last := chain[0], chain[len(chain)-1]
 	// Index executed intervals by (label, occurrence); labels repeat
 	// across frames, so collect them in time order.
-	starts := map[string][]Time{}
 	ends := map[string][]Time{}
 	for _, e := range rep.Entries {
-		starts[e.Label] = append(starts[e.Label], e.Start)
 		ends[e.Label] = append(ends[e.Label], e.End)
 	}
 	for f := 0; f < rep.Frames; f++ {
@@ -127,13 +120,9 @@ func StaticChainLatency(s *sched.Schedule, chain []string) (Time, error) {
 	first, last := chain[0], chain[len(chain)-1]
 	worst := rational.Zero
 	found := false
-	for k := int64(1); ; k++ {
-		jFirst := tg.Job(first, k)
-		jLast := tg.Job(last, k)
-		if jFirst == nil || jLast == nil {
-			break
-		}
-		lat := s.End(jLast.Index).Sub(jFirst.Arrival)
+	firsts, lasts := tg.JobsOf(tg.Net.Pid(first)), tg.JobsOf(tg.Net.Pid(last))
+	for k := range min(len(firsts), len(lasts)) {
+		lat := s.End(lasts[k]).Sub(tg.Jobs[firsts[k]].Arrival)
 		if !found || worst.Less(lat) {
 			worst = lat
 		}

@@ -94,16 +94,6 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 	net := &ta.Network{Init: ta.Vars{}}
 	h := tg.Hyperperiod
 
-	// Per-frame invocation count of each periodic process.
-	perFrame := make(map[string]int64)
-	for _, j := range tg.Jobs {
-		if !j.Server {
-			if j.K > perFrame[j.Proc] {
-				perFrame[j.Proc] = j.K
-			}
-		}
-	}
-
 	// Generator automata for periodic processes.
 	for _, p := range tg.Net.Processes() {
 		if p.IsSporadic() {
@@ -211,7 +201,7 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 			}
 
 			if !job.Server {
-				per := perFrame[job.Proc]
+				per := int64(len(tg.JobsOf(job.Pid))) // invocations per frame
 				k := job.K
 				pname := job.Proc
 				a.Edges = append(a.Edges, ta.Edge{
@@ -317,7 +307,7 @@ func (p *Program) startAction(jobIdx, procIdx int) func(now Time) error {
 	return func(now Time) error {
 		tg := p.Schedule.TG
 		j := tg.Jobs[jobIdx]
-		if err := p.machine.ExecJob(j.Proc, now); err != nil {
+		if err := p.machine.ExecJobID(j.Pid, now); err != nil {
 			return err
 		}
 		end := now.Add(j.WCET)

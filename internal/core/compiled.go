@@ -22,7 +22,6 @@ type CompiledNet struct {
 	net *Network
 
 	procs  []*Process
-	procID map[string]int
 	chans  []*Channel
 	chanID map[string]int
 	// chanSorted lists cids in channel-name order, the order
@@ -87,11 +86,7 @@ func CompileNetworkOpts(net *Network, opts CompileOptions) (*CompiledNet, error)
 		net:    net,
 		procs:  net.Processes(),
 		chans:  net.Channels(),
-		procID: make(map[string]int, len(net.procOrder)),
 		chanID: make(map[string]int, len(net.chanOrder)),
-	}
-	for i, p := range cn.procs {
-		cn.procID[p.Name] = i
 	}
 	for i, c := range cn.chans {
 		cn.chanID[c.Name] = i
@@ -144,17 +139,6 @@ func (cn *CompiledNet) Network() *Network { return cn.net }
 
 // NumProcesses returns the process count.
 func (cn *CompiledNet) NumProcesses() int { return len(cn.procs) }
-
-// ProcID returns the interned id of the named process, or -1.
-func (cn *CompiledNet) ProcID(name string) int {
-	if id, ok := cn.procID[name]; ok {
-		return id
-	}
-	return -1
-}
-
-// ProcName returns the name of the process with the given id.
-func (cn *CompiledNet) ProcName(pid int) string { return cn.procs[pid].Name }
 
 // RunZeroDelay executes the compiled network under the zero-delay
 // semantics over [0, horizon) — the interned fast path behind the

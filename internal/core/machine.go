@@ -177,8 +177,8 @@ func (m *Machine) Compiled() *CompiledNet { return m.cn }
 
 // Count returns the number of jobs of the process executed so far.
 func (m *Machine) Count(proc string) int64 {
-	pid, ok := m.cn.procID[proc]
-	if !ok {
+	pid := m.cn.net.Pid(proc)
+	if pid < 0 || pid >= len(m.counts) {
 		return 0
 	}
 	return m.counts[pid]
@@ -197,8 +197,8 @@ func (m *Machine) Wait(t Time) {
 // channel the process does not own) and behaviour panics are returned as
 // errors.
 func (m *Machine) ExecJob(proc string, t Time) error {
-	pid, ok := m.cn.procID[proc]
-	if !ok {
+	pid := m.cn.net.Pid(proc)
+	if pid < 0 || pid >= len(m.counts) {
 		return fmt.Errorf("core: ExecJob of unknown process %q", proc)
 	}
 	return m.ExecJobID(pid, t)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -65,6 +67,7 @@ func (n *Network) AddProcess(name string, gen Generator, wcet Time, b Behavior) 
 	if wcet.Sign() < 0 {
 		n.errorf("process %q: negative WCET %v", name, wcet)
 	}
+	p.pid = len(n.procOrder)
 	n.procs[name] = p
 	n.procOrder = append(n.procOrder, name)
 	return p
@@ -189,6 +192,14 @@ func (n *Network) Output(process, channel string) {
 // Process returns the named process, or nil.
 func (n *Network) Process(name string) *Process { return n.procs[name] }
 
+// Pid returns the named process's pid, its index in Processes, or -1.
+func (n *Network) Pid(name string) int {
+	if p, ok := n.procs[name]; ok {
+		return p.pid
+	}
+	return -1
+}
+
 // Processes returns all processes in insertion order.
 func (n *Network) Processes() []*Process {
 	out := make([]*Process, 0, len(n.procOrder))
@@ -249,6 +260,21 @@ func (n *Network) PriorityEdges() [][2]string {
 			return out[i][0] < out[j][0]
 		}
 		return out[i][1] < out[j][1]
+	})
+	return out
+}
+
+// PriorityPids returns all FP edges as [hi, lo] pid pairs, sorted: the
+// pid form of PriorityEdges.
+func (n *Network) PriorityPids() [][2]int {
+	var out [][2]int
+	for hi, los := range n.fp {
+		for lo := range los {
+			out = append(out, [2]int{n.procs[hi].pid, n.procs[lo].pid})
+		}
+	}
+	slices.SortFunc(out, func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	return out
 }

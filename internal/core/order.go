@@ -91,22 +91,7 @@ func PriorityOrder(names []string, edges [][2]int, seed int64) (rank []int, ok b
 
 // fpOrder is PriorityOrder over the network's processes and FP edges.
 func (n *Network) fpOrder(seed int64) (rank []int, ok bool) {
-	idx := make(map[string]int, len(n.procOrder))
-	for i, p := range n.procOrder {
-		idx[p] = i
-	}
-	m := 0
-	for _, los := range n.fp {
-		m += len(los)
-	}
-	edges := make([][2]int, 0, m)
-	// fppnlint:ignore -- PriorityOrder does not depend on the edge order
-	for hi, los := range n.fp {
-		for lo := range los {
-			edges = append(edges, [2]int{idx[hi], idx[lo]})
-		}
-	}
-	return PriorityOrder(n.procOrder, edges, seed)
+	return PriorityOrder(n.procOrder, n.PriorityPids(), seed)
 }
 
 // FPRank returns the position of every process (indexed as Processes) in

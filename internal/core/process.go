@@ -49,6 +49,10 @@ type Process struct {
 	// Behavior is the functional body. A nil Behavior acts as NopBehavior.
 	Behavior Behavior
 
+	// pid is the process's position in its network's Processes, set by
+	// the Network builder.
+	pid int
+
 	// Channel attachments, maintained by the Network builder.
 	inputs  []string // internal channels this process reads
 	outputs []string // internal channels this process writes

@@ -395,18 +395,15 @@ type conflictSite struct {
 // Only the witness renders names.
 func (g *graph) checkConflicts() Verdict {
 	tg := g.tg
-	names := tg.Net.ProcessNames()
-	byProc := make(map[string][]int, len(names))
-	for i, j := range tg.Jobs {
-		byProc[j.Proc] = append(byProc[j.Proc], i)
-	}
 	var sites []conflictSite
-	for _, name := range names {
-		sites = append(sites, conflictSite{name: name, as: byProc[name], bs: byProc[name], self: true})
+	for pid, name := range tg.Net.ProcessNames() {
+		js := tg.JobsOf(pid)
+		sites = append(sites, conflictSite{name: name, as: js, bs: js, self: true})
 	}
 	for _, c := range tg.Net.Channels() {
 		if c.Writer != c.Reader { // else ordered by the process's own job order
-			sites = append(sites, conflictSite{name: c.Name, as: byProc[c.Writer], bs: byProc[c.Reader]})
+			sites = append(sites, conflictSite{name: c.Name,
+				as: tg.JobsOf(tg.Net.Pid(c.Writer)), bs: tg.JobsOf(tg.Net.Pid(c.Reader))})
 		}
 	}
 

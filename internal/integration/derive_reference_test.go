@@ -65,6 +65,7 @@ func simulateFrameRational(net *core.Network, tg *taskgraph.TaskGraph, slack rat
 		j := &taskgraph.Job{
 			Index:   len(jobs),
 			Proc:    iv.proc,
+			Pid:     net.Pid(iv.proc),
 			K:       k,
 			Arrival: iv.t,
 			WCET:    p.WCET,

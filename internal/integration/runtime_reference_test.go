@@ -214,7 +214,7 @@ func runReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, error) {
 			}
 			if cfg.Pipelined {
 				for q, fin := range prevProcFinish {
-					if tg.Related(j.Proc, q) && start.Less(fin) {
+					if tg.Related(j.Pid, tg.Net.Pid(q)) && start.Less(fin) {
 						start = fin
 					}
 				}

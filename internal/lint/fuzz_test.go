@@ -1,6 +1,10 @@
 package lint
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -53,32 +57,206 @@ func mutate(net *core.Network, sel byte) {
 	}
 }
 
-// FuzzLintNeverPanics drives lint.Run over randomly generated networks —
-// pristine and deliberately corrupted — and checks it never panics and
-// keeps its core contract: error findings if and only if
-// ValidateSchedulable rejects the network.
+// timedProc is one process of an extreme-timing network: its kind,
+// burst and its period, deadline and WCET as numerator/denominator pairs.
+type timedProc struct {
+	sporadic bool
+	burst    int
+	times    [6]int64 // period, deadline, WCET: num, den each
+}
+
+// timedRecord is the encoded size of one timedProc: a flag byte (bit 0
+// sporadic, bits 1-2 the burst minus one) and six little-endian int64s.
+const timedRecord = 1 + 6*8
+
+// encodeTiming is the fuzz-argument form of the processes timingNet
+// builds.
+func encodeTiming(procs ...timedProc) []byte {
+	var out []byte
+	for _, p := range procs {
+		flag := byte(p.burst-1) << 1 & 6
+		if p.sporadic {
+			flag |= 1
+		}
+		out = append(out, flag)
+		for _, v := range p.times {
+			out = binary.LittleEndian.AppendUint64(out, uint64(v))
+		}
+	}
+	return out
+}
+
+// timingNet decodes up to four processes p0.. from spec. Every later
+// process is joined to p0 by a blackboard and an FP edge — a sporadic one
+// writes to p0, its user, with priority over it — so the timing alone
+// decides what lint meets. Zero denominators read as 1 and math.MinInt64
+// parts as math.MinInt64+1, so every value is a valid rational.
+func timingNet(spec []byte) *core.Network {
+	net := core.NewNetwork("timing")
+	part := func(b []byte) int64 {
+		return max(int64(binary.LittleEndian.Uint64(b)), math.MinInt64+1)
+	}
+	for i := 0; i < 4 && len(spec) >= timedRecord; i++ {
+		flag, vals := spec[0], spec[1:timedRecord]
+		spec = spec[timedRecord:]
+		var t [3]rational.Rat
+		for k := range t {
+			num, den := part(vals[16*k:]), part(vals[16*k+8:])
+			if den == 0 {
+				den = 1
+			}
+			t[k] = rational.New(num, den)
+		}
+		name, burst := fmt.Sprintf("p%d", i), 1+int(flag>>1&3)
+		if flag&1 != 0 {
+			net.AddSporadic(name, burst, t[0], t[1], t[2], core.NopBehavior)
+			if i > 0 {
+				net.ConnectInit(name, "p0", name+"_p0", 0)
+				net.Priority(name, "p0")
+			}
+			continue
+		}
+		net.AddMultiPeriodic(name, burst, t[0], t[1], t[2], core.NopBehavior)
+		if i > 0 {
+			net.ConnectInit("p0", name, "p0_"+name, 0)
+			net.Priority("p0", name)
+		}
+	}
+	return net
+}
+
+// extremeTiming generates two to four processes whose periods and
+// deadlines sit at the edges of the integer timescale: 2^40/k or 2^62/k,
+// as an exact fraction or rounded down to whole seconds, with WCETs at a
+// fraction of them.
+func extremeTiming(rng *rand.Rand) []byte {
+	ks := []int64{1, 2, 3, 5, 7, 1<<24 + 1, 1<<31 - 1}
+	edge := func() (num, den int64) {
+		e := []int64{1 << 40, 1 << 62}[rng.Intn(2)]
+		k := ks[rng.Intn(len(ks))]
+		if rng.Intn(3) == 0 {
+			k = 1 + rng.Int63n(1<<31)
+		}
+		if rng.Intn(2) == 0 {
+			return e / k, 1
+		}
+		return e, k
+	}
+	procs := make([]timedProc, 2+rng.Intn(3))
+	for i := range procs {
+		p := &procs[i]
+		p.sporadic = i > 0 && rng.Intn(3) == 0
+		p.burst = 1 + rng.Intn(4)
+		p.times[0], p.times[1] = edge()
+		if p.sporadic {
+			// A sporadic process keeps its user's period; its deadline
+			// is the extreme value.
+			p.times[0], p.times[1] = procs[0].times[0], procs[0].times[1]
+		}
+		p.times[2], p.times[3] = p.times[0], p.times[1]
+		if rng.Intn(2) == 0 {
+			p.times[2], p.times[3] = edge()
+		}
+		// The WCET is a fraction of the period or, always for a
+		// sporadic process, of the deadline.
+		num, den := p.times[0], p.times[1]
+		if p.sporadic || rng.Intn(2) == 0 {
+			num, den = p.times[2], p.times[3]
+		}
+		f := []int64{2, 3, 4, 8, 1000}[rng.Intn(5)]
+		p.times[4], p.times[5] = num, den*f
+		if den > math.MaxInt64/f {
+			p.times[4], p.times[5] = num/f, den
+		}
+	}
+	return encodeTiming(procs...)
+}
+
+// assertLintContract runs lint on net and checks that it returns a report
+// that encodes, with error findings exactly when ValidateSchedulable
+// rejects the network or its timing does not fit the integer timescale
+// (FPPN021).
+func assertLintContract(t *testing.T, net *core.Network, m int) {
+	t.Helper()
+	rep := Run(net, Options{Processors: m})
+	if rep == nil {
+		t.Fatal("Run returned nil")
+	}
+	want := net.ValidateSchedulable()
+	if want == nil {
+		var te *taskgraph.TimescaleError
+		if _, err := taskgraph.LowerTiming(net, rational.Zero); errors.As(err, &te) {
+			want = err
+		}
+	}
+	if rep.HasErrors() != (want != nil) {
+		t.Fatalf("%s: HasErrors=%v disagrees with validation and timescale error %v", net.Name, rep.HasErrors(), want)
+	}
+	if _, err := rep.JSON(); err != nil {
+		t.Fatalf("JSON: %v", err)
+	}
+}
+
+// FuzzLintNeverPanics drives lint.Run over generated networks — random
+// ones, pristine and deliberately corrupted, and, when timing is not
+// empty, the extreme-timing network it encodes (see timingNet) — and
+// checks that it never panics and keeps its contract (assertLintContract).
+// The corpus seeds extremeTiming's networks and the overflow cases of
+// FPPN008, FPPN006, FPPN012 and the server period.
 func FuzzLintNeverPanics(f *testing.F) {
-	f.Add(int64(1), byte(0), 2)
-	f.Add(int64(2), byte(1), 1)
-	f.Add(int64(3), byte(2), 4)
-	f.Add(int64(42), byte(3), 2)
-	f.Add(int64(7), byte(4), 3)
-	f.Add(int64(99), byte(5), 2)
-	f.Fuzz(func(t *testing.T, seed int64, sel byte, m int) {
-		net := nettest.Random(rand.New(rand.NewSource(seed)), nettest.Options{})
+	f.Add(int64(1), byte(0), 2, []byte(nil))
+	f.Add(int64(2), byte(1), 1, []byte(nil))
+	f.Add(int64(3), byte(2), 4, []byte(nil))
+	f.Add(int64(42), byte(3), 2, []byte(nil))
+	f.Add(int64(7), byte(4), 3, []byte(nil))
+	f.Add(int64(99), byte(5), 2, []byte(nil))
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, byte(0), 2, extremeTiming(rand.New(rand.NewSource(seed))))
+	}
+	periodic := func(burst int, num, den int64) timedProc {
+		return timedProc{burst: burst, times: [6]int64{num, den, num, den, num, 4 * den}}
+	}
+	// A user u with period T_u and WCET T_u/4 serving a sporadic process
+	// with deadline d: FPPN006 (TestServerDeadlineOverflow), the server
+	// period (TestDeriveServerPeriodOverflow) and, with T_u =
+	// 366503875925 s, FPPN008 (TestUtilizationOverflow).
+	server := func(tuNum, tuDen, dNum, dDen, wcetDen int64) []byte {
+		return encodeTiming(periodic(1, tuNum, tuDen),
+			timedProc{sporadic: true, burst: 1, times: [6]int64{tuNum, tuDen, dNum, dDen, tuNum, wcetDen}})
+	}
+	for _, spec := range [][]byte{
+		server(366503875925, 1, 1<<40, 1<<24+1, 4),
+		server(2, 5, 3, 10, 20),
+		server(1<<40, 3, 1<<40, 1<<24+1, 12),
+		server(1<<40, 1, 1, 1<<40, 4),
+		// TestHyperperiodOverflow: lcm, jobs, ratio.
+		encodeTiming(periodic(1, 1<<31-1, 1), periodic(1, 1<<31, 1), periodic(1, 1<<31+1, 1)),
+		encodeTiming(periodic(1, 1<<31, 1), periodic(2, 1, 1<<31)),
+		encodeTiming(periodic(1, 1<<40, 3), periodic(1, 1<<40, 1<<24+1)),
+	} {
+		f.Add(int64(0), byte(0), 2, spec)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, sel byte, m int, timing []byte) {
+		var net *core.Network
+		if len(timing) == 0 {
+			net = nettest.Random(rand.New(rand.NewSource(seed)), nettest.Options{})
+		} else {
+			net = timingNet(timing)
+		}
 		mutate(net, sel)
-		rep := Run(net, Options{Processors: m})
-		if rep == nil {
-			t.Fatal("Run returned nil")
-		}
-		if rep.HasErrors() != (net.ValidateSchedulable() != nil) {
-			t.Fatalf("seed=%d sel=%d: HasErrors=%v disagrees with ValidateSchedulable=%v",
-				seed, sel, rep.HasErrors(), net.ValidateSchedulable())
-		}
-		if _, err := rep.JSON(); err != nil {
-			t.Fatalf("JSON: %v", err)
-		}
+		assertLintContract(t, net, m)
 	})
+}
+
+// TestLintNeverPanicsExtremeTiming runs FuzzLintNeverPanics's contract on
+// extremeTiming networks, one per trial.
+func TestLintNeverPanicsExtremeTiming(t *testing.T) {
+	for i := 0; i < trialCount(t, 200); i++ {
+		spec := extremeTiming(rand.New(rand.NewSource(int64(i))))
+		for m := 1; m <= 4; m *= 2 {
+			assertLintContract(t, timingNet(spec), m)
+		}
+	}
 }
 
 // TestCleanImpliesDerivable is the cross-check property: any network with

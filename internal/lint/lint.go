@@ -218,10 +218,11 @@ type context struct {
 	jobsTried     bool                 // frame job estimate computed
 	jobsVal       int64
 	jobsOK        bool
-	hbTried       bool        // happens-before verification attempted
-	hbVerd        *hb.Verdict // nil when skipped or failed
-	timingTried   bool        // integer timescale lowered
-	timingErr     error       // taskgraph.LowerTiming's error, or nil
+	hbTried       bool              // happens-before verification attempted
+	hbVerd        *hb.Verdict       // nil when skipped or failed
+	timingTried   bool              // integer timescale lowered
+	timingVal     *taskgraph.Timing // taskgraph.LowerTiming's result, or nil
+	timingErr     error             // taskgraph.LowerTiming's error, or nil
 }
 
 func (c *context) addf(r Rule, subjectKind, subject, fix, format string, args ...any) {

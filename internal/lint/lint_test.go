@@ -2,6 +2,7 @@ package lint
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,6 +265,53 @@ func TestServerDeadlineOverflow(t *testing.T) {
 		}
 		if len(msgs) != 1 || msgs[0] != tc.want {
 			t.Errorf("%s: FPPN006 findings %q, want one %q", tc.name, msgs, tc.want)
+		}
+	}
+}
+
+// TestUtilizationOverflow: FPPN008 sums the frame's WCET volume in ticks
+// and never panics. With user period 366503875925 s and sporadic deadline
+// 2^40/(2^24+1) s the timing does not fit the integer timescale, so
+// FPPN021 fires and FPPN008 is skipped. Two processes with bursts of 2^62
+// unit jobs per unit period put 2^63 ticks of work in a one-tick frame,
+// past int64, and FPPN008 still reports the load.
+func TestUtilizationOverflow(t *testing.T) {
+	tu, d := rational.FromInt(366503875925), rational.New(1<<40, 1<<24+1)
+	timescale := core.NewNetwork("timescale")
+	timescale.AddPeriodic("u", tu, tu, tu.DivInt(4), core.NopBehavior)
+	timescale.AddSporadic("s", 1, tu, d, d.DivInt(4), core.NopBehavior)
+	timescale.ConnectInit("s", "u", "c", 0)
+	timescale.Priority("s", "u")
+
+	one := rational.One
+	volume := core.NewNetwork("volume")
+	volume.AddMultiPeriodic("a", 1<<62, one, one, one, core.NopBehavior)
+	volume.AddMultiPeriodic("b", 1<<62, one, one, one, core.NopBehavior)
+	volume.Priority("a", "b")
+
+	for _, tc := range []struct {
+		net       *core.Network
+		timescale bool
+		want      []string
+	}{
+		{timescale, true, nil},
+		{volume, false, []string{"total utilization 9223372036854775808.000 exceeds the capacity of 2 processor(s); no feasible schedule exists"}},
+	} {
+		var got []string
+		fired := false
+		for _, f := range Run(tc.net, Options{}).Findings {
+			switch f.Code {
+			case CodeTimescale:
+				fired = true
+			case CodeUtilization:
+				got = append(got, f.Message)
+			}
+		}
+		if fired != tc.timescale {
+			t.Errorf("%s: FPPN021 fired %v, want %v", tc.net.Name, fired, tc.timescale)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: FPPN008 findings %q, want %q", tc.net.Name, got, tc.want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -238,32 +239,58 @@ func runWCETDeadline(c *context, r Rule) {
 }
 
 // runUtilization warns when the total derived utilization exceeds the
-// assumed processor count. Sporadic processes are charged at their derived
-// server rate (burst per user period), matching the task graph the
-// scheduler actually sees.
+// assumed processor count. Sporadic processes are charged at burst per
+// user period, the server rate of the task graph the scheduler actually
+// sees. The utilization is the frame's WCET volume over H, summed in
+// ticks of lint's lowered timing, so the rule is skipped when that timing
+// does not fit (FPPN021) or PN' does not exist. A volume beyond int64
+// means a load above 2^63 ticks / H ≥ 2^23 processors; it is then
+// reported from a float64 sum.
 func runUtilization(c *context, r Rule) {
-	u := rational.Zero
-	for _, p := range c.net.Processes() {
-		period := p.Period()
+	tm, err := c.timing()
+	if err != nil {
+		return
+	}
+	var vol int64
+	var volF float64
+	fits := true
+	for pid, p := range c.net.Processes() {
+		period := tm.Period[pid]
 		if p.IsSporadic() {
 			usr, err := c.net.UserOf(p.Name)
 			if err != nil {
 				continue
 			}
-			period = usr.Period()
+			period = tm.Period[c.net.Pid(usr.Name)]
 		}
-		if period.Sign() <= 0 || p.WCET.Sign() <= 0 {
+		if tm.WCET[pid] <= 0 {
 			continue
 		}
-		u = u.Add(p.WCET.MulInt(int64(p.Burst())).Div(period))
+		jobs, ok1 := rational.MulOK(tm.H/period, int64(p.Burst()))
+		work, ok2 := rational.MulOK(jobs, tm.WCET[pid])
+		sum, ok3 := rational.AddOK(vol, work)
+		fits = fits && ok1 && ok2 && ok3
+		vol = sum
+		volF += float64(tm.H/period) * float64(p.Burst()) * float64(tm.WCET[pid])
 	}
-	m := rational.FromInt(int64(c.opts.Processors))
-	if m.Less(u) {
-		c.addf(r, "network", c.net.Name,
-			fmt.Sprintf("schedule on at least %d processors", u.Ceil()),
-			"total utilization %.3f exceeds the capacity of %d processor(s); no feasible schedule exists",
-			u.Float64(), c.opts.Processors)
+	var load float64
+	var fix string
+	if fits {
+		capacity, ok := rational.MulOK(int64(c.opts.Processors), tm.H)
+		if !ok || vol <= capacity {
+			return
+		}
+		u := rational.New(vol, tm.H)
+		load, fix = u.Float64(), fmt.Sprintf("schedule on at least %d processors", u.Ceil())
+	} else {
+		if load = volF / float64(tm.H); load <= float64(c.opts.Processors) {
+			return
+		}
+		fix = fmt.Sprintf("schedule on at least %.0f processors", math.Ceil(load))
 	}
+	c.addf(r, "network", c.net.Name, fix,
+		"total utilization %.3f exceeds the capacity of %d processor(s); no feasible schedule exists",
+		load, c.opts.Processors)
 }
 
 // runBlackboardMerge warns when one reader merges blackboard inputs from
@@ -515,7 +542,7 @@ func (c *context) staticProfile() *staticflow.BufferProfile {
 	if budget > maxStaticSweepJobs {
 		budget = maxStaticSweepJobs
 	}
-	if jobs, ok := c.frameJobEstimate(); !ok || 2*jobs > budget {
+	if jobs, ok := c.frameJobEstimate(); !ok || jobs > budget/2 {
 		return nil
 	}
 	p, err := staticflow.Buffers(c.net, 2, nil)
@@ -833,14 +860,21 @@ func runHBUnordered(c *context, r Rule) {
 		c.opts.Processors, v.Unordered, v.Pairs, *w)
 }
 
-// timingError lazily lowers the network onto the integer timescale and
-// returns taskgraph.LowerTiming's error, or nil when the timing fits.
-func (c *context) timingError() error {
+// timing lazily lowers the network onto the integer timescale and
+// returns taskgraph.LowerTiming's result: the timing of PN' in ticks, or
+// the error when the timing does not fit.
+func (c *context) timing() (*taskgraph.Timing, error) {
 	if !c.timingTried {
 		c.timingTried = true
-		_, c.timingErr = taskgraph.LowerTiming(c.net, rational.Zero)
+		c.timingVal, c.timingErr = taskgraph.LowerTiming(c.net, rational.Zero)
 	}
-	return c.timingErr
+	return c.timingVal, c.timingErr
+}
+
+// timingError is the error of timing, or nil when the timing fits.
+func (c *context) timingError() error {
+	_, err := c.timing()
+	return err
 }
 
 // runTimescale reports timing that does not fit the integer timescale the

@@ -85,10 +85,8 @@ type Schedule struct {
 	lo *plan.Plan
 	// loOfHi maps HI-graph job indices to LO-graph job indices.
 	loOfHi []int
-	// isHi[i] reports whether LO-graph job i belongs to a HI process;
-	// pid[i] is the compiled pid of its process.
+	// isHi[i] reports whether LO-graph job i belongs to a HI process.
 	isHi []bool
-	pid  []int
 	// loOrder and hiOrder are the combined static orders of Lo and Hi;
 	// loPrev and hiPrev their chain-predecessor tables.
 	loOrder, hiOrder []int
@@ -167,14 +165,12 @@ func Build(net *core.Network, spec Spec, m int) (*Schedule, error) {
 		Net: net, Spec: spec, Lo: sLo, Hi: sHi,
 		loOfHi: make([]int, len(hiTG.Jobs)),
 		isHi:   make([]bool, len(loTG.Jobs)),
-		pid:    make([]int, len(loTG.Jobs)),
 	}
 	if mcs.lo, err = plan.Compile(sLo); err != nil {
 		return nil, fmt.Errorf("mc: LO schedule: %w", err)
 	}
 	for i, j := range loTG.Jobs {
 		mcs.isHi[i] = spec.Level(j.Proc) == HI
-		mcs.pid[i] = mcs.lo.Compiled().ProcID(j.Proc)
 	}
 	if mcs.loPrev, mcs.loOrder, err = staticOrder(sLo); err != nil {
 		return nil, fmt.Errorf("mc: LO schedule: %w", err)
@@ -424,7 +420,7 @@ func Run(mcs *Schedule, cfg Config) (*Report, error) {
 				machine.Wait(frame[i].Ready)
 				lastWait = r
 			}
-			if err := machine.ExecJobID(mcs.pid[i], frame[i].Ready); err != nil {
+			if err := machine.ExecJobID(loTG.Jobs[i].Pid, frame[i].Ready); err != nil {
 				return nil, err
 			}
 		}

@@ -20,7 +20,6 @@ package plan
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -133,8 +132,6 @@ type JobPlan struct {
 // lands in frame q / nPerFrame, at the server subset q%nPerFrame + 1 of
 // that frame.
 type sporadicTable struct {
-	name         string
-	proc         *core.Process
 	tp           Time // server period T'
 	includeRight bool // Fig. 2: (b−T', b] when p→u(p), [b−T', b) otherwise
 	nPerFrame    int64
@@ -159,11 +156,12 @@ type invTables struct {
 	slot      []int  // SlotInSubset (1-based) for server jobs
 	subset    []int  // Subset (1-based) for server jobs
 	sporadics []sporadicTable
-	byName    map[string]int // sporadic process name -> sporadics index
+	bySpid    []int // pid -> sporadics index, or -1 without a server period
 }
 
 func buildInvTables(tg *taskgraph.TaskGraph) (*invTables, error) {
 	n := len(tg.Jobs)
+	procs := tg.Net.Processes()
 	it := &invTables{
 		tg:        tg,
 		h:         tg.Hyperperiod,
@@ -172,43 +170,40 @@ func buildInvTables(tg *taskgraph.TaskGraph) (*invTables, error) {
 		serverIdx: make([]int, n),
 		slot:      make([]int, n),
 		subset:    make([]int, n),
-		byName:    make(map[string]int, len(tg.ServerPeriod)),
+		bySpid:    make([]int, len(procs)),
 	}
 	if jt, err := tg.Ticks(); err == nil {
 		it.tick = rational.New(1, jt.Scale.Den())
 	}
-	for name, tp := range tg.ServerPeriod {
-		p := tg.Net.Process(name)
-		if p == nil {
-			return nil, fmt.Errorf("rt: task graph has a server period for unknown process %q", name)
+	for pid, p := range procs {
+		it.bySpid[pid] = -1
+		tp, ok := tg.ServerPeriod[p.Name]
+		if !ok {
+			continue
 		}
 		npf := it.h.Div(tp)
 		if !npf.IsInt() {
-			return nil, fmt.Errorf("rt: server period %v of %q does not divide the hyperperiod %v", tp, name, it.h)
+			return nil, fmt.Errorf("rt: server period %v of %q does not divide the hyperperiod %v", tp, p.Name, it.h)
 		}
 		burst := int64(p.Burst())
-		it.byName[name] = len(it.sporadics)
+		it.bySpid[pid] = len(it.sporadics)
 		it.sporadics = append(it.sporadics, sporadicTable{
-			name:         name,
-			proc:         p,
 			tp:           tp,
-			includeRight: tg.IncludeRight[name],
+			includeRight: tg.IncludeRight[p.Name],
 			nPerFrame:    npf.Num(),
 			burst:        burst,
 			jobAt:        make([]int, npf.Num()*burst),
 		})
 	}
-	// Deterministic sporadic order (ServerPeriod is a map).
-	sort.Slice(it.sporadics, func(a, b int) bool { return it.sporadics[a].name < it.sporadics[b].name })
-	for i, st := range it.sporadics {
-		it.byName[st.name] = i
-	}
 	for i, j := range tg.Jobs {
+		if j.Pid < 0 || j.Pid >= len(procs) || procs[j.Pid].Name != j.Proc {
+			return nil, fmt.Errorf("rt: job %s has pid %d, which does not name its process %q", j.Name(), j.Pid, j.Proc)
+		}
 		it.arrival[i] = j.Arrival
 		it.serverIdx[i] = -1
 		if j.Server {
-			si, ok := it.byName[j.Proc]
-			if !ok {
+			si := it.bySpid[j.Pid]
+			if si < 0 {
 				return nil, fmt.Errorf("rt: process %q has no server period in the task graph", j.Proc)
 			}
 			st := &it.sporadics[si]
@@ -286,8 +281,8 @@ func (it *invTables) planInto(sc *planScratch, frames int, events map[string][]T
 		if !p.IsSporadic() {
 			return nil, fmt.Errorf("rt: sporadic events for non-sporadic process %q", proc)
 		}
-		si, ok := it.byName[proc]
-		if !ok {
+		si := it.bySpid[it.tg.Net.Pid(proc)]
+		if si < 0 {
 			return nil, fmt.Errorf("rt: process %q has no server period in the task graph", proc)
 		}
 		// The window arithmetic below is rational; events off every int64
@@ -415,14 +410,11 @@ type Plan struct {
 	procChainPrev []int
 	// jobProc[i] is the processor µ_i.
 	jobProc []int
-	// jobPid[i] is the compiled pid of job i's process.
+	// jobPid[i] is Jobs[i].Pid, checked against the compiled network.
 	jobPid []int
 	// jobName[i] is Jobs[i].Name() precomputed: Gantt entries label every
 	// executed interval, and Job.Name formats a fresh string per call.
 	jobName []string
-	// relPids[pid] lists the pids FP'-related to pid (including itself),
-	// for the pipelined cross-frame precedence rule.
-	relPids [][]int
 }
 
 // Compile lowers a static schedule into an execution plan. It validates
@@ -482,11 +474,7 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		p.maxJobTicks = max(p.maxJobTicks, jt.Arrival[i], -jt.Arrival[i], jt.Deadline[i], -jt.Deadline[i])
 		p.jobProc[i] = s.Assign[i].Proc
 		p.jobName[i] = j.Name()
-		pid := cn.ProcID(j.Proc)
-		if pid < 0 {
-			return nil, fmt.Errorf("rt: job %s refers to unknown process %q", j.Name(), j.Proc)
-		}
-		p.jobPid[i] = pid
+		p.jobPid[i] = j.Pid // in range and naming j.Proc: buildInvTables checked
 	}
 	if p.procOrder, err = s.ProcessorOrder(); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
@@ -494,21 +482,6 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 	p.procChainPrev = s.ChainPrev(p.procOrder)
 	if p.order, err = s.CombinedOrder(p.procOrder); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
-	}
-	// Related-pid lists for pipelined cross-frame precedence, in
-	// ascending pid order.
-	np := cn.NumProcesses()
-	p.relPids = make([][]int, np)
-	for a := 0; a < np; a++ {
-		set := tg.RelatedSet(cn.ProcName(a))
-		rel := append(make([]int, 0, len(set)+1), a)
-		for q := range set {
-			if b := cn.ProcID(q); b >= 0 && b != a {
-				rel = append(rel, b)
-			}
-		}
-		slices.Sort(rel)
-		p.relPids[a] = rel
 	}
 	return p, nil
 }

@@ -78,7 +78,9 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 				start = max(start, finish[pre])
 			}
 			if cfg.Pipelined && f > 0 {
-				for _, q := range p.relPids[p.jobPid[i]] {
+				pid := p.jobPid[i]
+				start = max(start, prevProcFinish[pid])
+				for _, q := range tg.RelatedPids(pid) {
 					start = max(start, prevProcFinish[q])
 				}
 			}

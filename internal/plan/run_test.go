@@ -440,3 +440,33 @@ func TestRunRejectsTimingBeyondTicks(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRejectsJobWithWrongPid: Compile checks that every job's Pid
+// is in range and names the job's process, so a hand-built job whose Pid
+// was left at 0 fails loudly instead of executing another process.
+func TestCompileRejectsJobWithWrongPid(t *testing.T) {
+	s := signalSchedule(t)
+	tg := s.TG
+	np := len(tg.Net.Processes())
+	for _, pid := range []int{-1, 0, np} {
+		hand := &taskgraph.TaskGraph{Net: tg.Net, Hyperperiod: tg.Hyperperiod,
+			ServerPeriod: tg.ServerPeriod, IncludeRight: tg.IncludeRight, User: tg.User,
+			Succ: tg.Succ, Pred: tg.Pred}
+		for _, j := range tg.Jobs {
+			c := *j
+			hand.Jobs = append(hand.Jobs, &c)
+		}
+		victim := hand.Jobs[len(hand.Jobs)-1]
+		if victim.Pid == pid {
+			t.Fatalf("job %s already has pid %d", victim.Name(), pid)
+		}
+		if _, err := Compile(&sched.Schedule{TG: hand, M: s.M, Assign: s.Assign}); err != nil {
+			t.Fatalf("hand-built copy rejected: %v", err)
+		}
+		victim.Pid = pid
+		_, err := Compile(&sched.Schedule{TG: hand, M: s.M, Assign: s.Assign})
+		if err == nil || !strings.Contains(err.Error(), "does not name its process") {
+			t.Errorf("pid %d on %s: Compile error %v, want a pid mismatch", pid, victim.Name(), err)
+		}
+	}
+}

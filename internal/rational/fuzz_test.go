@@ -47,11 +47,53 @@ func FuzzParseRoundTrip(f *testing.F) {
 	})
 }
 
+// FuzzRatNew pins New to math/big on arbitrary numerator/denominator
+// pairs, math.MinInt64 included: New returns big.Rat's lowest terms with a
+// positive denominator whenever both parts fit int64, and panics exactly
+// when they do not (or the denominator is zero).
+//
+// Run with: go test ./internal/rational -run '^$' -fuzz FuzzRatNew
+func FuzzRatNew(f *testing.F) {
+	for _, seed := range [][2]int64{
+		{1, 2}, {-2, 4}, {2, -4}, {0, 5}, {3, 0},
+		{math.MinInt64, 6}, {math.MinInt64, -2}, {math.MinInt64, -1}, {math.MinInt64, math.MinInt64},
+		{0, math.MinInt64}, {6, math.MinInt64}, {1, math.MinInt64},
+		{math.MaxInt64, math.MinInt64}, {math.MaxInt64, -math.MaxInt64},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, num, den int64) {
+		var want *big.Rat
+		if den != 0 {
+			want = big.NewRat(num, den)
+		}
+		fits := want != nil && want.Num().IsInt64() && want.Denom().IsInt64()
+		var got Rat
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			got = New(num, den)
+			return false
+		}()
+		if panicked {
+			if fits {
+				t.Fatalf("New(%d, %d) panicked; math/big says %v", num, den, want)
+			}
+			return
+		}
+		if !fits {
+			t.Fatalf("New(%d, %d) = %v, but math/big's %v does not fit int64", num, den, got, want)
+		}
+		if got.Num() != want.Num().Int64() || got.Den() != want.Denom().Int64() {
+			t.Fatalf("New(%d, %d) = %d/%d, math/big says %v", num, den, got.Num(), got.Den(), want)
+		}
+	})
+}
+
 // FuzzRatCmp pins Cmp to math/big on arbitrary numerator/denominator
 // pairs: the comparison is exact, so it must agree with big.Rat.Cmp and
-// never panic, however large the cross products. Pairs New cannot build
-// (a zero denominator, or math.MinInt64 in either part, which Parse also
-// rejects) are skipped.
+// never panic, however large the cross products. Pairs with a zero
+// denominator or math.MinInt64 in either part (which Parse rejects) are
+// skipped.
 //
 // Run with: go test ./internal/rational -run '^$' -fuzz FuzzRatCmp
 func FuzzRatCmp(f *testing.F) {

@@ -42,13 +42,17 @@ func New(num, den int64) Rat {
 	if den == 0 {
 		panic("rational: zero denominator")
 	}
-	if den < 0 {
-		num, den = -num, -den
-	}
-	g := gcd64(abs64(num), den)
-	if g > 1 {
+	// Reduce before fixing the sign: only a part still at math.MinInt64
+	// after the reduction cannot change sign.
+	if g := gcd64(num, den); g != 1 {
 		num /= g
 		den /= g
+	}
+	if den < 0 {
+		if num == math.MinInt64 || den == math.MinInt64 {
+			panic(fmt.Sprintf("rational: integer overflow in %d/%d", num, den))
+		}
+		num, den = -num, -den
 	}
 	return Rat{num, den}
 }
@@ -147,8 +151,8 @@ func (r Rat) Sub(s Rat) Rat {
 func (r Rat) Mul(s Rat) Rat {
 	r, s = r.normalized(), s.normalized()
 	// Cross-reduce before multiplying to delay overflow.
-	g1 := gcd64(abs64(r.num), s.den)
-	g2 := gcd64(abs64(s.num), r.den)
+	g1 := gcd64(r.num, s.den)
+	g2 := gcd64(s.num, r.den)
 	num := mulChecked(r.num/g1, s.num/g2)
 	den := mulChecked(r.den/g2, s.den/g1)
 	return New(num, den)
@@ -233,7 +237,7 @@ func (r Rat) FloorDiv(s Rat) int64 {
 // or an intermediate product of the exact division, overflows int64.
 func (r Rat) FloorDivOK(s Rat) (q int64, ok bool) {
 	r, s = r.normalized(), s.normalized()
-	g1, g2 := gcd64(abs64(r.num), s.num), gcd64(s.den, r.den)
+	g1, g2 := gcd64(r.num, s.num), gcd64(s.den, r.den)
 	num, okN := MulOK(r.num/g1, s.den/g2)
 	den, okD := MulOK(r.den/g2, s.num/g1)
 	if !okN || !okD {
@@ -518,14 +522,19 @@ func uabs64(a int64) uint64 {
 	return uint64(a)
 }
 
+// gcd64 returns gcd(|a|, |b|), or 1 when both are zero. It is exact
+// also for math.MinInt64; the one gcd beyond int64, 2^63 (both parts in
+// {0, math.MinInt64}), comes back as math.MinInt64, which still divides
+// both parts exactly.
 func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
+	x, y := uabs64(a), uabs64(b)
+	for y != 0 {
+		x, y = y, x%y
 	}
-	if a == 0 {
+	if x == 0 {
 		return 1
 	}
-	return a
+	return int64(x)
 }
 
 func lcm64(a, b int64) int64 {

@@ -21,6 +21,13 @@ func TestNewNormalizes(t *testing.T) {
 		{0, 5, 0, 1},
 		{6, 3, 2, 1},
 		{200, 1000, 1, 5},
+		// math.MinInt64 reduces like any other numerator or denominator.
+		{math.MinInt64, 6, -(1 << 62), 3},
+		{math.MinInt64, -2, 1 << 62, 1},
+		{math.MinInt64, math.MinInt64, 1, 1},
+		{0, math.MinInt64, 0, 1},
+		{6, math.MinInt64, -3, 1 << 62},
+		{math.MinInt64, 3, math.MinInt64, 3},
 	}
 	for _, tt := range tests {
 		got := New(tt.num, tt.den)
@@ -39,6 +46,22 @@ func TestNewPanicsOnZeroDen(t *testing.T) {
 		}
 	}()
 	New(1, 0)
+}
+
+// TestNewPanicsOnUnrepresentable: values whose lowest terms need 2^63 in
+// the numerator or denominator overflow instead of wrapping.
+func TestNewPanicsOnUnrepresentable(t *testing.T) {
+	t.Parallel()
+	for _, c := range [][2]int64{{math.MinInt64, -1}, {1, math.MinInt64}, {math.MinInt64, -3}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %d) did not panic", c[0], c[1])
+				}
+			}()
+			New(c[0], c[1])
+		}()
+	}
 }
 
 func TestZeroValueIsZero(t *testing.T) {

@@ -31,18 +31,13 @@ import (
 // DeadlineSlack for the ASAP completion times; the result should be checked
 // with ValidatePipelined.
 func PipelineSchedule(tg *taskgraph.TaskGraph, m int) (*Schedule, error) {
-	procs := tg.Net.ProcessNames()
-	if len(procs) > m {
-		return nil, fmt.Errorf("sched: pipeline placement needs %d processors, have %d", len(procs), m)
-	}
-	procOf := make(map[string]int, len(procs))
-	for i, p := range procs {
-		procOf[p] = i
+	if np := len(tg.Net.Processes()); np > m {
+		return nil, fmt.Errorf("sched: pipeline placement needs %d processors, have %d", np, m)
 	}
 	asap := tg.ASAP()
 	assign := make([]Assignment, len(tg.Jobs))
 	for i, j := range tg.Jobs {
-		assign[i] = Assignment{Proc: procOf[j.Proc], Start: asap[i]}
+		assign[i] = Assignment{Proc: j.Pid, Start: asap[i]}
 	}
 	s := &Schedule{TG: tg, M: m, Assign: assign, Heuristic: ALAPEDF}
 	if err := s.Validate(); err != nil {
@@ -96,7 +91,7 @@ func (s *Schedule) ValidatePipelined() error {
 	// repetition r+1 starts.
 	for i, ji := range tg.Jobs {
 		for j, jj := range tg.Jobs {
-			if !tg.Related(ji.Proc, jj.Proc) {
+			if !tg.Related(ji.Pid, jj.Pid) {
 				continue
 			}
 			if s.Assign[j].Start.Add(h).Less(s.End(i)) {

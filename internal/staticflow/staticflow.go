@@ -38,6 +38,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/rational"
 )
 
 // Time aliases the exact rational time type.
@@ -163,7 +164,11 @@ func Buffers(net *core.Network, frames int, events map[string][]Time) (*BufferPr
 	if err != nil {
 		return nil, err
 	}
-	order, err := core.JobOrder(net, rank, h.MulInt(int64(frames)), events)
+	num, ok := rational.MulOK(h.Num(), int64(frames))
+	if !ok {
+		return nil, fmt.Errorf("staticflow: %d frames of the hyperperiod %vs overflow int64", frames, h)
+	}
+	order, err := core.JobOrder(net, rank, rational.New(num, h.Den()), events)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,7 @@ package taskgraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -42,6 +43,8 @@ type Job struct {
 	// Proc is the process name. Server jobs keep the name of the sporadic
 	// process they serve.
 	Proc string
+	// Pid is the process's pid: its index in Net.Processes().
+	Pid int
 	// K is the invocation count within the frame (1-based).
 	K int64
 	// Arrival is A_i, relative to the frame start.
@@ -102,8 +105,14 @@ type TaskGraph struct {
 	// User maps each sporadic process to its user process u(p).
 	User map[string]string
 
-	index   map[string]map[int64]int // proc -> k -> job index
-	related map[string]map[string]bool
+	// jobsOf[pid] lists the indices of process pid's jobs in <_J order,
+	// so its k-th job is jobsOf[pid][k-1]. Derive fills it; JobsOf builds
+	// it from the jobs' Pid on first use for graphs built by hand.
+	jobsOf [][]int
+	// related[pid] lists the pids FP'-related to pid (p ⋈ q in PN'), in
+	// ascending order and without pid itself. Nil for graphs built by
+	// hand, whose processes are then related to none.
+	related [][]int
 
 	// edges memoizes Edges(): the reduced edge list in lexicographic
 	// order, computed eagerly at derivation so repeated calls (scheduling,
@@ -121,17 +130,59 @@ type TaskGraph struct {
 	reach [][]uint64
 }
 
-// Related reports whether two processes are functional-priority related in
-// PN' (p ⋈ q, with sporadic processes related to their users), i.e. whether
-// their jobs are ordered by precedence edges. Jobs of the same process are
-// always ordered.
-func (tg *TaskGraph) Related(p, q string) bool {
-	return p == q || tg.related[p][q]
+// Related reports whether the processes with pids p and q are
+// functional-priority related in PN' (p ⋈ q, with sporadic processes
+// related to their users) or equal, i.e. whether their jobs are ordered by
+// precedence edges.
+func (tg *TaskGraph) Related(p, q int) bool {
+	_, found := slices.BinarySearch(tg.RelatedPids(p), q)
+	return p == q || found
 }
 
-// RelatedSet returns the processes FP'-related to p (every q ≠ p with
-// p ⋈ q), or nil. The set is shared; callers must not mutate it.
-func (tg *TaskGraph) RelatedSet(p string) map[string]bool { return tg.related[p] }
+// RelatedPids returns the pids FP'-related to pid in ascending order,
+// pid itself excluded. The slice is shared; callers must not mutate it.
+func (tg *TaskGraph) RelatedPids(pid int) []int {
+	if pid < 0 || pid >= len(tg.related) {
+		return nil
+	}
+	return tg.related[pid]
+}
+
+// JobsOf returns the indices of process pid's jobs in <_J order, so its
+// k-th job is JobsOf(pid)[k-1]; nil for an unknown pid. The slice is
+// memoized and shared; callers must not mutate it.
+func (tg *TaskGraph) JobsOf(pid int) []int {
+	if tg.jobsOf == nil {
+		tg.jobsOf = groupByPid(tg.Jobs)
+	}
+	if pid < 0 || pid >= len(tg.jobsOf) {
+		return nil
+	}
+	return tg.jobsOf[pid]
+}
+
+// groupByPid lists each pid's job indices in index order, carved from one
+// backing array; the table has one row per pid up to the largest.
+func groupByPid(jobs []*Job) [][]int {
+	np := 0
+	for _, j := range jobs {
+		np = max(np, j.Pid+1)
+	}
+	counts := make([]int, np)
+	for _, j := range jobs {
+		counts[j.Pid]++
+	}
+	out := make([][]int, np)
+	backing := make([]int, len(jobs))
+	for pid, c := range counts {
+		out[pid] = backing[:0:c]
+		backing = backing[c:]
+	}
+	for i, j := range jobs {
+		out[j.Pid] = append(out[j.Pid], i)
+	}
+	return out
+}
 
 // EdgeCount returns the number of precedence edges after transitive
 // reduction.
@@ -171,22 +222,21 @@ func buildEdges(succ [][]int) [][2]int {
 }
 
 // Prewarm forces the lazily memoized derived structures — the reduced
-// edge list behind Edges() and the tick table behind Ticks() — so that
-// subsequent concurrent readers (the schedule-priority portfolio lanes
-// validating in parallel) see a fully materialized, read-only graph
-// instead of racing to build it. Graphs built by Derive are already warm;
+// edge list behind Edges(), the per-process job lists behind JobsOf() and
+// the tick table behind Ticks() — so that subsequent concurrent readers
+// (the schedule-priority portfolio lanes validating in parallel) see a
+// fully materialized, read-only graph instead of racing to build it. Graphs built by Derive are already warm;
 // Prewarm matters for task graphs assembled by hand in tests and tools.
 func (tg *TaskGraph) Prewarm() {
 	tg.Edges()
+	tg.JobsOf(0)
 	tg.Ticks()
 }
 
 // Job returns the node for process proc's k-th job, or nil.
 func (tg *TaskGraph) Job(proc string, k int64) *Job {
-	if m, ok := tg.index[proc]; ok {
-		if i, ok := m[k]; ok {
-			return tg.Jobs[i]
-		}
+	if js := tg.JobsOf(tg.Net.Pid(proc)); k >= 1 && k <= int64(len(js)) {
+		return tg.Jobs[js[k-1]]
 	}
 	return nil
 }
@@ -304,15 +354,16 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 			Reason: fmt.Sprintf("its hyperperiod %vs holds more than 2^20 jobs", tm.Hyperperiod)}
 	}
 
-	// FP' ranks: original FP with every sporadic process's edges replaced
-	// by server -> user.
-	rank, err := fpPrimeRanks(net, srv.user)
-	if err != nil {
-		return nil, err
+	// FP' orders simultaneous jobs (its rank) and relates processes (the
+	// step-3 rule).
+	fp := fpPrime(net, srv.userPid)
+	rank, ok := core.PriorityOrder(net.ProcessNames(), fp, -1)
+	if !ok {
+		return nil, fmt.Errorf("taskgraph: FP' graph has a cycle (check priorities between sporadic processes and their users)")
 	}
 
 	// Step 2: simulate the invocation order of PN' over [0, H).
-	jobs, index, jobPid, ticks := simulateFrameTicks(net, tm, rank)
+	jobs, jobPid, ticks := simulateFrameTicks(net, tm, rank)
 
 	tg := &TaskGraph{
 		Net:          net,
@@ -321,15 +372,13 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 		ServerPeriod: srv.period,
 		IncludeRight: srv.includeRight,
 		User:         srv.user,
-		index:        index,
+		jobsOf:       groupByPid(jobs),
+		related:      relatedPids(len(rank), fp),
 		ticks:        ticks,
 	}
 
 	// Step 3: candidate precedence edges.
-	related := relatedSets(net, srv.user)
-	tg.related = related
-	ec := newEdgeCtx(net, jobs, related, jobPid)
-	cand := candidateEdges(ec, len(jobs))
+	cand := candidateEdges(jobPid, tg.related)
 	tg.CandidateEdgeCount = countEdges(cand)
 
 	// Step 5: transitive reduction (step 4, deadline truncation, happened
@@ -340,7 +389,7 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 	// (HasPath then falls back to DFS).
 	if !opts.KeepRedundantEdges {
 		if len(jobs) >= chainReductionMinJobs {
-			cand = transitiveReductionChains(cand, ec)
+			cand = transitiveReductionChains(cand, jobPid, len(rank))
 		} else {
 			cand, tg.reach = transitiveReduction(cand)
 		}
@@ -353,20 +402,25 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 
 // servers is the server transformation of step 1: every sporadic process
 // p gets the server period T'_p, its user u(p) and the boundary rule
-// (TaskGraph.IncludeRight) of Section IV.
+// (TaskGraph.IncludeRight) of Section IV. userPid[pid] is the pid of
+// u(pid), or -1 for periodic processes.
 type servers struct {
 	period       map[string]Time
 	user         map[string]string
 	includeRight map[string]bool
+	userPid      []int
 }
 
 func serverTransform(net *core.Network) (servers, error) {
+	procs := net.Processes()
 	srv := servers{
 		period:       make(map[string]Time),
 		user:         make(map[string]string),
 		includeRight: make(map[string]bool),
+		userPid:      make([]int, len(procs)),
 	}
-	for _, p := range net.Processes() {
+	for pid, p := range procs {
+		srv.userPid[pid] = -1
 		if !p.IsSporadic() {
 			continue
 		}
@@ -380,6 +434,7 @@ func serverTransform(net *core.Network) (servers, error) {
 		}
 		srv.period[p.Name] = tp
 		srv.user[p.Name] = u.Name
+		srv.userPid[pid] = net.Pid(u.Name)
 		srv.includeRight[p.Name] = net.HasPriority(p.Name, u.Name)
 	}
 	return srv, nil
@@ -427,61 +482,47 @@ func FractionalServerPeriod(tu, d Time) (q int64, tp Time, ok bool) {
 	return q, rational.New(tu.Num(), den), true
 }
 
-// fpPrimeRanks ranks the processes (indexed as net.Processes) in a linear
-// extension of FP' = FP with all edges touching sporadic processes removed
-// and server->user edges added.
-func fpPrimeRanks(net *core.Network, user map[string]string) ([]int, error) {
-	names := net.ProcessNames()
-	idx := make(map[string]int, len(names))
-	for i, p := range names {
-		idx[p] = i
-	}
+// fpPrime returns FP' as [hi, lo] pid edges: FP without the edges that
+// touch a sporadic process, plus the server edge p' → u(p) of every
+// sporadic p (userPid as in servers).
+func fpPrime(net *core.Network, userPid []int) [][2]int {
 	var edges [][2]int
-	for _, e := range net.PriorityEdges() {
-		if _, s := user[e[0]]; s {
-			continue
-		}
-		if _, s := user[e[1]]; s {
-			continue
-		}
-		edges = append(edges, [2]int{idx[e[0]], idx[e[1]]})
-	}
-	for i, s := range names {
-		if u, ok := user[s]; ok {
-			edges = append(edges, [2]int{i, idx[u]})
+	for _, e := range net.PriorityPids() {
+		if userPid[e[0]] < 0 && userPid[e[1]] < 0 {
+			edges = append(edges, e)
 		}
 	}
-	rank, ok := core.PriorityOrder(names, edges, -1)
-	if !ok {
-		return nil, fmt.Errorf("taskgraph: FP' graph has a cycle (check priorities between sporadic processes and their users)")
+	for p, u := range userPid {
+		if u >= 0 {
+			edges = append(edges, [2]int{p, u})
+		}
 	}
-	return rank, nil
+	return edges
 }
 
-// relatedSets maps each process to the set of processes it is
-// FP'-related to (either direction), for the edge rule p_a ⋈ p_b.
-func relatedSets(net *core.Network, user map[string]string) map[string]map[string]bool {
-	sporadic := make(map[string]bool, len(user))
-	for s := range user {
-		sporadic[s] = true
+// relatedPids turns edges over np processes into the symmetric
+// relatedness table: row p lists every q ≠ p joined to p by an edge in
+// either direction, ascending and once each, carved from one backing
+// array.
+func relatedPids(np int, edges [][2]int) [][]int {
+	counts := make([]int, np)
+	for _, e := range edges {
+		counts[e[0]]++
+		counts[e[1]]++
 	}
-	rel := make(map[string]map[string]bool)
-	add := func(a, b string) {
-		if rel[a] == nil {
-			rel[a] = map[string]bool{}
-		}
-		rel[a][b] = true
+	rel := make([][]int, np)
+	backing := make([]int, 2*len(edges))
+	for p, c := range counts {
+		rel[p] = backing[:0:c]
+		backing = backing[c:]
 	}
-	for _, e := range net.PriorityEdges() {
-		if sporadic[e[0]] || sporadic[e[1]] {
-			continue
-		}
-		add(e[0], e[1])
-		add(e[1], e[0])
+	for _, e := range edges {
+		rel[e[0]] = append(rel[e[0]], e[1])
+		rel[e[1]] = append(rel[e[1]], e[0])
 	}
-	for s, u := range user {
-		add(s, u)
-		add(u, s)
+	for p := range rel {
+		slices.Sort(rel[p])
+		rel[p] = slices.Compact(rel[p])
 	}
 	return rel
 }

@@ -30,10 +30,10 @@ const rankBits = 20
 // simulateFrameTicks produces the job sequence of PN' over [0, H) in <_J
 // order with each job's (A_i, D_i, C_i) per the paper's formulas, deadlines
 // truncated to the horizon H + DeadlineSlack. Besides the jobs it returns
-// the per-job tick table and each job's process index (position in
-// net.Processes()) for the edge pipeline.
+// the per-job tick table and each job's Pid packed into int32s for the
+// edge pipeline.
 func simulateFrameTicks(net *core.Network, tm *Timing, rank []int) (
-	jobs []*Job, index map[string]map[int64]int, jobPid []int32, ticks *JobTicks) {
+	jobs []*Job, jobPid []int32, ticks *JobTicks) {
 
 	procs := net.Processes()
 	np := len(procs)
@@ -82,14 +82,6 @@ func simulateFrameTicks(net *core.Network, tm *Timing, rank []int) (
 	ticks = &JobTicks{Scale: sc,
 		Arrival: make([]int64, total), WCET: make([]int64, total), Deadline: make([]int64, total)}
 	counts := make([]int64, np)
-	index = make(map[string]map[int64]int, np)
-	idxOf := make([]map[int64]int, np)
-	for pi, p := range procs {
-		if n := perProc[pi]; n > 0 {
-			idxOf[pi] = make(map[int64]int, n)
-			index[p.Name] = idxOf[pi]
-		}
-	}
 	for i, key := range keys {
 		t := key >> rankBits
 		pi := pidOfRank[key&(1<<rankBits-1)]
@@ -99,6 +91,7 @@ func simulateFrameTicks(net *core.Network, tm *Timing, rank []int) (
 		j := &jobsArr[i]
 		j.Index = i
 		j.Proc = p.Name
+		j.Pid = int(pi)
 		j.K = k
 		j.Arrival = sc.FromTicks(t)
 		j.WCET = p.WCET
@@ -117,59 +110,14 @@ func simulateFrameTicks(net *core.Network, tm *Timing, rank []int) (
 		j.Deadline = sc.FromTicks(dl)
 		jobs[i] = j
 		jobPid[i] = pi
-		idxOf[pi][k] = i
 		ticks.Arrival[i], ticks.WCET[i], ticks.Deadline[i] = t, tm.WCET[pi], dl
 	}
-	return jobs, index, jobPid, ticks
-}
-
-// edgeCtx interns the process-level structure the edge pipeline needs:
-// every per-job decision (next job of a related process, chain membership
-// in the reduction) becomes integer indexing instead of string-map lookups.
-type edgeCtx struct {
-	np     int
-	jobPid []int32   // job index -> process index
-	byProc [][]int32 // process index -> its job indices, ascending
-	relPid [][]int32 // process index -> FP'-related process indices, sorted
-}
-
-// newEdgeCtx builds the interned structure over the jobs' process indices.
-func newEdgeCtx(net *core.Network, jobs []*Job, related map[string]map[string]bool, jobPid []int32) *edgeCtx {
-	procs := net.Processes()
-	np := len(procs)
-	procIdx := make(map[string]int32, np)
-	for pi, p := range procs {
-		procIdx[p.Name] = int32(pi)
-	}
-	ec := &edgeCtx{np: np, jobPid: jobPid}
-	counts := make([]int32, np)
-	for _, pi := range jobPid {
-		counts[pi]++
-	}
-	ec.byProc = make([][]int32, np)
-	backing := make([]int32, len(jobs))
-	for pi := 0; pi < np; pi++ {
-		ec.byProc[pi] = backing[:0:counts[pi]]
-		backing = backing[counts[pi]:]
-	}
-	for i := range jobs {
-		pi := ec.jobPid[i]
-		ec.byProc[pi] = append(ec.byProc[pi], int32(i))
-	}
-	ec.relPid = make([][]int32, np)
-	for pi, p := range procs {
-		for q := range related[p.Name] {
-			if qi, found := procIdx[q]; found {
-				ec.relPid[pi] = append(ec.relPid[pi], qi)
-			}
-		}
-		sort.Slice(ec.relPid[pi], func(a, b int) bool { return ec.relPid[pi][a] < ec.relPid[pi][b] })
-	}
-	return ec
+	return jobs, jobPid, ticks
 }
 
 // candidateEdges produces, for every job, an edge to the next job (in <_J)
-// of the same process and to the next job of every related process. The
+// of the same process and to the next job of every related process
+// (jobPid[i] is job i's pid, related the TaskGraph's table). The
 // transitive closure of this set equals the full precedence relation of the
 // paper's step 3, because later jobs of the same target process are reached
 // through that process's own chain. Successor lists are carved from one
@@ -177,28 +125,29 @@ func newEdgeCtx(net *core.Network, jobs []*Job, related map[string]map[string]bo
 // generation allocates O(1) slices regardless of job count. One descending
 // sweep maintains nextOf[q] = smallest job index of process q strictly
 // above the sweep position, O(1) per job.
-func candidateEdges(ec *edgeCtx, n int) [][]int {
+func candidateEdges(jobPid []int32, related [][]int) [][]int {
+	n := len(jobPid)
 	off := make([]int, n+1)
 	total := 0
 	for i := 0; i < n; i++ {
 		off[i] = total
-		total += 1 + len(ec.relPid[ec.jobPid[i]])
+		total += 1 + len(related[jobPid[i]])
 	}
 	off[n] = total
 	arena := make([]int, total)
 	succ := make([][]int, n)
-	nextOf := make([]int32, ec.np)
+	nextOf := make([]int32, len(related))
 	for pi := range nextOf {
 		nextOf[pi] = -1
 	}
 	for i := n - 1; i >= 0; i-- {
-		pi := ec.jobPid[i]
+		pi := jobPid[i]
 		out := arena[off[i]:off[i]:off[i+1]]
 		// Next job of the same process.
 		if nx := nextOf[pi]; nx >= 0 {
 			out = append(out, int(nx))
 		}
-		for _, qi := range ec.relPid[pi] {
+		for _, qi := range related[pi] {
 			if nx := nextOf[qi]; nx >= 0 {
 				out = append(out, int(nx))
 			}
@@ -228,9 +177,8 @@ const chainReductionMinJobs = 8192
 // w of v reaches u, i.e. minReach[w][chain(u)] ≤ u — the same criterion the
 // bitset sweep evaluates, so both algorithms keep identical edge sets (the
 // in-package differential test pins this on random graphs).
-func transitiveReductionChains(succ [][]int, ec *edgeCtx) [][]int {
+func transitiveReductionChains(succ [][]int, jobPid []int32, np int) [][]int {
 	n := len(succ)
-	np := ec.np
 	const inf = int32(1 << 30)
 
 	// minReach rows are stored sparsely: row v holds (chain, min index)
@@ -285,7 +233,7 @@ func transitiveReductionChains(succ [][]int, ec *edgeCtx) [][]int {
 					scratch[c] = ms[k]
 				}
 			}
-			if uc := ec.jobPid[u]; scratch[uc] > int32(u) {
+			if uc := jobPid[u]; scratch[uc] > int32(u) {
 				if scratch[uc] == inf {
 					touched = append(touched, uc)
 				}
@@ -301,7 +249,7 @@ func transitiveReductionChains(succ [][]int, ec *edgeCtx) [][]int {
 		for _, u := range succ[v] {
 			redundant := false
 			for _, w := range succ[v] {
-				if w != u && lookup(w, ec.jobPid[u]) <= int32(u) {
+				if w != u && lookup(w, jobPid[u]) <= int32(u) {
 					redundant = true
 					break
 				}

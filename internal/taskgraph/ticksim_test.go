@@ -7,27 +7,23 @@ import (
 	"testing"
 )
 
-// randomEdgeCtx synthesizes a random chain decomposition: n jobs spread
-// over np chains (processes) with a random related relation — exactly the
+// randomChains synthesizes a random chain decomposition: n jobs spread
+// over np chains (processes) with a random relatedness table — exactly the
 // structural invariant candidateEdges establishes on real derivations.
-func randomEdgeCtx(rng *rand.Rand, n, np int) *edgeCtx {
-	ec := &edgeCtx{np: np}
-	ec.jobPid = make([]int32, n)
-	ec.byProc = make([][]int32, np)
-	for i := 0; i < n; i++ {
-		pi := int32(rng.Intn(np))
-		ec.jobPid[i] = pi
-		ec.byProc[pi] = append(ec.byProc[pi], int32(i))
+func randomChains(rng *rand.Rand, n, np int) (jobPid []int32, related [][]int) {
+	jobPid = make([]int32, n)
+	for i := range jobPid {
+		jobPid[i] = int32(rng.Intn(np))
 	}
-	ec.relPid = make([][]int32, np)
+	related = make([][]int, np)
 	for pi := 0; pi < np; pi++ {
 		for qi := 0; qi < np; qi++ {
 			if qi != pi && rng.Intn(3) == 0 {
-				ec.relPid[pi] = append(ec.relPid[pi], int32(qi))
+				related[pi] = append(related[pi], qi)
 			}
 		}
 	}
-	return ec
+	return jobPid, related
 }
 
 // TestChainReductionMatchesBitset pins the chain-decomposition transitive
@@ -38,9 +34,9 @@ func TestChainReductionMatchesBitset(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		np := 1 + rng.Intn(6)
 		n := 1 + rng.Intn(150)
-		ec := randomEdgeCtx(rng, n, np)
-		cand := candidateEdges(ec, n)
-		fromChains := transitiveReductionChains(cand, ec)
+		jobPid, related := randomChains(rng, n, np)
+		cand := candidateEdges(jobPid, related)
+		fromChains := transitiveReductionChains(cand, jobPid, np)
 		fromBitset, _ := transitiveReduction(cand)
 		if !reflect.DeepEqual(fromChains, fromBitset) {
 			t.Fatalf("trial %d (n=%d, np=%d): chain reduction diverges from bitset sweep\nchains: %v\nbitset: %v",
@@ -76,10 +72,10 @@ func TestCandidateEdgesMatchPaperStep3(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		np := 1 + rng.Intn(5)
 		n := 1 + rng.Intn(120)
-		ec := randomEdgeCtx(rng, n, np)
+		jobPid, relPids := randomChains(rng, n, np)
 		related := func(a, b int) bool {
-			pa, pb := ec.jobPid[a], ec.jobPid[b]
-			return pa == pb || slices.Contains(ec.relPid[pa], pb)
+			pa, pb := jobPid[a], jobPid[b]
+			return pa == pb || slices.Contains(relPids[pa], int(pb))
 		}
 		full := make([][]int, n)
 		for a := 0; a < n; a++ {
@@ -89,7 +85,7 @@ func TestCandidateEdgesMatchPaperStep3(t *testing.T) {
 				}
 			}
 		}
-		cand := candidateEdges(ec, n)
+		cand := candidateEdges(jobPid, relPids)
 		for a, out := range cand {
 			for _, b := range out {
 				if b <= a || !related(a, b) {
