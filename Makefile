@@ -24,10 +24,9 @@ test-cpu:
 vet:
 	$(GO) vet ./...
 
-# Run the repository's own determinism and concurrency-safety analyzers
-# (internal/analyzers: noclock, maporder, nakedgo, plus the
-# interprocedural jobreach, planfreeze, lockorder and poollife
-# call-graph passes) over the whole module.
+# Run the repository's own determinism analyzers (internal/analyzers:
+# noclock, maporder, nakedgo, plus the interprocedural jobreach and
+# planfreeze call-graph passes) over the whole module.
 vet-custom:
 	$(GO) run ./cmd/fppnlint-go .
 

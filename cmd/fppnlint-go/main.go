@@ -1,8 +1,8 @@
-// Command fppnlint-go runs the repository's custom determinism and
-// concurrency-safety analyzers (internal/analyzers: noclock, maporder,
-// nakedgo, plus the interprocedural jobreach, planfreeze, lockorder and
-// poollife call-graph passes) over a source tree. It is the project's
-// stdlib-only stand-in for a `go vet -vettool` driver.
+// Command fppnlint-go runs the repository's custom determinism analyzers
+// (internal/analyzers: noclock, maporder, nakedgo, plus the
+// interprocedural jobreach and planfreeze call-graph passes) over a
+// source tree. It is the project's stdlib-only stand-in for a
+// `go vet -vettool` driver.
 //
 // Usage:
 //

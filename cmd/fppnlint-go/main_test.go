@@ -85,7 +85,7 @@ func TestGoldenReports(t *testing.T) {
 		if status != exitDiagnostics {
 			t.Fatalf("%s: planted bugs not found (status %d):\n%s", tc.format, status, out.String())
 		}
-		for _, want := range []string{"lockorder", "poollife"} {
+		for _, want := range []string{"jobreach", "planfreeze"} {
 			if !strings.Contains(out.String(), want) {
 				t.Errorf("%s report missing a %s finding:\n%s", tc.format, want, out.String())
 			}

@@ -1,21 +1,24 @@
-// Package plan is a minimal stand-in for the real plan package: just
-// enough of the RunState pooling protocol for the poollife analyzer to
-// track.
+// Package plan is a minimal stand-in for the real plan package with one
+// planted planfreeze bug, pinned by the golden reports: a run method that
+// counts its runs on the compiled Plan every run shares.
 package plan
 
-// Report aliases its RunState's arenas; it is valid only until the next
-// Run or Reset on that state.
-type Report struct{ Entries []int }
+// Plan is the compiled artifact, immutable after Compile.
+type Plan struct {
+	frames int
+	runs   int
+}
 
-// RunState is one pooled per-run scratch state.
-type RunState struct{ inUse bool }
+// Compile builds a Plan; its writes to the fresh value are the compile
+// pipeline's own and exempt.
+func Compile(frames int) *Plan {
+	p := &Plan{}
+	p.frames = frames
+	return p
+}
 
-func (rs *RunState) Acquire() bool { return true }
-
-func (rs *RunState) Release() bool { return true }
-
-func (rs *RunState) Released() bool { return !rs.inUse }
-
-func (rs *RunState) Reset() {}
-
-func (rs *RunState) Run() (*Report, error) { return &Report{}, nil }
+// Run keeps per-run state on the shared Plan instead of a RunState.
+func (p *Plan) Run() int {
+	p.runs++
+	return p.frames
+}

@@ -141,47 +141,6 @@ func (g *callGraph) calleeKeys(n *funcNode, call *ast.CallExpr) []string {
 	return nil
 }
 
-// moduleTypeOf resolves a receiver, parameter, or type-assertion type
-// expression to a module-internal (module-relative directory, type name)
-// pair, unwrapping pointers: a bare identifier names a type of the same
-// package, pkg.T resolves through the file's imports.
-func moduleTypeOf(p *ModulePass, n *funcNode, t ast.Expr) (dir, name string, ok bool) {
-	return moduleTypeOfIn(p, n.file, n.pkg.Dir, t)
-}
-
-// moduleTypeOfIn is moduleTypeOf with an explicit file (for import
-// resolution) and package directory (for bare identifiers), so types can
-// be resolved in the context of their declaring struct rather than the
-// current function.
-func moduleTypeOfIn(p *ModulePass, file *ast.File, pkgDir string, t ast.Expr) (dir, name string, ok bool) {
-	for {
-		star, isStar := t.(*ast.StarExpr)
-		if !isStar {
-			break
-		}
-		t = star.X
-	}
-	switch t := t.(type) {
-	case *ast.Ident:
-		return pkgDir, t.Name, true
-	case *ast.SelectorExpr:
-		base, isIdent := t.X.(*ast.Ident)
-		if !isIdent {
-			return "", "", false
-		}
-		imp := importedPath(file, base.Name)
-		if !p.Internal(imp) {
-			return "", "", false
-		}
-		rel := strings.TrimPrefix(imp, p.Module+"/")
-		if rel == p.Module {
-			rel = "."
-		}
-		return rel, t.Sel.Name, true
-	}
-	return "", "", false
-}
-
 // receiverType names a method's receiver type, unwrapping pointers and
 // type parameters.
 func receiverType(fn *ast.FuncDecl) string {

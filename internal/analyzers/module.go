@@ -67,7 +67,7 @@ type ModuleAnalyzer struct {
 }
 
 // AllModule is the module-analyzer registry, in report order.
-var AllModule = []*ModuleAnalyzer{JobReach, PlanFreeze, LockOrder, PoolLife}
+var AllModule = []*ModuleAnalyzer{JobReach, PlanFreeze}
 
 // importedPath returns the path of the import that file binds to the
 // given local name, or "" when no import uses that name. The default

@@ -22,8 +22,10 @@ import (
 // planInto) returned by a run on this state aliases the state's arenas and
 // is valid only until the next Run/RunConcurrent call on the same state;
 // callers that need to keep a report across runs must deep-copy it first.
-// Pool owners (internal/serve) must therefore serialize or copy a request's
-// report before the state is released back to the free pool.
+// Pool owners must therefore serialize or copy a request's report before
+// the state is released back to the free pool; internal/serve's
+// Entry.replay does so by handing the report to a callback between the
+// run and the release.
 type RunState struct {
 	p *Plan
 
@@ -78,18 +80,6 @@ func (p *Plan) NewRunState() *RunState {
 
 // Plan returns the immutable compiled plan this state executes.
 func (rs *RunState) Plan() *Plan { return rs.p }
-
-// Reset drops every pooled buffer, returning the state to its NewRunState
-// condition: the next run starts cold and reallocates its arenas. Use it to
-// release the memory of an oversized past run; steady-state callers never
-// need it (Run re-initializes the pools itself). Reset preserves the
-// Acquire/Release pool-membership flag, so resetting a state cannot smuggle
-// it back into an owner's free pool a second time.
-func (rs *RunState) Reset() {
-	released := atomic.LoadUint32(&rs.released)
-	*rs = RunState{p: rs.p}
-	atomic.StoreUint32(&rs.released, released)
-}
 
 // Acquire marks the state checked out of an owner-managed free pool. Pool
 // owners call it on every state handed to a request — fresh or recycled —

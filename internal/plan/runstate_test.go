@@ -105,27 +105,3 @@ func TestRunOnReleasedStateFails(t *testing.T) {
 		t.Fatalf("run after re-Acquire: %v", err)
 	}
 }
-
-// TestResetPreservesReleaseFlag pins the Reset guard: dropping arenas must
-// not clear pool membership, or a Reset between Release calls would make
-// the double-release succeed.
-func TestResetPreservesReleaseFlag(t *testing.T) {
-	t.Parallel()
-	rs := signalPlan(t).NewRunState()
-	rs.Release()
-	rs.Reset()
-	if !rs.Released() {
-		t.Fatal("Reset cleared the released flag")
-	}
-	if rs.Release() {
-		t.Fatal("Release after Reset performed a second hand-back")
-	}
-	rs.Acquire()
-	rs.Reset()
-	if rs.Released() {
-		t.Fatal("Reset on a checked-out state marked it released")
-	}
-	if _, err := rs.Run(Config{Frames: 1}); err != nil {
-		t.Fatalf("run after Reset: %v", err)
-	}
-}

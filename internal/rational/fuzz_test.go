@@ -50,13 +50,14 @@ func FuzzParseRoundTrip(f *testing.F) {
 // FuzzRatNew pins New to math/big on arbitrary numerator/denominator
 // pairs, math.MinInt64 included: New returns big.Rat's lowest terms with a
 // positive denominator whenever both parts fit int64, and panics exactly
-// when they do not (or the denominator is zero).
+// when they do not (or the denominator is zero). Neg of the result matches
+// big.Rat.Neg and panics exactly when the negated numerator leaves int64.
 //
 // Run with: go test ./internal/rational -run '^$' -fuzz FuzzRatNew
 func FuzzRatNew(f *testing.F) {
 	for _, seed := range [][2]int64{
 		{1, 2}, {-2, 4}, {2, -4}, {0, 5}, {3, 0},
-		{math.MinInt64, 6}, {math.MinInt64, -2}, {math.MinInt64, -1}, {math.MinInt64, math.MinInt64},
+		{math.MinInt64, 6}, {math.MinInt64, 3}, {math.MinInt64, -2}, {math.MinInt64, -1}, {math.MinInt64, math.MinInt64},
 		{0, math.MinInt64}, {6, math.MinInt64}, {1, math.MinInt64},
 		{math.MaxInt64, math.MinInt64}, {math.MaxInt64, -math.MaxInt64},
 	} {
@@ -85,6 +86,19 @@ func FuzzRatNew(f *testing.F) {
 		}
 		if got.Num() != want.Num().Int64() || got.Den() != want.Denom().Int64() {
 			t.Fatalf("New(%d, %d) = %d/%d, math/big says %v", num, den, got.Num(), got.Den(), want)
+		}
+		wantNeg := new(big.Rat).Neg(want)
+		var neg Rat
+		panicked = func() (p bool) {
+			defer func() { p = recover() != nil }()
+			neg = got.Neg()
+			return false
+		}()
+		if negFits := wantNeg.Num().IsInt64(); panicked == negFits {
+			t.Fatalf("New(%d, %d).Neg(): panicked = %v, math/big says %v", num, den, panicked, wantNeg)
+		}
+		if !panicked && (neg.Num() != wantNeg.Num().Int64() || neg.Den() != wantNeg.Denom().Int64()) {
+			t.Fatalf("New(%d, %d).Neg() = %d/%d, math/big says %v", num, den, neg.Num(), neg.Den(), wantNeg)
 		}
 	})
 }

@@ -96,10 +96,11 @@ func (r Rat) Sign() int {
 	}
 }
 
-// Neg returns -r.
+// Neg returns -r. It panics when the numerator is math.MinInt64, whose
+// negation does not fit int64.
 func (r Rat) Neg() Rat {
 	r = r.normalized()
-	return Rat{-r.num, r.den}
+	return Rat{subChecked(0, r.num), r.den}
 }
 
 // Add returns r + s.

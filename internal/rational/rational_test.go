@@ -491,6 +491,27 @@ func TestSubOverflowPanics(t *testing.T) {
 	_ = FromInt(math.MinInt64 + 1).Sub(FromInt(math.MaxInt64))
 }
 
+// TestNegOverflowPanics: negating a math.MinInt64 numerator, directly or
+// through Sub's general path, overflows instead of wrapping back to the
+// operand.
+func TestNegOverflowPanics(t *testing.T) {
+	t.Parallel()
+	for name, neg := range map[string]func() Rat{
+		"Neg":      func() Rat { return New(math.MinInt64, 3).Neg() },
+		"Zero.Sub": func() Rat { return Zero.Sub(New(math.MinInt64, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of %d/3 did not panic", name, int64(math.MinInt64))
+				}
+			}()
+			got := neg()
+			t.Errorf("%s of %d/3 = %v", name, int64(math.MinInt64), got)
+		}()
+	}
+}
+
 // TestLcmAllOverflow: an LCM past int64 is reported, not panicked, and
 // the fold agrees with pairwise Lcm while it fits.
 func TestLcmAllOverflow(t *testing.T) {

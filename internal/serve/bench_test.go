@@ -79,15 +79,13 @@ func BenchmarkDirectFMSRunBaseline(b *testing.B) {
 	if err != nil || !hit {
 		b.Fatalf("entry not cached: hit=%v err=%v", hit, err)
 	}
-	cfg := plan.Config{Frames: 1, Inputs: e.InputsFor(1)}
+	cfg := plan.Config{Frames: 1, Inputs: e.inputsFor(1)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs := e.AcquireState(1)
-		if _, err := rs.Run(cfg); err != nil {
+		if err := e.replay(cfg, false, func(*plan.Report) {}); err != nil {
 			b.Fatal(err)
 		}
-		e.ReleaseState(1, rs)
 	}
 }
 

@@ -45,13 +45,13 @@ type Entry struct {
 	cost    int64
 	metrics *Metrics
 
-	// mu guards the frames-keyed sub-caches below. Pools are bucketed by
-	// frame count so a recycled RunState's arena, ring and output-slice
-	// sizes match the next request of the same shape — states never
-	// ping-pong between frame counts.
-	mu     sync.Mutex
-	pools  map[int]*sync.Pool
-	inputs map[int]map[string][]core.Value
+	// pools and inputs are the frames-keyed sub-caches: pools maps a
+	// frame count to the *sync.Pool of RunStates for runs of that shape,
+	// so a recycled state's arena, ring and output-slice sizes match the
+	// next request and states never ping-pong between frame counts;
+	// inputs maps it to the shared input table.
+	pools  sync.Map
+	inputs sync.Map
 }
 
 // entryBaseCost approximates the fixed footprint of a cached pipeline and
@@ -63,57 +63,49 @@ const (
 	entryJobCost  = int64(512)
 )
 
-// AcquireState checks a RunState for the given frame count out of the
-// entry's free pool, creating one when the pool is empty. Warm states
-// carry their arenas, FIFO rings and output slices from previous runs, so
-// steady-state requests replay on the zero-alloc path.
-func (e *Entry) AcquireState(frames int) *plan.RunState {
-	e.mu.Lock()
-	p, ok := e.pools[frames]
+// replay runs cfg once on a RunState from the entry's pool for
+// cfg.Frames, creating one when the pool is empty, and hands the report
+// to use before the state goes back to the pool. Warm states carry their
+// arenas, FIFO rings and output slices from previous runs, so steady-state
+// requests replay on the zero-alloc path. The report aliases the state's
+// arenas and is valid only inside use: use must copy out what it keeps.
+func (e *Entry) replay(cfg plan.Config, concurrent bool, use func(*plan.Report)) error {
+	p, ok := e.pools.Load(cfg.Frames)
 	if !ok {
-		p = &sync.Pool{}
-		e.pools[frames] = p
+		p, _ = e.pools.LoadOrStore(cfg.Frames, &sync.Pool{})
 	}
-	e.mu.Unlock()
-	rs, ok := p.Get().(*plan.RunState)
+	pool := p.(*sync.Pool)
+	rs, ok := pool.Get().(*plan.RunState)
 	if !ok {
 		e.metrics.StatesCreated.Add(1)
 		rs = e.Plan.NewRunState()
 	}
 	rs.Acquire()
-	return rs
+	run := rs.Run
+	if concurrent {
+		run = rs.RunConcurrent
+	}
+	rep, err := run(cfg)
+	if err == nil {
+		use(rep)
+	}
+	if rs.Release() {
+		pool.Put(rs)
+	}
+	return err
 }
 
-// ReleaseState returns a state to the pool it was acquired from. The
-// hand-back is idempotent: RunState.Release accepts only the first call
-// after an Acquire, so a double release cannot hand the same state to two
-// concurrent requests. Callers must not touch the run's *Report after this
-// point — it aliases the state's arenas.
-func (e *Entry) ReleaseState(frames int, rs *plan.RunState) {
-	if !rs.Release() {
-		return
+// inputsFor returns the model's deterministic external-input samples for
+// a run of the given frame count, built on first use and shared by every
+// request: the data machine reads input slices without mutating them, so
+// one table serves concurrent runs. Concurrent first uses may each build
+// the table; the build is deterministic and the first stored one wins.
+func (e *Entry) inputsFor(frames int) map[string][]core.Value {
+	if in, ok := e.inputs.Load(frames); ok {
+		return in.(map[string][]core.Value)
 	}
-	e.mu.Lock()
-	p := e.pools[frames]
-	e.mu.Unlock()
-	if p != nil {
-		p.Put(rs)
-	}
-}
-
-// InputsFor returns the model's deterministic external-input samples for a
-// run of the given frame count, built once per frame count and shared by
-// every request: the data machine reads input slices without mutating
-// them, so one table serves concurrent runs.
-func (e *Entry) InputsFor(frames int) map[string][]core.Value {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if in, ok := e.inputs[frames]; ok {
-		return in
-	}
-	in := e.Model.Inputs(frames)
-	e.inputs[frames] = in
-	return in
+	in, _ := e.inputs.LoadOrStore(frames, e.Model.Inputs(frames))
+	return in.(map[string][]core.Value)
 }
 
 // flight is one in-progress compile that concurrent misses for the same
@@ -125,7 +117,8 @@ type flight struct {
 }
 
 // Cache is the content-addressed compile cache: a cost-aware LRU with
-// singleflight on misses. Safe for concurrent use.
+// singleflight on misses. Safe for concurrent use. Its mu is the serve
+// package's only mutex (see the package doc).
 type Cache struct {
 	budget  int64
 	metrics *Metrics

@@ -160,7 +160,7 @@ func TestCacheSingleflightDeterministic(t *testing.T) {
 	compile := func() (*Entry, error) {
 		atomic.AddInt32(&compiles, 1)
 		<-release
-		return &Entry{cost: 1, metrics: m, pools: map[int]*sync.Pool{}}, nil
+		return &Entry{cost: 1, metrics: m}, nil
 	}
 
 	const n = 8
@@ -219,7 +219,7 @@ func TestCacheCompileErrorsAreNotCached(t *testing.T) {
 	}
 	// Retry succeeds and caches.
 	e, hit, err := c.GetOrCompile(key, func() (*Entry, error) {
-		return &Entry{cost: 1, metrics: m, pools: map[int]*sync.Pool{}}, nil
+		return &Entry{cost: 1, metrics: m}, nil
 	})
 	if err != nil || hit || e == nil {
 		t.Fatalf("retry: e=%v hit=%v err=%v", e, hit, err)
@@ -290,40 +290,79 @@ func TestSimulateWarmPathReusesEverything(t *testing.T) {
 	}
 }
 
+// simulateRaw sends one encoded /simulate body through the handler stack
+// and returns the status code and the raw response body. It calls no
+// t.Fatal, so worker goroutines may use it.
+func simulateRaw(s *Server, body []byte) (int, []byte) {
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/simulate", bytes.NewReader(body)))
+	return w.Code, w.Body.Bytes()
+}
+
 // TestSimulatePoolBoundsStatesUnderConcurrency hammers one warm entry
-// from many goroutines: the number of RunStates ever created must stay at
-// or below the high-water concurrency, not grow with request count.
+// from many goroutines with interleaved request shapes: frames 1 and 2,
+// each on the sequential and the concurrent runner, so both of the
+// entry's frame-count pools hand states back and forth between runners.
+// It is the stale-report witness: every reply must be byte-identical to
+// the sequential reference reply of its shape, and a handler that read a
+// report after its state went back to the pool would race, under -race,
+// with the next request replaying on that state. The RunStates ever
+// created must stay at or below the high-water concurrency per pool, not
+// grow with request count.
 func TestSimulatePoolBoundsStatesUnderConcurrency(t *testing.T) {
 	t.Parallel()
 	s := newTestServer(t, Options{})
-	req := map[string]any{"app": "signal", "frames": 2}
-	if code := post(t, s, "/simulate", req, nil); code != http.StatusOK {
+	// Compile first, so every reply below is a cache hit.
+	if code := post(t, s, "/simulate", map[string]any{"app": "signal"}, nil); code != http.StatusOK {
 		t.Fatalf("warm-up simulate: status %d", code)
+	}
+	var bodies, refs [][]byte
+	for _, frames := range []int{1, 2} {
+		for _, concurrent := range []bool{false, true} {
+			body, err := json.Marshal(map[string]any{"app": "signal", "frames": frames, "concurrent": concurrent})
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, ref := simulateRaw(s, body)
+			if code != http.StatusOK {
+				t.Fatalf("reference simulate %s: status %d: %s", body, code, ref)
+			}
+			bodies, refs = append(bodies, body), append(refs, ref)
+		}
+	}
+	if bytes.Equal(refs[0], refs[2]) {
+		t.Fatal("frames 1 and 2 give the same reply; the shapes do not tell the pools apart")
 	}
 
 	const workers = 8
-	const perWorker = 25
+	const perWorker = 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				var resp SimulateResponse
-				if code := post(t, s, "/simulate", req, &resp); code != http.StatusOK {
-					t.Errorf("simulate: status %d", code)
+				k := (w + i) % len(bodies)
+				code, got := simulateRaw(s, bodies[k])
+				if code != http.StatusOK {
+					t.Errorf("simulate %s: status %d: %s", bodies[k], code, got)
+					return
+				}
+				if !bytes.Equal(got, refs[k]) {
+					t.Errorf("simulate %s differs from the sequential reference:\ngot  %s\nwant %s", bodies[k], got, refs[k])
 					return
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 
 	if got := s.metrics.Compiles.Load(); got != 1 {
 		t.Fatalf("Compiles = %d under warm concurrent load, want 1", got)
 	}
-	if got := s.metrics.StatesCreated.Load(); !raceEnabled && got > workers+1 {
-		t.Fatalf("StatesCreated = %d for %d workers: pool is not reusing states", got, workers)
+	// Two frame counts, so two pools, each bounded by the worker count.
+	if got := s.metrics.StatesCreated.Load(); !raceEnabled && got > 2*(workers+1) {
+		t.Fatalf("StatesCreated = %d for %d workers on two pools: pool is not reusing states", got, workers)
 	}
 }
 

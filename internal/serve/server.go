@@ -10,7 +10,17 @@
 // Compiled plans are immutable (enforced by the planfreeze analyzer), so
 // one cached plan serves concurrent /simulate requests; per-request state
 // comes from per-plan, per-frame-count pools of plan.RunState whose warm
-// arenas replay on the zero-alloc steady-state path.
+// arenas replay on the zero-alloc steady-state path. Entry.replay is the
+// only way to a pooled state: it checks one out, runs it, hands the
+// report to a callback and parks the state again, so no report outlives
+// its run.
+//
+// Locking rule: Cache.mu is the package's only mutex. Its critical
+// sections touch only the cache map, the LRU list and atomic counters;
+// compiles, model loads and replays run outside it, and the per-entry and
+// per-server sub-caches are sync.Maps. With one lock that is never held
+// across a call, no lock-order cycle can form. TestServeDeclaresOneMutex
+// pins the rule.
 //
 // Endpoints: POST /compile, POST /simulate, POST /analyze (lint +
 // schedulability + happens-before verdicts), GET /healthz, GET /metrics
@@ -29,7 +39,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/feas"
 	"repro/internal/hb"
 	"repro/internal/lint"
@@ -81,11 +90,10 @@ type Server struct {
 	mux     *http.ServeMux
 	start   time.Time
 
-	// models caches loaded models by spec name, so the network build +
-	// canonicalization + digest runs once per name, not per request. The
-	// registry is finite, so this cache never needs eviction.
-	modelsMu sync.Mutex
-	models   map[string]*cli.Model
+	// models caches loaded *cli.Model values by spec name, so the
+	// network build + canonicalization + digest runs once per name, not
+	// per request.
+	models sync.Map
 
 	maxBody int64 // POST body cap, see requestBodyBase
 }
@@ -96,7 +104,6 @@ func NewServer(opts Options) *Server {
 		opts:    opts.withDefaults(),
 		metrics: &Metrics{},
 		start:   time.Now(),
-		models:  make(map[string]*cli.Model),
 	}
 	s.maxBody = requestBodyBase + requestBodyPerFrame*int64(s.opts.MaxFrames)
 	s.cache = newCache(s.opts.CacheBudget, s.metrics)
@@ -198,22 +205,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // model returns the cached loaded model for a spec, building, validating,
-// canonicalizing and digesting it on first use.
+// canonicalizing and digesting it on first use. Concurrent first uses may
+// each load the model; the load is deterministic and the first stored
+// result wins.
 func (s *Server) model(spec string) (*cli.Model, error) {
 	if spec == "" {
 		return nil, badRequest("missing \"app\" (want one of %v)", cli.ModelNames())
 	}
-	s.modelsMu.Lock()
-	defer s.modelsMu.Unlock()
-	if m, ok := s.models[spec]; ok {
-		return m, nil
+	if m, ok := s.models.Load(spec); ok {
+		return m.(*cli.Model), nil
 	}
 	m, err := cli.LoadModel(spec)
 	if err != nil {
 		return nil, err
 	}
-	s.models[spec] = m
-	return m, nil
+	stored, _ := s.models.LoadOrStore(spec, m)
+	return stored.(*cli.Model), nil
 }
 
 // jobRequest is the shared request envelope of the three POST endpoints.
@@ -334,8 +341,6 @@ func (s *Server) compileEntry(model *cli.Model, m int, heuristic string) (*Entry
 		CompileTime: time.Since(start),
 		cost:        entryBaseCost + int64(len(tg.Jobs))*entryJobCost,
 		metrics:     s.metrics,
-		pools:       make(map[int]*sync.Pool),
-		inputs:      make(map[int]map[string][]core.Value),
 	}, nil
 }
 
@@ -414,39 +419,32 @@ func (s *Server) handleSimulate(r *http.Request) (any, error) {
 	cfg := plan.Config{
 		Frames:         req.Frames,
 		SporadicEvents: events,
-		Inputs:         e.InputsFor(req.Frames),
+		Inputs:         e.inputsFor(req.Frames),
 	}
-	rs := e.AcquireState(req.Frames)
-	defer e.ReleaseState(req.Frames, rs)
-	run := rs.Run
-	if req.Concurrent {
-		run = rs.RunConcurrent
+	resp := &SimulateResponse{
+		App:       req.App,
+		Digest:    e.Model.Digest,
+		M:         req.M,
+		Heuristic: e.Schedule.Heuristic.String(),
+		Frames:    req.Frames,
+		Cached:    cached,
+		Feasible:  e.Feasible,
 	}
-	rep, err := run(cfg)
+	err = e.replay(cfg, req.Concurrent, func(rep *plan.Report) {
+		// The report aliases the pooled state's arenas: copy scalars and
+		// fresh strings out of it before replay parks the state.
+		resp.Entries = len(rep.Entries)
+		resp.Misses = len(rep.Misses)
+		resp.Skipped = len(rep.Skipped)
+		resp.Makespan = rep.Makespan.String()
+		resp.MaxLateness = rep.MaxLateness.String()
+		resp.Outputs = make(map[string]int, len(rep.Outputs))
+		for ch, samples := range rep.Outputs {
+			resp.Outputs[ch] = len(samples)
+		}
+	})
 	if err != nil {
 		return nil, unprocessable("run %s: %v", req.App, err)
-	}
-
-	// The report aliases the pooled state's arenas; everything below
-	// copies scalars and fresh strings out of it before the deferred
-	// release parks the state.
-	resp := &SimulateResponse{
-		App:         req.App,
-		Digest:      e.Model.Digest,
-		M:           req.M,
-		Heuristic:   e.Schedule.Heuristic.String(),
-		Frames:      req.Frames,
-		Cached:      cached,
-		Feasible:    e.Feasible,
-		Entries:     len(rep.Entries),
-		Misses:      len(rep.Misses),
-		Skipped:     len(rep.Skipped),
-		Makespan:    rep.Makespan.String(),
-		MaxLateness: rep.MaxLateness.String(),
-		Outputs:     make(map[string]int, len(rep.Outputs)),
-	}
-	for ch, samples := range rep.Outputs {
-		resp.Outputs[ch] = len(samples)
 	}
 	return resp, nil
 }
