@@ -11,11 +11,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages that fan out through internal/parallel or run the
-# goroutine-per-processor runtime, tested at 1, 2 and 4 CPUs: at
-# GOMAXPROCS=1 work units run inline on the caller, so a failure that only
-# happens on a worker goroutine goes unseen.
-TEST_CPU_PKGS = ./internal/parallel ./internal/taskgraph ./internal/sched ./internal/feas \
+# The compile pipeline (taskgraph, sched, feas, lint), the
+# goroutine-per-processor runtime (plan), the serving layer (serve) and the
+# differential harness (integration), tested at 1, 2 and 4 CPUs: the
+# runtime's and the server's goroutines interleave differently at each
+# GOMAXPROCS, and the pipeline's output must not depend on it either.
+TEST_CPU_PKGS = ./internal/taskgraph ./internal/sched ./internal/feas \
 	./internal/lint ./internal/serve ./internal/plan ./internal/integration
 
 test-cpu:
@@ -36,8 +37,8 @@ vet-custom:
 analyze:
 	$(GO) run ./cmd/fppnvet -all -json
 
-# The compile pipeline and portfolio scheduler fan out goroutines; every
-# test (including the differential determinism harness) must be race-clean.
+# The runtime and the serving layer run goroutines; every test (including
+# the differential determinism harness) must be race-clean.
 race:
 	$(GO) test -race ./...
 

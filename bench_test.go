@@ -677,9 +677,9 @@ func BenchmarkScaleDerive100k(b *testing.B)   { benchmarkScaleDerive(b, 100000) 
 func BenchmarkScaleSchedule100k(b *testing.B) { benchmarkScaleSchedule(b, 100000) }
 func BenchmarkScaleRun100k(b *testing.B)      { benchmarkScaleRun(b, 100000) }
 
-// benchmarkPortfolioWorkers races all four SP heuristics on the FMS task
-// graph; the sequential and parallel runs return byte-identical winners.
-func benchmarkPortfolioWorkers(b *testing.B, workers int) {
+// BenchmarkPortfolio list-schedules the FMS task graph on two processors
+// with all four SP heuristics and keeps the best feasible schedule.
+func BenchmarkPortfolio(b *testing.B) {
 	tg, err := taskgraph.Derive(fms.New())
 	if err != nil {
 		b.Fatal(err)
@@ -687,7 +687,7 @@ func benchmarkPortfolioWorkers(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := sched.Portfolio(tg, 2, sched.PortfolioOptions{Workers: workers})
+		s, err := sched.Portfolio(tg, 2, sched.PortfolioOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -696,6 +696,3 @@ func benchmarkPortfolioWorkers(b *testing.B, workers int) {
 		}
 	}
 }
-
-func BenchmarkPortfolioSequential(b *testing.B) { benchmarkPortfolioWorkers(b, 1) }
-func BenchmarkPortfolioWorkers4(b *testing.B)   { benchmarkPortfolioWorkers(b, 4) }

@@ -32,8 +32,7 @@ import (
 func main() {
 	app := flag.String("app", "signal", "model spec: registry app or scale:N")
 	m := flag.Int("m", 2, "number of processors")
-	heuristic := flag.String("heuristic", "alap-edf", "schedule priority: alap-edf, b-level, deadline-monotonic, edf, portfolio (race all, keep best makespan)")
-	workers := flag.Int("workers", 0, "portfolio/feas fan-out: 0 = GOMAXPROCS, 1 = sequential")
+	heuristic := flag.String("heuristic", "alap-edf", "schedule priority: alap-edf, b-level, deadline-monotonic, edf, portfolio (run all, keep best makespan)")
 	dot := flag.String("dot", "", "emit Graphviz for: taskgraph, network")
 	gantt := flag.Bool("gantt", true, "print the ASCII Gantt chart")
 	table := flag.Bool("table", false, "print the schedule table")
@@ -44,13 +43,13 @@ func main() {
 	vet := flag.String("vet", "on", "pre-flight lint: on (refuse to compile on error findings), off")
 	flag.Parse()
 
-	if err := run(*app, *m, *workers, *heuristic, *vet, *dot, *jsonOut, *gantt, *table, *buffers, *compare, *width); err != nil {
+	if err := run(*app, *m, *heuristic, *vet, *dot, *jsonOut, *gantt, *table, *buffers, *compare, *width); err != nil {
 		fmt.Fprintln(os.Stderr, "fppnc:", err)
 		os.Exit(cli.ExitCode(err))
 	}
 }
 
-func run(app string, m, workers int, heuristic, vet, dot, jsonOut string, gantt, table, buffers, compare bool, width int) error {
+func run(app string, m int, heuristic, vet, dot, jsonOut string, gantt, table, buffers, compare bool, width int) error {
 	model, err := cli.LoadModel(app)
 	if err != nil {
 		return err
@@ -131,7 +130,7 @@ func run(app string, m, workers int, heuristic, vet, dot, jsonOut string, gantt,
 		}
 	}
 	if compare {
-		stats, err := analysis.CompareHeuristicsWorkers(tg, m, workers)
+		stats, err := analysis.CompareHeuristics(tg, m)
 		if err != nil {
 			return err
 		}
@@ -140,7 +139,7 @@ func run(app string, m, workers int, heuristic, vet, dot, jsonOut string, gantt,
 
 	var s *sched.Schedule
 	if heuristic == cli.PortfolioName {
-		s, err = sched.Portfolio(tg, m, sched.PortfolioOptions{Workers: workers})
+		s, err = sched.Portfolio(tg, m, sched.PortfolioOptions{})
 		if err != nil {
 			return err
 		}

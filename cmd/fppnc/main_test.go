@@ -36,7 +36,7 @@ func TestRunSmoke(t *testing.T) {
 		{"fft", 1, "", "", true, false, false, false}, // infeasible branch
 	}
 	for _, c := range cases {
-		if err := run(c.app, c.m, 0, "alap-edf", "on", c.dot, c.json, c.gantt, c.tbl, c.buffers, c.compar, 60); err != nil {
+		if err := run(c.app, c.m, "alap-edf", "on", c.dot, c.json, c.gantt, c.tbl, c.buffers, c.compar, 60); err != nil {
 			t.Errorf("run(%+v): %v", c, err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestRunSmoke(t *testing.T) {
 		{"signal", "magic", "on"},
 		{"signal", "alap-edf", "sideways"},
 	} {
-		err := run(bad.app, 1, 0, bad.heuristic, bad.vet, "", "", false, false, false, false, 60)
+		err := run(bad.app, 1, bad.heuristic, bad.vet, "", "", false, false, false, false, 60)
 		if err == nil {
 			t.Errorf("run(%+v) accepted", bad)
 		} else if got := cli.ExitCode(err); got != cli.ExitUsage {
@@ -57,14 +57,12 @@ func TestRunSmoke(t *testing.T) {
 }
 
 func TestRunPortfolioMode(t *testing.T) {
-	// The portfolio mode must succeed with both a sequential and a
-	// defaulted worker count and print the same winning schedule.
-	for _, workers := range []int{1, 0, 4} {
-		if err := run("signal", 2, workers, "portfolio", "on", "", "", false, false, false, false, 60); err != nil {
-			t.Errorf("portfolio workers=%d: %v", workers, err)
-		}
+	// The portfolio mode must succeed on a feasible processor count and
+	// fail with a model error on an infeasible one.
+	if err := run("signal", 2, "portfolio", "on", "", "", false, false, false, false, 60); err != nil {
+		t.Errorf("portfolio: %v", err)
 	}
-	err := run("signal", 1, 0, "portfolio", "on", "", "", false, false, false, false, 60)
+	err := run("signal", 1, "portfolio", "on", "", "", false, false, false, false, 60)
 	if err == nil {
 		t.Error("portfolio on an infeasible processor count must fail")
 	} else if got := cli.ExitCode(err); got != cli.ExitError {

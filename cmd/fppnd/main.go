@@ -5,7 +5,7 @@
 // Usage:
 //
 //	fppnd [-addr :7337] [-cache-budget-mb 256] [-max-m 64]
-//	      [-max-frames 4096] [-workers 0] [-drain-timeout 10s]
+//	      [-max-frames 4096] [-max-analyze-jobs 4096] [-drain-timeout 10s]
 //
 // Endpoints:
 //
@@ -46,17 +46,16 @@ func main() {
 	maxM := flag.Int("max-m", 64, "largest processor count a request may ask for")
 	maxFrames := flag.Int("max-frames", 4096, "largest frame count one /simulate may ask for")
 	maxAnalyze := flag.Int("max-analyze-jobs", 4096, "job gate for the expensive /analyze passes")
-	workers := flag.Int("workers", 0, "portfolio/feas fan-out: 0 = GOMAXPROCS, 1 = sequential")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
 	flag.Parse()
 
-	if err := run(*addr, *budgetMB, *maxM, *maxFrames, *maxAnalyze, *workers, *drain); err != nil {
+	if err := run(*addr, *budgetMB, *maxM, *maxFrames, *maxAnalyze, *drain); err != nil {
 		fmt.Fprintln(os.Stderr, "fppnd:", err)
 		os.Exit(cli.ExitCode(err))
 	}
 }
 
-func run(addr string, budgetMB int64, maxM, maxFrames, maxAnalyze, workers int, drain time.Duration) error {
+func run(addr string, budgetMB int64, maxM, maxFrames, maxAnalyze int, drain time.Duration) error {
 	if budgetMB < 1 {
 		return cli.Usagef("cache budget %d MiB; want >= 1", budgetMB)
 	}
@@ -68,7 +67,6 @@ func run(addr string, budgetMB int64, maxM, maxFrames, maxAnalyze, workers int, 
 		MaxProcessors:  maxM,
 		MaxFrames:      maxFrames,
 		MaxAnalyzeJobs: maxAnalyze,
-		Workers:        workers,
 	})
 
 	// Publish the daemon stats into the process-wide expvar tree; the

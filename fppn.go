@@ -135,9 +135,9 @@ type (
 	Heuristic = sched.Heuristic
 	// GanttEntry is one executed interval on a processor.
 	GanttEntry = sched.GanttEntry
-	// PortfolioOptions configures the concurrent heuristic portfolio.
+	// PortfolioOptions configures the heuristic portfolio.
 	PortfolioOptions = sched.PortfolioOptions
-	// HeuristicResult is one lane of a portfolio race.
+	// HeuristicResult is one lane of the heuristic portfolio.
 	HeuristicResult = sched.HeuristicResult
 )
 
@@ -159,19 +159,19 @@ func ListSchedule(tg *TaskGraph, m int, h Heuristic) (*Schedule, error) {
 	return sched.ListSchedule(tg, m, h)
 }
 
-// FindFeasible tries every heuristic and returns the first feasible
-// schedule on m processors.
+// FindFeasible tries the heuristics in preference order and returns the
+// first feasible schedule on m processors.
 func FindFeasible(tg *TaskGraph, m int) (*Schedule, error) { return sched.FindFeasible(tg, m) }
 
-// SchedulePortfolio races all heuristics concurrently and returns the best
-// feasible schedule under the documented total order (minimal makespan,
-// heuristic-order tie-break). The result is independent of Workers.
+// SchedulePortfolio runs every heuristic and returns the best feasible
+// schedule under the documented total order (minimal makespan,
+// heuristic-order tie-break).
 func SchedulePortfolio(tg *TaskGraph, m int, opts PortfolioOptions) (*Schedule, error) {
 	return sched.Portfolio(tg, m, opts)
 }
 
-// RunPortfolio races all heuristics concurrently and returns every lane's
-// outcome in heuristic order, feasible or not.
+// RunPortfolio runs every heuristic and returns every lane's outcome in
+// heuristic order, feasible or not.
 func RunPortfolio(tg *TaskGraph, m int, opts PortfolioOptions) []HeuristicResult {
 	return sched.RunPortfolio(tg, m, opts)
 }
@@ -331,7 +331,7 @@ type (
 	FeasTest = feas.Test
 	// FeasVerdict is feasible, infeasible or unknown.
 	FeasVerdict = feas.Verdict
-	// FeasOptions tunes an analysis run.
+	// FeasOptions is an analysis run's option set; it has no fields.
 	FeasOptions = feas.Options
 )
 
@@ -388,8 +388,8 @@ func RunUniprocessor(net *Network, horizon Time, pr UniPriority,
 type (
 	// Model is a loaded, canonicalized and content-digested network.
 	Model = cli.Model
-	// ServeOptions tunes a serving instance (cache budget, request
-	// limits, compile fan-out).
+	// ServeOptions tunes a serving instance (cache budget and request
+	// limits).
 	ServeOptions = serve.Options
 	// ServeStats is one point-in-time snapshot of a serving instance's
 	// counters and latency histograms.

@@ -86,18 +86,11 @@ func (st SchedStats) String() string {
 // CompareHeuristics schedules the task graph with every heuristic on m
 // processors and returns the per-heuristic statistics — the ablation table
 // behind Section III-B's remark that "different heuristics exist for
-// optimizing priority order SP". The heuristics run as a concurrent
-// portfolio race; statistics come back in preference order regardless of
-// worker interleaving.
+// optimizing priority order SP". The heuristics run as the schedule
+// portfolio (sched.RunPortfolio); statistics come back in preference order.
 func CompareHeuristics(tg *taskgraph.TaskGraph, m int) ([]SchedStats, error) {
-	return CompareHeuristicsWorkers(tg, m, 0)
-}
-
-// CompareHeuristicsWorkers is CompareHeuristics with an explicit
-// concurrency knob (0 = GOMAXPROCS, 1 = sequential).
-func CompareHeuristicsWorkers(tg *taskgraph.TaskGraph, m, workers int) ([]SchedStats, error) {
 	var out []SchedStats
-	for _, r := range sched.RunPortfolio(tg, m, sched.PortfolioOptions{Workers: workers}) {
+	for _, r := range sched.RunPortfolio(tg, m, sched.PortfolioOptions{}) {
 		if r.Schedule == nil {
 			return nil, r.Err
 		}

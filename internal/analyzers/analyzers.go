@@ -9,7 +9,7 @@
 //   - maporder: iterating a Go map to build a slice without sorting it
 //     afterwards leaks nondeterministic ordering into output;
 //   - nakedgo: goroutines may only be spawned by the audited concurrency
-//     layers (internal/parallel, internal/plan).
+//     layers (internal/plan, internal/serve, cmd/fppnd, cmd/fppnload).
 //
 // On top of the per-directory passes, two module-wide (interprocedural)
 // analyzers share a function call graph over the whole module: jobreach

@@ -187,20 +187,23 @@ func spawn() {
 }
 `
 	diags := check(t, map[string]string{
-		"internal/sched/bad.go":   "package sched\n\nfunc spawn() {\n\tgo func() {}()\n}\n",
-		"internal/parallel/ok.go": worker,
-		"internal/plan/ok.go":     worker,
+		"internal/sched/bad.go": "package sched\n\nfunc spawn() {\n\tgo func() {}()\n}\n",
+		"internal/feas/bad.go":  "package feas\n\nfunc spawn() {\n\tgo func() {}()\n}\n",
+		"internal/plan/ok.go":   worker,
 		// The serving layer is on the allowlist: its request-level
 		// concurrency is pinned by the serve differential harness.
 		"internal/serve/ok.go": worker,
 		"cmd/fppnd/ok.go":      worker,
 		"cmd/fppnload/ok.go":   worker,
 	})
-	if len(diags) != 1 || diags[0].Analyzer != "nakedgo" {
-		t.Fatalf("want one nakedgo diagnostic, got:\n%s", messages(diags))
+	// Scheduling and feasibility analysis run on the caller's goroutine.
+	if len(diags) != 2 {
+		t.Fatalf("want two nakedgo diagnostics, got:\n%s", messages(diags))
 	}
-	if !strings.Contains(diags[0].Position.Filename, "sched") {
-		t.Errorf("diagnostic in wrong file: %v", diags[0])
+	for i, pkg := range []string{"feas", "sched"} {
+		if diags[i].Analyzer != "nakedgo" || !strings.Contains(diags[i].Position.Filename, pkg) {
+			t.Errorf("diagnostic %d: %v, want nakedgo in %s", i, diags[i], pkg)
+		}
 	}
 }
 

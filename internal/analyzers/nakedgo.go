@@ -4,15 +4,14 @@ import (
 	"go/ast"
 )
 
-// concurrencyDirs are the audited concurrency layers: internal/parallel's
-// deterministic worker pool, internal/plan's compiled
-// goroutine-per-processor runner with its virtual clock, and the serving
-// layer — internal/serve's
-// singleflight cache, cmd/fppnd's listener/drainer and cmd/fppnload's
-// closed-loop client workers — whose request-level concurrency is pinned
-// byte-identical to sequential runs by the serve differential harness.
+// concurrencyDirs are the audited concurrency layers: internal/plan's
+// compiled goroutine-per-processor runner with its virtual clock, and the
+// serving layer — internal/serve's singleflight cache, cmd/fppnd's
+// listener/drainer and cmd/fppnload's closed-loop client workers — whose
+// request-level concurrency is pinned byte-identical to sequential runs by
+// the serve differential harness. Derivation, scheduling and analysis run
+// on the caller's goroutine.
 var concurrencyDirs = []string{
-	"internal/parallel",
 	"internal/plan",
 	"internal/serve",
 	"cmd/fppnd",
@@ -20,13 +19,13 @@ var concurrencyDirs = []string{
 }
 
 // NakedGo forbids `go` statements everywhere else. The differential tests
-// prove the pipeline's results are identical with and without
-// concurrency, but only because every fork point is funnelled through the
-// two audited layers; a stray goroutine elsewhere would reintroduce
+// prove the runtime's and the server's results are identical with and
+// without concurrency, but only because every fork point sits in the
+// audited layers; a stray goroutine elsewhere would reintroduce
 // scheduling nondeterminism invisibly.
 var NakedGo = &Analyzer{
 	Name: "nakedgo",
-	Doc: "forbid go statements outside internal/parallel and internal/plan; " +
+	Doc: "forbid go statements outside internal/plan and the serving layer (internal/serve, cmd/fppnd, cmd/fppnload); " +
 		"route concurrency through the audited deterministic layers",
 	Applies: func(dir string) bool { return !dirIn(dir, concurrencyDirs...) },
 	Run:     runNakedGo,
@@ -37,7 +36,7 @@ func runNakedGo(p *Pass) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				p.Reportf(g.Pos(),
-					"naked go statement in %s; use internal/parallel (worker pools) or internal/plan (processor runners)",
+					"naked go statement in %s; goroutines belong to internal/plan (processor runners) and the serving layer",
 					p.Dir)
 			}
 			return true

@@ -154,8 +154,8 @@ func (m *Model) Inputs(frames int) map[string][]core.Value {
 	}
 }
 
-// PortfolioName selects the concurrent portfolio race over all heuristics
-// instead of a single schedule-priority order.
+// PortfolioName selects the portfolio over all heuristics (best feasible
+// makespan) instead of a single schedule-priority order.
 const PortfolioName = "portfolio"
 
 // ParseHeuristic resolves a heuristic name ("alap-edf", "b-level",

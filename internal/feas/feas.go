@@ -213,12 +213,11 @@ func (w Workload) MinProcessorsLB() int {
 	return lb
 }
 
-// Options tunes an analysis run.
-type Options struct {
-	// Workers bounds the analysis concurrency (0 = GOMAXPROCS). Reports
-	// are byte-identical for every worker count.
-	Workers int
-}
+// Options tunes an analysis run. It has no fields: the tests run one after
+// another on the caller's goroutine and take no settings. The type stays
+// so that Analyze keeps its signature for existing callers, among them
+// the fppn.FeasOptions alias and the benchmark harness.
+type Options struct{}
 
 // Report is the outcome of Analyze: one workload extraction and one
 // Result per Test, in Tests order.
@@ -269,7 +268,7 @@ func (r *Report) Verdict() Verdict {
 // Analyze runs every schedulability test on the task graph for a platform
 // of m identical processors. A task graph whose timing does not fit the
 // integer timescale fails with its *taskgraph.TimescaleError.
-func Analyze(tg *taskgraph.TaskGraph, m int, opts Options) (*Report, error) {
+func Analyze(tg *taskgraph.TaskGraph, m int, _ Options) (*Report, error) {
 	if tg == nil {
 		return nil, fmt.Errorf("feas: nil task graph")
 	}
@@ -280,5 +279,5 @@ func Analyze(tg *taskgraph.TaskGraph, m int, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analyzeTicks(lo, m, opts), nil
+	return analyzeTicks(lo, m), nil
 }

@@ -208,38 +208,14 @@ func TestTickMatchesReference(t *testing.T) {
 			t.Fatalf("%s: integer lowering rejected a generated network: %v", net.Name, err)
 		}
 		for _, m := range []int{1, 2, 3, len(tg.Jobs) + 1} {
-			tick := analyzeTicks(lo, m, Options{})
-			ref := analyzeReference(tg, m, Options{})
+			tick := analyzeTicks(lo, m)
+			ref := analyzeReference(tg, m)
 			reportsEqual(t, net.Name, tick, ref)
 			checked++
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no derivable random networks")
-	}
-}
-
-// TestWorkersDeterminism asserts byte-identical reports across worker
-// counts on both paths.
-func TestWorkersDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 10; i++ {
-		net := nettest.Random(rng, nettest.Options{})
-		tg, err := taskgraph.Derive(net)
-		if err != nil {
-			continue
-		}
-		for _, m := range []int{1, 2} {
-			seq, err := Analyze(tg, m, Options{Workers: 1})
-			if err != nil {
-				t.Fatalf("%s: %v", net.Name, err)
-			}
-			par, err := Analyze(tg, m, Options{Workers: 8})
-			if err != nil {
-				t.Fatalf("%s: %v", net.Name, err)
-			}
-			reportsEqual(t, net.Name, seq, par)
-		}
 	}
 }
 

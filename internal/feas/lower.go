@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/rational"
 	"repro/internal/taskgraph"
 )
@@ -209,16 +208,14 @@ func distinctTicks(vals []int64) []int64 {
 	return out[:k]
 }
 
-// analyzeTicks runs the workload extraction and every test on the integer
-// timescale. Each test owns one result slot, so the report is identical
-// for every worker count.
-func analyzeTicks(lo *lowering, m int, opts Options) *Report {
+// analyzeTicks runs the workload extraction and every test, in Tests
+// order, on the integer timescale.
+func analyzeTicks(lo *lowering, m int) *Report {
 	wt := workloadTicks(lo)
 	rep := &Report{M: m, Workload: wt.w, Results: make([]Result, len(Tests))}
-	_ = parallel.ForEach(nil, len(Tests), opts.Workers, func(i int) error {
-		rep.Results[i] = runTestTicks(lo, wt, Tests[i], m, opts)
-		return nil
-	})
+	for i, t := range Tests {
+		rep.Results[i] = runTestTicks(lo, wt, t, m)
+	}
 	return rep
 }
 
@@ -227,7 +224,7 @@ func analyzeTicks(lo *lowering, m int, opts Options) *Report {
 // Infeasible verdict implies sched.MinProcessors > m), then the test's
 // sufficient bound. Chain bounds that exceed a deadline yield Unknown,
 // never Infeasible.
-func runTestTicks(lo *lowering, wt workTicks, t Test, m int, opts Options) Result {
+func runTestTicks(lo *lowering, wt workTicks, t Test, m int) Result {
 	res := Result{Test: t, M: m}
 	n := len(lo.tg.Jobs)
 	if n == 0 {
@@ -304,7 +301,7 @@ func runTestTicks(lo *lowering, wt workTicks, t Test, m int, opts Options) Resul
 			return rational.AddOK(v, blk)
 		}, "deadline-monotonic chain bound with rank-filtered interference")
 	case RTA:
-		s, ok := rtaTicks(lo, wt, g, m, opts)
+		s, ok := rtaTicks(lo, wt, g, m)
 		if !ok {
 			res.Verdict = Unknown
 			res.Reason = "response-time iteration overflows the integer timescale; only necessary conditions apply"
@@ -469,7 +466,7 @@ func dmTicks(lo *lowering) dmData {
 // valid bound (work arriving at or after the completion instant cannot
 // occupy a processor before it), so stopping early — the iteration is
 // monotone non-increasing and capped — stays sound.
-func rtaTicks(lo *lowering, wt workTicks, g []int64, m int, opts Options) ([]int64, bool) {
+func rtaTicks(lo *lowering, wt workTicks, g []int64, m int) ([]int64, bool) {
 	n := len(lo.tg.Jobs)
 	// Prefix sums follow the arrival order, not the job order, so pair
 	// each sorted arrival with its WCET first.
@@ -492,18 +489,15 @@ func rtaTicks(lo *lowering, wt workTicks, g []int64, m int, opts Options) ([]int
 		return prefix[k]
 	}
 	out := make([]int64, n)
-	overflow := make([]bool, n)
-	_ = parallel.ForEach(nil, n, opts.Workers, func(i int) error {
+	for i := range out {
 		s, ok := rational.AddOK(g[i], wt.volume)
 		if !ok {
-			overflow[i] = true
-			return nil
+			return nil, false
 		}
 		for iter := 0; iter < 64; iter++ {
 			s2, ok := rational.AddOK(g[i], volBefore(s))
 			if !ok {
-				overflow[i] = true
-				return nil
+				return nil, false
 			}
 			if s2 >= s {
 				break
@@ -511,12 +505,6 @@ func rtaTicks(lo *lowering, wt workTicks, g []int64, m int, opts Options) ([]int
 			s = s2
 		}
 		out[i] = s
-		return nil
-	})
-	for _, bad := range overflow {
-		if bad {
-			return nil, false
-		}
 	}
 	return out, true
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // Arrivals near the int64 ceiling used to reach an exact-rational
-// fallback whose overflow panicked on a parallel.ForEach worker. The
-// timescale guard now rejects the graph before any test runs: Analyze must
-// return the typed error, never panic, at every GOMAXPROCS.
+// fallback whose overflow panicked. The timescale guard now rejects the
+// graph before any test runs: Analyze must return the typed error, never
+// panic.
 func TestAnalyzeOverflowReturnsError(t *testing.T) {
 	huge := rational.New(int64(1)<<62, 1)
 	tg := &taskgraph.TaskGraph{Hyperperiod: huge}
@@ -26,20 +26,18 @@ func TestAnalyzeOverflowReturnsError(t *testing.T) {
 		tg.Succ = append(tg.Succ, nil)
 		tg.Pred = append(tg.Pred, nil)
 	}
-	for _, workers := range []int{1, 4} {
-		rep, err := Analyze(tg, 2, Options{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: Analyze accepted an overflowing task graph: rep=%v", workers, rep)
-		}
-		var te *taskgraph.TimescaleError
-		if !errors.As(err, &te) || te.Kind != "job" || te.Subject != "p[1]" {
-			t.Fatalf("workers=%d: error %v, want the timescale error naming job p[1]", workers, err)
-		}
-		if !strings.HasPrefix(err.Error(), "feas: ") {
-			t.Errorf("workers=%d: error %q lacks the feas prefix", workers, err)
-		}
-		if rep != nil {
-			t.Fatalf("workers=%d: non-nil report alongside the error: %v", workers, rep)
-		}
+	rep, err := Analyze(tg, 2, Options{})
+	if err == nil {
+		t.Fatalf("Analyze accepted an overflowing task graph: rep=%v", rep)
+	}
+	var te *taskgraph.TimescaleError
+	if !errors.As(err, &te) || te.Kind != "job" || te.Subject != "p[1]" {
+		t.Fatalf("error %v, want the timescale error naming job p[1]", err)
+	}
+	if !strings.HasPrefix(err.Error(), "feas: ") {
+		t.Errorf("error %q lacks the feas prefix", err)
+	}
+	if rep != nil {
+		t.Fatalf("non-nil report alongside the error: %v", rep)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/rational"
 	"repro/internal/taskgraph"
 )
@@ -151,20 +150,19 @@ func searchRat(sorted []Time, t Time) int {
 
 // analyzeReference runs the workload extraction and every test in exact
 // rational arithmetic, mirroring analyzeTicks slot for slot.
-func analyzeReference(tg *taskgraph.TaskGraph, m int, opts Options) *Report {
+func analyzeReference(tg *taskgraph.TaskGraph, m int) *Report {
 	rg := newRefGraph(tg)
 	rw := workloadReference(rg)
 	rep := &Report{M: m, Workload: rw.w, Results: make([]Result, len(Tests))}
-	_ = parallel.ForEach(nil, len(Tests), opts.Workers, func(i int) error {
-		rep.Results[i] = runTestReference(rg, rw, Tests[i], m, opts)
-		return nil
-	})
+	for i, t := range Tests {
+		rep.Results[i] = runTestReference(rg, rw, t, m)
+	}
 	return rep
 }
 
 // runTestReference mirrors runTestTicks in rational arithmetic; overflow
 // branches do not exist here because rational operations panic instead.
-func runTestReference(rg *refGraph, rw refWork, t Test, m int, opts Options) Result {
+func runTestReference(rg *refGraph, rw refWork, t Test, m int) Result {
 	res := Result{Test: t, M: m}
 	tg := rg.tg
 	n := len(tg.Jobs)
@@ -220,7 +218,7 @@ func runTestReference(rg *refGraph, rw refWork, t Test, m int, opts Options) Res
 			return g[i].Add(dm.hpvol[dm.wr[i]]).Add(blk)
 		}, "deadline-monotonic chain bound with rank-filtered interference")
 	case RTA:
-		s := rtaReference(rg, rw, g, m, opts)
+		s := rtaReference(rg, rw, g, m)
 		boundReference(rg, m, &res, func(i int) Time {
 			return s[i]
 		}, "response-time iteration with arrival-filtered interference")
@@ -339,7 +337,7 @@ func dmReference(rg *refGraph) refDM {
 
 // rtaReference mirrors rtaTicks: the same m·A_j < s arrival filter, the
 // same 64-round cap, in exact arithmetic.
-func rtaReference(rg *refGraph, rw refWork, g []Time, m int, opts Options) []Time {
+func rtaReference(rg *refGraph, rw refWork, g []Time, m int) []Time {
 	tg := rg.tg
 	n := len(tg.Jobs)
 	order := make([]int, n)
@@ -361,7 +359,7 @@ func rtaReference(rg *refGraph, rw refWork, g []Time, m int, opts Options) []Tim
 		return prefix[k]
 	}
 	out := make([]Time, n)
-	_ = parallel.ForEach(nil, n, opts.Workers, func(i int) error {
+	for i := range out {
 		s := g[i].Add(rw.volume)
 		for iter := 0; iter < 64; iter++ {
 			s2 := g[i].Add(volBefore(s))
@@ -371,7 +369,6 @@ func rtaReference(rg *refGraph, rw refWork, g []Time, m int, opts Options) []Tim
 			s = s2
 		}
 		out[i] = s
-		return nil
-	})
+	}
 	return out
 }

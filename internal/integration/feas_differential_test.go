@@ -11,7 +11,6 @@ package integration
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/apps/fft"
@@ -37,7 +36,7 @@ func feasProcessorCounts(tg *taskgraph.TaskGraph) []int {
 
 // assertFeasSound runs the suite at each processor count and checks the
 // one-sided soundness invariants against the demand bound and the exact
-// scheduler, plus verdict determinism across worker counts.
+// scheduler.
 func assertFeasSound(t *testing.T, net *core.Network, tg *taskgraph.TaskGraph) {
 	t.Helper()
 	dem, demErr := staticflow.Demand(net)
@@ -46,13 +45,6 @@ func assertFeasSound(t *testing.T, net *core.Network, tg *taskgraph.TaskGraph) {
 		rep, err := feas.Analyze(tg, m, feas.Options{})
 		if err != nil {
 			t.Fatalf("feas.Analyze(m=%d): %v", m, err)
-		}
-		par, err := feas.Analyze(tg, m, feas.Options{Workers: 8})
-		if err != nil {
-			t.Fatalf("feas.Analyze(m=%d, workers=8): %v", m, err)
-		}
-		if !reflect.DeepEqual(rep, par) {
-			t.Errorf("m=%d: report differs between workers=1 and workers=8:\n%+v\nvs\n%+v", m, rep, par)
 		}
 		if oracleErr == nil && rep.Workload.MinProcessorsLB() > oracle.M {
 			t.Errorf("m=%d: workload lower bound %d exceeds MinProcessors %d",

@@ -66,16 +66,16 @@ func FuzzFeasSoundVsMinProcessors(f *testing.F) {
 	})
 }
 
-// FuzzFeasNeverPanics drives Analyze across arbitrary seeds, processor
-// and worker counts and demands a well-formed report every time: one
+// FuzzFeasNeverPanics drives Analyze across arbitrary seeds and processor
+// counts and demands a well-formed report every time: one
 // result per registered test, in order, never a certified infeasibility,
 // and a combined verdict that is computable. Analyze must convert every
 // internal failure into an error instead of panicking.
 func FuzzFeasNeverPanics(f *testing.F) {
 	for seed := 0; seed < trialCount(f, 16); seed++ {
-		f.Add(int64(seed), uint8(seed), uint8(seed/3))
+		f.Add(int64(seed), uint8(seed))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, mRaw, wRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, mRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		net := nettest.Random(rng, nettest.Options{})
 		tg, err := taskgraph.Derive(net)
@@ -83,7 +83,7 @@ func FuzzFeasNeverPanics(f *testing.F) {
 			t.Skip()
 		}
 		m := 1 + int(mRaw)%(len(tg.Jobs)+2)
-		rep, err := feas.Analyze(tg, m, feas.Options{Workers: int(wRaw) % 9})
+		rep, err := feas.Analyze(tg, m, feas.Options{})
 		if err != nil {
 			t.Skip()
 		}

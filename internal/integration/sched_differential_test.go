@@ -116,11 +116,11 @@ func TestSchedDifferentialRandomNetworks(t *testing.T) {
 	}
 }
 
-// TestSchedDifferentialPortfolioWorkers checks that the shared-precompute
-// portfolio fan-out returns, for every worker count, lane-for-lane the
-// results of the self-contained ListSchedule followed by Validate — the
-// same verdicts, error texts and schedules, m < 1 included.
-func TestSchedDifferentialPortfolioWorkers(t *testing.T) {
+// TestSchedDifferentialPortfolioLanes checks that the shared-precompute
+// portfolio returns lane-for-lane the results of the self-contained
+// ListSchedule followed by Validate — the same verdicts, error texts and
+// schedules, m < 1 included.
+func TestSchedDifferentialPortfolioLanes(t *testing.T) {
 	tg, err := taskgraph.Derive(fms.New())
 	if err != nil {
 		t.Fatal(err)
@@ -135,28 +135,24 @@ func TestSchedDifferentialPortfolioWorkers(t *testing.T) {
 				ref[i].Feasible = ref[i].Err == nil
 			}
 		}
-		for _, w := range []int{0, 1, 2, 3, 8} {
-			got := sched.RunPortfolio(tg, m, sched.PortfolioOptions{Workers: w})
-			if len(got) != len(ref) {
-				t.Fatalf("m=%d workers=%d: %d lanes, reference has %d", m, w, len(got), len(ref))
+		got := sched.RunPortfolio(tg, m, sched.PortfolioOptions{})
+		if len(got) != len(ref) {
+			t.Fatalf("m=%d: %d lanes, reference has %d", m, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i].Heuristic != ref[i].Heuristic || got[i].Feasible != ref[i].Feasible {
+				t.Fatalf("m=%d lane %d: (%v feasible=%t), reference (%v feasible=%t)",
+					m, i, got[i].Heuristic, got[i].Feasible, ref[i].Heuristic, ref[i].Feasible)
 			}
-			for i := range ref {
-				if got[i].Heuristic != ref[i].Heuristic || got[i].Feasible != ref[i].Feasible {
-					t.Fatalf("m=%d workers=%d lane %d: (%v feasible=%t), reference (%v feasible=%t)",
-						m, w, i, got[i].Heuristic, got[i].Feasible, ref[i].Heuristic, ref[i].Feasible)
-				}
-				if (got[i].Err == nil) != (ref[i].Err == nil) {
-					t.Fatalf("m=%d workers=%d lane %d: err %v, reference %v", m, w, i, got[i].Err, ref[i].Err)
-				}
-				if got[i].Err != nil && got[i].Err.Error() != ref[i].Err.Error() {
-					t.Fatalf("m=%d workers=%d lane %d: err text %q, reference %q",
-						m, w, i, got[i].Err, ref[i].Err)
-				}
-				if (got[i].Schedule == nil) != (ref[i].Schedule == nil) ||
-					ref[i].Schedule != nil && !reflect.DeepEqual(got[i].Schedule.Assign, ref[i].Schedule.Assign) {
-					t.Fatalf("m=%d workers=%d lane %d (%v): schedule differs from reference",
-						m, w, i, ref[i].Heuristic)
-				}
+			if (got[i].Err == nil) != (ref[i].Err == nil) {
+				t.Fatalf("m=%d lane %d: err %v, reference %v", m, i, got[i].Err, ref[i].Err)
+			}
+			if got[i].Err != nil && got[i].Err.Error() != ref[i].Err.Error() {
+				t.Fatalf("m=%d lane %d: err text %q, reference %q", m, i, got[i].Err, ref[i].Err)
+			}
+			if (got[i].Schedule == nil) != (ref[i].Schedule == nil) ||
+				ref[i].Schedule != nil && !reflect.DeepEqual(got[i].Schedule.Assign, ref[i].Schedule.Assign) {
+				t.Fatalf("m=%d lane %d (%v): schedule differs from reference", m, i, ref[i].Heuristic)
 			}
 		}
 	}

@@ -21,10 +21,9 @@ package sched
 // report. The differential suite in internal/integration holds the engine
 // to an exact-rational rescanning oracle.
 //
-// The precomputation also covers everything the portfolio race can share
-// across heuristics: predecessor counts, ALAP completion times, b-levels
-// and the per-heuristic rank permutations — computed once per task graph
-// instead of once per lane (see RunPortfolio).
+// The precomputation also covers everything the portfolio lanes can share
+// across heuristics: the tick table and the predecessor counts, computed
+// once per task graph instead of once per lane (see RunPortfolio).
 
 import (
 	"fmt"
@@ -36,8 +35,8 @@ import (
 
 // precomp is the per-task-graph state shared by every heuristic lane: the
 // tick table and the predecessor counts. It is read-only after
-// construction — engine runs copy npred — so concurrent portfolio lanes
-// can share one instance.
+// construction — engine runs copy npred — so the portfolio lanes reuse
+// one instance.
 type precomp struct {
 	tg    *taskgraph.TaskGraph
 	jt    *taskgraph.JobTicks

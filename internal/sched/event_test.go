@@ -78,11 +78,9 @@ func TestListScheduleLoweringFallback(t *testing.T) {
 	// int64.
 	tg.Jobs[1].WCET = rational.New(1, 1<<40)
 	tg.Jobs[2].WCET = rational.New(1, (1<<40)-1)
-	for _, w := range []int{1, 4} {
-		for _, r := range RunPortfolio(tg, 2, PortfolioOptions{Workers: w}) {
-			if r.Feasible || !errors.As(r.Err, new(*taskgraph.TimescaleError)) {
-				t.Errorf("workers=%d lane %v: feasible=%v err=%v, want a timescale error", w, r.Heuristic, r.Feasible, r.Err)
-			}
+	for _, r := range RunPortfolio(tg, 2, PortfolioOptions{}) {
+		if r.Feasible || !errors.As(r.Err, new(*taskgraph.TimescaleError)) {
+			t.Errorf("lane %v: feasible=%v err=%v, want a timescale error", r.Heuristic, r.Feasible, r.Err)
 		}
 	}
 }

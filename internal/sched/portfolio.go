@@ -3,22 +3,17 @@ package sched
 import (
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/taskgraph"
 )
 
-// PortfolioOptions tunes the schedule-priority portfolio race.
+// PortfolioOptions tunes the schedule-priority portfolio.
 type PortfolioOptions struct {
-	// Workers bounds the number of heuristics scheduled concurrently.
-	// 0 selects GOMAXPROCS; 1 runs the lanes one after another. Every
-	// worker count produces identical results.
-	Workers int
 	// Heuristics overrides the portfolio membership and its tie-break
 	// order; nil means the package-level Heuristics list.
 	Heuristics []Heuristic
 }
 
-// HeuristicResult is one lane of the portfolio race.
+// HeuristicResult is one lane of the portfolio.
 type HeuristicResult struct {
 	// Heuristic identifies the lane.
 	Heuristic Heuristic
@@ -31,56 +26,51 @@ type HeuristicResult struct {
 	Err error
 }
 
-// RunPortfolio list-schedules the task graph with every portfolio heuristic
-// concurrently and returns the per-heuristic results in portfolio order.
-// The task graph is read-only during scheduling, so lanes never interact;
-// results are collected positionally and are identical for every worker
-// count.
+// RunPortfolio list-schedules the task graph with every portfolio heuristic,
+// one after another, and returns the per-heuristic results in portfolio
+// order.
 //
-// The per-graph work every lane needs — the memoized edge list and tick
-// table, predecessor counts and the per-heuristic rank permutations — is
-// computed once before the fan-out and shared read-only, so each lane
-// runs only its own event loop and feasibility check. Lane for lane the
+// The per-graph work every lane needs — the tick table and predecessor
+// counts — is computed once and shared, so each lane runs only its rank
+// permutation, its event loop and its feasibility check. Lane for lane the
 // results equal ListSchedule followed by Schedule.Validate.
 func RunPortfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) []HeuristicResult {
 	hs := opts.Heuristics
 	if hs == nil {
 		hs = Heuristics
 	}
-	tg.Prewarm() // materialize the lazy memos before concurrent readers
+	results := make([]HeuristicResult, len(hs))
 	pc, err := newPrecomp(tg)
-	if err != nil {
-		results := make([]HeuristicResult, len(hs))
-		for i, h := range hs {
-			results[i] = HeuristicResult{Heuristic: h, Err: err}
-		}
-		return results
-	}
-	ranks := make([][]int32, len(hs))
 	for i, h := range hs {
-		ranks[i] = pc.rankFor(h)
-	}
-	results, _ := parallel.Map(nil, len(hs), opts.Workers, func(i int) (HeuristicResult, error) {
-		r := HeuristicResult{Heuristic: hs[i]}
-		s, startT, err := pc.listScheduleTicks(m, hs[i], ranks[i])
 		if err != nil {
-			r.Err = err
-			return r, nil
+			results[i] = HeuristicResult{Heuristic: h, Err: err}
+			continue
 		}
-		r.Schedule = s
-		// The engine hands back the start instants in ticks, so
-		// feasibility checking skips the lowering Schedule.Validate does.
-		if err := validateTicks(s, pc.jt, startT); err != nil {
-			r.Err = err
-			return r, nil
-		}
-		r.Feasible = true
-		return r, nil
-	})
+		results[i] = pc.lane(m, h)
+	}
 	return results
 }
 
-// Portfolio races every heuristic and deterministically picks the best
+// lane list-schedules one heuristic and checks the schedule. The engine
+// hands back the start instants in ticks, so feasibility checking skips
+// the lowering Schedule.Validate does.
+func (pc *precomp) lane(m int, h Heuristic) HeuristicResult {
+	r := HeuristicResult{Heuristic: h}
+	s, startT, err := pc.listScheduleTicks(m, h, pc.rankFor(h))
+	if err != nil {
+		r.Err = err
+		return r
+	}
+	r.Schedule = s
+	if err := validateTicks(s, pc.jt, startT); err != nil {
+		r.Err = err
+		return r
+	}
+	r.Feasible = true
+	return r
+}
+
+// Portfolio runs every heuristic and deterministically picks the best
 // feasible schedule under the documented total order:
 //
 //  1. feasible schedules beat infeasible ones;
@@ -89,9 +79,8 @@ func RunPortfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) []Heuri
 //     listed earlier in opts.Heuristics (default: the package Heuristics
 //     preference order) wins.
 //
-// The order is total over the race results, so the choice is independent of
-// worker count and goroutine interleaving. An error is returned when no
-// lane is feasible, wrapping the last lane's failure like FindFeasible.
+// An error is returned when no lane is feasible, wrapping the last lane's
+// failure like FindFeasible.
 func Portfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) (*Schedule, error) {
 	results := RunPortfolio(tg, m, opts)
 	var (
@@ -108,23 +97,13 @@ func Portfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) (*Schedule
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("sched: no heuristic found a feasible schedule on %d processors: %w", m, lastErr)
+		return nil, noFeasible(m, lastErr)
 	}
 	return best, nil
 }
 
-// FindFeasibleWorkers is FindFeasible with an explicit concurrency knob:
-// all heuristics race, but the selection rule stays "first feasible lane in
-// preference order", so the result is byte-identical to the sequential
-// heuristic loop for every worker count.
-func FindFeasibleWorkers(tg *taskgraph.TaskGraph, m, workers int) (*Schedule, error) {
-	results := RunPortfolio(tg, m, PortfolioOptions{Workers: workers})
-	var lastErr error
-	for _, r := range results {
-		if r.Feasible {
-			return r.Schedule, nil
-		}
-		lastErr = r.Err
-	}
-	return nil, fmt.Errorf("sched: no heuristic found a feasible schedule on %d processors: %w", m, lastErr)
+// noFeasible is the error of a portfolio without a feasible lane; it
+// wraps the last lane's failure.
+func noFeasible(m int, lastErr error) error {
+	return fmt.Errorf("sched: no heuristic found a feasible schedule on %d processors: %w", m, lastErr)
 }

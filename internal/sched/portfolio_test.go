@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -87,38 +88,62 @@ func TestPortfolioLexicographicTieBreak(t *testing.T) {
 	}
 }
 
-func TestPortfolioDeterministicAcrossWorkerCounts(t *testing.T) {
-	t.Parallel()
-	tg := derive(t, fms.New())
-	seq, err := Portfolio(tg, 2, PortfolioOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+// skipFirstGraph is a two-processor instance on which ALAP-EDF, the first
+// heuristic, misses a deadline and b-level, the second, does not. At 0
+// ALAP-EDF starts the two 5 ms jobs P1 and P2 (latest finish 30 ms, ahead
+// of Q's and R's 50 ms), so U, arriving at 1 ms with a 5 ms deadline,
+// waits for a processor until 5 ms. B-level starts Q and R first (their
+// successors lengthen their chains past P's), frees both processors at
+// 1 ms and runs U, whose own successor gives it the longest chain, at once.
+func skipFirstGraph() *taskgraph.TaskGraph {
+	jobs := []*taskgraph.Job{
+		{Proc: "P1", Deadline: ms(30), WCET: ms(5)},
+		{Proc: "P2", Deadline: ms(30), WCET: ms(5)},
+		{Proc: "Q", Deadline: ms(50), WCET: ms(1)},
+		{Proc: "R", Deadline: ms(50), WCET: ms(1)},
+		{Proc: "Qs", Deadline: ms(100), WCET: ms(6)},
+		{Proc: "Rs", Deadline: ms(100), WCET: ms(6)},
+		{Proc: "U", Arrival: ms(1), Deadline: ms(5), WCET: ms(4)},
+		{Proc: "Us", Arrival: ms(1), Deadline: ms(100), WCET: ms(10)},
 	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := Portfolio(tg, 2, PortfolioOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Heuristic != seq.Heuristic || par.M != seq.M ||
-			!reflect.DeepEqual(par.Assign, seq.Assign) {
-			t.Fatalf("workers=%d: portfolio schedule differs from sequential", workers)
-		}
+	for i, j := range jobs {
+		j.Index, j.K = i, 1
+	}
+	return &taskgraph.TaskGraph{
+		Hyperperiod: ms(100),
+		Jobs:        jobs,
+		Succ:        [][]int{{}, {}, {4}, {5}, {}, {}, {7}, {}},
+		Pred:        [][]int{{}, {}, {}, {}, {2}, {3}, {}, {6}},
 	}
 }
 
-func TestFindFeasibleWorkersMatchesPreferenceOrder(t *testing.T) {
+// TestFindFeasibleFirstFeasibleLane pins FindFeasible to the first
+// feasible portfolio lane in preference order, past an infeasible first
+// heuristic, and to the last lane's error when every lane misses.
+func TestFindFeasibleFirstFeasibleLane(t *testing.T) {
 	t.Parallel()
-	tg := derive(t, signal.New())
-	seq, err := FindFeasibleWorkers(tg, 2, 1)
+	tg := skipFirstGraph()
+	lanes := RunPortfolio(tg, 2, PortfolioOptions{})
+	if lanes[0].Heuristic != ALAPEDF || lanes[0].Feasible {
+		t.Fatalf("lane 0: %v feasible=%v, want an infeasible ALAP-EDF lane", lanes[0].Heuristic, lanes[0].Feasible)
+	}
+	if lanes[1].Heuristic != BLevel || !lanes[1].Feasible {
+		t.Fatalf("lane 1: %v feasible=%v (%v), want a feasible b-level lane", lanes[1].Heuristic, lanes[1].Feasible, lanes[1].Err)
+	}
+	got, err := FindFeasible(tg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FindFeasibleWorkers(tg, 2, 8)
-	if err != nil {
-		t.Fatal(err)
+	if got.Heuristic != BLevel || !reflect.DeepEqual(got.Assign, lanes[1].Schedule.Assign) {
+		t.Fatalf("FindFeasible picked %v, want the b-level lane", got.Heuristic)
 	}
-	if par.Heuristic != seq.Heuristic || !reflect.DeepEqual(par.Assign, seq.Assign) {
-		t.Fatal("racing FindFeasible changed its selection")
+
+	sig := derive(t, signal.New())
+	lanes = RunPortfolio(sig, 1, PortfolioOptions{})
+	_, err = FindFeasible(sig, 1)
+	last := lanes[len(lanes)-1]
+	if last.Feasible || err == nil || errors.Unwrap(err) == nil || errors.Unwrap(err).Error() != last.Err.Error() {
+		t.Fatalf("FindFeasible error %v, want one wrapping the last lane's %v", err, last.Err)
 	}
 }
 

@@ -287,13 +287,23 @@ func ListSchedule(tg *taskgraph.TaskGraph, m int, h Heuristic) (*Schedule, error
 	return pc.listSchedule(m, h, pc.rankFor(h))
 }
 
-// FindFeasible tries every heuristic on the given processor count and
-// returns the first (in preference order) schedule satisfying all
-// feasibility constraints, or an error describing the last failure. The
-// heuristics race concurrently (see RunPortfolio); the selection is by
-// preference order, so the result matches the historical sequential loop.
+// FindFeasible tries the heuristics in preference order on the given
+// processor count and returns the first schedule satisfying all
+// feasibility constraints, or an error wrapping the last heuristic's
+// failure. The lanes after the first feasible one never run.
 func FindFeasible(tg *taskgraph.TaskGraph, m int) (*Schedule, error) {
-	return FindFeasibleWorkers(tg, m, 0)
+	pc, err := newPrecomp(tg)
+	if err != nil {
+		return nil, noFeasible(m, err)
+	}
+	for _, h := range Heuristics {
+		r := pc.lane(m, h)
+		if r.Feasible {
+			return r.Schedule, nil
+		}
+		err = r.Err
+	}
+	return nil, noFeasible(m, err)
 }
 
 // MinProcessors searches for the smallest processor count in [1, max] with

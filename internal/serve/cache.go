@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"time"
 
@@ -148,7 +149,10 @@ func newCache(budget int64, metrics *Metrics) *Cache {
 // GetOrCompile returns the entry for key, compiling it at most once no
 // matter how many requests miss concurrently: the first miss runs compile,
 // every other waits on the same flight and shares its result (or error).
-// hit reports whether the entry came straight from the LRU.
+// hit reports whether the entry came straight from the LRU. A compile that
+// panics still releases its flight: the waiters get an error naming the
+// panic, the key compiles afresh on the next miss, and the panic goes on
+// up the leader's stack.
 func (c *Cache) GetOrCompile(key cacheKey, compile func() (*Entry, error)) (e *Entry, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -169,8 +173,21 @@ func (c *Cache) GetOrCompile(key cacheKey, compile func() (*Entry, error)) (e *E
 	c.metrics.Misses.Add(1)
 	c.mu.Unlock()
 
+	defer func() {
+		if v := recover(); v != nil {
+			fl.entry, fl.err = nil, fmt.Errorf("serve: compile panicked: %v", v)
+			c.land(key, fl)
+			panic(v)
+		}
+	}()
 	fl.entry, fl.err = compile()
+	c.land(key, fl)
+	return fl.entry, false, fl.err
+}
 
+// land ends a flight: it caches a successful compile, drops the flight so
+// the next miss compiles again, and wakes the waiters.
+func (c *Cache) land(key cacheKey, fl *flight) {
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if fl.err == nil {
@@ -178,7 +195,6 @@ func (c *Cache) GetOrCompile(key cacheKey, compile func() (*Entry, error)) (e *E
 	}
 	c.mu.Unlock()
 	close(fl.done)
-	return fl.entry, false, fl.err
 }
 
 // insertLocked adds a freshly compiled entry and evicts from the LRU tail

@@ -741,7 +741,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestPortfolioHeuristic compiles via the portfolio race and requires a
+// TestPortfolioHeuristic compiles via the heuristic portfolio and requires a
 // feasible result with a concrete winning heuristic.
 func TestPortfolioHeuristic(t *testing.T) {
 	t.Parallel()

@@ -61,8 +61,6 @@ type Options struct {
 	// of /analyze: graphs with more jobs per frame report those sections
 	// as skipped (default 4096), mirroring the FPPN018–020 lint gates.
 	MaxAnalyzeJobs int
-	// Workers bounds the portfolio/feas fan-out (0 = GOMAXPROCS).
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -230,7 +228,7 @@ type jobRequest struct {
 	// M is the processor count (default 2).
 	M int `json:"m"`
 	// Heuristic is the schedule-priority order (default "alap-edf";
-	// "portfolio" races all heuristics).
+	// "portfolio" runs all heuristics and keeps the best makespan).
 	Heuristic string `json:"heuristic"`
 	// Frames is the hyperperiod frame count for /simulate (default 1).
 	Frames int `json:"frames"`
@@ -315,7 +313,7 @@ func (s *Server) compileEntry(model *cli.Model, m int, heuristic string) (*Entry
 	}
 	var sch *sched.Schedule
 	if heuristic == cli.PortfolioName {
-		sch, err = sched.Portfolio(tg, m, sched.PortfolioOptions{Workers: s.opts.Workers})
+		sch, err = sched.Portfolio(tg, m, sched.PortfolioOptions{})
 	} else {
 		h, herr := cli.ParseHeuristic(heuristic)
 		if herr != nil {
@@ -548,7 +546,7 @@ func (s *Server) handleAnalyze(r *http.Request) (any, error) {
 		return resp, nil
 	}
 
-	if frep, ferr := feas.Analyze(e.TG, req.M, feas.Options{Workers: s.opts.Workers}); ferr != nil {
+	if frep, ferr := feas.Analyze(e.TG, req.M, feas.Options{}); ferr != nil {
 		resp.Schedulability.Skipped = ferr.Error()
 	} else {
 		resp.Schedulability.Verdict = frep.Verdict().String()

@@ -221,18 +221,6 @@ func buildEdges(succ [][]int) [][2]int {
 	return out
 }
 
-// Prewarm forces the lazily memoized derived structures — the reduced
-// edge list behind Edges(), the per-process job lists behind JobsOf() and
-// the tick table behind Ticks() — so that subsequent concurrent readers
-// (the schedule-priority portfolio lanes validating in parallel) see a
-// fully materialized, read-only graph instead of racing to build it. Graphs built by Derive are already warm;
-// Prewarm matters for task graphs assembled by hand in tests and tools.
-func (tg *TaskGraph) Prewarm() {
-	tg.Edges()
-	tg.JobsOf(0)
-	tg.Ticks()
-}
-
 // Job returns the node for process proc's k-th job, or nil.
 func (tg *TaskGraph) Job(proc string, k int64) *Job {
 	if js := tg.JobsOf(tg.Net.Pid(proc)); k >= 1 && k <= int64(len(js)) {

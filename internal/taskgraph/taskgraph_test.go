@@ -434,23 +434,16 @@ func TestFrameJobCountMatchesDerivation(t *testing.T) {
 	}
 }
 
-func TestPrewarmBuildsLazyEdges(t *testing.T) {
+func TestEdgesOfHandBuiltGraph(t *testing.T) {
 	t.Parallel()
-	// A hand-assembled graph has no memoized edge list; Prewarm must build
-	// it so concurrent readers never race on the lazy initialization.
+	// A hand-assembled graph has no memoized edge list; Edges must build
+	// it from Succ on first use.
 	tg := &TaskGraph{
-		Jobs: []*Job{{Index: 0}, {Index: 1}},
-		Succ: [][]int{{1}, {}},
-		Pred: [][]int{{}, {0}},
+		Jobs: []*Job{{Index: 0}, {Index: 1}, {Index: 2}},
+		Succ: [][]int{{1, 2}, {2}, {}},
+		Pred: [][]int{{}, {0}, {0, 1}},
 	}
-	if tg.edges != nil {
-		t.Fatal("hand-built graph unexpectedly warm")
-	}
-	tg.Prewarm()
-	if tg.edges == nil {
-		t.Fatal("Prewarm did not materialize the edge list")
-	}
-	if want := [][2]int{{0, 1}}; !reflect.DeepEqual(tg.Edges(), want) {
+	if want := [][2]int{{0, 1}, {0, 2}, {1, 2}}; !reflect.DeepEqual(tg.Edges(), want) {
 		t.Fatalf("Edges = %v, want %v", tg.Edges(), want)
 	}
 }

@@ -169,7 +169,7 @@ type JobTicks struct {
 // simulating the frame, on the scale of LowerTiming. A task graph built by
 // hand lowers its jobs' own arrivals, WCETs and deadlines on first use and
 // gets a *TimescaleError when they do not fit. The result is memoized like
-// Edges; Prewarm fills it before concurrent readers.
+// Edges.
 func (tg *TaskGraph) Ticks() (*JobTicks, error) {
 	if tg.ticks == nil && tg.ticksErr == nil {
 		tg.ticks, _, tg.ticksErr = lowerJobs(tg.name(), tg.Jobs, rational.One, nil)
