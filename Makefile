@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzListScheduleMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzStaticBuffersMatchExecuted -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzDemandBoundBelowMinProcessors -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzLoadMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzFeasSoundVsMinProcessors -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzFeasNeverPanics -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzHBSoundVsConcurrentTrace -fuzztime $(FUZZTIME)

@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	fppn "repro"
+	"repro/internal/apps"
 	"repro/internal/apps/fft"
 	"repro/internal/apps/fms"
 	"repro/internal/apps/signal"
@@ -447,6 +448,54 @@ func BenchmarkFMSOriginalHyperperiod(b *testing.B) {
 			b.Fatal("unexpected job count")
 		}
 	}
+}
+
+// BenchmarkTaskGraphLoad measures Load(TG) of Section III-B on the derived
+// FMS graphs: the ASAP/ALAP recurrence and the corner-window sweep on the
+// graph's ticks.
+func BenchmarkTaskGraphLoad(b *testing.B) {
+	for _, name := range []string{"fms", "fms-original"} {
+		b.Run(name, func(b *testing.B) {
+			net, err := apps.Build(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tg, err := taskgraph.Derive(net)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tg.Load(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDemandBound measures the nominal processor-demand bound (lint's
+// FPPN015) on the derived FMS graph: the corner-window sweep over the
+// jobs' (arrival, deadline) windows.
+func BenchmarkDemandBound(b *testing.B) {
+	b.Run("fms", func(b *testing.B) {
+		tg, err := taskgraph.Derive(fms.New())
+		if err != nil {
+			b.Fatal(err)
+		}
+		jt, err := tg.Ticks()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if jt.Demand().Processors() < 1 {
+				b.Fatal("no demand")
+			}
+		}
+	})
 }
 
 // --- Extension benchmarks (the paper's future-work items) ---

@@ -17,7 +17,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rational"
 	"repro/internal/sched"
-	"repro/internal/staticflow"
 	"repro/internal/taskgraph"
 	"repro/internal/unisched"
 )
@@ -89,7 +88,7 @@ func fig3() {
 	redundantRemoved := full.HasEdge(inputA, normA) && !tg.HasEdge(inputA, normA) && tg.HasPath(inputA, normA)
 	row("Fig.3", "InputA->NormA edge redundant, removed", "yes",
 		fmt.Sprintf("%v", redundantRemoved), redundantRemoved)
-	load := tg.Load()
+	load, _ := tg.Load() // a derived graph always has its tick table
 	row("Fig.3", "task-graph load", "(not stated; ⌈load⌉=2 implied)",
 		fmt.Sprintf("%.2f -> %d procs", load.Float64(), load.Ceil()), load.Ceil() == 2)
 }
@@ -127,13 +126,13 @@ func fig5() {
 
 func fig6() {
 	tg, _ := taskgraph.Derive(fft.New())
-	load := tg.Load()
+	load, _ := tg.Load() // a derived graph always has its tick table
 	row("Fig.6", "FFT task-graph load (C=13.3 ms)", "0.93",
 		fmt.Sprintf("%.3f", load.Float64()),
 		load.Float64() > 0.92 && load.Float64() < 0.94)
 
 	tgo, _ := taskgraph.Derive(fft.NewWithOverheadJob())
-	loadO := tgo.Load()
+	loadO, _ := tgo.Load() // a derived graph always has its tick table
 	row("Fig.6", "load with 41 ms overhead job", "~1.2",
 		fmt.Sprintf("%.3f", loadO.Float64()),
 		loadO.Float64() > 1.1 && loadO.Float64() < 1.3)
@@ -198,7 +197,7 @@ func fig7() {
 	row("Fig.7", "task-graph edges", "1977 (their wiring)",
 		fmt.Sprintf("%d (our wiring)", tg.EdgeCount()),
 		tg.EdgeCount() > 800 && tg.EdgeCount() < 2500)
-	load := tg.Load()
+	load, _ := tg.Load() // a derived graph always has its tick table
 	row("Fig.7", "task-graph load", "~0.23",
 		fmt.Sprintf("%.3f", load.Float64()),
 		load.Float64() > 0.20 && load.Float64() < 0.27)
@@ -334,7 +333,8 @@ func verdictSummary(rep *feas.Report) string {
 // feasibility cross-checks the sporadic-DAG schedulability suite
 // (internal/feas) against the exact scheduler on the paper applications:
 // per-test verdicts at the paper's processor counts plus the one-sided
-// soundness sandwich between staticflow.Demand and sched.MinProcessors.
+// soundness sandwich between the nominal processor-demand bound and
+// sched.MinProcessors.
 func feasibility() {
 	sigTG, err := taskgraph.Derive(signal.New())
 	if err != nil {
@@ -399,7 +399,10 @@ func feasibility() {
 			sound = false
 			break
 		}
-		dem, demErr := staticflow.Demand(net)
+		demand := 0 // the nominal processor-demand bound
+		if jt, err := tg.Ticks(); err == nil {
+			demand = jt.Demand().Processors()
+		}
 		oracle, oracleErr := sched.MinProcessors(tg, len(tg.Jobs)+1)
 		for _, m := range []int{1, 2, 4} {
 			rep, err := feas.Analyze(tg, m, feas.Options{})
@@ -410,7 +413,7 @@ func feasibility() {
 			for _, res := range rep.Results {
 				switch res.Verdict {
 				case feas.Feasible:
-					if demErr == nil && m < dem.LowerBound {
+					if m < demand {
 						sound = false
 					}
 					if res.Certified {

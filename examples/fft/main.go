@@ -26,8 +26,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	load, err := tg.Load()
+	if err != nil {
+		log.Fatal(err)
+	}
+	loadOverhead, err := tgOverhead.Load()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("load without overhead job: %.3f; with 41 ms overhead job: %.3f (paper: 0.93 and ~1.2)\n",
-		tg.Load().Float64(), tgOverhead.Load().Float64())
+		load.Float64(), loadOverhead.Float64())
 
 	// Ten input frames with known spectra.
 	frames := make([]fft.Frame, 10)

@@ -29,8 +29,12 @@ func main() {
 	}
 	fmt.Printf("original:  H=%v s, %d jobs, %d edges\n",
 		tgOrig.Hyperperiod, len(tgOrig.Jobs), tgOrig.EdgeCount())
+	load, err := tg.Load()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("reduced:   H=%v s, %d jobs, %d edges, load %.3f (paper: 10 s, 812 jobs, 1977 edges, ~0.23)\n",
-		tg.Hyperperiod, len(tg.Jobs), tg.EdgeCount(), tg.Load().Float64())
+		tg.Hyperperiod, len(tg.Jobs), tg.EdgeCount(), load.Float64())
 
 	// Pilot commands for one frame.
 	events := map[string][]fppn.Time{

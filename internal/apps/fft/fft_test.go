@@ -131,7 +131,10 @@ func TestFig6LoadNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := tg.Load()
+	load, err := tg.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !load.Equal(rational.New(931, 1000)) {
 		t.Errorf("load = %v (%.4f), want 0.931", load, load.Float64())
 	}
@@ -143,7 +146,10 @@ func TestFig6LoadNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loadO := tgo.Load()
+	loadO, err := tgo.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if loadO.Float64() < 1.15 || loadO.Float64() > 1.25 {
 		t.Errorf("load with overhead job = %.4f, want ≈1.2 as in the paper", loadO.Float64())
 	}

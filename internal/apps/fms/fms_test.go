@@ -69,7 +69,10 @@ func TestFig7TaskGraphSize(t *testing.T) {
 	if edges != 1089 {
 		t.Errorf("%d edges, want 1089 (paper's wiring gives 1977)", edges)
 	}
-	load := tg.Load()
+	load, err := tg.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if load.Float64() < 0.20 || load.Float64() > 0.27 {
 		t.Errorf("load = %.4f, want ≈0.23 as in the paper", load.Float64())
 	}

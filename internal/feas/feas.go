@@ -26,12 +26,14 @@
 // that cannot hold its WCET, or a corner window whose demand exceeds
 // m × length), so it is valid even for preemptive global scheduling and
 // implies sched.MinProcessors > m. The differential suite in
-// internal/integration pins this soundness sandwich between
-// staticflow.Demand (lower bound) and sched.MinProcessors (oracle).
+// internal/integration pins this soundness sandwich between the nominal
+// processor-demand bound (taskgraph.JobTicks.Demand, lower bound) and
+// sched.MinProcessors (oracle).
 //
 // Like the sched engine, the analysis computes on the task graph's int64
-// timescale (TaskGraph.Ticks); an in-package differential test holds it to
-// an exact-rational oracle with identical reports.
+// timescale: it reads the ASAP/ALAP windows and the load's corner sweep
+// from taskgraph.Windows, and an in-package differential test holds the
+// tests to an exact-rational oracle with identical reports.
 package feas
 
 import (
@@ -116,14 +118,6 @@ func (t Test) Speedup(m int) rational.Rat {
 	return rational.FromInt(base).Sub(rational.New(1, int64(m)))
 }
 
-// Interval is a witness window [Start, End] whose execution demand forces
-// the infeasibility verdict.
-type Interval struct {
-	Start, End Time
-	// Demand is the work that must execute entirely inside the window.
-	Demand Time
-}
-
 // Bound is the binding quantity of a verdict: the job whose completion
 // bound sits closest to (or beyond) its deadline.
 type Bound struct {
@@ -154,7 +148,7 @@ type Result struct {
 	// Reason describes how the verdict was reached, deterministically.
 	Reason string
 
-	witness    Interval
+	witness    taskgraph.Window
 	hasWitness bool
 	worst      Bound
 	hasWorst   bool
@@ -163,7 +157,7 @@ type Result struct {
 // Witness returns the overloaded window behind an Infeasible verdict.
 // ok is false when the verdict has no interval witness (window violations
 // and non-infeasible verdicts).
-func (r Result) Witness() (Interval, bool) { return r.witness, r.hasWitness }
+func (r Result) Witness() (taskgraph.Window, bool) { return r.witness, r.hasWitness }
 
 // Worst returns the binding completion bound behind a chain-bound
 // verdict. ok is false when the test produced no per-job bound (necessary
@@ -183,18 +177,19 @@ type Workload struct {
 	// precedence chains.
 	Span Time
 	// Load is the precedence-aware demand metric of Section III-B:
-	// max over (ASAP, ALAP) corner windows of demand / length. Equal to
-	// taskgraph.Load.
+	// max over (ASAP, ALAP) corner windows of demand / length. It is
+	// taskgraph.Load: both read the one sweep, Windows.Load.
 	Load rational.Rat
 
-	critical    Interval
-	hasCritical bool
-	violations  []Bound
+	critical   taskgraph.Window
+	violations []Bound
 }
 
 // Critical returns a corner window attaining Load. ok is false when the
 // graph has no positive-demand window (e.g. no jobs).
-func (w Workload) Critical() (Interval, bool) { return w.critical, w.hasCritical }
+func (w Workload) Critical() (taskgraph.Window, bool) {
+	return w.critical, w.critical.Demand.Sign() > 0
+}
 
 // WindowViolations lists every job whose precedence-adjusted window
 // cannot hold its WCET (earliest completion ASAP + C beyond latest
@@ -205,13 +200,7 @@ func (w Workload) WindowViolations() []Bound { return w.violations }
 // MinProcessorsLB is the least processor count compatible with the load
 // criterion: ⌈Load⌉ (at least 1 for a non-empty graph). It never exceeds
 // the exact sched.MinProcessors.
-func (w Workload) MinProcessorsLB() int {
-	lb := int(w.Load.Ceil())
-	if lb < 1 && w.Jobs > 0 {
-		lb = 1
-	}
-	return lb
-}
+func (w Workload) MinProcessorsLB() int { return max(int(w.Load.Ceil()), min(w.Jobs, 1)) }
 
 // Options tunes an analysis run. It has no fields: the tests run one after
 // another on the caller's goroutine and take no settings. The type stays

@@ -187,7 +187,7 @@ func boundEqual(a, b Bound) bool {
 		a.Complete.Equal(b.Complete) && a.Deadline.Equal(b.Deadline)
 }
 
-func intervalEqual(a, b Interval) bool {
+func intervalEqual(a, b taskgraph.Window) bool {
 	return a.Start.Equal(b.Start) && a.End.Equal(b.End) && a.Demand.Equal(b.Demand)
 }
 

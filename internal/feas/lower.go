@@ -2,7 +2,7 @@ package feas
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/rational"
@@ -10,109 +10,38 @@ import (
 )
 
 // lowering is the task graph on its integer timescale: the tick table
-// (arrivals, WCETs and deadlines) plus the precedence-adjusted ASAP start
-// and ALAP completion ticks.
+// (arrivals, WCETs and deadlines) with the precedence-adjusted windows.
 type lowering struct {
-	tg      *taskgraph.TaskGraph
-	scale   rational.Scale
-	a, c, d []int64
-	// asap[i] is the earliest start max(A_i, max_p asap_p + C_p);
-	// alap[i] the latest completion min(D_i, min_s alap_s − C_s).
-	asap, alap []int64
+	*taskgraph.Windows
+	tg *taskgraph.TaskGraph
 	// hasZero reports a zero-WCET job, which defeats the work-conserving
 	// busy-interval argument behind the chain bounds.
 	hasZero bool
 }
 
-// lower reads the task graph's tick table (TaskGraph.Ticks); the error is
+// lower reads the task graph's windows (TaskGraph.Windows); the error is
 // the graph's *taskgraph.TimescaleError when its timing does not fit.
 func lower(tg *taskgraph.TaskGraph) (*lowering, error) {
-	jt, err := tg.Ticks()
+	w, err := tg.Windows()
 	if err != nil {
 		return nil, fmt.Errorf("feas: %w", err)
 	}
-	n := len(tg.Jobs)
-	lo := &lowering{tg: tg, scale: jt.Scale, a: jt.Arrival, c: jt.WCET, d: jt.Deadline}
-	for _, c := range lo.c {
-		if c == 0 {
-			lo.hasZero = true
-		}
-	}
-	// ASAP / ALAP on ticks; job index order is topological.
-	lo.asap = make([]int64, n)
-	for i := range tg.Jobs {
-		t := lo.a[i]
-		for _, p := range tg.Pred[i] {
-			if e := lo.asap[p] + lo.c[p]; e > t {
-				t = e
-			}
-		}
-		lo.asap[i] = t
-	}
-	lo.alap = make([]int64, n)
-	for i := n - 1; i >= 0; i-- {
-		t := lo.d[i]
-		for _, s := range tg.Succ[i] {
-			if e := lo.alap[s] - lo.c[s]; e < t {
-				t = e
-			}
-		}
-		lo.alap[i] = t
-	}
-	return lo, nil
+	return &lowering{Windows: w, tg: tg, hasZero: slices.Contains(w.WCET, 0)}, nil
 }
 
-// ceilDiv returns ⌈a/b⌉ for a >= 0, b > 0.
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 {
-		q++
-	}
-	return q
-}
-
-// fracLess reports n1/d1 < n2/d2 for non-negative numerators and positive
-// denominators, exactly, via 128-bit cross multiplication.
-func fracLess(n1, d1, n2, d2 int64) bool {
-	h1, l1 := bits.Mul64(uint64(n1), uint64(d2))
-	h2, l2 := bits.Mul64(uint64(n2), uint64(d1))
-	if h1 != h2 {
-		return h1 < h2
-	}
-	return l1 < l2
-}
-
-// workTicks carries the workload extraction plus the integer load
-// fraction the tests reuse.
-type workTicks struct {
-	w Workload
-	// volume is Σ C_i in ticks.
-	volume int64
-	// loadNum/loadDen is the corner-sweep maximum demand/length fraction
-	// (0/1 when no window has positive demand).
-	loadNum, loadDen int64
-	// lb is ⌈load⌉, clamped to 1 for non-empty graphs.
-	lb int
-}
-
-// workloadTicks extracts volume, span and the corner-sweep load with its
-// witness window on the integer timescale.
-func workloadTicks(lo *lowering) workTicks {
+// workloadTicks extracts volume, span and the load with its witness
+// window on the integer timescale; volume is Σ C_i in ticks.
+func workloadTicks(lo *lowering) (w Workload, volume int64) {
 	tg := lo.tg
 	n := len(tg.Jobs)
-	wt := workTicks{loadDen: 1}
-	wt.w = Workload{Jobs: n, Hyperperiod: tg.Hyperperiod}
+	w = Workload{Jobs: n, Hyperperiod: tg.Hyperperiod,
+		Volume: rational.Zero, Span: rational.Zero, Load: rational.Zero}
 	if n == 0 {
-		wt.w.Volume = rational.Zero
-		wt.w.Span = rational.Zero
-		wt.w.Load = rational.Zero
-		return wt
+		return w, 0
 	}
-	var volume int64
-	for _, c := range lo.c {
+	for _, c := range lo.WCET {
 		volume += c
 	}
-	wt.volume = volume
 	// Span: longest WCET chain, computed sink-to-source.
 	span := make([]int64, n)
 	best := int64(0)
@@ -123,98 +52,35 @@ func workloadTicks(lo *lowering) workTicks {
 				t = span[s]
 			}
 		}
-		span[i] = t + lo.c[i]
+		span[i] = t + lo.WCET[i]
 		if span[i] > best {
 			best = span[i]
 		}
 	}
-	wt.w.Volume = lo.scale.FromTicks(volume)
-	wt.w.Span = lo.scale.FromTicks(best)
+	w.Volume = lo.Scale.FromTicks(volume)
+	w.Span = lo.Scale.FromTicks(best)
 	for i, j := range tg.Jobs {
-		if lo.asap[i]+lo.c[i] > lo.alap[i] {
-			wt.w.violations = append(wt.w.violations, Bound{
+		if done := lo.ASAP[i] + lo.WCET[i]; done > lo.ALAP[i] {
+			w.violations = append(w.violations, Bound{
 				Job:      j.Name(),
 				Proc:     j.Proc,
-				Complete: lo.scale.FromTicks(lo.asap[i] + lo.c[i]),
-				Deadline: lo.scale.FromTicks(lo.alap[i]),
+				Complete: lo.Scale.FromTicks(done),
+				Deadline: lo.Scale.FromTicks(lo.ALAP[i]),
 			})
 		}
 	}
-
-	// Corner sweep over distinct (ASAP, ALAP) values: jobs join their
-	// deadline bucket once the descending-start scan passes their ASAP,
-	// so bucket prefix sums over ALAP <= t2 equal demand(t1, t2) exactly
-	// (the staticflow.Demand scan, on ticks).
-	t1s := distinctTicks(lo.asap)
-	t2s := distinctTicks(lo.alap)
-	bucketOf := make([]int, n)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-		bucketOf[i] = sort.Search(len(t2s), func(k int) bool { return t2s[k] >= lo.alap[i] })
-	}
-	sort.Slice(order, func(x, y int) bool {
-		ax, ay := lo.asap[order[x]], lo.asap[order[y]]
-		if ax != ay {
-			return ax > ay // descending ASAP
-		}
-		return order[x] < order[y]
-	})
-	buckets := make([]int64, len(t2s))
-	next := 0
-	for i1 := len(t1s) - 1; i1 >= 0; i1-- {
-		t1 := t1s[i1]
-		for next < n && lo.asap[order[next]] >= t1 {
-			j := order[next]
-			buckets[bucketOf[j]] += lo.c[j]
-			next++
-		}
-		cum := int64(0)
-		for i2, t2 := range t2s {
-			cum += buckets[i2]
-			if t1 >= t2 || cum <= 0 {
-				continue
-			}
-			length := t2 - t1
-			if fracLess(wt.loadNum, wt.loadDen, cum, length) {
-				wt.loadNum, wt.loadDen = cum, length
-				wt.w.critical = Interval{
-					Start:  lo.scale.FromTicks(t1),
-					End:    lo.scale.FromTicks(t2),
-					Demand: lo.scale.FromTicks(cum),
-				}
-				wt.w.hasCritical = true
-			}
-		}
-	}
-	wt.w.Load = rational.New(wt.loadNum, wt.loadDen)
-	wt.lb = int(ceilDiv(wt.loadNum, wt.loadDen))
-	if wt.lb < 1 {
-		wt.lb = 1
-	}
-	return wt
-}
-
-func distinctTicks(vals []int64) []int64 {
-	out := append([]int64(nil), vals...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	k := 0
-	for i, v := range out {
-		if i == 0 || v != out[k-1] {
-			out[k] = v
-			k++
-		}
-	}
-	return out[:k]
+	w.critical = lo.Load()
+	w.Load = w.critical.Density
+	return w, volume
 }
 
 // analyzeTicks runs the workload extraction and every test, in Tests
 // order, on the integer timescale.
 func analyzeTicks(lo *lowering, m int) *Report {
-	wt := workloadTicks(lo)
-	rep := &Report{M: m, Workload: wt.w, Results: make([]Result, len(Tests))}
+	w, volume := workloadTicks(lo)
+	rep := &Report{M: m, Workload: w, Results: make([]Result, len(Tests))}
 	for i, t := range Tests {
-		rep.Results[i] = runTestTicks(lo, wt, t, m)
+		rep.Results[i] = runTestTicks(lo, w, volume, t, m)
 	}
 	return rep
 }
@@ -224,7 +90,7 @@ func analyzeTicks(lo *lowering, m int) *Report {
 // Infeasible verdict implies sched.MinProcessors > m), then the test's
 // sufficient bound. Chain bounds that exceed a deadline yield Unknown,
 // never Infeasible.
-func runTestTicks(lo *lowering, wt workTicks, t Test, m int) Result {
+func runTestTicks(lo *lowering, w Workload, volume int64, t Test, m int) Result {
 	res := Result{Test: t, M: m}
 	n := len(lo.tg.Jobs)
 	if n == 0 {
@@ -234,7 +100,7 @@ func runTestTicks(lo *lowering, wt workTicks, t Test, m int) Result {
 		return res
 	}
 	// Necessary: every job must fit its precedence-adjusted window.
-	if v := wt.w.WindowViolations(); len(v) > 0 {
+	if v := w.WindowViolations(); len(v) > 0 {
 		res.Verdict = Infeasible
 		res.worst, res.hasWorst = v[0], true
 		res.Reason = fmt.Sprintf(
@@ -243,12 +109,12 @@ func runTestTicks(lo *lowering, wt workTicks, t Test, m int) Result {
 		return res
 	}
 	// Necessary: the corner-window demand criterion at m processors.
-	if wt.lb > m {
+	if lb := w.MinProcessorsLB(); lb > m {
 		res.Verdict = Infeasible
-		res.witness, res.hasWitness = wt.w.critical, wt.w.hasCritical
+		res.witness, res.hasWitness = w.Critical()
 		res.Reason = fmt.Sprintf(
 			"window [%v, %v] holds demand %v: load %v forces at least %d processors, have %d",
-			res.witness.Start, res.witness.End, res.witness.Demand, wt.w.Load, wt.lb, m)
+			res.witness.Start, res.witness.End, res.witness.Demand, w.Load, lb, m)
 		return res
 	}
 	// Exact single-processor verdict: with the window and demand checks
@@ -259,7 +125,7 @@ func runTestTicks(lo *lowering, wt workTicks, t Test, m int) Result {
 	if t == EDF && m == 1 {
 		res.Verdict = Feasible
 		res.Reason = fmt.Sprintf(
-			"single-processor demand criterion is exact: load %v <= 1 under EDF on modified windows", wt.w.Load)
+			"single-processor demand criterion is exact: load %v <= 1 under EDF on modified windows", w.Load)
 		return res
 	}
 	// With at least one processor per job, every work-conserving schedule
@@ -285,7 +151,7 @@ func runTestTicks(lo *lowering, wt workTicks, t Test, m int) Result {
 	switch t {
 	case EDF:
 		boundTicks(lo, m, &res, func(i int) (int64, bool) {
-			return rational.AddOK(g[i], wt.volume)
+			return rational.AddOK(g[i], volume)
 		}, "Graham chain bound with total volume")
 	case DM:
 		dm := dmTicks(lo)
@@ -301,7 +167,7 @@ func runTestTicks(lo *lowering, wt workTicks, t Test, m int) Result {
 			return rational.AddOK(v, blk)
 		}, "deadline-monotonic chain bound with rank-filtered interference")
 	case RTA:
-		s, ok := rtaTicks(lo, wt, g, m)
+		s, ok := rtaTicks(lo, volume, g, m)
 		if !ok {
 			res.Verdict = Unknown
 			res.Reason = "response-time iteration overflows the integer timescale; only necessary conditions apply"
@@ -325,7 +191,7 @@ func grahamTicks(lo *lowering, m int) ([]int64, bool) {
 	n := len(lo.tg.Jobs)
 	g := make([]int64, n)
 	for i := range lo.tg.Jobs {
-		base, ok := rational.MulOK(int64(m), lo.a[i])
+		base, ok := rational.MulOK(int64(m), lo.Arrival[i])
 		if !ok {
 			return nil, false
 		}
@@ -334,7 +200,7 @@ func grahamTicks(lo *lowering, m int) ([]int64, bool) {
 				base = g[p]
 			}
 		}
-		step, ok := rational.MulOK(int64(m-1), lo.c[i])
+		step, ok := rational.MulOK(int64(m-1), lo.WCET[i])
 		if !ok {
 			return nil, false
 		}
@@ -362,7 +228,7 @@ func boundTicks(lo *lowering, m int, res *Result, bound func(i int) (int64, bool
 			res.Reason = "chain bound overflows the integer timescale; only necessary conditions apply"
 			return
 		}
-		slack := int64(m)*lo.d[i] - b
+		slack := int64(m)*lo.Deadline[i] - b
 		if worst < 0 || slack < worstSlack {
 			worst, worstSlack = i, slack
 		}
@@ -370,8 +236,8 @@ func boundTicks(lo *lowering, m int, res *Result, bound func(i int) (int64, bool
 	res.worst = Bound{
 		Job:      lo.tg.Jobs[worst].Name(),
 		Proc:     lo.tg.Jobs[worst].Proc,
-		Complete: lo.scale.FromTicks(mustBound(bound, worst)).DivInt(int64(m)),
-		Deadline: lo.scale.FromTicks(lo.d[worst]),
+		Complete: lo.Scale.FromTicks(mustBound(bound, worst)).DivInt(int64(m)),
+		Deadline: lo.Scale.FromTicks(lo.Deadline[worst]),
 	}
 	res.hasWorst = true
 	if worstSlack >= 0 {
@@ -416,7 +282,7 @@ func dmTicks(lo *lowering) dmData {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(x, y int) bool {
-		kx, ky := lo.d[idx[x]]-lo.a[idx[x]], lo.d[idx[y]]-lo.a[idx[y]]
+		kx, ky := lo.Deadline[idx[x]]-lo.Arrival[idx[x]], lo.Deadline[idx[y]]-lo.Arrival[idx[y]]
 		if kx != ky {
 			return kx < ky
 		}
@@ -434,13 +300,13 @@ func dmTicks(lo *lowering) dmData {
 	}
 	acc := int64(0)
 	for r, i := range idx {
-		acc += lo.c[i]
+		acc += lo.WCET[i]
 		dm.hpvol[r] = acc
 	}
 	suffix := int64(0)
 	for r := n - 1; r >= 0; r-- {
 		dm.blockMax[r] = suffix
-		if c := lo.c[idx[r]]; c > suffix {
+		if c := lo.WCET[idx[r]]; c > suffix {
 			suffix = c
 		}
 	}
@@ -466,7 +332,7 @@ func dmTicks(lo *lowering) dmData {
 // valid bound (work arriving at or after the completion instant cannot
 // occupy a processor before it), so stopping early — the iteration is
 // monotone non-increasing and capped — stays sound.
-func rtaTicks(lo *lowering, wt workTicks, g []int64, m int) ([]int64, bool) {
+func rtaTicks(lo *lowering, volume int64, g []int64, m int) ([]int64, bool) {
 	n := len(lo.tg.Jobs)
 	// Prefix sums follow the arrival order, not the job order, so pair
 	// each sorted arrival with its WCET first.
@@ -474,12 +340,12 @@ func rtaTicks(lo *lowering, wt workTicks, g []int64, m int) ([]int64, bool) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(x, y int) bool { return lo.a[order[x]] < lo.a[order[y]] })
+	sort.SliceStable(order, func(x, y int) bool { return lo.Arrival[order[x]] < lo.Arrival[order[y]] })
 	arrivals := make([]int64, n)
 	prefix := make([]int64, n+1)
 	for k, i := range order {
-		arrivals[k] = lo.a[i]
-		prefix[k+1] = prefix[k] + lo.c[i]
+		arrivals[k] = lo.Arrival[i]
+		prefix[k+1] = prefix[k] + lo.WCET[i]
 	}
 	// volBefore(s) = Σ C_j over jobs arriving strictly before the
 	// completion bound s/m, i.e. with m·A_j < s — exact, no tick
@@ -490,7 +356,7 @@ func rtaTicks(lo *lowering, wt workTicks, g []int64, m int) ([]int64, bool) {
 	}
 	out := make([]int64, n)
 	for i := range out {
-		s, ok := rational.AddOK(g[i], wt.volume)
+		s, ok := rational.AddOK(g[i], volume)
 		if !ok {
 			return nil, false
 		}

@@ -19,8 +19,17 @@ type refGraph struct {
 	hasZero    bool
 }
 
+// newRefGraph reads A' and D' from taskgraph.Windows, converted to
+// rationals; the integration suite holds those windows to an
+// exact-rational recurrence.
 func newRefGraph(tg *taskgraph.TaskGraph) *refGraph {
-	rg := &refGraph{tg: tg, asap: tg.ASAP(), alap: tg.ALAP()}
+	rg := &refGraph{tg: tg}
+	if w, err := tg.Windows(); err == nil {
+		for i := range tg.Jobs {
+			rg.asap = append(rg.asap, w.Scale.FromTicks(w.ASAP[i]))
+			rg.alap = append(rg.alap, w.Scale.FromTicks(w.ALAP[i]))
+		}
+	}
 	for _, j := range tg.Jobs {
 		if j.WCET.IsZero() {
 			rg.hasZero = true
@@ -29,7 +38,7 @@ func newRefGraph(tg *taskgraph.TaskGraph) *refGraph {
 	return rg
 }
 
-// refWork mirrors workTicks: volume, span and the corner-sweep load with
+// refWork mirrors workloadTicks: volume, span and the corner-sweep load with
 // its witness, plus ⌈load⌉.
 type refWork struct {
 	w      Workload
@@ -118,8 +127,7 @@ func workloadReference(rg *refGraph) refWork {
 			ratio := cum.Div(t2.Sub(t1))
 			if rw.w.Load.Less(ratio) {
 				rw.w.Load = ratio
-				rw.w.critical = Interval{Start: t1, End: t2, Demand: cum}
-				rw.w.hasCritical = true
+				rw.w.critical = taskgraph.Window{Start: t1, End: t2, Demand: cum, Density: ratio}
 			}
 		}
 	}
@@ -182,7 +190,7 @@ func runTestReference(rg *refGraph, rw refWork, t Test, m int) Result {
 	}
 	if rw.lb > m {
 		res.Verdict = Infeasible
-		res.witness, res.hasWitness = rw.w.critical, rw.w.hasCritical
+		res.witness, res.hasWitness = rw.w.Critical()
 		res.Reason = fmt.Sprintf(
 			"window [%v, %v] holds demand %v: load %v forces at least %d processors, have %d",
 			res.witness.Start, res.witness.End, res.witness.Demand, rw.w.Load, rw.lb, m)

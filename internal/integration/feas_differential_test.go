@@ -1,7 +1,7 @@
 // Differential harness for the schedulability suite: every feas verdict
 // is pinned inside the soundness sandwich between the closed-form demand
 // lower bound and the exact scheduler oracle. A test may never claim
-// feasibility below staticflow.Demand's processor bound, a certified
+// feasibility below the nominal processor-demand bound, a certified
 // feasible verdict must be realized by sched.FindFeasible, and an
 // infeasible verdict must lie strictly below sched.MinProcessors.
 // Checked on the paper applications and a corpus of random networks, at
@@ -20,7 +20,6 @@ import (
 	"repro/internal/feas"
 	"repro/internal/nettest"
 	"repro/internal/sched"
-	"repro/internal/staticflow"
 	"repro/internal/taskgraph"
 )
 
@@ -39,7 +38,7 @@ func feasProcessorCounts(tg *taskgraph.TaskGraph) []int {
 // scheduler.
 func assertFeasSound(t *testing.T, net *core.Network, tg *taskgraph.TaskGraph) {
 	t.Helper()
-	dem, demErr := staticflow.Demand(net)
+	dem, demErr := demandBound(net)
 	oracle, oracleErr := sched.MinProcessors(tg, len(tg.Jobs)+1)
 	for _, m := range feasProcessorCounts(tg) {
 		rep, err := feas.Analyze(tg, m, feas.Options{})
@@ -53,9 +52,9 @@ func assertFeasSound(t *testing.T, net *core.Network, tg *taskgraph.TaskGraph) {
 		for _, res := range rep.Results {
 			switch res.Verdict {
 			case feas.Feasible:
-				if demErr == nil && m < dem.LowerBound {
+				if demErr == nil && m < dem.Processors() {
 					t.Errorf("m=%d: %s claims feasible below the demand lower bound %d (%s)",
-						m, res.Test, dem.LowerBound, res.Reason)
+						m, res.Test, dem.Processors(), res.Reason)
 				}
 				if res.Certified {
 					if _, err := sched.FindFeasible(tg, m); err != nil {

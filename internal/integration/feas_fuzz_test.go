@@ -7,7 +7,6 @@ import (
 	"repro/internal/feas"
 	"repro/internal/nettest"
 	"repro/internal/sched"
-	"repro/internal/staticflow"
 	"repro/internal/taskgraph"
 )
 
@@ -28,7 +27,7 @@ func FuzzFeasSoundVsMinProcessors(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		dem, demErr := staticflow.Demand(net)
+		dem, demErr := demandBound(net)
 		oracle, oracleErr := sched.MinProcessors(tg, len(tg.Jobs)+1)
 		for _, m := range []int{1, 2, len(tg.Jobs)} {
 			if m < 1 {
@@ -45,9 +44,9 @@ func FuzzFeasSoundVsMinProcessors(f *testing.F) {
 			for _, res := range rep.Results {
 				switch res.Verdict {
 				case feas.Feasible:
-					if demErr == nil && m < dem.LowerBound {
+					if demErr == nil && m < dem.Processors() {
 						t.Fatalf("seed %d m=%d: %s feasible below demand bound %d (%s)",
-							seed, m, res.Test, dem.LowerBound, res.Reason)
+							seed, m, res.Test, dem.Processors(), res.Reason)
 					}
 					if res.Certified {
 						if _, err := sched.FindFeasible(tg, m); err != nil {

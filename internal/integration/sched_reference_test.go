@@ -169,7 +169,7 @@ func priorities(tg *taskgraph.TaskGraph, h sched.Heuristic) []int {
 	var key func(i int) rational.Rat
 	switch h {
 	case sched.ALAPEDF:
-		alap := tg.ALAP()
+		alap := refALAP(tg)
 		key = func(i int) rational.Rat { return alap[i] }
 	case sched.BLevel:
 		bl := blevels(tg)

@@ -2,7 +2,7 @@
 // token-counting sweep (staticflow.Buffers) must reproduce the executed
 // buffer sweep (executedBufferBounds) exactly — the same high-water
 // marks, the same per-frame backlogs, the same unbalance verdicts — and
-// the processor-demand lower bound (staticflow.Demand) must never
+// the processor-demand lower bound (taskgraph.JobTicks.Demand) must never
 // exceed the exact sched.MinProcessors. Checked on the paper
 // applications and a corpus of random networks.
 package integration
@@ -53,9 +53,9 @@ func assertStaticBuffersMatch(t *testing.T, net *core.Network, frames int,
 // processor count the scheduler actually needs.
 func assertDemandBelowMinProcessors(t *testing.T, net *core.Network) {
 	t.Helper()
-	rep, err := staticflow.Demand(net)
+	w, err := demandBound(net)
 	if err != nil {
-		t.Fatalf("staticflow.Demand: %v", err)
+		t.Fatalf("demand bound: %v", err)
 	}
 	tg, err := taskgraph.Derive(net)
 	if err != nil {
@@ -65,20 +65,9 @@ func assertDemandBelowMinProcessors(t *testing.T, net *core.Network) {
 	if err != nil {
 		t.Skipf("no feasible schedule up to %d processors: %v", len(tg.Jobs)+1, err)
 	}
-	if rep.LowerBound > s.M {
+	if w.Processors() > s.M {
 		t.Fatalf("demand lower bound %d exceeds MinProcessors %d (witness [%v, %v] demand %v)",
-			rep.LowerBound, s.M, rep.Critical.Start, rep.Critical.End, rep.Critical.Demand)
-	}
-	// Sanity: the witness window itself must be violation-free at the
-	// bound but violated one processor below it.
-	if rep.LowerBound > 0 {
-		if v := rep.Violations(rep.LowerBound); len(v) != 0 {
-			t.Fatalf("bound %d still has %d violating windows", rep.LowerBound, len(v))
-		}
-		if v := rep.Violations(rep.LowerBound - 1); len(v) == 0 {
-			t.Fatalf("bound %d is not tight: no window needs more than %d processors",
-				rep.LowerBound, rep.LowerBound-1)
-		}
+			w.Processors(), s.M, w.Start, w.End, w.Demand)
 	}
 }
 

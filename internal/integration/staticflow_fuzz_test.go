@@ -63,7 +63,7 @@ func FuzzDemandBoundBelowMinProcessors(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		net := nettest.Random(rng, nettest.Options{})
-		rep, err := staticflow.Demand(net)
+		w, err := demandBound(net)
 		if err != nil {
 			t.Skip()
 		}
@@ -75,9 +75,9 @@ func FuzzDemandBoundBelowMinProcessors(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		if rep.LowerBound > s.M {
+		if w.Processors() > s.M {
 			t.Fatalf("seed %d: demand lower bound %d exceeds MinProcessors %d (witness [%v, %v] demand %v)",
-				seed, rep.LowerBound, s.M, rep.Critical.Start, rep.Critical.End, rep.Critical.Demand)
+				seed, w.Processors(), s.M, w.Start, w.End, w.Demand)
 		}
 	})
 }

@@ -36,16 +36,18 @@ const (
 	CodeDeadProcess    = "FPPN011"
 	CodeHyperperiod    = "FPPN012"
 	CodeEmptyNetwork   = "FPPN013"
-	// FPPN014–017 are backed by the closed-form dataflow analyses of
-	// internal/staticflow; they run only on well-formed networks whose
-	// hyperperiod frame stays within Options.MaxFrameJobs.
+	// FPPN014, FPPN016 and FPPN017 are backed by the closed-form dataflow
+	// analyses of internal/staticflow, FPPN015 by the processor-demand
+	// bound of the derived task graph; they run only on well-formed
+	// networks whose hyperperiod frame stays within Options.MaxFrameJobs
+	// (and, for FPPN015, maxDeriveJobs).
 	CodeUnbalancedChannel = "FPPN014"
 	CodeDemandBound       = "FPPN015"
 	CodeFPSuggestion      = "FPPN016"
 	CodeBufferBound       = "FPPN017"
 	// FPPN018–019 are backed by the schedulability suite of internal/feas
 	// over the derived task graph; they run only on well-formed networks
-	// whose hyperperiod frame stays within maxFeasJobs.
+	// whose hyperperiod frame stays within maxDeriveJobs.
 	CodeFeasLoad   = "FPPN018"
 	CodeFeasWindow = "FPPN019"
 	// FPPN020 is backed by the happens-before verifier of internal/hb
@@ -494,32 +496,6 @@ func frameJobs(h core.Time, procs []*core.Process, periods []core.Time) (jobs, r
 	return jobs, ratio, true
 }
 
-// frameJobEstimate returns the job count of one hyperperiod frame of the
-// raw periods (no server substitution), or false when it cannot be
-// computed or the LCM overflows: the admission check shared by the
-// static dataflow and schedulability rules, computed once per run.
-func (c *context) frameJobEstimate() (int64, bool) {
-	if !c.jobsTried {
-		c.jobsTried = true
-		c.jobsVal, c.jobsOK = c.countFrameJobs()
-	}
-	return c.jobsVal, c.jobsOK
-}
-
-func (c *context) countFrameJobs() (int64, bool) {
-	h, err := core.Hyperperiod(c.net, nil)
-	if err != nil {
-		return 0, false
-	}
-	procs := c.net.Processes()
-	periods := make([]core.Time, len(procs))
-	for i, p := range procs {
-		periods[i] = p.Period()
-	}
-	jobs, _, ok := frameJobs(h, procs, periods)
-	return jobs, ok
-}
-
 // maxStaticSweepJobs caps the two-frame buffer sweep regardless of how
 // far Options.MaxFrameJobs is raised: unlike the threshold rules, the
 // sweep actually enumerates the frame, so it keeps its own hard budget.
@@ -542,7 +518,17 @@ func (c *context) staticProfile() *staticflow.BufferProfile {
 	if budget > maxStaticSweepJobs {
 		budget = maxStaticSweepJobs
 	}
-	if jobs, ok := c.frameJobEstimate(); !ok || jobs > budget/2 {
+	// The sweep enumerates PN itself, so the raw periods bound its frame.
+	h, err := core.Hyperperiod(c.net, nil)
+	if err != nil {
+		return nil
+	}
+	procs := c.net.Processes()
+	periods := make([]core.Time, len(procs))
+	for i, p := range procs {
+		periods[i] = p.Period()
+	}
+	if jobs, _, ok := frameJobs(h, procs, periods); !ok || jobs > budget/2 {
 		return nil
 	}
 	p, err := staticflow.Buffers(c.net, 2, nil)
@@ -592,32 +578,31 @@ func runBufferBounds(c *context, r Rule) {
 	}
 }
 
-// maxDemandJobs caps the corner sweep of the demand rule: the sweep
-// visits up to (arrival, deadline) = jobs² pairs, so frames past this
-// budget (a million corners) are skipped (FPPN012 flags them anyway).
-const maxDemandJobs = 1000
-
 // runDemandBound warns when the processor-demand criterion already rules
-// out a schedule on the assumed capacity: some window must contain more
+// out a schedule on the assumed capacity: some window of the derived
+// task graph's nominal (arrival, deadline) windows must contain more
 // execution time than Options.Processors can serve.
 func runDemandBound(c *context, r Rule) {
-	if len(c.coreProblems()) > 0 || c.timingError() != nil {
-		return // Demand requires a schedulable network on the integer timescale
+	if len(c.coreProblems()) > 0 || !c.derivable() {
+		return // the demand bound needs a derived task graph
 	}
-	if jobs, ok := c.frameJobEstimate(); !ok || jobs > int64(c.opts.MaxFrameJobs) || jobs > maxDemandJobs {
+	tg := c.taskGraph()
+	if tg == nil {
 		return
 	}
-	rep, err := staticflow.Demand(c.net)
+	jt, err := tg.Ticks()
 	if err != nil {
 		return
 	}
-	if rep.LowerBound <= c.opts.Processors {
+	w := jt.Demand()
+	need := w.Processors()
+	if need <= c.opts.Processors {
 		return
 	}
 	c.addf(r, "network", c.net.Name,
-		fmt.Sprintf("schedule on at least %d processors or reduce WCETs", rep.LowerBound),
+		fmt.Sprintf("schedule on at least %d processors or reduce WCETs", need),
 		"processor demand in [%vs, %vs] is %vs, forcing at least %d processors (assumed capacity %d)",
-		rep.Critical.Start, rep.Critical.End, rep.Critical.Demand, rep.LowerBound, c.opts.Processors)
+		w.Start, w.End, w.Demand, need, c.opts.Processors)
 }
 
 // fpSuggestions lazily computes the static FP completion.
@@ -667,16 +652,18 @@ func runFPSuggestions(c *context, r Rule) {
 	}
 }
 
-// maxFeasJobs caps the schedulability suite behind FPPN018/FPPN019:
-// deriving the task graph and running the chain bounds costs real time per
-// frame job, so large frames (the paper's 812-job FMS among them) are
-// skipped to keep lint's hot path flat — sized analyses belong to the
-// feas CLI surface, not the vet pass.
-const maxFeasJobs = 512
+// maxDeriveJobs caps the rules that derive the task graph: the demand
+// bound (FPPN015), the schedulability suite (FPPN018/FPPN019) and the
+// happens-before verdict (FPPN020). Deriving, scheduling and verifying
+// cost real time per frame job, so large frames (the paper's 812-job FMS
+// among them) are skipped to keep lint's hot path flat — sized analyses
+// belong to the feas and fppn.VerifyDeterminism API surfaces, not the
+// vet pass.
+const maxDeriveJobs = 512
 
-// taskGraph lazily derives the task graph feasReport and hbVerdict share
-// (hbVerdict derives its own only for FP-coverage gaps, when feasReport
-// does not run); nil when the derivation fails.
+// taskGraph lazily derives the task graph the demand rule, feasReport and
+// hbVerdict share (hbVerdict derives its own only for FP-coverage gaps,
+// when the others do not run); nil when the derivation fails.
 func (c *context) taskGraph() *taskgraph.TaskGraph {
 	if !c.tgTried {
 		c.tgTried = true
@@ -688,7 +675,7 @@ func (c *context) taskGraph() *taskgraph.TaskGraph {
 // feasReport lazily derives the task graph and runs the schedulability
 // suite at the assumed capacity. nil silently skips FPPN018/FPPN019:
 // ill-formed networks (the error rules already fired), frames beyond
-// maxFeasJobs or Options.MaxFrameJobs, and failed derivations.
+// maxDeriveJobs or Options.MaxFrameJobs, and failed derivations.
 func (c *context) feasReport() *feas.Report {
 	if c.feasTried {
 		return c.feasRep
@@ -697,25 +684,16 @@ func (c *context) feasReport() *feas.Report {
 	if len(c.coreProblems()) > 0 {
 		return nil
 	}
-	if jobs, ok := c.frameJobEstimate(); !ok || jobs > int64(c.opts.MaxFrameJobs) || jobs > maxFeasJobs {
+	if !c.derivable() {
 		return nil
 	}
-	c.feasRep = func() (rep *feas.Report) {
-		defer func() {
-			if recover() != nil {
-				rep = nil
-			}
-		}()
-		tg := c.taskGraph()
-		if tg == nil {
-			return nil
-		}
-		r, err := feas.Analyze(tg, c.opts.Processors, feas.Options{})
-		if err != nil {
-			return nil
-		}
-		return r
-	}()
+	tg := c.taskGraph()
+	if tg == nil {
+		return nil
+	}
+	if rep, err := feas.Analyze(tg, c.opts.Processors, feas.Options{}); err == nil {
+		c.feasRep = rep
+	}
 	return c.feasRep
 }
 
@@ -775,17 +753,10 @@ func runEmptyNetwork(c *context, r Rule) {
 	}
 }
 
-// maxHBJobs caps the happens-before verification behind FPPN020: the
-// verifier builds a multi-frame reachability closure over the derived
-// jobs, so large frames (the 812-job FMS among them) are skipped to keep
-// lint's hot path flat — sized verification belongs to the
-// fppn.VerifyDeterminism API surface, not the vet pass.
-const maxHBJobs = 512
-
 // hbVerdict lazily runs the full determinism pipeline — derive, schedule
 // at the assumed capacity, compile, verify — and caches the verdict. nil
 // silently skips FPPN020: networks with error-severity problems other
-// than FP-coverage gaps, frames beyond maxHBJobs or Options.MaxFrameJobs,
+// than FP-coverage gaps, frames beyond maxDeriveJobs or Options.MaxFrameJobs,
 // and networks with no feasible schedule at the assumed capacity (an
 // unschedulable model has no plan whose ordering could be verified).
 // FP-coverage gaps themselves do NOT skip the rule: the pipeline derives
@@ -803,7 +774,7 @@ func (c *context) hbVerdict() *hb.Verdict {
 		}
 		uncovered = true
 	}
-	if jobs, ok := c.frameJobEstimate(); !ok || jobs > int64(c.opts.MaxFrameJobs) || jobs > maxHBJobs {
+	if !c.derivable() {
 		return nil
 	}
 	c.hbVerd = func() (v *hb.Verdict) {
@@ -869,6 +840,16 @@ func (c *context) timing() (*taskgraph.Timing, error) {
 		c.timingVal, c.timingErr = taskgraph.LowerTiming(c.net, rational.Zero)
 	}
 	return c.timingVal, c.timingErr
+}
+
+// derivable reports whether one frame of PN' — the network the task
+// graph is derived from, server periods substituted — holds at most
+// maxDeriveJobs and Options.MaxFrameJobs jobs. A count of the raw periods
+// would undercount PN' when a sporadic process runs at a fractional
+// server period, so the rules that derive the graph ask this.
+func (c *context) derivable() bool {
+	tm, err := c.timing()
+	return err == nil && tm.Jobs <= maxDeriveJobs && tm.Jobs <= c.opts.MaxFrameJobs
 }
 
 // timingError is the error of timing, or nil when the timing fits.

@@ -57,24 +57,6 @@ func newPrecomp(tg *taskgraph.TaskGraph) (*precomp, error) {
 	return pc, nil
 }
 
-// alapTicks computes the ALAP completion times D'_i on the integer
-// timescale: D'_i = min(D_i, min_{j ∈ Succ(i)} D'_j − C_j). Scaling is
-// strictly monotone, so the induced order equals taskgraph.ALAP's.
-func (pc *precomp) alapTicks() []int64 {
-	n := len(pc.jt.Deadline)
-	alap := make([]int64, n)
-	for i := n - 1; i >= 0; i-- {
-		t := pc.jt.Deadline[i]
-		for _, s := range pc.tg.Succ[i] {
-			if c := alap[s] - pc.jt.WCET[s]; c < t {
-				t = c
-			}
-		}
-		alap[i] = t
-	}
-	return alap
-}
-
 // blevelTicks computes the b-levels (longest WCET chain from the job to a
 // sink, inclusive) on the integer timescale, mirroring blevels.
 func (pc *precomp) blevelTicks() []int64 {
@@ -101,7 +83,8 @@ func (pc *precomp) rankFor(h Heuristic) []int32 {
 	key := make([]int64, n)
 	switch h {
 	case ALAPEDF:
-		copy(key, pc.alapTicks())
+		w, _ := pc.tg.Windows() // the tick table already lowered in newPrecomp
+		copy(key, w.ALAP)
 	case BLevel:
 		for i, b := range pc.blevelTicks() {
 			key[i] = -b // longer path first

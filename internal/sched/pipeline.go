@@ -34,10 +34,13 @@ func PipelineSchedule(tg *taskgraph.TaskGraph, m int) (*Schedule, error) {
 	if np := len(tg.Net.Processes()); np > m {
 		return nil, fmt.Errorf("sched: pipeline placement needs %d processors, have %d", np, m)
 	}
-	asap := tg.ASAP()
+	w, err := tg.Windows()
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
 	assign := make([]Assignment, len(tg.Jobs))
 	for i, j := range tg.Jobs {
-		assign[i] = Assignment{Proc: j.Pid, Start: asap[i]}
+		assign[i] = Assignment{Proc: j.Pid, Start: w.Scale.FromTicks(w.ASAP[i])}
 	}
 	s := &Schedule{TG: tg, M: m, Assign: assign, Heuristic: ALAPEDF}
 	if err := s.Validate(); err != nil {

@@ -306,17 +306,18 @@ func FindFeasible(tg *taskgraph.TaskGraph, m int) (*Schedule, error) {
 	return nil, noFeasible(m, err)
 }
 
-// MinProcessors searches for the smallest processor count in [1, max] with
-// a feasible schedule, returning the schedule found.
-func MinProcessors(tg *taskgraph.TaskGraph, max int) (*Schedule, error) {
-	lower := int(tg.Load().Ceil())
-	if lower < 1 {
-		lower = 1
+// MinProcessors searches for the smallest processor count in [1, limit]
+// with a feasible schedule, returning the schedule found. The search
+// starts at ⌈Load(TG)⌉, below which Proposition 3.1 rules every count out.
+func MinProcessors(tg *taskgraph.TaskGraph, limit int) (*Schedule, error) {
+	w, err := tg.Windows()
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
 	}
-	for m := lower; m <= max; m++ {
+	for m := max(w.Load().Processors(), 1); m <= limit; m++ {
 		if s, err := FindFeasible(tg, m); err == nil {
 			return s, nil
 		}
 	}
-	return nil, fmt.Errorf("sched: no feasible schedule with up to %d processors", max)
+	return nil, fmt.Errorf("sched: no feasible schedule with up to %d processors", limit)
 }

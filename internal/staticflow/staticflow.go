@@ -1,7 +1,9 @@
 // Package staticflow computes dataflow facts of an FPPN model in closed
 // form, without executing any process behaviour. It is the module's one
 // buffer analysis: fppn.BufferBounds, cmd/fppnc -buffers and the lint
-// rules FPPN014–017 all read it.
+// rules FPPN014, FPPN016 and FPPN017 all read it. (FPPN015's
+// processor-demand bound reads the derived task graph instead:
+// taskgraph.JobTicks.Demand.)
 //
 //   - Buffers sweeps the zero-delay job order symbolically — counting
 //     tokens instead of moving values — and returns, per channel, exact
@@ -14,10 +16,6 @@
 //     hidden in code. The differential suite in internal/integration
 //     checks the numbers against an executed sweep that runs the
 //     behaviours and reads each channel's length after every job.
-//   - Demand applies the processor-demand criterion (Baruah et al.) to
-//     one hyperperiod frame of the server-transformed network PN',
-//     yielding a lower bound on the processor count that the true
-//     sched.MinProcessors can never undercut.
 //   - SuggestFP (suggest.go) completes the functional-priority coverage
 //     of every channel-sharing pair with a minimal, acyclicity-
 //     preserving edge set — the machine-applicable fix for FPPN003.

@@ -261,27 +261,3 @@ func TestSuggestFPDeduplicatesSharedEndpoints(t *testing.T) {
 		t.Fatalf("SuggestFP = %v, want %v", got, want)
 	}
 }
-
-func TestDemandTwoHeavyProcesses(t *testing.T) {
-	// Two processes with WCET equal to their shared deadline can never
-	// share one processor: the demand bound must say 2.
-	n := core.NewNetwork("heavy")
-	n.AddPeriodic("h1", ms(100), ms(100), ms(100), stub)
-	n.AddPeriodic("h2", ms(100), ms(100), ms(100), stub)
-	rep, err := Demand(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.LowerBound != 2 {
-		t.Fatalf("LowerBound = %d, want 2", rep.LowerBound)
-	}
-	if v := rep.Violations(1); len(v) == 0 {
-		t.Fatal("Violations(1) empty; the [0,100] window demands 200 ms")
-	}
-	if v := rep.Violations(2); len(v) != 0 {
-		t.Fatalf("Violations(2) = %v, want none", v)
-	}
-	if rep.Critical.Processors != 2 {
-		t.Fatalf("Critical.Processors = %d, want 2", rep.Critical.Processors)
-	}
-}

@@ -1,127 +1,171 @@
 package taskgraph
 
+// Section III-B's window metrics, all on the task graph's tick table
+// (Ticks): one ASAP/ALAP recurrence and one corner-window sweep, read by
+// Load, CheckSchedulable, the schedulability tests (internal/feas), the
+// list scheduler's ALAP-EDF ranks and lint's demand and load rules.
+
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/rational"
 )
 
-// ASAP returns the as-soon-as-possible start times A'_i:
+// Windows is the task graph's tick table together with the
+// precedence-adjusted windows of Section III-B, index-aligned with Jobs
+// and in ticks of Scale:
 //
 //	A'_i = max(A_i, max_{j ∈ Pred(i)} A'_j + C_j)
-//
-// a lower bound on the start time of every feasible schedule.
-func (tg *TaskGraph) ASAP() []Time {
-	asap := make([]Time, len(tg.Jobs))
-	for i, j := range tg.Jobs { // index order is topological
-		t := j.Arrival
-		for _, p := range tg.Pred[i] {
-			if c := asap[p].Add(tg.Jobs[p].WCET); t.Less(c) {
-				t = c
-			}
-		}
-		asap[i] = t
-	}
-	return asap
-}
-
-// ALAP returns the as-late-as-possible completion times D'_i:
-//
 //	D'_i = min(D_i, min_{j ∈ Succ(i)} D'_j − C_j)
 //
-// an upper bound on the completion time of every feasible schedule.
-func (tg *TaskGraph) ALAP() []Time {
-	alap := make([]Time, len(tg.Jobs))
-	for i := len(tg.Jobs) - 1; i >= 0; i-- {
-		t := tg.Jobs[i].Deadline
+// A'_i bounds job i's start from below and D'_i its completion from above
+// in every feasible schedule. It is read-only.
+type Windows struct {
+	*JobTicks
+	// ASAP holds A'_i and ALAP holds D'_i.
+	ASAP, ALAP []int64
+}
+
+// Windows computes the ASAP and ALAP recurrences on the tick table; the
+// error is the graph's *TimescaleError when its timing does not fit. Job
+// index order is topological, so one forward and one backward pass
+// suffice.
+func (tg *TaskGraph) Windows() (*Windows, error) {
+	jt, err := tg.Ticks()
+	if err != nil {
+		return nil, err
+	}
+	n := len(tg.Jobs)
+	w := &Windows{JobTicks: jt, ASAP: make([]int64, n), ALAP: make([]int64, n)}
+	for i := 0; i < n; i++ {
+		t := jt.Arrival[i]
+		for _, p := range tg.Pred[i] {
+			if e := w.ASAP[p] + jt.WCET[p]; e > t {
+				t = e
+			}
+		}
+		w.ASAP[i] = t
+	}
+	for i := n - 1; i >= 0; i-- {
+		t := jt.Deadline[i]
 		for _, s := range tg.Succ[i] {
-			if c := alap[s].Sub(tg.Jobs[s].WCET); c.Less(t) {
-				t = c
+			if e := w.ALAP[s] - jt.WCET[s]; e < t {
+				t = e
 			}
 		}
-		alap[i] = t
+		w.ALAP[i] = t
 	}
-	return alap
+	return w, nil
 }
 
-// Load computes the precedence-aware utilization metric of Section III-B:
-//
-//	Load(TG) = max_{0 <= t1 < t2} ( Σ_{i : t1 <= A'_i ∧ D'_i <= t2} C_i ) / (t2 − t1)
-//
-// where A' and D' are the ASAP and ALAP times. Only window bounds at ASAP
-// and ALAP values can attain the maximum, so those are the candidates
-// examined.
-func (tg *TaskGraph) Load() rational.Rat {
-	if len(tg.Jobs) == 0 {
-		return rational.Zero
-	}
-	asap := tg.ASAP()
-	alap := tg.ALAP()
-	type pair struct{ a, d Time }
-	items := make([]pair, len(tg.Jobs))
-	for i := range tg.Jobs {
-		items[i] = pair{asap[i], alap[i]}
-	}
-	// Candidate t1 values: distinct ASAP times; t2: distinct ALAP times.
-	t1s := distinctTimes(asap)
-	t2s := distinctTimes(alap)
+// Window is a closed window [Start, End] of the frame with the work that
+// must run entirely inside it: the witness of a corner sweep.
+type Window struct {
+	Start, End Time
+	// Demand is Σ C_i over the jobs whose window lies inside [Start, End].
+	Demand Time
+	// Density is Demand / (End − Start); 0 for a window without demand.
+	Density rational.Rat
+}
 
-	best := rational.Zero
-	for _, t1 := range t1s {
-		// Jobs with A'_i >= t1, keyed by D'_i: prefix sums over sorted
-		// t2 candidates.
-		sums := make([]rational.Rat, len(t2s))
-		for i, it := range items {
-			if it.a.Less(t1) {
+// Processors returns ⌈Density⌉, the processor count the window forces.
+func (w Window) Processors() int { return int(w.Density.Ceil()) }
+
+// Load returns a densest corner window over the precedence-adjusted
+// windows (A'_i, D'_i). Its Density is the Load(TG) of Section III-B:
+//
+//	Load(TG) = max_{t1 < t2} ( Σ_{i : t1 <= A'_i ∧ D'_i <= t2} C_i ) / (t2 − t1)
+func (w *Windows) Load() Window { return densest(w.Scale, w.ASAP, w.ALAP, w.WCET) }
+
+// Demand returns a densest corner window over the nominal windows
+// (A_i, D_i): the processor-demand criterion, which ignores precedence.
+// ⌈Density⌉ processors are necessary for any schedule, preemptive or
+// not; it never exceeds ⌈Load⌉, since A'_i >= A_i and D'_i <= D_i.
+func (jt *JobTicks) Demand() Window {
+	return densest(jt.Scale, jt.Arrival, jt.Deadline, jt.WCET)
+}
+
+// densest runs the corner sweep: job i must run inside [start_i, end_i],
+// and the densest window starts at some start_i and ends at some end_j,
+// so only those corners are examined. Jobs join the bucket of their end
+// once the descending scan over starts passes their start, so the bucket
+// prefix sums over ends <= t2 are the demand of [t1, t2] exactly. The scan
+// keeps the first window, t1 descending then t2 ascending, of the
+// maximum density, compared exactly as fractions; the zero Window (with
+// Density 0) means no window holds positive demand.
+func densest(sc rational.Scale, start, end, wcet []int64) Window {
+	n := len(start)
+	t1s, t2s := distinctTicks(start), distinctTicks(end)
+	bucketOf := make([]int, n)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+		bucketOf[i], _ = slices.BinarySearch(t2s, end[i])
+	}
+	slices.SortFunc(order, func(x, y int) int { return cmp.Compare(start[y], start[x]) }) // descending start
+	buckets := make([]int64, len(t2s))
+	num, den := int64(0), int64(1)
+	var best1, best2 int64
+	next := 0
+	for i1 := len(t1s) - 1; i1 >= 0; i1-- {
+		t1 := t1s[i1]
+		for next < n && start[order[next]] >= t1 {
+			j := order[next]
+			buckets[bucketOf[j]] += wcet[j]
+			next++
+		}
+		cum := int64(0)
+		for i2, t2 := range t2s {
+			cum += buckets[i2]
+			if t1 >= t2 || cum <= 0 {
 				continue
 			}
-			// Find the first t2 >= D'_i and add C there.
-			pos := searchTime(t2s, it.d)
-			if pos < len(t2s) {
-				sums[pos] = sums[pos].Add(tg.Jobs[i].WCET)
-			}
-		}
-		acc := rational.Zero
-		for pos, t2 := range t2s {
-			acc = acc.Add(sums[pos])
-			if !t1.Less(t2) || acc.IsZero() {
-				continue
-			}
-			ratio := acc.Div(t2.Sub(t1))
-			if best.Less(ratio) {
-				best = ratio
+			if fracLess(num, den, cum, t2-t1) {
+				num, den, best1, best2 = cum, t2-t1, t1, t2
 			}
 		}
 	}
-	return best
+	if num == 0 {
+		return Window{Density: rational.Zero}
+	}
+	return Window{
+		Start:   sc.FromTicks(best1),
+		End:     sc.FromTicks(best2),
+		Demand:  sc.FromTicks(num),
+		Density: rational.New(num, den),
+	}
 }
 
-func distinctTimes(ts []Time) []Time {
-	sorted := make([]Time, len(ts))
-	copy(sorted, ts)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	out := sorted[:0]
-	for i, t := range sorted {
-		if i == 0 || !t.Equal(out[len(out)-1]) {
-			out = append(out, t)
-		}
+// fracLess reports n1/d1 < n2/d2 for non-negative numerators and positive
+// denominators, exactly, via 128-bit cross multiplication.
+func fracLess(n1, d1, n2, d2 int64) bool {
+	h1, l1 := bits.Mul64(uint64(n1), uint64(d2))
+	h2, l2 := bits.Mul64(uint64(n2), uint64(d1))
+	if h1 != h2 {
+		return h1 < h2
 	}
-	return out
+	return l1 < l2
 }
 
-// searchTime returns the smallest index with sorted[i] >= t (or len).
-func searchTime(sorted []Time, t Time) int {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid].Less(t) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// distinctTicks returns the sorted distinct values.
+func distinctTicks(vals []int64) []int64 {
+	out := slices.Clone(vals)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// Load returns the precedence-aware utilization metric Load(TG) of
+// Section III-B (see Windows.Load); the error is the graph's
+// *TimescaleError when its timing does not fit.
+func (tg *TaskGraph) Load() (rational.Rat, error) {
+	w, err := tg.Windows()
+	if err != nil {
+		return rational.Zero, err
 	}
-	return lo
+	return w.Load().Density, nil
 }
 
 // CheckSchedulable verifies the necessary condition of Proposition 3.1 for
@@ -132,18 +176,20 @@ func (tg *TaskGraph) CheckSchedulable(m int) error {
 	if m < 1 {
 		return fmt.Errorf("taskgraph: %d processors", m)
 	}
-	asap := tg.ASAP()
-	alap := tg.ALAP()
+	w, err := tg.Windows()
+	if err != nil {
+		return err
+	}
 	for i, j := range tg.Jobs {
-		if alap[i].Less(asap[i].Add(j.WCET)) {
+		if w.ASAP[i]+w.WCET[i] > w.ALAP[i] {
 			return fmt.Errorf("taskgraph: job %s cannot fit its window: A'=%v + C=%v > D'=%v",
-				j.Name(), asap[i], j.WCET, alap[i])
+				j.Name(), w.Scale.FromTicks(w.ASAP[i]), j.WCET, w.Scale.FromTicks(w.ALAP[i]))
 		}
 	}
-	load := tg.Load()
-	if need := load.Ceil(); need > int64(m) {
+	load := w.Load()
+	if need := load.Processors(); need > m {
 		return fmt.Errorf("taskgraph: load %.3f needs at least %d processors, have %d",
-			load.Float64(), need, m)
+			load.Density.Float64(), need, m)
 	}
 	return nil
 }

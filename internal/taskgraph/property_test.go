@@ -103,14 +103,16 @@ func TestASAPALAPMonotoneProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		asap := tg.ASAP()
-		alap := tg.ALAP()
+		w, err := tg.Windows()
+		if err != nil {
+			return false
+		}
 		for _, e := range tg.Edges() {
 			from, to := e[0], e[1]
-			if asap[to].Less(asap[from].Add(tg.Jobs[from].WCET)) {
+			if w.ASAP[to] < w.ASAP[from]+w.WCET[from] {
 				return false
 			}
-			if alap[to].Sub(tg.Jobs[to].WCET).Less(alap[from]) {
+			if w.ALAP[to]-w.WCET[to] < w.ALAP[from] {
 				return false
 			}
 		}

@@ -1,7 +1,9 @@
 // Package taskgraph derives static task graphs from fixed-priority process
 // networks (Section III-A of the DATE 2015 paper) and implements the
-// associated analysis: ASAP/ALAP times, the precedence-aware Load metric and
-// the necessary schedulability condition of Proposition 3.1.
+// associated analysis: ASAP/ALAP windows, the precedence-aware Load metric,
+// the nominal processor-demand bound and the necessary schedulability
+// condition of Proposition 3.1, all from one corner-window sweep on the
+// graph's integer timescale (analysis.go).
 //
 // The derivation follows the paper's recipe:
 //
@@ -617,10 +619,15 @@ func countEdges(succ [][]int) int {
 }
 
 // Summary returns a one-line description like
-// "task graph: 812 jobs, 1977 edges, H=10s, load=0.23".
+// "task graph: 812 jobs, 1977 edges, H=10s, load=0.23"; the load reads "?"
+// when the graph's timing does not fit the integer timescale.
 func (tg *TaskGraph) Summary() string {
-	return fmt.Sprintf("task graph: %d jobs, %d edges, H=%v s, load=%.3f",
-		len(tg.Jobs), tg.EdgeCount(), tg.Hyperperiod, tg.Load().Float64())
+	load := "?"
+	if l, err := tg.Load(); err == nil {
+		load = fmt.Sprintf("%.3f", l.Float64())
+	}
+	return fmt.Sprintf("task graph: %d jobs, %d edges, H=%v s, load=%s",
+		len(tg.Jobs), tg.EdgeCount(), tg.Hyperperiod, load)
 }
 
 // DOT renders the reduced task graph in Graphviz format, nodes labelled as

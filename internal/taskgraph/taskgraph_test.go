@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -146,8 +147,10 @@ func TestFig3ServerMetadata(t *testing.T) {
 // consistent with the two-processor schedule of Fig. 4.
 func TestFig3ASAPALAPLoad(t *testing.T) {
 	tg := deriveFig3(t)
-	asap := tg.ASAP()
-	alap := tg.ALAP()
+	w, err := tg.Windows()
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantASAP := map[string]Time{
 		"InputA[1]": ms(0), "CoefB[1]": ms(0), "CoefB[2]": ms(25),
 		"FilterA[1]": ms(25), "FilterB[1]": ms(50), "NormA[1]": ms(50),
@@ -161,15 +164,19 @@ func TestFig3ASAPALAPLoad(t *testing.T) {
 		"FilterA[2]": ms(200), "OutputB[2]": ms(200),
 	}
 	for i, j := range tg.Jobs {
-		if want := wantASAP[j.Name()]; !asap[i].Equal(want) {
-			t.Errorf("ASAP(%s) = %v, want %v", j.Name(), asap[i], want)
+		if got, want := w.Scale.FromTicks(w.ASAP[i]), wantASAP[j.Name()]; !got.Equal(want) {
+			t.Errorf("ASAP(%s) = %v, want %v", j.Name(), got, want)
 		}
-		if want := wantALAP[j.Name()]; !alap[i].Equal(want) {
-			t.Errorf("ALAP(%s) = %v, want %v", j.Name(), alap[i], want)
+		if got, want := w.Scale.FromTicks(w.ALAP[i]), wantALAP[j.Name()]; !got.Equal(want) {
+			t.Errorf("ALAP(%s) = %v, want %v", j.Name(), got, want)
 		}
 	}
-	if load := tg.Load(); !load.Equal(rational.New(3, 2)) {
-		t.Errorf("Load = %v, want 3/2", load)
+	if load, err := tg.Load(); err != nil || !load.Equal(rational.New(3, 2)) {
+		t.Errorf("Load = %v, %v, want 3/2", load, err)
+	}
+	// The witness attains the load: 75 ms of work in [0, 50 ms].
+	if c := w.Load(); !c.Start.IsZero() || !c.End.Equal(ms(50)) || !c.Demand.Equal(ms(75)) {
+		t.Errorf("densest window = %+v, want [0, 1/20] holding 3/40", c)
 	}
 	if err := tg.CheckSchedulable(2); err != nil {
 		t.Errorf("CheckSchedulable(2) = %v, want nil", err)
@@ -209,8 +216,54 @@ func TestLoadEqualsUtilizationWithoutPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if load := tg.Load(); !load.Equal(rational.New(8, 10)) {
-		t.Errorf("Load = %v, want 4/5", load)
+	if load, err := tg.Load(); err != nil || !load.Equal(rational.New(8, 10)) {
+		t.Errorf("Load = %v, %v, want 4/5", load, err)
+	}
+}
+
+// TestDemandTwoHeavyProcesses pins the nominal processor-demand bound:
+// two processes with WCET equal to their shared deadline can never share
+// one processor, and the [0, 100 ms] window proves it.
+func TestDemandTwoHeavyProcesses(t *testing.T) {
+	n := core.NewNetwork("heavy")
+	n.AddPeriodic("h1", ms(100), ms(100), ms(100), nil)
+	n.AddPeriodic("h2", ms(100), ms(100), ms(100), nil)
+	tg, err := Derive(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jt, err := tg.Ticks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := jt.Demand()
+	if w.Processors() != 2 || !w.Density.Equal(rational.FromInt(2)) {
+		t.Fatalf("demand bound = %d (density %v), want 2", w.Processors(), w.Density)
+	}
+	if !w.Start.IsZero() || !w.End.Equal(ms(100)) || !w.Demand.Equal(ms(200)) {
+		t.Fatalf("witness = %+v, want [0, 1/10] holding 1/5", w)
+	}
+}
+
+// TestWindowMetricsRejectUnfitTiming checks that a hand-built graph whose
+// timing does not fit the integer timescale fails every window metric
+// with its *TimescaleError instead of computing in rationals.
+func TestWindowMetricsRejectUnfitTiming(t *testing.T) {
+	huge := rational.New(1, 1<<40+1)
+	tg := &TaskGraph{
+		Hyperperiod: rational.One,
+		Jobs:        []*Job{{Proc: "a", K: 1, Arrival: rational.Zero, Deadline: rational.One, WCET: huge}},
+		Succ:        [][]int{nil}, Pred: [][]int{nil},
+	}
+	var te *TimescaleError
+	if _, err := tg.Load(); !errors.As(err, &te) {
+		t.Errorf("Load error = %v, want *TimescaleError", err)
+	}
+	if err := tg.CheckSchedulable(1); !errors.As(err, &te) {
+		t.Errorf("CheckSchedulable error = %v, want *TimescaleError", err)
+	}
+	if !strings.Contains(tg.Summary(), "load=?") {
+		t.Errorf("Summary = %q, want load=?", tg.Summary())
 	}
 }
 
