@@ -73,9 +73,10 @@ bench:
 bench-json:
 	$(GO) test -bench . -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson -o BENCH_fppn.json
 
-# Regression gate: rerun the benchmarks and diff ns/op against the
+# Regression gate: rerun the benchmarks and diff them against the
 # committed record; exits nonzero when any benchmark is more than 25%
-# slower than BENCH_fppn.json (tune with -threshold).
+# slower than BENCH_fppn.json (tune with -threshold), or allocates where
+# the record shows 0 allocs/op.
 bench-compare:
 	$(GO) test -bench . -benchmem -run '^$$' ./... | $(GO) run ./cmd/benchjson -compare BENCH_fppn.json
 

@@ -681,9 +681,10 @@ func benchmarkScaleCompile(b *testing.B, jobs int) {
 	}
 }
 
-// benchmarkScaleRun measures steady-state replay of one hyperperiod frame
-// on a warm pooled RunState, the regime the zero-alloc engine work targets.
-func benchmarkScaleRun(b *testing.B, jobs int) {
+// benchmarkScaleRun measures steady-state replay of frames hyperperiod
+// frames on a warm pooled RunState, the regime the zero-alloc engine work
+// targets.
+func benchmarkScaleRun(b *testing.B, jobs, frames int) {
 	net := scaleNet(jobs)
 	tg, err := taskgraph.Derive(net)
 	if err != nil {
@@ -697,7 +698,7 @@ func benchmarkScaleRun(b *testing.B, jobs int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := fppn.RunConfig{Frames: 1, Inputs: nettest.Inputs(net, 16)}
+	cfg := fppn.RunConfig{Frames: frames, Inputs: nettest.Inputs(net, 16*frames)}
 	rs := p.NewRunState()
 	if _, err := rs.Run(cfg); err != nil {
 		b.Fatal(err)
@@ -720,11 +721,16 @@ func benchmarkScaleRun(b *testing.B, jobs int) {
 
 func BenchmarkScaleDerive10k(b *testing.B)    { benchmarkScaleDerive(b, 10000) }
 func BenchmarkScaleSchedule10k(b *testing.B)  { benchmarkScaleSchedule(b, 10000) }
-func BenchmarkScaleRun10k(b *testing.B)       { benchmarkScaleRun(b, 10000) }
+func BenchmarkScaleRun10k(b *testing.B)       { benchmarkScaleRun(b, 10000, 1) }
 func BenchmarkScaleCompile10k(b *testing.B)   { benchmarkScaleCompile(b, 10000) }
 func BenchmarkScaleDerive100k(b *testing.B)   { benchmarkScaleDerive(b, 100000) }
 func BenchmarkScaleSchedule100k(b *testing.B) { benchmarkScaleSchedule(b, 100000) }
-func BenchmarkScaleRun100k(b *testing.B)      { benchmarkScaleRun(b, 100000) }
+func BenchmarkScaleRun100k(b *testing.B)      { benchmarkScaleRun(b, 100000, 1) }
+
+// BenchmarkScaleRun10kFrames4 replays four frames of the 10k-job graph on
+// eight processors: the largest /simulate request of the simulate-warm-scale
+// workload.
+func BenchmarkScaleRun10kFrames4(b *testing.B) { benchmarkScaleRun(b, 10000, 4) }
 
 // BenchmarkPortfolio list-schedules the FMS task graph on two processors
 // with all four SP heuristics and keeps the best feasible schedule.

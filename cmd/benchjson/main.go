@@ -29,8 +29,11 @@
 // With -compare, the fresh results are diffed against a previously recorded
 // JSON document: a per-benchmark table of old/new ns/op and the relative
 // delta goes to stderr, and any benchmark slower than the baseline by more
-// than -threshold percent makes the run fail. Benchmarks present on only
-// one side are listed informationally and never fail the comparison.
+// than -threshold percent, or allocating where the baseline records 0
+// allocs/op, makes the run fail; rows matching -alloc-exempt (those whose
+// -benchtime 1x runs allocate now and then) are judged on ns/op alone.
+// Benchmarks present on only one side are listed informationally and
+// never fail the comparison.
 //
 // Exit status: 0 on success, 1 if the input contains no benchmark results
 // or the output cannot be written, 2 if -compare found regressions beyond
@@ -45,6 +48,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -132,9 +136,11 @@ func parseLine(line string) (name string, r Result, ok bool) {
 
 // compareResults diffs fresh results against a recorded baseline, writing a
 // per-benchmark ns/op table to w. A benchmark regresses when its ns/op
-// exceeds the baseline by more than threshold percent; the count of such
-// regressions is returned. Benchmarks on only one side never count.
-func compareResults(w io.Writer, baseline, fresh map[string]Result, threshold float64) int {
+// exceeds the baseline by more than threshold percent, or when it allocates
+// (allocs/op ≥ 1) where the baseline records none, the zero-alloc replay
+// rows, unless its name matches allocExempt. The count of regressing
+// benchmarks is returned. Benchmarks on only one side never count.
+func compareResults(w io.Writer, baseline, fresh map[string]Result, threshold float64, allocExempt *regexp.Regexp) int {
 	names := make([]string, 0, len(baseline)+len(fresh))
 	for n := range baseline {
 		names = append(names, n)
@@ -167,6 +173,12 @@ func compareResults(w io.Writer, baseline, fresh map[string]Result, threshold fl
 			mark := ""
 			if delta > threshold {
 				mark = "  REGRESSION"
+			}
+			if old.AllocsPerOp != nil && *old.AllocsPerOp == 0 && cur.AllocsPerOp != nil && *cur.AllocsPerOp >= 1 &&
+				(allocExempt == nil || !allocExempt.MatchString(n)) {
+				mark += fmt.Sprintf("  ALLOCS 0 -> %.0f", *cur.AllocsPerOp)
+			}
+			if mark != "" {
 				regressions++
 			}
 			fmt.Fprintf(w, "%-*s  %14.1f  %14.1f  %+8.1f%%%s\n", wide, n, old.NsPerOp, cur.NsPerOp, delta, mark)
@@ -205,7 +217,16 @@ func main() {
 	compare := flag.String("compare", "", "baseline JSON to diff against; regressions beyond -threshold fail the run")
 	merge := flag.String("merge", "", "existing JSON document to overlay the fresh results onto before writing")
 	threshold := flag.Float64("threshold", 25, "allowed ns/op regression over the -compare baseline, in percent")
+	allocExempt := flag.String("alloc-exempt", "", "regexp of benchmarks -compare judges on ns/op alone, never on new allocations")
 	flag.Parse()
+	var exempt *regexp.Regexp
+	if *allocExempt != "" {
+		var err error
+		if exempt, err = regexp.Compile(*allocExempt); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson: -alloc-exempt:", err)
+			os.Exit(1)
+		}
+	}
 
 	results := make(map[string]Result)
 	sc := bufio.NewScanner(os.Stdin)
@@ -236,14 +257,6 @@ func main() {
 		results = base
 	}
 
-	// Marshal with sorted keys (encoding/json sorts map keys, but build the
-	// ordered document explicitly so the count line below matches it).
-	names := make([]string, 0, len(results))
-	for n := range results {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
 	doc := make(map[string]any, len(results)+1)
 	for n, r := range results {
 		doc[n] = r
@@ -265,9 +278,9 @@ func main() {
 		}
 	}
 	if *merge != "" {
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks (%d fresh, merged over %s)\n", len(names), fresh, *merge)
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks (%d fresh, merged over %s)\n", len(results), fresh, *merge)
 	} else {
-		fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks\n", len(names))
+		fmt.Fprintf(os.Stderr, "benchjson: %d benchmarks\n", len(results))
 	}
 
 	if *compare != "" {
@@ -276,8 +289,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		if n := compareResults(os.Stderr, baseline, results, *threshold); n > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%% over %s\n",
+		if n := compareResults(os.Stderr, baseline, results, *threshold, exempt); n > 0 {
+			fmt.Fprintf(os.Stderr, "benchjson: %d benchmark(s) regressed more than %.0f%% or started allocating over %s\n",
 				n, *threshold, *compare)
 			os.Exit(2)
 		}

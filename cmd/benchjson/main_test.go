@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -48,7 +49,7 @@ func TestCompareResultsFlagsRegressions(t *testing.T) {
 		"BenchmarkNew":  {NsPerOp: 123},
 	}
 	var sb strings.Builder
-	if n := compareResults(&sb, baseline, fresh, 25); n != 1 {
+	if n := compareResults(&sb, baseline, fresh, 25, nil); n != 1 {
 		t.Fatalf("regressions = %d, want 1\n%s", n, sb.String())
 	}
 	out := sb.String()
@@ -67,11 +68,59 @@ func TestCompareResultsFlagsRegressions(t *testing.T) {
 	}
 }
 
+// A row the baseline records at 0 allocs/op regresses as soon as it
+// allocates, however fast it runs; rows that already allocate, or carry no
+// allocation count, are judged on ns/op alone.
+func TestCompareResultsFlagsNewAllocations(t *testing.T) {
+	allocs := func(v float64) *float64 { return &v }
+	baseline := map[string]Result{
+		"BenchmarkZeroAlloc":  {NsPerOp: 1000, AllocsPerOp: allocs(0)},
+		"BenchmarkStillZero":  {NsPerOp: 1000, AllocsPerOp: allocs(0)},
+		"BenchmarkAllocating": {NsPerOp: 1000, AllocsPerOp: allocs(3)},
+		"BenchmarkNoBenchmem": {NsPerOp: 1000},
+	}
+	fresh := map[string]Result{
+		"BenchmarkZeroAlloc":  {NsPerOp: 500, AllocsPerOp: allocs(1)},
+		"BenchmarkStillZero":  {NsPerOp: 1100, AllocsPerOp: allocs(0)},
+		"BenchmarkAllocating": {NsPerOp: 1000, AllocsPerOp: allocs(40)},
+		"BenchmarkNoBenchmem": {NsPerOp: 1000, AllocsPerOp: allocs(2)},
+	}
+	var sb strings.Builder
+	if n := compareResults(&sb, baseline, fresh, 25, nil); n != 1 {
+		t.Fatalf("regressions = %d, want 1\n%s", n, sb.String())
+	}
+	if out := sb.String(); !strings.Contains(out, "ALLOCS 0 -> 1") || strings.Contains(out, "REGRESSION") {
+		t.Errorf("want only BenchmarkZeroAlloc flagged for allocating:\n%s", out)
+	}
+}
+
+// A row exempted from the allocation rule is judged on ns/op alone.
+func TestCompareResultsAllocExempt(t *testing.T) {
+	zero, one := 0.0, 1.0
+	baseline := map[string]Result{
+		"BenchmarkFlaky":  {NsPerOp: 1000, AllocsPerOp: &zero},
+		"BenchmarkPinned": {NsPerOp: 1000, AllocsPerOp: &zero},
+	}
+	fresh := map[string]Result{
+		"BenchmarkFlaky":  {NsPerOp: 1000, AllocsPerOp: &one},
+		"BenchmarkPinned": {NsPerOp: 1000, AllocsPerOp: &one},
+	}
+	var sb strings.Builder
+	if n := compareResults(&sb, baseline, fresh, 25, regexp.MustCompile(`^BenchmarkFlaky$`)); n != 1 {
+		t.Fatalf("regressions = %d, want only BenchmarkPinned flagged\n%s", n, sb.String())
+	}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if marked := strings.Contains(line, "ALLOCS"); marked != strings.HasPrefix(line, "BenchmarkPinned") {
+			t.Errorf("want the ALLOCS mark on BenchmarkPinned alone: %q", line)
+		}
+	}
+}
+
 func TestCompareResultsWithinThreshold(t *testing.T) {
 	baseline := map[string]Result{"BenchmarkX": {NsPerOp: 1000}}
 	fresh := map[string]Result{"BenchmarkX": {NsPerOp: 1200}} // +20% under 25%
 	var sb strings.Builder
-	if n := compareResults(&sb, baseline, fresh, 25); n != 0 {
+	if n := compareResults(&sb, baseline, fresh, 25, nil); n != 0 {
 		t.Fatalf("regressions = %d, want 0\n%s", n, sb.String())
 	}
 }

@@ -75,11 +75,10 @@ func MeasureChainLatency(rep *plan.Report, chain []string) (ChainLatency, error)
 
 	h := tg.Hyperperiod
 	first, last := chain[0], chain[len(chain)-1]
-	// Index executed intervals by (label, occurrence); labels repeat
-	// across frames, so collect them in time order.
-	ends := map[string][]Time{}
+	// Each job's executed ends, one per frame, in report order.
+	ends := make([][]int64, len(tg.Jobs))
 	for _, e := range rep.Entries {
-		ends[e.Label] = append(ends[e.Label], e.End)
+		ends[e.Job] = append(ends[e.Job], e.End)
 	}
 	for f := 0; f < rep.Frames; f++ {
 		base := h.MulInt(int64(f))
@@ -90,11 +89,11 @@ func MeasureChainLatency(rep *plan.Report, chain []string) (ChainLatency, error)
 				return out, fmt.Errorf("analysis: missing job %s[%d] or %s[%d]", first, k, last, k)
 			}
 			release := base.Add(jFirst.Arrival)
-			endList := ends[jLast.Name()]
+			endList := ends[jLast.Index]
 			if f >= len(endList) {
 				return out, fmt.Errorf("analysis: report lacks execution %d of %s", f, jLast.Name())
 			}
-			latency := endList[f].Sub(release)
+			latency := rep.Time(endList[f]).Sub(release)
 			if out.Samples == 0 || out.Worst.Less(latency) {
 				out.Worst = latency
 			}

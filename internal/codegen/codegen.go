@@ -76,11 +76,17 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("codegen: static schedule must be feasible: %w", err)
 	}
-	invs, err := plan.PlanInvocations(tg, cfg.Frames, cfg.SporadicEvents)
+	// The plan's lowering fixes the invocations and the timescale that
+	// every frame start, event and sum of WCETs the system reaches is on.
+	p, err := plan.Compile(s)
 	if err != nil {
 		return nil, err
 	}
-	machine, err := core.NewMachine(tg.Net, core.MachineOptions{Inputs: cfg.Inputs})
+	invs, tm, err := p.Lower(plan.Config{Frames: cfg.Frames, SporadicEvents: cfg.SporadicEvents})
+	if err != nil {
+		return nil, err
+	}
+	machine, err := core.NewMachineCompiled(p.Compiled(), core.MachineOptions{Inputs: cfg.Inputs})
 	if err != nil {
 		return nil, err
 	}
@@ -89,8 +95,9 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 		Schedule: s,
 		cfg:      cfg,
 		machine:  machine,
-		report:   &plan.Report{Schedule: s, Frames: cfg.Frames},
+		report:   plan.NewReport(s, cfg.Frames, tm.Scale(), machine),
 	}
+	n := len(tg.Jobs)
 	net := &ta.Network{Init: ta.Vars{}}
 	h := tg.Hyperperiod
 
@@ -229,7 +236,7 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 					To:   exec,
 					VarGuard: func(v ta.Vars) bool {
 						f := int(v[fv])
-						pl := invs[f][ji]
+						pl := invs[f*n+ji]
 						return !pl.Skip && barrier(v) &&
 							v[arrVar(pname)] >= int64(pl.EventIndex) &&
 							predsDone(v)
@@ -245,7 +252,7 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 					ClockGuard: []ta.Constraint{{Clock: "xf", Op: ta.GE, Bound: arrival}},
 					VarGuard: func(v ta.Vars) bool {
 						f := int(v[fv])
-						return invs[f][ji].Skip && barrier(v) && predsDone(v)
+						return invs[f*n+ji].Skip && barrier(v) && predsDone(v)
 					},
 					Update: func(v ta.Vars) {
 						v[doneVar(ji)]++
@@ -311,8 +318,13 @@ func (p *Program) startAction(jobIdx, procIdx int) func(now Time) error {
 			return err
 		}
 		end := now.Add(j.WCET)
-		p.report.Entries = append(p.report.Entries, sched.GanttEntry{
-			Proc: procIdx, Label: j.Name(), Start: now, End: end,
+		start, okStart := p.report.Scale.Ticks(now)
+		stop, okStop := p.report.Scale.Ticks(end)
+		if !okStart || !okStop {
+			return fmt.Errorf("codegen: %s runs at %v, off the run's int64 timescale", j.Name(), now)
+		}
+		p.report.Entries = append(p.report.Entries, plan.Entry{
+			Proc: int32(procIdx), Job: int32(jobIdx), Start: start, End: stop,
 		})
 		frame := int(now.FloorDiv(tg.Hyperperiod))
 		deadline := tg.Hyperperiod.MulInt(int64(frame)).Add(j.Deadline)
@@ -349,7 +361,6 @@ func (p *Program) Run() (*plan.Report, error) {
 		return nil, err
 	}
 	p.report.Outputs = p.machine.Outputs()
-	p.report.Channels = p.machine.ChannelSnapshot()
 	return p.report, nil
 }
 

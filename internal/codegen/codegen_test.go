@@ -80,7 +80,7 @@ func TestGeneratedSystemMatchesRuntime(t *testing.T) {
 		}
 		return m
 	}
-	a, b := set(native.Entries), set(taRep.Entries)
+	a, b := set(native.GanttEntries()), set(taRep.GanttEntries())
 	for k, n := range a {
 		if b[k] != n {
 			t.Errorf("interval %v: native %d vs TA %d", k, n, b[k])

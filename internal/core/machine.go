@@ -45,7 +45,8 @@ type Machine struct {
 	// Reset: outputs must only contain channels actually written (their
 	// key set is observable), so Reset moves each slice here and the
 	// first write of the next run takes it back — steady-state replay
-	// re-creates the same key set without allocating.
+	// re-creates the same key set without allocating. It holds every
+	// external output's key from construction, so no Reset allocates.
 	outPool map[string][]Sample
 	trace   Trace
 	record  bool
@@ -81,7 +82,11 @@ func NewMachineCompiled(cn *CompiledNet, opts MachineOptions) (*Machine, error) 
 		counts:    make([]int64, len(cn.procs)),
 		inputs:    opts.Inputs,
 		outputs:   make(map[string][]Sample),
+		outPool:   make(map[string][]Sample, len(cn.net.extOut)),
 		record:    opts.RecordTrace,
+	}
+	for ch := range cn.net.extOut {
+		m.outPool[ch] = nil
 	}
 	m.ctx.m = m
 	// Channel states live in two contiguous pools (one per kind): machine
@@ -145,9 +150,6 @@ func (m *Machine) Reset(opts MachineOptions) error {
 	// Keys of m.outputs are observable (only channels actually written
 	// appear), so the map is emptied rather than truncated in place; the
 	// sample storage is parked in outPool for the next run's first writes.
-	if len(m.outputs) > 0 && m.outPool == nil {
-		m.outPool = make(map[string][]Sample, len(m.outputs))
-	}
 	for ch, s := range m.outputs {
 		m.outPool[ch] = s[:0]
 	}

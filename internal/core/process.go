@@ -105,8 +105,6 @@ func (p *Process) behavior() Behavior {
 	return p.Behavior
 }
 
-func (p *Process) hasInput(ch string) bool  { return contains(p.inputs, ch) }
-func (p *Process) hasOutput(ch string) bool { return contains(p.outputs, ch) }
 func (p *Process) hasExtIn(ch string) bool  { return contains(p.extIn, ch) }
 func (p *Process) hasExtOut(ch string) bool { return contains(p.extOut, ch) }
 

@@ -282,7 +282,7 @@ func Report(r *plan.Report) ReportJSON {
 		Outputs:  map[string]int{},
 		Makespan: r.Makespan.String(),
 	}
-	for _, e := range r.Entries {
+	for _, e := range r.GanttEntries() {
 		out.Entries = append(out.Entries, EntryJSON{
 			Processor: e.Proc, Label: e.Label,
 			Start: e.Start.String(), End: e.End.String(),

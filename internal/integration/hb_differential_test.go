@@ -39,8 +39,8 @@ import (
 func normalizeGantt(rep *plan.Report) {
 	sort.SliceStable(rep.Entries, func(i, j int) bool {
 		a, b := rep.Entries[i], rep.Entries[j]
-		if c := a.Start.Cmp(b.Start); c != 0 {
-			return c < 0
+		if a.Start != b.Start {
+			return a.Start < b.Start
 		}
 		return a.Proc < b.Proc
 	})

@@ -175,6 +175,7 @@ func runReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, error) {
 	procChainPrev := s.ChainPrev(procOrder) // previous job index on the same processor, or -1
 
 	report := &plan.Report{Schedule: s, Frames: cfg.Frames}
+	var entries []refEntry
 	h := tg.Hyperperiod
 	lastFinishOnProc := make([]core.Time, s.M) // carry-over across frames
 	finish := make([]core.Time, n)
@@ -229,12 +230,12 @@ func runReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, error) {
 				return nil, fmt.Errorf("rt: negative execution time %v for %s", c, j.Name())
 			}
 			finish[i] = start.Add(c)
-			report.Entries = append(report.Entries, sched.GanttEntry{
+			entries = append(entries, refEntry{sched.GanttEntry{
 				Proc:  s.Assign[i].Proc,
 				Label: j.Name(),
 				Start: start,
 				End:   finish[i],
-			})
+			}, i})
 			deadline := base.Add(j.Deadline)
 			if deadline.Less(finish[i]) {
 				report.Misses = append(report.Misses, plan.Miss{
@@ -293,9 +294,41 @@ func runReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, error) {
 	}
 
 	report.Outputs = machine.Outputs()
-	report.Channels = machine.ChannelSnapshot()
 	report.Trace = machine.Trace()
-	return report, nil
+	return tickReport(report, entries, machine), nil
+}
+
+// refEntry is an executed interval of a reference engine: exact times and
+// the job's index in the task graph.
+type refEntry struct {
+	sched.GanttEntry
+	job int
+}
+
+// tickReport returns r with the reference engine's exact intervals lowered
+// onto the coarsest int64 timescale holding them all, the form plan.Report
+// carries, and machine's final channel state.
+func tickReport(r *plan.Report, entries []refEntry, machine *core.Machine) *plan.Report {
+	times := make([]core.Time, 0, 2*len(entries))
+	for _, e := range entries {
+		times = append(times, e.Start, e.End)
+	}
+	sc, ok := rational.CommonScale(times)
+	if !ok {
+		panic("reference intervals share no int64 timescale")
+	}
+	out := plan.NewReport(r.Schedule, r.Frames, sc, machine)
+	for _, e := range entries {
+		start, okStart := sc.Ticks(e.Start)
+		end, okEnd := sc.Ticks(e.End)
+		if !okStart || !okEnd {
+			panic("reference interval off its own timescale")
+		}
+		out.Entries = append(out.Entries, plan.Entry{Proc: int32(e.Proc), Job: int32(e.job), Start: start, End: end})
+	}
+	out.Misses, out.Skipped, out.Outputs, out.Trace = r.Misses, r.Skipped, r.Outputs, r.Trace
+	out.Makespan, out.MaxLateness = r.Makespan, r.MaxLateness
+	return out
 }
 
 // vclock is a cooperative virtual clock shared by the processor goroutines
@@ -479,7 +512,7 @@ func runConcurrentReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, e
 	var dataMu sync.Mutex // serializes Machine access between processors
 
 	type result struct {
-		entries []sched.GanttEntry
+		entries []refEntry
 		misses  []plan.Miss
 		skipped []plan.Skip
 	}
@@ -540,9 +573,9 @@ func runConcurrentReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, e
 					if err := clock.waitUntil(p, end); err != nil {
 						return
 					}
-					res.entries = append(res.entries, sched.GanttEntry{
+					res.entries = append(res.entries, refEntry{sched.GanttEntry{
 						Proc: p, Label: j.Name(), Start: start, End: end,
-					})
+					}, i})
 					if deadline := base.Add(j.Deadline); deadline.Less(end) {
 						res.misses = append(res.misses, plan.Miss{Job: j, Frame: f, Finish: end, Deadline: deadline})
 					}
@@ -557,13 +590,14 @@ func runConcurrentReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, e
 	}
 
 	report := &plan.Report{Schedule: s, Frames: cfg.Frames}
+	var entries []refEntry
 	for _, res := range results {
-		report.Entries = append(report.Entries, res.entries...)
+		entries = append(entries, res.entries...)
 		report.Misses = append(report.Misses, res.misses...)
 		report.Skipped = append(report.Skipped, res.skipped...)
 	}
-	sort.Slice(report.Entries, func(a, b int) bool {
-		ea, eb := report.Entries[a], report.Entries[b]
+	sort.Slice(entries, func(a, b int) bool {
+		ea, eb := entries[a], entries[b]
 		if !ea.Start.Equal(eb.Start) {
 			return ea.Start.Less(eb.Start)
 		}
@@ -586,7 +620,7 @@ func runConcurrentReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, e
 		}
 		return sa.Job.Index < sb.Job.Index
 	})
-	for _, e := range report.Entries {
+	for _, e := range entries {
 		if report.Makespan.Less(e.End) {
 			report.Makespan = e.End
 		}
@@ -597,6 +631,5 @@ func runConcurrentReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, e
 		}
 	}
 	report.Outputs = machine.Outputs()
-	report.Channels = machine.ChannelSnapshot()
-	return report, nil
+	return tickReport(report, entries, machine), nil
 }

@@ -15,8 +15,8 @@ func ms(n int64) core.Time { return rational.Milli(n) }
 //
 //   - "broken-model" violates the hard model rules (FPPN001–005) and
 //     demonstrates the FP completion suggestions (FPPN016);
-//   - "broken-timing" is a valid, schedulable model whose timing triggers
-//     every warning rule (FPPN006–012);
+//   - "broken-timing" is a valid model whose timing triggers FPPN006–012,
+//     FPPN012 as an error: its frame is beyond 2^20 jobs;
 //   - "broken-flow" is a valid, schedulable model whose token flow
 //     triggers the static dataflow rules (FPPN014, FPPN015, FPPN017);
 //   - "broken-feas" is a valid, schedulable model whose derived task
@@ -92,12 +92,13 @@ func BrokenModel() *core.Network {
 	return n
 }
 
-// BrokenTiming builds a fully valid, schedulable network whose timing
-// triggers every warning rule: a sporadic process with d ≤ T_u (FPPN006),
-// a WCET above its deadline (FPPN007), total utilization above two
-// processors (FPPN008), two FP-unordered periodic blackboard writers
-// merged by one reader (FPPN009), a channel into an unobservable process
-// (FPPN010, FPPN011), and severely non-harmonic periods (FPPN012).
+// BrokenTiming builds a fully valid network whose timing triggers the
+// timing rules: a sporadic process with d ≤ T_u (FPPN006), a WCET above
+// its deadline (FPPN007), total utilization above two processors
+// (FPPN008), two FP-unordered periodic blackboard writers merged by one
+// reader (FPPN009), a channel into an unobservable process (FPPN010,
+// FPPN011), and severely non-harmonic periods (FPPN012, an error: the
+// 24,945,752-job frame is beyond taskgraph.MaxFrameJobs).
 func BrokenTiming() *core.Network {
 	n := core.NewNetwork("broken-timing")
 

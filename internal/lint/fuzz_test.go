@@ -54,10 +54,18 @@ func mutate(net *core.Network, sel byte) {
 	}
 }
 
+// overFrameLimit reports whether one frame of net's PN' holds more than
+// taskgraph.MaxFrameJobs jobs, the frames taskgraph.Derive rejects and
+// FPPN012 reports as an error.
+func overFrameLimit(net *core.Network) bool {
+	tm, err := taskgraph.LowerTiming(net, rational.Zero)
+	return err == nil && tm.Jobs > taskgraph.MaxFrameJobs
+}
+
 // assertLintContract runs lint on net and checks that it returns a report
 // that encodes, with error findings exactly when ValidateSchedulable
-// rejects the network or its timing does not fit the integer timescale
-// (FPPN021).
+// rejects the network, its timing does not fit the integer timescale
+// (FPPN021) or its frame is beyond the derivation's limit (FPPN012).
 func assertLintContract(t *testing.T, net *core.Network, m int) {
 	t.Helper()
 	rep := Run(net, Options{Processors: m})
@@ -69,6 +77,8 @@ func assertLintContract(t *testing.T, net *core.Network, m int) {
 		var te *taskgraph.TimescaleError
 		if _, err := taskgraph.LowerTiming(net, rational.Zero); errors.As(err, &te) {
 			want = err
+		} else if overFrameLimit(net) {
+			want = errors.New("frame beyond taskgraph.MaxFrameJobs")
 		}
 	}
 	if rep.HasErrors() != (want != nil) {

@@ -11,8 +11,9 @@
 // thin adapters over core's structured problem lists, which this package
 // converts one-to-one into findings — plus FPPN021, the timescale check of
 // taskgraph.LowerTiming. A network with zero error-severity findings
-// therefore always passes ValidateSchedulable and derives a task graph,
-// unless its frame exceeds 2^20 jobs (flagged by the FPPN012 warning).
+// therefore always passes ValidateSchedulable and derives a task graph:
+// FPPN012, a warning otherwise, is an error on frames of more than
+// taskgraph.MaxFrameJobs = 2^20 jobs, which Derive rejects.
 package lint
 
 import (

@@ -53,9 +53,11 @@ func TestEveryCodeFires(t *testing.T) {
 		rep := Run(build(), Options{})
 		for _, f := range rep.Findings {
 			fired[f.Code] = true
+			// FPPN012 is an error on frames Derive rejects.
+			frameErr := f.Code == CodeHyperperiod && f.Severity == Error && overFrameLimit(build())
 			if r, ok := RuleFor(f.Code); !ok {
 				t.Errorf("%s: finding with unregistered code %s", name, f.Code)
-			} else if r.Severity != f.Severity {
+			} else if r.Severity != f.Severity && !frameErr {
 				t.Errorf("%s: %s severity %v, registry says %v", name, f.Code, f.Severity, r.Severity)
 			}
 		}
@@ -68,10 +70,11 @@ func TestEveryCodeFires(t *testing.T) {
 }
 
 // The error-severity subset must coincide exactly with
-// core.ValidateSchedulable plus the timescale check: same verdict on every
-// target, every core error finding's message must appear in the joined
-// validation error, and FPPN021 must fire exactly when
-// taskgraph.LowerTiming reports a timescale error.
+// core.ValidateSchedulable plus the timescale and frame-size checks: same
+// verdict on every target, every core error finding's message must appear
+// in the joined validation error, FPPN021 must fire exactly when
+// taskgraph.LowerTiming reports a timescale error, and FPPN012 is an error
+// exactly when the frame is beyond taskgraph.MaxFrameJobs.
 func TestErrorsMatchValidate(t *testing.T) {
 	for name, net := range targets(t) {
 		rep := Run(net, Options{})
@@ -79,12 +82,18 @@ func TestErrorsMatchValidate(t *testing.T) {
 		_, terr := taskgraph.LowerTiming(net, rational.Zero)
 		var te *taskgraph.TimescaleError
 		timescale := errors.As(terr, &te)
-		if rep.HasErrors() != (err != nil || timescale) {
-			t.Errorf("%s: HasErrors=%v but ValidateSchedulable=%v, LowerTiming=%v", name, rep.HasErrors(), err, terr)
+		frame := overFrameLimit(net)
+		if rep.HasErrors() != (err != nil || timescale || frame) {
+			t.Errorf("%s: HasErrors=%v but ValidateSchedulable=%v, LowerTiming=%v, frame beyond limit %v",
+				name, rep.HasErrors(), err, terr, frame)
 			continue
 		}
-		fired := false
+		fired, frameFired := false, false
 		for _, f := range rep.Errors() {
+			if f.Code == CodeHyperperiod {
+				frameFired = true
+				continue
+			}
 			if f.Code == CodeTimescale {
 				fired = true
 				if f.Subject != te.Subject || !strings.Contains(f.Message, te.Reason) {
@@ -98,6 +107,9 @@ func TestErrorsMatchValidate(t *testing.T) {
 		}
 		if fired != timescale {
 			t.Errorf("%s: FPPN021 fired=%v, LowerTiming error %v", name, fired, terr)
+		}
+		if frameFired != frame {
+			t.Errorf("%s: FPPN012 error fired=%v, frame beyond limit %v", name, frameFired, frame)
 		}
 	}
 }
@@ -147,7 +159,7 @@ func TestRuleFor(t *testing.T) {
 func TestTextRendering(t *testing.T) {
 	rep := Run(BrokenTiming(), Options{})
 	text := rep.Text()
-	for _, want := range []string{"warning FPPN006", "warning FPPN012", "fix:", "8 warning(s)"} {
+	for _, want := range []string{"warning FPPN006", "error FPPN012", "fix:", "1 error(s), 7 warning(s)"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("Text() missing %q:\n%s", want, text)
 		}
@@ -180,15 +192,57 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // Raising the capacity and thresholds must silence the budget-style rules.
+// Broken-timing's frame of 24,945,752 jobs is beyond the derivation's
+// limit, which no option raises: FPPN012 stays, as its only error.
 func TestOptionThresholds(t *testing.T) {
 	rep := Run(BrokenTiming(), Options{Processors: 4, MaxFrameJobs: 1 << 40, MaxPeriodRatio: 1 << 40})
 	for _, f := range rep.Findings {
-		if f.Code == CodeUtilization || f.Code == CodeHyperperiod {
+		if f.Code == CodeUtilization || f.Code == CodeHyperperiod && f.Severity != Error {
 			t.Errorf("threshold rule still fired: %s", f)
 		}
 	}
-	if rep := Run(BrokenTiming(), Options{Processors: 3}); len(rep.atSeverity(Error)) != 0 {
-		t.Error("broken-timing must stay error-free")
+	errs := Run(BrokenTiming(), Options{Processors: 3}).atSeverity(Error)
+	if len(errs) != 1 || errs[0].Code != CodeHyperperiod {
+		t.Errorf("broken-timing errors %v, want only FPPN012's frame-size error", errs)
+	}
+}
+
+// FPPN012 is an error exactly on frames taskgraph.Derive rejects: one job
+// past taskgraph.MaxFrameJobs, and a warning at the limit itself.
+func TestHyperperiodFrameLimit(t *testing.T) {
+	for _, tc := range []struct {
+		slow int64 // period of the slow process, in units of the fast one
+		jobs int
+		sev  Severity
+	}{
+		{taskgraph.MaxFrameJobs, taskgraph.MaxFrameJobs + 1, Error},
+		{taskgraph.MaxFrameJobs - 1, taskgraph.MaxFrameJobs, Warning},
+	} {
+		// H = slow; the fast process runs slow times, the slow one once.
+		net := core.NewNetwork("frame")
+		net.AddPeriodic("fast", rational.FromInt(1), rational.FromInt(1), rational.New(1, 4), core.NopBehavior)
+		net.AddPeriodic("slow", rational.FromInt(tc.slow), rational.FromInt(tc.slow), rational.New(1, 4), core.NopBehavior)
+		net.Output("fast", "OUT_fast")
+		net.Output("slow", "OUT_slow")
+		if tm, err := taskgraph.LowerTiming(net, rational.Zero); err != nil || tm.Jobs != tc.jobs {
+			t.Fatalf("LowerTiming: %v jobs, %v; want %d", tm, err, tc.jobs)
+		}
+		var got []Finding
+		for _, f := range Run(net, Options{}).Findings {
+			if f.Code == CodeHyperperiod {
+				got = append(got, f)
+			}
+		}
+		if len(got) != 1 || got[0].Severity != tc.sev {
+			t.Errorf("%d jobs: FPPN012 findings %v, want one at severity %v", tc.jobs, got, tc.sev)
+		}
+		// Derive fails fast past the limit; at it, it would expand the
+		// whole frame, so it is left out.
+		if tc.sev == Error {
+			if _, err := taskgraph.Derive(net); err == nil {
+				t.Errorf("%d jobs: Derive accepted a frame FPPN012 rejects", tc.jobs)
+			}
+		}
 	}
 }
 

@@ -423,11 +423,17 @@ func runDeadProcesses(c *context, r Rule) {
 // many jobs per hyperperiod, or a hyperperiod vastly longer than the
 // fastest period. Exact-arithmetic overflow while forming the LCM or the
 // job count is itself reported as a (worst-case) instance of the same
-// diagnostic.
+// diagnostic. A frame of PN' beyond taskgraph.MaxFrameJobs jobs, which
+// taskgraph.Derive rejects, is reported whatever the options, as an error.
 func runHyperperiod(c *context, r Rule) {
 	procs := c.net.Processes()
 	if len(procs) == 0 {
 		return
+	}
+	tm, err := c.timing()
+	underived := err == nil && tm.Jobs > taskgraph.MaxFrameJobs
+	if underived {
+		r.Severity = Error // r is this call's copy of the registry entry
 	}
 	// Derived periods: sporadic processes run at their server period.
 	// fits turns false when a fractional server period overflows.
@@ -467,7 +473,7 @@ func runHyperperiod(c *context, r Rule) {
 			"hyperperiod of the process periods overflows exact rational arithmetic; the periods are severely non-harmonic")
 		return
 	}
-	if jobs > int64(c.opts.MaxFrameJobs) || ratio > c.opts.MaxPeriodRatio {
+	if underived || jobs > int64(c.opts.MaxFrameJobs) || ratio > c.opts.MaxPeriodRatio {
 		c.addf(r, "network", c.net.Name,
 			"harmonize the process periods (cf. the paper's FMS reduction 1600 ms → 400 ms)",
 			"hyperperiod %vs spans %d jobs per frame (H/min-period = %d); non-harmonic periods blow the task graph up",

@@ -138,8 +138,9 @@ func TestNominalRunMatchesPlainRuntime(t *testing.T) {
 	if len(rep.Entries) != len(plain.Entries) {
 		t.Fatalf("%d Gantt entries, plain runtime %d", len(rep.Entries), len(plain.Entries))
 	}
+	plainEntries := plain.GanttEntries()
 	for k, got := range rep.Entries {
-		want := plain.Entries[k]
+		want := plainEntries[k]
 		if got.Proc != want.Proc || got.Label != want.Label || !got.Start.Equal(want.Start) || !got.End.Equal(want.End) {
 			t.Errorf("Gantt entry %d = %+v, plain runtime %+v", k, got, want)
 		}

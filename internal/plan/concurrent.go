@@ -9,12 +9,12 @@ package plan
 // the zero-delay reference — Proposition 2.1 made executable.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
-
-	"repro/internal/sched"
 )
 
 // vclock is a cooperative virtual clock shared by the processor goroutines.
@@ -179,7 +179,7 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 	var dataMu sync.Mutex // serializes Machine access between processors
 
 	type result struct {
-		entries           []sched.GanttEntry
+		entries           []Entry
 		misses            []Miss
 		skipped           []Skip
 		makespan, maxLate int64
@@ -234,12 +234,11 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 					if err := clock.waitUntil(proc, end); err != nil {
 						return
 					}
-					endRat := rt.sc.FromTicks(end)
-					res.entries = append(res.entries, sched.GanttEntry{
-						Proc: proc, Label: p.jobName[i], Start: rt.sc.FromTicks(start), End: endRat,
+					res.entries = append(res.entries, Entry{
+						Proc: int32(proc), Job: int32(i), Start: start, End: end,
 					})
 					if deadline := rt.Deadline(f, i); end > deadline {
-						res.misses = append(res.misses, Miss{Job: j, Frame: f, Finish: endRat, Deadline: rt.sc.FromTicks(deadline)})
+						res.misses = append(res.misses, Miss{Job: j, Frame: f, Finish: rt.sc.FromTicks(end), Deadline: rt.sc.FromTicks(deadline)})
 						res.maxLate = max(res.maxLate, end-deadline)
 					}
 					res.makespan = max(res.makespan, end)
@@ -253,67 +252,27 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	report := &rs.report
-	*report = Report{Schedule: p.S, Frames: cfg.Frames}
-	report.Entries = rs.entries[:0]
-	report.Misses = rs.misses[:0]
-	report.Skipped = rs.skipped[:0]
+	report := rs.openReport(cfg.Frames, machine)
+	var makespan, maxLate int64
 	for _, res := range results {
 		report.Entries = append(report.Entries, res.entries...)
 		report.Misses = append(report.Misses, res.misses...)
 		report.Skipped = append(report.Skipped, res.skipped...)
-	}
-	sort.Slice(report.Entries, func(a, b int) bool {
-		ea, eb := report.Entries[a], report.Entries[b]
-		if !ea.Start.Equal(eb.Start) {
-			return ea.Start.Less(eb.Start)
-		}
-		if ea.Proc != eb.Proc {
-			return ea.Proc < eb.Proc
-		}
-		return ea.Label < eb.Label
-	})
-	sort.Slice(report.Misses, func(a, b int) bool {
-		ma, mb := report.Misses[a], report.Misses[b]
-		if ma.Frame != mb.Frame {
-			return ma.Frame < mb.Frame
-		}
-		return ma.Job.Index < mb.Job.Index
-	})
-	sort.Slice(report.Skipped, func(a, b int) bool {
-		sa, sb := report.Skipped[a], report.Skipped[b]
-		if sa.Frame != sb.Frame {
-			return sa.Frame < sb.Frame
-		}
-		return sa.Job.Index < sb.Job.Index
-	})
-	var makespan, maxLate int64
-	for _, res := range results {
 		makespan, maxLate = max(makespan, res.makespan), max(maxLate, res.maxLate)
 	}
-	if makespan > 0 {
-		report.Makespan = rt.sc.FromTicks(makespan)
-	}
-	if maxLate > 0 {
-		report.MaxLateness = rt.sc.FromTicks(maxLate)
-	}
-	// Keep the grown arenas, then match the historical surface of this
-	// entry point: every report slice here is append-built, so empty ones
-	// are nil.
-	rs.entries = report.Entries
-	rs.misses = report.Misses
-	rs.skipped = report.Skipped
-	if len(report.Entries) == 0 {
-		report.Entries = nil
-	}
-	if len(report.Misses) == 0 {
-		report.Misses = nil
-	}
-	if len(report.Skipped) == 0 {
-		report.Skipped = nil
-	}
-	report.Outputs = machine.Outputs()
-	rs.snapMap, rs.snapVals = machine.ChannelSnapshotInto(rs.snapMap, rs.snapVals)
-	report.Channels = rs.snapMap
-	return report, nil
+	// Order by (start, processor, job name): only zero-length intervals
+	// tie on start and processor, so only they format names.
+	slices.SortFunc(report.Entries, func(a, b Entry) int {
+		if c := cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Proc, b.Proc)); c != 0 {
+			return c
+		}
+		return strings.Compare(tg.Jobs[a.Job].Name(), tg.Jobs[b.Job].Name())
+	})
+	slices.SortFunc(report.Misses, func(a, b Miss) int {
+		return cmp.Or(cmp.Compare(a.Frame, b.Frame), cmp.Compare(a.Job.Index, b.Job.Index))
+	})
+	slices.SortFunc(report.Skipped, func(a, b Skip) int {
+		return cmp.Or(cmp.Compare(a.Frame, b.Frame), cmp.Compare(a.Job.Index, b.Job.Index))
+	})
+	return rs.closeReport(makespan, maxLate), nil
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/apps/signal"
@@ -76,7 +77,7 @@ func TestConcurrentVirtualTimingExact(t *testing.T) {
 		}
 		return m
 	}
-	a, b := collect(seq.Entries), collect(conc.Entries)
+	a, b := collect(seq.GanttEntries()), collect(conc.GanttEntries())
 	if len(a) != len(b) {
 		t.Fatalf("%d vs %d distinct intervals", len(a), len(b))
 	}
@@ -191,5 +192,39 @@ func TestConcurrentErrors(t *testing.T) {
 	if _, err := runConcurrentOnce(s, Config{Frames: 1,
 		Exec: func(j *taskgraph.Job, frame int) Time { return ms(-1) }}); err == nil {
 		t.Error("negative execution time accepted")
+	}
+}
+
+// TestConcurrentEntryOrderOnTies pins RunConcurrent's merged entry order
+// where start and processor tie: zero-length intervals at one instant on
+// one processor come out ordered by job name as a string ("x[10]" before
+// "x[1]"), not by job index or static order.
+func TestConcurrentEntryOrderOnTies(t *testing.T) {
+	net := core.NewNetwork("ties")
+	net.AddMultiPeriodic("x", 12, ms(100), ms(100), ms(1), core.NopBehavior)
+	net.AddPeriodic("a", ms(100), ms(100), ms(1), core.NopBehavior)
+	tg, err := taskgraph.Derive(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.ListSchedule(tg, 1, sched.ALAPEDF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Frames: 1, Exec: func(*taskgraph.Job, int) Time { return rational.Zero }}
+	rep, err := runConcurrentOnce(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range rep.Entries {
+		if e.Start != 0 || e.End != 0 || e.Proc != 0 {
+			t.Fatalf("entry %+v: want a zero-length interval at 0 on processor 0", e)
+		}
+		got = append(got, tg.Jobs[e.Job].Name())
+	}
+	want := []string{"a[1]", "x[10]", "x[11]", "x[12]", "x[1]", "x[2]", "x[3]", "x[4]", "x[5]", "x[6]", "x[7]", "x[8]", "x[9]"}
+	if !slices.Equal(got, want) {
+		t.Errorf("entries in order %v, want %v", got, want)
 	}
 }

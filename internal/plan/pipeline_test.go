@@ -66,11 +66,12 @@ func TestPipelinedRunMeetsDeadlinesAndStaysDeterministic(t *testing.T) {
 	// the next frame on another processor.
 	h := tg.Hyperperiod
 	overlapSeen := false
-	for _, e1 := range rep.Entries {
+	entries := rep.GanttEntries()
+	for _, e1 := range entries {
 		if !strings.HasPrefix(e1.Label, "A") {
 			continue
 		}
-		for _, e2 := range rep.Entries {
+		for _, e2 := range entries {
 			if !strings.HasPrefix(e2.Label, "C") {
 				continue
 			}

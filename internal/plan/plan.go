@@ -75,32 +75,76 @@ type Skip struct {
 	Frame int
 }
 
+// Entry is one executed interval: job Job (a task-graph index) ran on
+// processor Proc from Start to End, in ticks of the report's Scale. It holds
+// no pointers, so the garbage collector never scans an entry arena.
+type Entry struct {
+	Proc, Job  int32
+	Start, End int64
+}
+
 // Report is the outcome of a runtime execution.
 type Report struct {
 	Schedule *sched.Schedule
 	Frames   int
-	// Entries holds the executed intervals with absolute times.
-	Entries []sched.GanttEntry
+	// Scale is the run's timescale: Entries' instants are ticks of it.
+	Scale rational.Scale
+	// Entries holds the executed intervals in ticks; GanttEntries and Time
+	// convert them to exact time for printing and export.
+	Entries []Entry
 	// Misses lists deadline violations in completion order.
 	Misses []Miss
 	// Skipped lists false-marked server jobs.
 	Skipped []Skip
 	// Outputs are the external output samples produced.
 	Outputs map[string][]core.Sample
-	// Channels is the final internal channel state.
-	Channels map[string][]core.Value
 	// Trace is the recorded action trace (if enabled).
 	Trace core.Trace
 	// Makespan is the absolute completion time of the last job.
 	Makespan Time
 	// MaxLateness is the largest positive (finish − deadline), or zero.
 	MaxLateness Time
+
+	// machine holds the run's final channel state; rs, when set, is the
+	// RunState whose pooled storage Channels snapshots it into.
+	machine *core.Machine
+	rs      *RunState
+}
+
+// NewReport returns an empty report, for an engine outside this package to
+// fill, of a run of s over frames frames on timescale sc ending in m.
+func NewReport(s *sched.Schedule, frames int, sc rational.Scale, m *core.Machine) *Report {
+	return &Report{Schedule: s, Frames: frames, Scale: sc, machine: m}
+}
+
+// Time converts an instant of the report's Entries to exact time.
+func (r *Report) Time(ticks int64) Time { return r.Scale.FromTicks(ticks) }
+
+// GanttEntries returns the executed intervals in exact time, labelled with
+// their job names, in Entries order.
+func (r *Report) GanttEntries() []sched.GanttEntry {
+	out := make([]sched.GanttEntry, len(r.Entries))
+	for k, e := range r.Entries {
+		out[k] = sched.GanttEntry{Proc: int(e.Proc), Label: r.Schedule.TG.Jobs[e.Job].Name(), Start: r.Time(e.Start), End: r.Time(e.End)}
+	}
+	return out
+}
+
+// Channels snapshots the final internal channel state. On a report of a
+// RunState the snapshot is taken into the state's pooled storage: it is
+// valid until the next Channels call or run on that state.
+func (r *Report) Channels() map[string][]core.Value {
+	if r.rs == nil {
+		return r.machine.ChannelSnapshot()
+	}
+	r.rs.snapMap, r.rs.snapVals = r.machine.ChannelSnapshotInto(r.rs.snapMap, r.rs.snapVals)
+	return r.rs.snapMap
 }
 
 // Gantt renders the executed intervals over the full run horizon.
 func (r *Report) Gantt(width int) string {
 	horizon := r.Schedule.TG.Hyperperiod.MulInt(int64(r.Frames))
-	return sched.GanttChart(r.Entries, r.Schedule.M, horizon, width)
+	return sched.GanttChart(r.GanttEntries(), r.Schedule.M, horizon, width)
 }
 
 // Summary formats the headline numbers of the run.
@@ -412,9 +456,6 @@ type Plan struct {
 	jobProc []int
 	// jobPid[i] is Jobs[i].Pid, checked against the compiled network.
 	jobPid []int
-	// jobName[i] is Jobs[i].Name() precomputed: Gantt entries label every
-	// executed interval, and Job.Name formats a fresh string per call.
-	jobName []string
 }
 
 // Compile lowers a static schedule into an execution plan. It validates
@@ -467,13 +508,11 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		hTicks:  hTicks,
 		jobProc: make([]int, n),
 		jobPid:  make([]int, n),
-		jobName: make([]string, n),
 	}
 	for i, j := range tg.Jobs {
 		p.wcetTicks += jt.WCET[i]
 		p.maxJobTicks = max(p.maxJobTicks, jt.Arrival[i], -jt.Arrival[i], jt.Deadline[i], -jt.Deadline[i])
 		p.jobProc[i] = s.Assign[i].Proc
-		p.jobName[i] = j.Name()
 		p.jobPid[i] = j.Pid // in range and naming j.Proc: buildInvTables checked
 	}
 	if p.procOrder, err = s.ProcessorOrder(); err != nil {

@@ -1,10 +1,6 @@
 package plan
 
-import (
-	"math"
-
-	"repro/internal/sched"
-)
+import "math"
 
 // Run executes the static-order policy as an exact discrete-event
 // computation against the compiled plan and returns the full report. It
@@ -26,25 +22,9 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 
 	n := p.n
 	tg := p.tg
-	report := &rs.report
-	*report = Report{Schedule: p.S, Frames: cfg.Frames}
-	if cap(rs.entries) < cfg.Frames*n {
-		rs.entries = make([]sched.GanttEntry, 0, cfg.Frames*n)
-	}
-	report.Entries = rs.entries[:0]
-	report.Misses = rs.misses[:0]
-	report.Skipped = rs.skipped[:0]
+	report := rs.openReport(cfg.Frames, machine)
 	finish := zeroed(&rs.finish, n)
 	lastFinishOnProc := zeroed(&rs.lastFinishOnProc, p.S.M) // carry-over across frames
-	// lastEnd[proc] is the processor's latest Gantt entry End, in ticks
-	// (math.MinInt64 before the first) and as the rational already
-	// written: a job that starts when its processor's last job ends
-	// reuses that rational instead of converting again.
-	lastEnd := zeroed(&rs.lastEnd, p.S.M)
-	for proc := range lastEnd {
-		lastEnd[proc] = math.MinInt64
-	}
-	lastEndRat := zeroed(&rs.lastEndRat, p.S.M)
 	// In pipelined mode, cross-frame precedence: a job must wait for the
 	// previous frame's jobs of every related process. prevProcFinish
 	// holds each process's latest finish in the previous frame, by pid.
@@ -91,29 +71,12 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 			}
 			end := start + rt.Exec(f, i)
 			finish[i] = end
-			var startRat Time
-			switch {
-			case start == lastEnd[proc]:
-				startRat = lastEndRat[proc]
-			case start == ready[i] && invs[i].EventIndex == 0:
-				startRat = invs[i].Ready // f·H + A_i, already normalized by planInto
-			default:
-				startRat = rt.sc.FromTicks(start)
-			}
-			endRat := startRat
-			if end != start {
-				endRat = rt.sc.FromTicks(end)
-			}
-			lastEnd[proc], lastEndRat[proc] = end, endRat
-			report.Entries = append(report.Entries, sched.GanttEntry{
-				Proc:  proc,
-				Label: p.jobName[i],
-				Start: startRat,
-				End:   endRat,
+			report.Entries = append(report.Entries, Entry{
+				Proc: int32(proc), Job: int32(i), Start: start, End: end,
 			})
 			if deadline := rt.Deadline(f, i); end > deadline {
 				report.Misses = append(report.Misses, Miss{
-					Job: tg.Jobs[i], Frame: f, Finish: endRat, Deadline: rt.sc.FromTicks(deadline),
+					Job: tg.Jobs[i], Frame: f, Finish: rt.sc.FromTicks(end), Deadline: rt.sc.FromTicks(deadline),
 				})
 				maxLate = max(maxLate, end-deadline)
 			}
@@ -149,29 +112,7 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 			}
 		}
 	}
-	if makespan > 0 {
-		report.Makespan = rt.sc.FromTicks(makespan)
-	}
-	if maxLate > 0 {
-		report.MaxLateness = rt.sc.FromTicks(maxLate)
-	}
-
-	// Keep the (possibly grown) report arenas for the next run, and match
-	// the fresh-state surface exactly: empty miss/skip lists are nil.
-	rs.entries = report.Entries
-	rs.misses = report.Misses
-	rs.skipped = report.Skipped
-	if len(report.Misses) == 0 {
-		report.Misses = nil
-	}
-	if len(report.Skipped) == 0 {
-		report.Skipped = nil
-	}
-	report.Outputs = machine.Outputs()
-	rs.snapMap, rs.snapVals = machine.ChannelSnapshotInto(rs.snapMap, rs.snapVals)
-	report.Channels = rs.snapMap
-	report.Trace = machine.Trace()
-	return report, nil
+	return rs.closeReport(makespan, maxLate), nil
 }
 
 // zeroed resizes *buf to n zero elements, reusing its storage.

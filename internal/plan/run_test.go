@@ -229,7 +229,7 @@ func TestSporadicEarlyInvocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var found bool
-	for _, e := range rep.Entries {
+	for _, e := range rep.GanttEntries() {
 		if strings.HasPrefix(e.Label, "s[") {
 			found = true
 			if !e.Start.Less(ms(100)) {
@@ -351,7 +351,7 @@ func TestFramesDoNotOverlapOnFeasibleSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := s.TG.Hyperperiod
-	for _, e := range rep.Entries {
+	for _, e := range rep.GanttEntries() {
 		frame := e.Start.FloorDiv(h)
 		frameEnd := h.MulInt(frame + 1)
 		if frameEnd.Less(e.End) {

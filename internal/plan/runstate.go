@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/sched"
 )
 
 // RunState is the per-run mutable execution context of a compiled plan.
@@ -48,23 +47,20 @@ type RunState struct {
 	// Report arenas: the report itself plus every slice it carries, grown
 	// once and refilled per run.
 	report  Report
-	entries []sched.GanttEntry
+	entries []Entry
 	misses  []Miss
 	skipped []Skip
 
 	// timing is the run's lowering onto ticks, read by both engines.
 	timing RunTiming
 	// Timing scratch of Run, in ticks: per-job finish times, per-processor
-	// carry-over and last Gantt end, per-process previous-frame finish
-	// (pipelined mode).
+	// carry-over, per-process previous-frame finish (pipelined mode).
 	finish           []int64
 	lastFinishOnProc []int64
-	lastEnd          []int64
-	lastEndRat       []Time
 	prevProcFinish   []int64
 
-	// Channel snapshot pool: the map and the one backing array its value
-	// slices are carved from.
+	// Pooled storage of the report's Channels snapshot: the map and the
+	// one backing array its value slices are carved from.
 	snapMap  map[string][]core.Value
 	snapVals []core.Value
 }
@@ -77,9 +73,6 @@ type RunState struct {
 func (p *Plan) NewRunState() *RunState {
 	return &RunState{p: p}
 }
-
-// Plan returns the immutable compiled plan this state executes.
-func (rs *RunState) Plan() *Plan { return rs.p }
 
 // Acquire marks the state checked out of an owner-managed free pool. Pool
 // owners call it on every state handed to a request — fresh or recycled —
@@ -126,6 +119,40 @@ func (rs *RunState) prepare(engine string, cfg Config, recordTrace bool) ([]JobP
 		RecordTrace: recordTrace,
 	})
 	return flat, machine, err
+}
+
+// openReport resets the state's report for a run of frames frames on
+// machine, its entry arena sized for every job of every frame.
+func (rs *RunState) openReport(frames int, machine *core.Machine) *Report {
+	if n := frames * rs.p.n; cap(rs.entries) < n {
+		rs.entries = make([]Entry, 0, n)
+	}
+	r := &rs.report
+	*r = Report{Schedule: rs.p.S, Frames: frames, Scale: rs.timing.sc, machine: machine, rs: rs,
+		Entries: rs.entries[:0], Misses: rs.misses[:0], Skipped: rs.skipped[:0]}
+	return r
+}
+
+// closeReport converts the run's makespan and largest lateness, takes the
+// machine's outputs and trace, keeps the report's slices as the state's
+// arenas and, like a fresh state, leaves empty miss and skip lists nil.
+func (rs *RunState) closeReport(makespan, maxLate int64) *Report {
+	r := &rs.report
+	if makespan > 0 {
+		r.Makespan = r.Time(makespan)
+	}
+	if maxLate > 0 {
+		r.MaxLateness = r.Time(maxLate)
+	}
+	rs.entries, rs.misses, rs.skipped = r.Entries, r.Misses, r.Skipped
+	if len(r.Misses) == 0 {
+		r.Misses = nil
+	}
+	if len(r.Skipped) == 0 {
+		r.Skipped = nil
+	}
+	r.Outputs, r.Trace = r.machine.Outputs(), r.machine.Trace()
+	return r
 }
 
 // acquireMachine returns the pooled machine reset for a new run, building

@@ -68,6 +68,9 @@ func (t *RunTiming) Deadline(f, i int) int64 {
 // Time converts an instant in ticks to exact time.
 func (t *RunTiming) Time(ticks int64) Time { return t.sc.FromTicks(ticks) }
 
+// Scale is the run's timescale.
+func (t *RunTiming) Scale() rational.Scale { return t.sc }
+
 // Lower plans a run's invocations and lowers its timing onto int64 ticks:
 // the lowering Run and RunConcurrent read, for an engine outside this
 // package that sweeps the plan's jobs itself. The invocation plan is
