@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/lint -fuzz FuzzLintNeverPanics -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzPlanMatchesZeroDelay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzListScheduleMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzCombinedOrderMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzStaticBuffersMatchExecuted -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzDemandBoundBelowMinProcessors -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzLoadMatchesReference -fuzztime $(FUZZTIME)

@@ -50,20 +50,31 @@ func BenchmarkFig1ZeroDelay(b *testing.B) {
 	}
 }
 
+// BenchmarkFig2SporadicServer times the boundary rules of Fig. 2 as every
+// engine reaches them: Plan.Lower distributes the sporadic events to server
+// subsets and lowers the run onto ticks. The plan compiles once.
 func BenchmarkFig2SporadicServer(b *testing.B) {
 	tg, err := taskgraph.Derive(signal.New())
 	if err != nil {
 		b.Fatal(err)
 	}
-	events := map[string][]fppn.Time{signal.CoefB: {fppn.Ms(50), fppn.Ms(400), fppn.Ms(1200)}}
+	s, err := sched.ListSchedule(tg, 1, sched.ALAPEDF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := plan.Compile(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := plan.Config{Frames: 7, SporadicEvents: map[string][]fppn.Time{signal.CoefB: {fppn.Ms(50), fppn.Ms(400), fppn.Ms(1200)}}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		invs, err := plan.PlanInvocations(tg, 7, events)
+		invs, _, err := p.Lower(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(invs) != 7 {
+		if len(invs) != 7*len(tg.Jobs) {
 			b.Fatal("bad plan")
 		}
 	}
@@ -446,6 +457,28 @@ func BenchmarkFMSOriginalHyperperiod(b *testing.B) {
 		}
 		if len(tg.Jobs) < 2000 {
 			b.Fatal("unexpected job count")
+		}
+	}
+}
+
+// BenchmarkFMSOriginalColdPipeline times one cold compile of the 40 s FMS
+// (2,798 jobs), the heaviest key of the compile-cold serving workload:
+// Derive, the heuristic portfolio at M=4 and plan.Compile.
+func BenchmarkFMSOriginalColdPipeline(b *testing.B) {
+	net := fms.NewConfig(fms.Original())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tg, err := taskgraph.Derive(net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := sched.Portfolio(tg, 4, sched.PortfolioOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Compile(s); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

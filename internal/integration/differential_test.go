@@ -125,6 +125,62 @@ func TestPortfolioContractRegistry(t *testing.T) {
 	}
 }
 
+// portfolioReference is Portfolio's documented pick computed without its
+// lanes: ListSchedule and Validate per heuristic, then the feasible
+// schedule with the smallest rational Makespan, the earlier heuristic
+// winning ties. It returns nil when no lane is feasible.
+func portfolioReference(tg *taskgraph.TaskGraph, m int) *sched.Schedule {
+	var best *sched.Schedule
+	for _, h := range sched.Heuristics {
+		s, err := sched.ListSchedule(tg, m, h)
+		if err != nil || s.Validate() != nil {
+			continue
+		}
+		if best == nil || s.Makespan().Less(best.Makespan()) {
+			best = s
+		}
+	}
+	return best
+}
+
+// TestPortfolioMatchesMakespanReference holds Portfolio, which compares
+// makespans in ticks, to portfolioReference on every registry application
+// at two to eight processors and on random networks.
+func TestPortfolioMatchesMakespanReference(t *testing.T) {
+	check := func(t *testing.T, tg *taskgraph.TaskGraph, m int) {
+		t.Helper()
+		want := portfolioReference(tg, m)
+		got, err := sched.Portfolio(tg, m, sched.PortfolioOptions{})
+		if (err == nil) != (want != nil) {
+			t.Fatalf("m=%d: Portfolio error %v, reference found a schedule: %t", m, err, want != nil)
+		}
+		if want != nil && !sameSchedule(got, want) {
+			t.Fatalf("m=%d: Portfolio picked %v (makespan %v), reference %v (makespan %v)",
+				m, got.Heuristic, got.Makespan(), want.Heuristic, want.Makespan())
+		}
+	}
+	for _, name := range apps.Names() {
+		net, err := apps.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg := derive(t, net)
+		for m := 2; m <= 8; m++ {
+			check(t, tg, m)
+		}
+	}
+	rng := rand.New(rand.NewSource(5151))
+	for trial := 0; trial < trialCount(t, 50); trial++ {
+		tg, err := taskgraph.Derive(nettest.Random(rng, nettest.Options{}))
+		if err != nil {
+			continue // generator produced a non-schedulable corner case
+		}
+		for _, m := range []int{1, 2, 3, len(tg.Jobs)} {
+			check(t, tg, m)
+		}
+	}
+}
+
 // TestDifferentialPaperApps re-derives each paper application and checks
 // that the portfolio schedule and the runtime report of its compiled plan
 // come out byte-identical, and that the portfolio contract holds at one to

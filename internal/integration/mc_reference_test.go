@@ -27,11 +27,11 @@ func mcRunReference(mcs *mc.Schedule, cfg mc.Config) (*mc.Report, error) {
 	loTG := mcs.Lo.TG
 	hiTG := mcs.Hi.TG
 	loChains, hiChains := rationalProcessorOrder(mcs.Lo), rationalProcessorOrder(mcs.Hi)
-	loOrder, err := mcs.Lo.CombinedOrder(loChains)
+	loOrder, err := combinedOrderReference(mcs.Lo, loChains)
 	if err != nil {
 		return nil, err
 	}
-	hiOrder, err := mcs.Hi.CombinedOrder(hiChains)
+	hiOrder, err := combinedOrderReference(mcs.Hi, hiChains)
 	if err != nil {
 		return nil, err
 	}
@@ -40,7 +40,11 @@ func mcRunReference(mcs *mc.Schedule, cfg mc.Config) (*mc.Report, error) {
 	for i, j := range hiTG.Jobs {
 		loOfHi[i] = loTG.Job(j.Proc, j.K).Index
 	}
-	invs, err := plan.PlanInvocations(loTG, cfg.Frames, cfg.SporadicEvents)
+	lo, err := plan.Compile(mcs.Lo)
+	if err != nil {
+		return nil, err
+	}
+	invs, _, err := lo.Lower(plan.Config{Frames: cfg.Frames, SporadicEvents: cfg.SporadicEvents})
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +88,7 @@ func mcRunReference(mcs *mc.Schedule, cfg mc.Config) (*mc.Report, error) {
 		finish := make([]mc.Time, n)
 		for _, i := range loOrder {
 			j := loTG.Jobs[i]
-			inv := invs[f][i]
+			inv := invs[f*n+i]
 			start := base
 			if start.Less(inv.Ready) {
 				start = inv.Ready
@@ -153,7 +157,7 @@ func mcRunReference(mcs *mc.Schedule, cfg mc.Config) (*mc.Report, error) {
 			if report.Makespan.Less(p.end) {
 				report.Makespan = p.end
 			}
-			dataJobs = append(dataJobs, dataJob{frame: f, index: i, now: invs[f][i].Ready})
+			dataJobs = append(dataJobs, dataJob{frame: f, index: i, now: invs[f*n+i].Ready})
 			if physFree[proc].Less(p.end) {
 				physFree[proc] = p.end
 			}
@@ -193,7 +197,7 @@ func mcRunReference(mcs *mc.Schedule, cfg mc.Config) (*mc.Report, error) {
 				}
 				j := hiTG.Jobs[hiIdx]
 				p := mcs.Hi.Assign[hiIdx].Proc
-				inv := invs[f][loIdx]
+				inv := invs[f*n+loIdx]
 				start := procBusy[p]
 				if start.Less(inv.Ready) {
 					start = inv.Ready

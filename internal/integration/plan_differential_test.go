@@ -215,9 +215,35 @@ func TestPlanMatchesReferenceRandomNetworks(t *testing.T) {
 	}
 }
 
+// lowerInvocations plans a run's invocations the way every engine does,
+// through plan.Compile(s).Lower, on a one-processor schedule of tg (the
+// invocation plan reads only the task graph), and cuts the result into
+// frames.
+func lowerInvocations(t *testing.T, tg *taskgraph.TaskGraph, frames int, events map[string][]core.Time) ([][]plan.JobPlan, error) {
+	t.Helper()
+	s, err := sched.ListSchedule(tg, 1, sched.ALAPEDF)
+	if err != nil {
+		t.Fatalf("schedule: %v", err)
+	}
+	p, err := plan.Compile(s)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	flat, _, err := p.Lower(plan.Config{Frames: frames, SporadicEvents: events})
+	if err != nil {
+		return nil, err
+	}
+	n := len(tg.Jobs)
+	out := make([][]plan.JobPlan, frames)
+	for f := range out {
+		out[f] = flat[f*n : (f+1)*n]
+	}
+	return out, nil
+}
+
 // TestPlanInvocationsMatchesReference sweeps random networks with random
-// event schedules: the index-arithmetic planner must reproduce the
-// windowed-map reference frame for frame.
+// event schedules: the index-arithmetic planner behind Plan.Lower must
+// reproduce the windowed-map reference frame for frame.
 func TestPlanInvocationsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	for trial := 0; trial < 40; trial++ {
@@ -230,7 +256,7 @@ func TestPlanInvocationsMatchesReference(t *testing.T) {
 		horizon := tg.Hyperperiod.MulInt(int64(frames))
 		events := nettest.RandomEvents(rng, net, horizon)
 
-		got, gotErr := plan.PlanInvocations(tg, frames, events)
+		got, gotErr := lowerInvocations(t, tg, frames, events)
 		want, wantErr := planInvocationsReference(tg, frames, events)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("trial %d: error mismatch: plan %v, reference %v", trial, gotErr, wantErr)
@@ -272,7 +298,7 @@ func TestPlanInvocationsErrorParity(t *testing.T) {
 		{"u": {rational.Milli(10)}},                        // periodic process cannot take events
 	}
 	for i, events := range cases {
-		_, gotErr := plan.PlanInvocations(tg, 2, events)
+		_, gotErr := lowerInvocations(t, tg, 2, events)
 		_, wantErr := planInvocationsReference(tg, 2, events)
 		if wantErr == nil || gotErr == nil {
 			t.Fatalf("case %d: expected both engines to reject %v (plan %v, reference %v)",

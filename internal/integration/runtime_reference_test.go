@@ -159,7 +159,7 @@ func runReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, error) {
 		return nil, err
 	}
 	procOrder := rationalProcessorOrder(s)
-	order, err := s.CombinedOrder(procOrder)
+	order, err := combinedOrderReference(s, procOrder)
 	if err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
@@ -497,7 +497,7 @@ func runConcurrentReference(s *sched.Schedule, cfg plan.Config) (*plan.Report, e
 		return nil, err
 	}
 	procOrder := rationalProcessorOrder(s)
-	if _, err := s.CombinedOrder(procOrder); err != nil {
+	if _, err := combinedOrderReference(s, procOrder); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)
 	}
 	machine, err := core.NewMachine(tg.Net, core.MachineOptions{Inputs: cfg.Inputs})

@@ -204,3 +204,37 @@ func TestSchedDifferentialHandBuilt(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedDifferentialOutOfOrderArrivals hand-builds task graphs whose
+// arrivals decrease along the index order in places, with ties, so the
+// engine's presorted arrival walk must release jobs in the (arrival,
+// index) order a rescanning scheduler sees. One variant stalls on a
+// zero-WCET predecessor after the last arrival.
+func TestSchedDifferentialOutOfOrderArrivals(t *testing.T) {
+	ms := rational.Milli
+	build := func(wcet0 rational.Rat) *taskgraph.TaskGraph {
+		arrivals := []int64{40, 0, 20, 0, 10, 20, 5}
+		jobs := make([]*taskgraph.Job, len(arrivals))
+		for i, a := range arrivals {
+			wcet := ms(10)
+			if i == 0 {
+				wcet = wcet0
+			}
+			jobs[i] = &taskgraph.Job{Index: i, Proc: string(rune('A' + i)), K: 1,
+				Arrival: ms(a), Deadline: ms(100), WCET: wcet}
+		}
+		return &taskgraph.TaskGraph{
+			Hyperperiod: ms(100),
+			Jobs:        jobs,
+			Succ:        [][]int{{5, 6}, {2}, {}, {4}, {}, {}, {}},
+			Pred:        [][]int{{}, {}, {1}, {}, {3}, {0}, {0}},
+		}
+	}
+	for _, tg := range []*taskgraph.TaskGraph{build(ms(10)), build(rational.Zero)} {
+		for _, h := range sched.Heuristics {
+			for m := 1; m <= 3; m++ {
+				assertSchedulePair(t, tg, m, h)
+			}
+		}
+	}
+}

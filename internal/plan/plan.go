@@ -269,7 +269,7 @@ type plannedEvent struct {
 
 // planScratch holds the arenas of the invocation planner. A RunState keeps
 // one across runs, so steady-state replay fills the same flat plan and event
-// spans instead of reallocating them; PlanInvocations passes a fresh one.
+// spans instead of reallocating them; Plan.Lower passes a fresh one.
 type planScratch struct {
 	flat   []JobPlan
 	sorted []Time // event sort buffer, one process at a time
@@ -398,27 +398,6 @@ func (it *invTables) planInto(sc *planScratch, frames int, events map[string][]T
 		}
 	}
 	return flat, nil
-}
-
-// PlanInvocations maps every (frame, job) instance to its invocation
-// outcome, distributing sporadic events to server subsets per the boundary
-// rules of Fig. 2. The result is indexed [frame][job index]; the inner
-// slices share one backing array.
-func PlanInvocations(tg *taskgraph.TaskGraph, frames int, events map[string][]Time) ([][]JobPlan, error) {
-	it, err := buildInvTables(tg)
-	if err != nil {
-		return nil, err
-	}
-	flat, err := it.planInto(&planScratch{}, frames, events)
-	if err != nil {
-		return nil, err
-	}
-	n := len(tg.Jobs)
-	out := make([][]JobPlan, frames)
-	for f := 0; f < frames; f++ {
-		out[f] = flat[f*n : (f+1)*n]
-	}
-	return out, nil
 }
 
 // Plan is a compiled execution plan: a static schedule lowered onto the

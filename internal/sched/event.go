@@ -3,9 +3,10 @@ package sched
 // Event-driven list-scheduling core. The task graph carries its timing on
 // one integer timescale (taskgraph.TaskGraph.Ticks — every arrival, WCET
 // and deadline a whole number of int64 ticks), and the engine drives the
-// simulation on those ticks with four queues:
+// simulation on those ticks with three heaps and one presorted walk:
 //
-//   - a future-arrival min-heap keyed by (arrival tick, job index),
+//   - the arrival order, the job indices sorted once per task graph by
+//     (arrival tick, job index) and walked front to back,
 //   - a completion min-heap of running jobs keyed by (finish tick, index),
 //   - a ready queue keyed by the precomputed SP rank (a min-heap over the
 //     rank permutation, so the pop order is exactly the rank-then-index
@@ -22,25 +23,30 @@ package sched
 // to an exact-rational rescanning oracle.
 //
 // The precomputation also covers everything the portfolio lanes can share
-// across heuristics: the tick table and the predecessor counts, computed
-// once per task graph instead of once per lane (see RunPortfolio).
+// across heuristics: the tick table, the predecessor counts and the
+// arrival order, computed once per task graph instead of once per lane
+// (see RunPortfolio).
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/taskgraph"
 )
 
 // precomp is the per-task-graph state shared by every heuristic lane: the
-// tick table and the predecessor counts. It is read-only after
-// construction — engine runs copy npred — so the portfolio lanes reuse
-// one instance.
+// tick table, the predecessor counts and the arrival order. It is
+// read-only after construction — engine runs copy npred — so the
+// portfolio lanes reuse one instance.
 type precomp struct {
 	tg    *taskgraph.TaskGraph
 	jt    *taskgraph.JobTicks
 	npred []int32 // |Pred(i)|, the engine's countdown template
+	// arrivals lists the job indices by (arrival tick, index): the order
+	// in which the engine releases them.
+	arrivals []int32
 }
 
 // newPrecomp reads the task graph's tick table; the error is the graph's
@@ -54,6 +60,7 @@ func newPrecomp(tg *taskgraph.TaskGraph) (*precomp, error) {
 	for i := range pc.npred {
 		pc.npred[i] = int32(len(tg.Pred[i]))
 	}
+	pc.arrivals = sortedByKey(jt.Arrival)
 	return pc, nil
 }
 
@@ -98,25 +105,35 @@ func (pc *precomp) rankFor(h Heuristic) []int32 {
 	default:
 		panic(fmt.Sprintf("sched: unknown heuristic %d", int(h)))
 	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ka, kb := key[idx[a]], key[idx[b]]
-		if ka != kb {
-			return ka < kb
-		}
-		return idx[a] < idx[b] // <_J order breaks ties
-	})
 	rank := make([]int32, n)
-	for r, i := range idx {
+	for r, i := range sortedByKey(key) {
 		rank[i] = int32(r)
 	}
 	return rank
 }
 
-// tickEvent is a heap entry: a job's arrival or completion instant.
+// sortedByKey returns the indices of key ordered by (key, index).
+func sortedByKey(key []int64) []int32 {
+	idx := make([]int32, len(key))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, keyThenIndex(key))
+	return idx
+}
+
+// keyThenIndex compares job indices by key, then by index: the <_J order
+// breaks ties.
+func keyThenIndex(key []int64) func(a, b int32) int {
+	return func(a, b int32) int {
+		if c := cmp.Compare(key[a], key[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+}
+
+// tickEvent is a heap entry: a job's completion instant.
 type tickEvent struct {
 	t  int64
 	id int32
@@ -234,16 +251,8 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 	startT := make([]int64, n)
 	procOf := make([]int32, n)
 
-	// Arrival heap over all jobs. Jobs are in <_J order and arrivals are
-	// non-decreasing in most graphs, but heapify regardless: build by
-	// sift-down over the filled slice.
-	arrH := make(tickHeap, n)
-	for i := 0; i < n; i++ {
-		arrH[i] = tickEvent{t: pc.jt.Arrival[i], id: int32(i)}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDownTick(arrH, i)
-	}
+	// pending is the tail of the arrival order still to come.
+	pending := pc.arrivals
 	runH := make(tickHeap, 0, n)
 	readyH := make(minHeap32, 0, n)
 	idleH := make(minHeap32, 0, m)
@@ -272,8 +281,9 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 		for len(runH) > 0 && runH[0].t <= t {
 			complete(runH.pop().id)
 		}
-		for len(arrH) > 0 && arrH[0].t <= t {
-			i := arrH.pop().id
+		for len(pending) > 0 && pc.jt.Arrival[pending[0]] <= t {
+			i := pending[0]
+			pending = pending[1:]
 			arrived[i] = true
 			if npred[i] == 0 {
 				readyH.push(rank[i])
@@ -303,8 +313,8 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 		if len(runH) > 0 {
 			next = runH[0].t
 		}
-		if len(arrH) > 0 && arrH[0].t < next {
-			next = arrH[0].t
+		if len(pending) > 0 && pc.jt.Arrival[pending[0]] < next {
+			next = pc.jt.Arrival[pending[0]]
 		}
 		if next == math.MaxInt64 {
 			return nil, nil, fmt.Errorf("sched: scheduler stalled at %v with %d/%d jobs placed",
@@ -356,13 +366,7 @@ func validateTicks(s *Schedule, jt *taskgraph.JobTicks, startT []int64) error {
 		byProc[s.Assign[i].Proc] = append(byProc[s.Assign[i].Proc], int32(i))
 	}
 	for p, jobs := range byProc {
-		sort.Slice(jobs, func(a, b int) bool {
-			sa, sb := startT[jobs[a]], startT[jobs[b]]
-			if sa != sb {
-				return sa < sb
-			}
-			return jobs[a] < jobs[b]
-		})
+		slices.SortFunc(jobs, keyThenIndex(startT))
 		for i := 1; i < len(jobs); i++ {
 			prev, cur := jobs[i-1], jobs[i]
 			if startT[cur] < startT[prev]+jt.WCET[prev] {
@@ -372,23 +376,4 @@ func validateTicks(s *Schedule, jt *taskgraph.JobTicks, startT []int64) error {
 		}
 	}
 	return nil
-}
-
-// siftDownTick restores the heap property below index i during heapify.
-func siftDownTick(s tickHeap, i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < len(s) && (s[l].t < s[least].t || (s[l].t == s[least].t && s[l].id < s[least].id)) {
-			least = l
-		}
-		if r < len(s) && (s[r].t < s[least].t || (s[r].t == s[least].t && s[r].id < s[least].id)) {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
 }

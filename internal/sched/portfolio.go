@@ -24,6 +24,9 @@ type HeuristicResult struct {
 	Feasible bool
 	// Err is the scheduling or feasibility error, nil for feasible lanes.
 	Err error
+	// makespan is Schedule.Makespan() in ticks of the task graph's
+	// timescale, set on feasible lanes.
+	makespan int64
 }
 
 // RunPortfolio list-schedules the task graph with every portfolio heuristic,
@@ -67,6 +70,9 @@ func (pc *precomp) lane(m int, h Heuristic) HeuristicResult {
 		return r
 	}
 	r.Feasible = true
+	for i, st := range startT {
+		r.makespan = max(r.makespan, st+pc.jt.WCET[i])
+	}
 	return r
 }
 
@@ -74,7 +80,8 @@ func (pc *precomp) lane(m int, h Heuristic) HeuristicResult {
 // feasible schedule under the documented total order:
 //
 //  1. feasible schedules beat infeasible ones;
-//  2. smaller makespan beats larger makespan;
+//  2. smaller makespan beats larger makespan (compared in ticks of the
+//     task graph's timescale, where the order is the rational one);
 //  3. ties break lexicographically on portfolio position — the heuristic
 //     listed earlier in opts.Heuristics (default: the package Heuristics
 //     preference order) wins.
@@ -84,16 +91,17 @@ func (pc *precomp) lane(m int, h Heuristic) HeuristicResult {
 func Portfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) (*Schedule, error) {
 	results := RunPortfolio(tg, m, opts)
 	var (
-		best    *Schedule
-		lastErr error
+		best         *Schedule
+		bestMakespan int64
+		lastErr      error
 	)
 	for _, r := range results {
 		if !r.Feasible {
 			lastErr = r.Err
 			continue
 		}
-		if best == nil || r.Schedule.Makespan().Less(best.Makespan()) {
-			best = r.Schedule
+		if best == nil || r.makespan < bestMakespan {
+			best, bestMakespan = r.Schedule, r.makespan
 		}
 	}
 	if best == nil {

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/rational"
 	"repro/internal/taskgraph"
@@ -209,48 +208,51 @@ func (s *Schedule) ChainPrev(chains [][]int) []int {
 }
 
 // CombinedOrder returns a topological order of the frame's jobs with
-// respect to precedence edges plus the static chains from ProcessorOrder,
-// taking the smallest ready index first. It fails if the static schedule
-// contradicts the precedence constraints; the error carries no package
-// prefix, so the runtime that rejects the schedule names itself.
+// respect to precedence edges plus the static chains from ProcessorOrder.
+// Jobs leave a FIFO of ready jobs; the jobs that one job readies join it
+// in index order. It fails if the static schedule contradicts the precedence constraints; the
+// error carries no package prefix, so the runtime that rejects the
+// schedule names itself.
 func (s *Schedule) CombinedOrder(chains [][]int) ([]int, error) {
-	tg := s.TG
-	n := len(tg.Jobs)
-	adj := make([][]int, n)
-	indeg := make([]int, n)
-	add := func(a, b int) {
-		adj[a] = append(adj[a], b)
-		indeg[b]++
-	}
-	for _, e := range tg.Edges() {
-		add(e[0], e[1])
-	}
-	for _, chain := range chains {
-		for i := 1; i < len(chain); i++ {
-			add(chain[i-1], chain[i])
+	edges := s.TG.Edges()
+	n := len(s.TG.Jobs)
+	each := func(visit func(a, b int)) {
+		for _, e := range edges {
+			visit(e[0], e[1])
 		}
-	}
-	var ready []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	sort.Ints(ready)
-	var order []int
-	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
-		order = append(order, v)
-		var next []int
-		for _, u := range adj[v] {
-			indeg[u]--
-			if indeg[u] == 0 {
-				next = append(next, u)
+		for _, chain := range chains {
+			for i := 1; i < len(chain); i++ {
+				visit(chain[i-1], chain[i])
 			}
 		}
-		sort.Ints(next)
-		ready = append(ready, next...)
+	}
+	// CSR adjacency: the successors of v are succ[off[v]:off[v+1]]. off[v]
+	// counts v's edges, becomes the end of v's span by a prefix sum, and
+	// walks back to its start as the span fills.
+	off := make([]int32, n+1)
+	indeg := make([]int32, n)
+	each(func(a, b int) { off[a]++; indeg[b]++ })
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	succ := make([]int32, off[n])
+	each(func(a, b int) { off[a]--; succ[off[a]] = int32(b) })
+
+	// order doubles as the FIFO: order[head:] is the ready queue.
+	order := make([]int, 0, n)
+	for i, d := range indeg {
+		if d == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		v, batch := order[head], len(order)
+		for _, u := range succ[off[v]:off[v+1]] {
+			if indeg[u]--; indeg[u] == 0 {
+				order = append(order, int(u))
+			}
+		}
+		slices.Sort(order[batch:])
 	}
 	if len(order) != n {
 		return nil, errors.New("static schedule is inconsistent with the precedence constraints (cycle between processor order and task graph)")

@@ -556,10 +556,12 @@ func transitiveReduction(succ [][]int) ([][]int, [][]uint64) {
 	// desc[w] first and testing membership is equivalent to the per-u
 	// exclusion. The successors themselves are added afterwards: every
 	// successor is a descendant either way.
+	// The descendants of v's successors all exceed v, so the words below
+	// (v+1)/64 of their rows are zero and the union starts at that word.
 	for v := n - 1; v >= 0; v-- {
-		d := desc[v]
+		d, w := desc[v], (v+1)/64
 		for _, u := range succ[v] {
-			orBits(d, desc[u])
+			orBits(d[w:], desc[u][w:])
 		}
 		base := len(arena)
 		for _, u := range succ[v] {
