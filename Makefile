@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test ./internal/rational -run '^$$' -fuzz FuzzRatNew -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -fuzz FuzzNetworkValidate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -fuzz FuzzLintNeverPanics -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzLintCheckMatchesRun -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzPlanMatchesZeroDelay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzListScheduleMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzCombinedOrderMatchesReference -fuzztime $(FUZZTIME)

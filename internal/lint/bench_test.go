@@ -22,3 +22,25 @@ func BenchmarkRunFMS(b *testing.B) {
 		}
 	}
 }
+
+// benchReport keeps BenchmarkLintRun's result live.
+var benchReport *Report
+
+// BenchmarkLintRun measures one full lint pass at M=2 on the applications
+// whose frames are small enough for the derive-based rules (signal, fft)
+// and on fms, where those rules skip; lint derives, analyzes and verifies
+// everything itself here, as fppnvet and fppnc run it.
+func BenchmarkLintRun(b *testing.B) {
+	for _, app := range []string{"signal", "fft", "fms"} {
+		net, err := apps.Build(app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(app, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchReport = Run(net, Options{Processors: 2})
+			}
+		})
+	}
+}

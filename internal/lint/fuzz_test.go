@@ -8,8 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/feas"
+	"repro/internal/hb"
 	"repro/internal/nettest"
+	"repro/internal/plan"
 	"repro/internal/rational"
+	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
 
@@ -137,6 +141,64 @@ func FuzzLintNeverPanics(f *testing.F) {
 		}
 		mutate(net, sel)
 		assertLintContract(t, net, m)
+	})
+}
+
+// servedArtifacts builds the artifacts /analyze hands to Check: the task
+// graph, a plan scheduled with heuristic h (or the portfolio when h is out
+// of range) on m processors, the feas report and the plan's hb verdict.
+// ok is false when the network does not derive or the pipeline fails.
+func servedArtifacts(net *core.Network, m, h int) (art Artifacts, ok bool) {
+	tg, err := taskgraph.Derive(net)
+	if err != nil {
+		return Artifacts{}, false
+	}
+	var s *sched.Schedule
+	if h < len(sched.Heuristics) {
+		s, err = sched.ListSchedule(tg, m, sched.Heuristics[h])
+	} else {
+		s, err = sched.Portfolio(tg, m, sched.PortfolioOptions{})
+	}
+	if err != nil {
+		return Artifacts{}, false
+	}
+	p, err := plan.Compile(s)
+	if err != nil {
+		return Artifacts{}, false
+	}
+	art.TG = tg
+	art.Feas, _ = feas.Analyze(tg, m, feas.Options{})
+	v := hb.Verify(p)
+	art.HB = &v
+	return art, true
+}
+
+// FuzzLintCheckMatchesRun builds the artifacts the way /analyze does on
+// random networks that derive, and requires Check's report to equal
+// Run's byte for byte: the artifacts change what lint computes, never
+// what it finds.
+func FuzzLintCheckMatchesRun(f *testing.F) {
+	for seed := int64(0); seed < 6; seed++ {
+		f.Add(seed, byte(seed), byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, mSel, hSel byte) {
+		net := nettest.Random(rand.New(rand.NewSource(seed)), nettest.Options{})
+		m := 1 + int(mSel%4)
+		art, ok := servedArtifacts(net, m, int(hSel)%(len(sched.Heuristics)+1))
+		if !ok {
+			t.Skip("network does not derive or schedule")
+		}
+		want, err := Run(net, Options{Processors: m}).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Check(net, art, Options{Processors: m}).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s on %d processors: Check with artifacts differs from Run:\n%s\n---\n%s", net.Name, m, got, want)
+		}
 	})
 }
 

@@ -161,31 +161,34 @@ type Options struct {
 	// Processors is the platform capacity assumed by the utilization
 	// rule FPPN008 (default 2, matching the CLIs' -m default).
 	Processors int
-	// MaxFrameJobs triggers the hyperperiod rule FPPN012 when one frame
-	// holds more jobs (default 10000; the paper's reduced FMS has 812).
-	MaxFrameJobs int
-	// MaxPeriodRatio triggers FPPN012 when H divided by the smallest
-	// period exceeds it (default 1000; reduced FMS has 50).
-	MaxPeriodRatio int64
-	// MaxBufferHighWater triggers the buffer rule FPPN017 when a FIFO's
-	// static high-water bound exceeds it (default 256).
-	MaxBufferHighWater int
 }
 
 func (o Options) withDefaults() Options {
 	if o.Processors == 0 {
 		o.Processors = 2
 	}
-	if o.MaxFrameJobs == 0 {
-		o.MaxFrameJobs = 10000
-	}
-	if o.MaxPeriodRatio == 0 {
-		o.MaxPeriodRatio = 1000
-	}
-	if o.MaxBufferHighWater == 0 {
-		o.MaxBufferHighWater = 256
-	}
 	return o
+}
+
+// The budgets of the threshold rules: FPPN012 fires on frames of more than
+// maxFrameJobs jobs (the paper's reduced FMS has 812), which also bounds
+// the buffer sweep behind FPPN014/FPPN017, or with H over the smallest
+// period above maxPeriodRatio (reduced FMS: 50); FPPN017 on static FIFO
+// high-water bounds above maxBufferHighWater.
+const (
+	maxFrameJobs       = 10000
+	maxPeriodRatio     = 1000
+	maxBufferHighWater = 256
+)
+
+// Artifacts are a caller's results on the linted network at
+// Options.Processors, which Check reads instead of computing them again;
+// a nil field is computed by lint itself. Each rule applies its own gates
+// before reading an artifact, so Check finds exactly what Run finds.
+type Artifacts struct {
+	TG   *taskgraph.TaskGraph // taskgraph.Derive(net)
+	Feas *feas.Report         // feas.Analyze(TG, Processors, feas.Options{})
+	HB   *hb.Verdict          // hb.Verify of a plan scheduled from TG on Processors
 }
 
 // Rule describes one diagnostic: its code, fixed severity, short title and
@@ -203,9 +206,11 @@ type Rule struct {
 type context struct {
 	net  *core.Network
 	opts Options
+	art  Artifacts // the caller's results, read by the gated rules
 	out  []Finding
 
 	problems   []core.Problem  // cached core problem lists (error rules)
+	netProbs   int             // length of the net.Problems() prefix
 	observable map[string]bool // cached external-output reachability
 
 	bufferTried   bool                      // static buffer sweep attempted
@@ -234,16 +239,23 @@ func (c *context) addf(r Rule, subjectKind, subject, fix, format string, args ..
 	})
 }
 
-// Run lints the network and returns the structured report. It never
-// panics, even on malformed networks (overflow in the exact arithmetic of
-// the hyperperiod rule is caught and reported as a finding).
-func Run(net *core.Network, opts Options) *Report {
+// Check lints the network, reading the caller's artifacts where a rule
+// needs them, and returns the structured report. It never panics, even on
+// malformed networks (overflow in the exact arithmetic of the hyperperiod
+// rule is caught and reported as a finding).
+func Check(net *core.Network, art Artifacts, opts Options) *Report {
 	opts = opts.withDefaults()
-	c := &context{net: net, opts: opts}
+	c := &context{net: net, opts: opts, art: art}
 	for _, r := range Rules {
 		r.run(c, r)
 	}
 	return &Report{Network: net.Name, Processors: opts.Processors, Findings: c.out}
+}
+
+// Run lints the network, computing every artifact itself: Check with no
+// caller artifacts.
+func Run(net *core.Network, opts Options) *Report {
+	return Check(net, Artifacts{}, opts)
 }
 
 // RuleFor returns the registry entry for a diagnostic code.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/hb"
 	"repro/internal/rational"
 	"repro/internal/taskgraph"
 )
@@ -191,11 +192,11 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// Raising the capacity and thresholds must silence the budget-style rules.
-// Broken-timing's frame of 24,945,752 jobs is beyond the derivation's
-// limit, which no option raises: FPPN012 stays, as its only error.
+// Raising the capacity must silence the utilization rule. Broken-timing's
+// frame of 24,945,752 jobs is beyond the derivation's limit, which no
+// option raises: FPPN012 stays, as its only error.
 func TestOptionThresholds(t *testing.T) {
-	rep := Run(BrokenTiming(), Options{Processors: 4, MaxFrameJobs: 1 << 40, MaxPeriodRatio: 1 << 40})
+	rep := Run(BrokenTiming(), Options{Processors: 4})
 	for _, f := range rep.Findings {
 		if f.Code == CodeUtilization || f.Code == CodeHyperperiod && f.Severity != Error {
 			t.Errorf("threshold rule still fired: %s", f)
@@ -367,5 +368,44 @@ func TestUtilizationOverflow(t *testing.T) {
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%s: FPPN008 findings %q, want %q", tc.net.Name, got, tc.want)
 		}
+	}
+}
+
+// Check reads the caller's artifacts rather than computing them: a planted
+// racy verdict on signal, where every real plan is race-free, must
+// surface as FPPN020 with its witness. On fms, whose frame is beyond
+// maxDeriveJobs, lint's gate skips FPPN020 before reading the verdict.
+func TestCheckReadsArtifacts(t *testing.T) {
+	racy := func(net *core.Network) (*hb.Verdict, []Finding) {
+		ch := net.Channels()[0]
+		w := &hb.Witness{Resource: "channel " + ch.Name,
+			A: hb.Access{Name: ch.Writer + "[0]", Op: "writes"},
+			B: hb.Access{Name: ch.Reader + "[0]", Op: "reads", Proc: 1}}
+		v := &hb.Verdict{Witness: w, Unordered: 1, Pairs: 1}
+		var got []Finding
+		for _, f := range Check(net, Artifacts{HB: v}, Options{}).Findings {
+			if f.Code == CodeHBUnordered {
+				got = append(got, f)
+			}
+		}
+		return v, got
+	}
+	signal, err := apps.Build("signal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, got := racy(signal)
+	if len(got) != 1 || got[0].Subject != signal.Channels()[0].Name || !strings.Contains(got[0].Message, v.Witness.String()) {
+		t.Fatalf("signal: FPPN020 findings %v, want one carrying %v", got, *v.Witness)
+	}
+	if clean := Run(signal, Options{}); slices.ContainsFunc(clean.Findings, func(f Finding) bool { return f.Code == CodeHBUnordered }) {
+		t.Fatalf("signal's own plan is not race-free: %v", clean.Findings)
+	}
+	fms, err := apps.Build("fms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := racy(fms); len(got) != 0 {
+		t.Fatalf("fms: the derive gate did not skip the planted verdict: %v", got)
 	}
 }

@@ -39,8 +39,8 @@ const (
 	// FPPN014, FPPN016 and FPPN017 are backed by the closed-form dataflow
 	// analyses of internal/staticflow, FPPN015 by the processor-demand
 	// bound of the derived task graph; they run only on well-formed
-	// networks whose hyperperiod frame stays within Options.MaxFrameJobs
-	// (and, for FPPN015, maxDeriveJobs).
+	// networks whose hyperperiod frame stays within maxFrameJobs (and,
+	// for FPPN015, maxDeriveJobs).
 	CodeUnbalancedChannel = "FPPN014"
 	CodeDemandBound       = "FPPN015"
 	CodeFPSuggestion      = "FPPN016"
@@ -51,9 +51,10 @@ const (
 	CodeFeasLoad   = "FPPN018"
 	CodeFeasWindow = "FPPN019"
 	// FPPN020 is backed by the happens-before verifier of internal/hb
-	// over a compiled plan; it runs on networks whose only error-severity
-	// problems (if any) are FP-coverage gaps, turning a missing FP edge
-	// into a concrete unordered access-pair witness.
+	// over a compiled plan (the caller's, when Check is given one); it
+	// runs on networks whose only error-severity problems (if any) are
+	// FP-coverage gaps, turning a missing FP edge into a concrete
+	// unordered access-pair witness.
 	CodeHBUnordered = "FPPN020"
 	// FPPN021 is the timescale check of taskgraph.LowerTiming: the one
 	// lint-only error, because the compile pipeline rejects such a model.
@@ -171,7 +172,9 @@ func runCoreProblems(c *context, r Rule) {
 
 func (c *context) coreProblems() []core.Problem {
 	if c.problems == nil {
-		ps := append(c.net.Problems(), c.net.SchedulableProblems()...)
+		ps := c.net.Problems()
+		c.netProbs = len(ps)
+		ps = append(ps, c.net.SchedulableProblems()...)
 		if ps == nil {
 			ps = []core.Problem{}
 		}
@@ -344,10 +347,12 @@ func (c *context) observableSet() map[string]bool {
 	if c.observable != nil {
 		return c.observable
 	}
-	succ := make(map[string][]string)
+	// Reverse reachability: a writer feeding an observable reader is
+	// observable. Iterate to the fixpoint (the channel graph is tiny).
+	pred := make(map[string][]string)
 	for _, ch := range c.net.Channels() {
 		if ch.Writer != ch.Reader {
-			succ[ch.Writer] = append(succ[ch.Writer], ch.Reader)
+			pred[ch.Reader] = append(pred[ch.Reader], ch.Writer)
 		}
 	}
 	obs := make(map[string]bool)
@@ -355,20 +360,9 @@ func (c *context) observableSet() map[string]bool {
 	for _, p := range c.net.Processes() {
 		if len(p.ExternalOutputs()) > 0 {
 			obs[p.Name] = true
+			stack = append(stack, p.Name)
 		}
 	}
-	// Reverse reachability: a writer feeding an observable reader is
-	// observable. Iterate to the fixpoint (the channel graph is tiny).
-	pred := make(map[string][]string)
-	for w, readers := range succ {
-		for _, rd := range readers {
-			pred[rd] = append(pred[rd], w)
-		}
-	}
-	for p := range obs {
-		stack = append(stack, p)
-	}
-	sort.Strings(stack)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -404,9 +398,6 @@ func runDeadChannels(c *context, r Rule) {
 // runDeadProcesses warns about processes with no path to any external
 // output: their jobs consume processor time without observable effect.
 func runDeadProcesses(c *context, r Rule) {
-	if len(c.net.Processes()) == 0 {
-		return
-	}
 	obs := c.observableSet()
 	for _, p := range c.net.Processes() {
 		if obs[p.Name] {
@@ -473,7 +464,7 @@ func runHyperperiod(c *context, r Rule) {
 			"hyperperiod of the process periods overflows exact rational arithmetic; the periods are severely non-harmonic")
 		return
 	}
-	if underived || jobs > int64(c.opts.MaxFrameJobs) || ratio > c.opts.MaxPeriodRatio {
+	if underived || jobs > maxFrameJobs || ratio > maxPeriodRatio {
 		c.addf(r, "network", c.net.Name,
 			"harmonize the process periods (cf. the paper's FMS reduction 1600 ms → 400 ms)",
 			"hyperperiod %vs spans %d jobs per frame (H/min-period = %d); non-harmonic periods blow the task graph up",
@@ -502,27 +493,18 @@ func frameJobs(h core.Time, procs []*core.Process, periods []core.Time) (jobs, r
 	return jobs, ratio, true
 }
 
-// maxStaticSweepJobs caps the two-frame buffer sweep regardless of how
-// far Options.MaxFrameJobs is raised: unlike the threshold rules, the
-// sweep actually enumerates the frame, so it keeps its own hard budget.
-const maxStaticSweepJobs = 100_000
-
 // staticProfile lazily computes the 2-frame static buffer sweep behind
 // FPPN014 and FPPN017. It returns nil — silently skipping those rules —
 // on ill-formed networks (the error rules already fired and the
-// zero-delay order is undefined) and on frames larger than
-// Options.MaxFrameJobs (FPPN012 covers those).
+// zero-delay order is undefined) and on two frames of more than
+// maxFrameJobs jobs (FPPN012 covers those).
 func (c *context) staticProfile() *staticflow.BufferProfile {
 	if c.bufferTried {
 		return c.bufferProfile
 	}
 	c.bufferTried = true
-	if len(c.net.Problems()) > 0 {
+	if c.coreProblems(); c.netProbs > 0 {
 		return nil
-	}
-	budget := int64(c.opts.MaxFrameJobs)
-	if budget > maxStaticSweepJobs {
-		budget = maxStaticSweepJobs
 	}
 	// The sweep enumerates PN itself, so the raw periods bound its frame.
 	h, err := core.Hyperperiod(c.net, nil)
@@ -534,7 +516,7 @@ func (c *context) staticProfile() *staticflow.BufferProfile {
 	for i, p := range procs {
 		periods[i] = p.Period()
 	}
-	if jobs, _, ok := frameJobs(h, procs, periods); !ok || jobs > budget/2 {
+	if jobs, _, ok := frameJobs(h, procs, periods); !ok || jobs > maxFrameJobs/2 {
 		return nil
 	}
 	p, err := staticflow.Buffers(c.net, 2, nil)
@@ -574,13 +556,13 @@ func runBufferBounds(c *context, r Rule) {
 		return
 	}
 	for _, cb := range p.Channels() {
-		if cb.Kind != core.FIFO || cb.Unbalanced || cb.HighWater <= c.opts.MaxBufferHighWater {
+		if cb.Kind != core.FIFO || cb.Unbalanced || cb.HighWater <= maxBufferHighWater {
 			continue
 		}
 		c.addf(r, "channel", cb.Name,
-			"rebalance the writer/reader rates or raise Options.MaxBufferHighWater",
+			"rebalance the writer/reader rates",
 			"channel %q: static FIFO high-water mark is %d tokens, above the provisioning budget of %d",
-			cb.Name, cb.HighWater, c.opts.MaxBufferHighWater)
+			cb.Name, cb.HighWater, maxBufferHighWater)
 	}
 }
 
@@ -667,31 +649,34 @@ func runFPSuggestions(c *context, r Rule) {
 // vet pass.
 const maxDeriveJobs = 512
 
-// taskGraph lazily derives the task graph the demand rule, feasReport and
+// taskGraph returns the task graph the demand rule, feasReport and
 // hbVerdict share (hbVerdict derives its own only for FP-coverage gaps,
-// when the others do not run); nil when the derivation fails.
+// when the others do not run): the caller's, or one derived lazily; nil
+// when the derivation fails.
 func (c *context) taskGraph() *taskgraph.TaskGraph {
 	if !c.tgTried {
 		c.tgTried = true
-		c.tg, _ = taskgraph.Derive(c.net)
+		if c.tg = c.art.TG; c.tg == nil {
+			c.tg, _ = taskgraph.Derive(c.net)
+		}
 	}
 	return c.tg
 }
 
-// feasReport lazily derives the task graph and runs the schedulability
-// suite at the assumed capacity. nil silently skips FPPN018/FPPN019:
-// ill-formed networks (the error rules already fired), frames beyond
-// maxDeriveJobs or Options.MaxFrameJobs, and failed derivations.
+// feasReport returns the schedulability suite's report at the assumed
+// capacity: the caller's, or one run lazily on the task graph. nil
+// silently skips FPPN018/FPPN019: ill-formed networks (the error rules
+// already fired), frames beyond maxDeriveJobs, and failed derivations.
 func (c *context) feasReport() *feas.Report {
 	if c.feasTried {
 		return c.feasRep
 	}
 	c.feasTried = true
-	if len(c.coreProblems()) > 0 {
+	if len(c.coreProblems()) > 0 || !c.derivable() {
 		return nil
 	}
-	if !c.derivable() {
-		return nil
+	if c.feasRep = c.art.Feas; c.feasRep != nil {
+		return c.feasRep
 	}
 	tg := c.taskGraph()
 	if tg == nil {
@@ -759,15 +744,17 @@ func runEmptyNetwork(c *context, r Rule) {
 	}
 }
 
-// hbVerdict lazily runs the full determinism pipeline — derive, schedule
-// at the assumed capacity, compile, verify — and caches the verdict. nil
-// silently skips FPPN020: networks with error-severity problems other
-// than FP-coverage gaps, frames beyond maxDeriveJobs or Options.MaxFrameJobs,
-// and networks with no feasible schedule at the assumed capacity (an
-// unschedulable model has no plan whose ordering could be verified).
-// FP-coverage gaps themselves do NOT skip the rule: the pipeline derives
-// with AllowUncoveredChannels so the verifier can exhibit the concrete
-// unordered access pair the missing edge causes.
+// hbVerdict returns the happens-before verdict of a plan at the assumed
+// capacity: the caller's, or one of the full determinism pipeline —
+// derive, schedule with sched.FindFeasible, compile, verify — run lazily.
+// nil silently skips FPPN020: networks with error-severity problems other
+// than FP-coverage gaps, frames beyond maxDeriveJobs, and networks with
+// no feasible schedule at the assumed capacity (an unschedulable model
+// has no plan whose ordering could be verified). FP-coverage gaps
+// themselves do NOT skip the rule: the pipeline derives with
+// AllowUncoveredChannels so the verifier can exhibit the concrete
+// unordered access pair the missing edge causes; the caller's verdict,
+// of a plan from a covered derivation, is not read then.
 func (c *context) hbVerdict() *hb.Verdict {
 	if c.hbTried {
 		return c.hbVerd
@@ -783,32 +770,29 @@ func (c *context) hbVerdict() *hb.Verdict {
 	if !c.derivable() {
 		return nil
 	}
-	c.hbVerd = func() (v *hb.Verdict) {
-		defer func() {
-			if recover() != nil {
-				v = nil
-			}
-		}()
-		var tg *taskgraph.TaskGraph
-		if uncovered {
-			tg, _ = taskgraph.DeriveOpts(c.net, taskgraph.Options{AllowUncoveredChannels: true})
-		} else {
-			tg = c.taskGraph()
-		}
-		if tg == nil {
-			return nil
-		}
-		s, err := sched.FindFeasible(tg, c.opts.Processors)
-		if err != nil {
-			return nil
-		}
-		p, err := plan.CompileOpts(s, plan.CompileOptions{AllowUncoveredChannels: uncovered})
-		if err != nil {
-			return nil
-		}
-		verdict := hb.Verify(p)
-		return &verdict
-	}()
+	if !uncovered && c.art.HB != nil {
+		c.hbVerd = c.art.HB
+		return c.hbVerd
+	}
+	var tg *taskgraph.TaskGraph
+	if uncovered {
+		tg, _ = taskgraph.DeriveOpts(c.net, taskgraph.Options{AllowUncoveredChannels: true})
+	} else {
+		tg = c.taskGraph()
+	}
+	if tg == nil {
+		return nil
+	}
+	s, err := sched.FindFeasible(tg, c.opts.Processors)
+	if err != nil {
+		return nil
+	}
+	p, err := plan.CompileOpts(s, plan.CompileOptions{AllowUncoveredChannels: uncovered})
+	if err != nil {
+		return nil
+	}
+	verdict := hb.Verify(p)
+	c.hbVerd = &verdict
 	return c.hbVerd
 }
 
@@ -850,18 +834,12 @@ func (c *context) timing() (*taskgraph.Timing, error) {
 
 // derivable reports whether one frame of PN' — the network the task
 // graph is derived from, server periods substituted — holds at most
-// maxDeriveJobs and Options.MaxFrameJobs jobs. A count of the raw periods
-// would undercount PN' when a sporadic process runs at a fractional
-// server period, so the rules that derive the graph ask this.
+// maxDeriveJobs jobs. A count of the raw periods would undercount PN'
+// when a sporadic process runs at a fractional server period, so the
+// rules that derive the graph ask this.
 func (c *context) derivable() bool {
 	tm, err := c.timing()
-	return err == nil && tm.Jobs <= maxDeriveJobs && tm.Jobs <= c.opts.MaxFrameJobs
-}
-
-// timingError is the error of timing, or nil when the timing fits.
-func (c *context) timingError() error {
-	_, err := c.timing()
-	return err
+	return err == nil && tm.Jobs <= maxDeriveJobs
 }
 
 // runTimescale reports timing that does not fit the integer timescale the
@@ -871,7 +849,7 @@ func (c *context) timingError() error {
 // FPPN001 periods) are left to the rules that already fired.
 func runTimescale(c *context, r Rule) {
 	var te *taskgraph.TimescaleError
-	if !errors.As(c.timingError(), &te) {
+	if _, err := c.timing(); !errors.As(err, &te) {
 		return
 	}
 	c.addf(r, te.Kind, te.Subject,

@@ -121,6 +121,34 @@ func BenchmarkServeSimulateScale1kWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkServeAnalyzeWarm measures one warm /analyze at M=2 through the
+// full handler stack: cache hit, the schedulability and happens-before
+// passes on the cached entry, and the lint pass that reads them.
+func BenchmarkServeAnalyzeWarm(b *testing.B) {
+	for _, app := range []string{"signal", "fft", "fms"} {
+		s := NewServer(Options{})
+		body, err := json.Marshal(map[string]any{"app": app})
+		if err != nil {
+			b.Fatal(err)
+		}
+		analyze := func(b *testing.B) {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/analyze", bytes.NewReader(body)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("analyze: status %d: %s", w.Code, w.Body.String())
+			}
+		}
+		b.Run(app, func(b *testing.B) {
+			analyze(b) // warm the cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				analyze(b)
+			}
+		})
+	}
+}
+
 // BenchmarkServeCompileHit measures the floor of the serving layer: a
 // /compile request answered entirely from the cache (no run at all).
 func BenchmarkServeCompileHit(b *testing.B) {

@@ -14,8 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/lint"
 	"repro/internal/rational"
 )
 
@@ -459,6 +461,48 @@ func TestAnalyzeJobGate(t *testing.T) {
 		// Lint always runs; a clean report is fine, but the section must
 		// have been populated (Findings may legitimately be empty).
 		t.Log("lint section empty but present — ok")
+	}
+}
+
+// TestAnalyzeLintMatchesRun pins the artifact path of /analyze: on every
+// registry application, capacity and heuristic, the lint section that
+// reads the request's task graph, feas report and hb verdict equals
+// lint.Run's, with the analysis gate open and with it shut
+// (MaxAnalyzeJobs 1), where lint computes its own feas and hb.
+func TestAnalyzeLintMatchesRun(t *testing.T) {
+	t.Parallel()
+	heuristics := []string{"alap-edf", "b-level", "deadline-monotonic", "edf", cli.PortfolioName}
+	for _, opts := range []Options{{}, {MaxAnalyzeJobs: 1}} {
+		s := newTestServer(t, opts)
+		for _, app := range apps.Names() {
+			net, err := apps.Build(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := 1; m <= 4; m++ {
+				rep := lint.Run(net, lint.Options{Processors: m})
+				want, err := json.Marshal(LintSection{Errors: len(rep.Errors()), Warnings: len(rep.Warnings()), Findings: rep.Findings})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, h := range heuristics {
+					if h == cli.PortfolioName && m == 1 {
+						continue
+					}
+					var resp AnalyzeResponse
+					if code := post(t, s, "/analyze", map[string]any{"app": app, "m": m, "heuristic": h}, &resp); code != http.StatusOK {
+						t.Fatalf("%s m=%d %s: status %d", app, m, h, code)
+					}
+					got, err := json.Marshal(resp.Lint)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("gate %d, %s m=%d %s: lint section\n%s\nwant lint.Run's\n%s", opts.MaxAnalyzeJobs, app, m, h, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

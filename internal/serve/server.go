@@ -531,39 +531,42 @@ func (s *Server) handleAnalyze(r *http.Request) (any, error) {
 		Feasible:  e.Feasible,
 		Cached:    cached,
 	}
-	lrep := lint.Run(e.Model.Net, lint.Options{Processors: req.M})
-	resp.Lint = LintSection{
-		Errors:   len(lrep.Errors()),
-		Warnings: len(lrep.Warnings()),
-		Findings: lrep.Findings,
-	}
-
+	// Each analysis runs at most once per request: feas and hb under the
+	// job gate, and lint reads them with the cached task graph.
+	art := lint.Artifacts{TG: e.TG}
 	jobs := len(e.TG.Jobs)
 	if jobs > s.opts.MaxAnalyzeJobs {
 		gate := fmt.Sprintf("%d jobs per frame exceed the analysis gate (%d)", jobs, s.opts.MaxAnalyzeJobs)
 		resp.Schedulability.Skipped = gate
 		resp.Determinism.Skipped = gate
-		return resp, nil
-	}
-
-	if frep, ferr := feas.Analyze(e.TG, req.M, feas.Options{}); ferr != nil {
-		resp.Schedulability.Skipped = ferr.Error()
 	} else {
-		resp.Schedulability.Verdict = frep.Verdict().String()
-		for _, res := range frep.Results {
-			resp.Schedulability.Results = append(resp.Schedulability.Results, FeasResultJSON{
-				Test:      res.Test.String(),
-				Verdict:   res.Verdict.String(),
-				Certified: res.Certified,
-				Reason:    res.Reason,
-			})
+		if frep, ferr := feas.Analyze(e.TG, req.M, feas.Options{}); ferr != nil {
+			resp.Schedulability.Skipped = ferr.Error()
+		} else {
+			art.Feas = frep
+			resp.Schedulability.Verdict = frep.Verdict().String()
+			for _, res := range frep.Results {
+				resp.Schedulability.Results = append(resp.Schedulability.Results, FeasResultJSON{
+					Test:      res.Test.String(),
+					Verdict:   res.Verdict.String(),
+					Certified: res.Certified,
+					Reason:    res.Reason,
+				})
+			}
+		}
+		v := hb.Verify(e.Plan)
+		art.HB = &v
+		resp.Determinism = HBSection{RaceFree: v.RaceFree, Pairs: v.Pairs, Frames: v.Frames}
+		if v.Witness != nil {
+			resp.Determinism.Witness = v.Witness.String()
 		}
 	}
 
-	v := hb.Verify(e.Plan)
-	resp.Determinism = HBSection{RaceFree: v.RaceFree, Pairs: v.Pairs, Frames: v.Frames}
-	if v.Witness != nil {
-		resp.Determinism.Witness = v.Witness.String()
+	lrep := lint.Check(e.Model.Net, art, lint.Options{Processors: req.M})
+	resp.Lint = LintSection{
+		Errors:   len(lrep.Errors()),
+		Warnings: len(lrep.Warnings()),
+		Findings: lrep.Findings,
 	}
 	return resp, nil
 }
