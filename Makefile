@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzPlanRunStateReuse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzMCMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzJobOrderMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzJobOrderNeverPanics -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

@@ -27,6 +27,7 @@ import (
 	"repro/internal/apps/fft"
 	"repro/internal/apps/fms"
 	"repro/internal/apps/signal"
+	"repro/internal/core"
 	"repro/internal/nettest"
 	"repro/internal/plan"
 	"repro/internal/sched"
@@ -748,6 +749,35 @@ func benchmarkScaleRun(b *testing.B, jobs, frames int) {
 		}
 		if len(rep.Misses) != 0 {
 			b.Fatal("unexpected misses")
+		}
+	}
+}
+
+// BenchmarkScaleJobOrder10k builds the zero-delay job order <_J over one
+// hyperperiod of the 10k-job scale network: the order the static buffer
+// sweep, the zero-delay executor and the uniprocessor baseline read.
+func BenchmarkScaleJobOrder10k(b *testing.B) {
+	net := scaleNet(10000)
+	h, err := core.Hyperperiod(net, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rank, err := net.FPRank(-1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC() // see benchmarkScaleDerive
+		b.StartTimer()
+		order, err := core.JobOrder(net, rank, h, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(order.Jobs) < 10000 {
+			b.Fatalf("%d jobs, want >= 10000", len(order.Jobs))
 		}
 	}
 }

@@ -21,12 +21,18 @@ package analyzers
 // rs.buf = p.table[:0] — retains a pointer into Plan-owned memory that
 // later runs write through, silently breaking the immutability the
 // happens-before verdict depends on. Storing the bare artifact reference
-// itself (rs.p, during Reset) is the designed ownership link and exempt.
+// itself (rs.p, during Reset) is the designed ownership link and exempt,
+// as is the artifact's pointer to another immutable artifact
+// (Report{Schedule: rs.p.S}, see artifactLinks): no run writes through
+// either.
 //
 // Like jobreach, resolution is syntactic: frozen values are recognized
 // when they appear as the receiver or as parameters of the enclosing
 // function, or as locals bound directly from a retainer's artifact
-// reference field (p := rs.p); other aliases are not tracked.
+// reference field (p := rs.p). A local bound to the address of a
+// retainer's own field (r := &rs.report) is the retainer, so *r = … and
+// r.buf = … get the verdict of the direct store. Other aliases are not
+// tracked.
 
 import (
 	"go/ast"
@@ -71,6 +77,13 @@ type retainerSpec struct {
 // artifact.
 var retainerTypes = map[string]map[string]retainerSpec{
 	"internal/plan": {"RunState": {field: "p", artifact: "plan.Plan"}},
+}
+
+// artifactLinks names, per frozen type label, the fields pointing to
+// another immutable artifact, whose storage is an ownership link: S is
+// the schedule a plan was compiled from, which no run writes.
+var artifactLinks = map[string]map[string]bool{
+	"plan.Plan": {".S": true},
 }
 
 // frozenWrite is one mutation of a frozen value inside a function body,
@@ -263,10 +276,21 @@ func findFrozenWrites(p *ModulePass, n *funcNode) []frozenWrite {
 						if !ok || id.Name == "_" {
 							continue
 						}
-						if base, chain := lhsRoot(node.Rhs[i]); base != nil && len(chain) == 1 {
-							if spec, ok := retainer[base.Name]; ok && chain[0] == "."+spec.field {
-								frozen[id.Name] = spec.artifact
-							}
+						rhs, addr := node.Rhs[i], false
+						if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
+							rhs, addr = u.X, true
+						}
+						base, chain := lhsRoot(rhs)
+						if base == nil || len(chain) == 0 {
+							continue
+						}
+						spec, ok := retainer[base.Name]
+						switch {
+						case !ok:
+						case addr && chain[0] != "."+spec.field:
+							retainer[id.Name] = spec
+						case !addr && len(chain) == 1 && chain[0] == "."+spec.field:
+							frozen[id.Name] = spec.artifact
 						}
 					}
 				}
@@ -293,15 +317,16 @@ func findFrozenWrites(p *ModulePass, n *funcNode) []frozenWrite {
 // into a frozen artifact — through a frozen-typed variable (p.table,
 // p.table[:0]) or through a retainer's artifact reference field
 // (rs.p.table). The bare reference (rs.p, or a frozen identifier alone)
-// is the designed ownership link, not an alias of artifact-owned backing,
-// and does not match. Call results are skipped: they copy values out, and
-// flagging them would flag every len/cap derivation.
+// and an artifact link (rs.p.S) are ownership links, not aliases of
+// artifact-owned backing, and do not match. Call results are skipped:
+// they copy values out, and flagging them would flag every len/cap
+// derivation.
 func deepFrozenRef(e ast.Expr, frozen map[string]string, retainer map[string]retainerSpec) (string, string, bool) {
 	if base, chain := lhsRoot(e); base != nil && len(chain) > 0 {
-		if label, ok := frozen[base.Name]; ok {
+		if label, ok := frozen[base.Name]; ok && !isLink(label, chain) {
 			return base.Name + strings.Join(chain, ""), label, true
 		}
-		if spec, ok := retainer[base.Name]; ok && chain[0] == "."+spec.field && len(chain) > 1 {
+		if spec, ok := retainer[base.Name]; ok && chain[0] == "."+spec.field && len(chain) > 1 && !isLink(spec.artifact, chain[1:]) {
 			return base.Name + strings.Join(chain, ""), spec.artifact, true
 		}
 	}
@@ -332,6 +357,12 @@ func deepFrozenRef(e ast.Expr, frozen map[string]string, retainer map[string]ret
 		}
 	}
 	return "", "", false
+}
+
+// isLink reports whether chain, applied to a frozen artifact, selects
+// exactly one of its artifactLinks.
+func isLink(label string, chain []string) bool {
+	return len(chain) == 1 && artifactLinks[label][chain[0]]
 }
 
 // lhsRoot unwraps an assignment target to its base identifier and the

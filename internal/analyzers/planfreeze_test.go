@@ -161,18 +161,27 @@ func runStateModule(extra string) map[string]string {
 		"go.mod": "module fixture\n\ngo 1.22\n",
 		"internal/plan/plan.go": `package plan
 
+type Schedule struct{}
+
 type Plan struct {
+	S     *Schedule
 	table []int
 }
 
 func Compile() *Plan {
-	p := &Plan{table: make([]int, 4)}
+	p := &Plan{S: &Schedule{}, table: make([]int, 4)}
 	return p
+}
+
+type Report struct {
+	Schedule *Schedule
+	buf      []int
 }
 
 type RunState struct {
 	p       *Plan
 	scratch []int
+	report  Report
 }
 
 func (p *Plan) NewRunState() *RunState { return &RunState{p: p} }
@@ -237,6 +246,51 @@ func (rs *RunState) Shrink() {
 `)), "planfreeze")
 	if len(diags) != 0 {
 		t.Fatalf("ownership link or arena recycling flagged:\n%s", messages(diags))
+	}
+}
+
+// A store into the RunState's report gets one verdict whether it is
+// written directly or through a local bound to the report's address.
+// Keeping the plan's schedule pointer is an ownership link (exempt in
+// both forms); keeping a slice of the plan's table is retention (flagged
+// through the alias too).
+func TestPlanFreezeRunStateFieldAddressAlias(t *testing.T) {
+	diags := only(checkAll(t, runStateModule(`
+func (rs *RunState) OpenDirect() {
+	rs.report = Report{Schedule: rs.p.S}
+}
+
+func (rs *RunState) OpenAliased() *Report {
+	r := &rs.report
+	*r = Report{Schedule: rs.p.S, buf: rs.scratch[:0]}
+	return r
+}
+
+func (rs *RunState) Retain() {
+	r := &rs.report
+	r.buf = rs.p.table[:0]
+}
+`)), "planfreeze")
+	if len(diags) != 1 {
+		t.Fatalf("want one planfreeze diagnostic, got:\n%s", messages(diags))
+	}
+	for _, want := range []string{"r.buf", "rs.p.table", "plan.Plan", "retains"} {
+		if !strings.Contains(diags[0].Message, want) {
+			t.Errorf("diagnostic missing %q: %s", want, diags[0].Message)
+		}
+	}
+}
+
+// A field of the plan other than its schedule link is still retention
+// when stored directly.
+func TestPlanFreezeRunStateDirectTableStillFlagged(t *testing.T) {
+	diags := only(checkAll(t, runStateModule(`
+func (rs *RunState) Open() {
+	rs.report = Report{Schedule: rs.p.S, buf: rs.p.table}
+}
+`)), "planfreeze")
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "rs.p.table") {
+		t.Fatalf("want one diagnostic naming rs.p.table, got:\n%s", messages(diags))
 	}
 }
 

@@ -171,7 +171,7 @@ func (cn *CompiledNet) RunRanked(horizon Time, rank []int, opts ZeroDelayOptions
 		return nil, err
 	}
 	for i, j := range jobs {
-		if i == 0 || !j.Time.Equal(jobs[i-1].Time) {
+		if i == 0 || !order.Jobs[i].sameInstant(order.Jobs[i-1]) {
 			m.Wait(j.Time)
 		}
 		if err := m.ExecJobID(order.Jobs[i].Pid, j.Time); err != nil {

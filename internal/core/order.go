@@ -9,9 +9,7 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/rational"
@@ -107,41 +105,65 @@ func (n *Network) FPRank(seed int64) ([]int, error) {
 	return rank, nil
 }
 
+// The order's guards. A packed <_J key is t<<rankBits | rank: ranks are
+// a permutation of the processes and t lies below rational.MaxTick =
+// 2^40, so the key stays below 2^60 and sorting the keys IS the (t, rank)
+// lexicographic sort, over plain int64s. A frame holds at most
+// MaxFrameJobs jobs (task-graph derivation shares the bound), at least one
+// per process. The horizon and the sporadic event times lie within
+// maxOrderTick ticks, so the rational validation of events cannot
+// overflow, and an order holds at most maxOrderJobs jobs.
+const (
+	rankBits     = 20
+	MaxFrameJobs = 1 << rankBits
+	maxOrderTick = int64(1) << 62
+	maxOrderJobs = 1 << 32
+)
+
+// key packs an invocation at tick t of a process with the given rank.
+func key(t int64, rank int) int64 { return t<<rankBits | int64(rank) }
+
+// SortFrame returns one frame's jobs in <_J order as each job's process
+// and invocation tick: process p fires burst[p] jobs at every multiple of
+// period[p] ticks below span (within rational.MaxTick), jobs in all, and
+// simultaneous jobs follow rank, a permutation of at most 1<<rankBits
+// processes. Burst jobs of one process at one instant share a key, so the
+// unstable sort is indistinguishable from a stable one.
+func SortFrame(period []int64, burst, rank []int, span int64, jobs int) (pid []int32, tick []int64) {
+	keys := make([]int64, 0, jobs)
+	pidOfRank := make([]int32, len(rank))
+	for p, b := range burst {
+		pidOfRank[rank[p]] = int32(p)
+		for t := int64(0); b > 0 && t < span; t += period[p] {
+			for range b {
+				keys = append(keys, key(t, rank[p]))
+			}
+		}
+	}
+	slices.Sort(keys)
+	pid, tick = make([]int32, len(keys)), make([]int64, len(keys))
+	for i, k := range keys {
+		pid[i], tick[i] = pidOfRank[k&(1<<rankBits-1)], k>>rankBits
+	}
+	return pid, tick
+}
+
 // Job is one job of the zero-delay order <_J: process Pid (an index into
-// Network.Processes) invoked at (Frame + Num/Den)·H, Num/Den of the way
-// into hyperperiod frame Frame, with H the Order's hyperperiod.
+// Network.Processes) invoked Offset ticks into hyperperiod frame Frame.
 type Job struct {
 	Pid, Frame int
-	Num, Den   int64
-	rank       int
+	Offset     int64
 }
 
-// compareJobs orders jobs by frame, then offset, compared by exact 128-bit
-// cross-multiplication, then rank. It ties only identical jobs: burst
-// jobs of one process at one instant.
-func compareJobs(a, b Job) int {
-	if a.Frame != b.Frame {
-		return a.Frame - b.Frame
-	}
-	ah, al := bits.Mul64(uint64(a.Num), uint64(b.Den))
-	bh, bl := bits.Mul64(uint64(b.Num), uint64(a.Den))
-	switch {
-	case ah != bh:
-		return cmp.Compare(ah, bh)
-	case al != bl:
-		return cmp.Compare(al, bl)
-	}
-	return a.rank - b.rank
-}
+// sameInstant reports whether j and k are invoked at the same time.
+func (j Job) sameInstant(k Job) bool { return j.Frame == k.Frame && j.Offset == k.Offset }
 
-// instant is a job's invocation time as a job ranked before every
-// process: compareJobs(j, instant(i)) < 0 exactly when j is invoked before i.
-func instant(j Job) Job { return Job{Frame: j.Frame, Num: j.Num, Den: j.Den, rank: -1} }
-
-// Order is the zero-delay job order <_J of a network over [0, horizon).
+// Order is the zero-delay job order <_J of a network over [0, horizon);
+// offsets and H, the hyperperiod of the raw periods, are ticks of Scale.
 type Order struct {
 	Jobs  []Job
-	H     Time // the hyperperiod of the raw periods, the unit of job offsets
+	Scale rational.Scale
+	H     int64
 	procs []*Process
 }
 
@@ -150,110 +172,113 @@ type Order struct {
 // entry per process, a permutation; lower runs first), burst jobs of one
 // process adjacent.
 //
-// Burst k of periodic process p falls at k·H/n_p with n_p = H/T_p, so one
-// frame's periodic order is built once, without a common tick, and
-// replayed every frame; the last frame of a horizon that is not a
-// multiple of H replays a prefix. Sporadic events are validated (see
-// sporadicEvents) and merged in by the same exact comparison.
+// The raw periods, the sporadic event times and the horizon are lowered
+// onto one timescale. One frame's periodic jobs, sorted by SortFrame, are
+// replayed every frame (the last replays a prefix), and the validated
+// sporadic events (see sporadicEvents) merge in by the same packed key.
+// Timing beyond the guards is an error naming the network.
 func JobOrder(net *Network, rank []int, horizon Time, events map[string][]Time) (Order, error) {
+	return jobOrder(net, rank, horizon, 0, events)
+}
+
+// JobOrderFrames is JobOrder over frames hyperperiods of the raw periods.
+func JobOrderFrames(net *Network, rank []int, frames int, events map[string][]Time) (Order, error) {
+	return jobOrder(net, rank, rational.Zero, frames, events)
+}
+
+// jobOrder is JobOrder, over [0, frames·H) when frames is positive.
+func jobOrder(net *Network, rank []int, horizon Time, frames int, events map[string][]Time) (Order, error) {
 	h, err := Hyperperiod(net, nil)
 	if err != nil {
 		return Order{}, err
 	}
+	if frames <= 0 && horizon.Sign() <= 0 {
+		return Order{}, fmt.Errorf("core: non-positive horizon %v", horizon)
+	}
 	procs := net.Processes()
-	times, err := sporadicEvents(net, procs, horizon, events)
+	if len(procs) > 1<<rankBits {
+		return Order{}, fmt.Errorf("core: network %q has %d processes, more than the order's %d", net.Name, len(procs), 1<<rankBits)
+	}
+	periods := make([]Time, len(procs))
+	groups := [][]Time{periods, {horizon}}
+	for pid, p := range procs {
+		periods[pid] = p.Period()
+		if p.IsSporadic() {
+			groups = append(groups, events[p.Name])
+		}
+	}
+	sc, ok := rational.CommonScale(groups...)
+	ht, okH := sc.GuardedTicks(h)
+	if !ok || !okH {
+		return Order{}, errOrderTimescale(net, "the hyperperiod %vs", h)
+	}
+	end, ok := sc.Ticks(horizon) // the horizon in ticks
+	if frames > 0 {
+		if end, ok = int64(frames)*ht, int64(frames) <= maxOrderTick/ht; !ok {
+			return Order{}, errOrderTimescale(net, "a horizon of %d hyperperiods", frames)
+		}
+		horizon = sc.FromTicks(end)
+	}
+	if !ok || end > maxOrderTick {
+		return Order{}, errOrderTimescale(net, "the horizon %vs", horizon)
+	}
+
+	// One frame's periodic jobs, or those below a horizon inside it.
+	span := min(ht, end)
+	period := make([]int64, len(procs))
+	burst := make([]int, len(procs))
+	n := 0
+	for pid, p := range procs {
+		if p.Gen.Kind == Periodic {
+			period[pid], _ = sc.Ticks(p.Period()) // a divisor of H
+			burst[pid] = p.Burst()
+			if n += int(min((span-1)/period[pid]+1, MaxFrameJobs+1)) * min(burst[pid], MaxFrameJobs+1); n > MaxFrameJobs {
+				return Order{}, fmt.Errorf("core: network %q: a hyperperiod of its zero-delay order holds more than %d jobs", net.Name, MaxFrameJobs)
+			}
+		}
+	}
+	times, err := sporadicEvents(net, procs, sc, horizon, events)
 	if err != nil {
 		return Order{}, err
 	}
-	// The frame order covers [0, span): all of it unless the horizon ends
-	// inside the first frame.
-	span := h.Min(horizon)
-	// Each periodic process's jobs in the frame form a run already in
-	// offset order, so the frame is the merge of the runs, drawn from a
-	// min-heap of each run's next job.
-	var runs []frameRun
+	pids, ticks := SortFrame(period, burst, rank, span, n)
 	var evs []Job
-	size := 0
-	for pid, p := range procs {
-		r := rank[pid]
-		if p.Gen.Kind == Periodic {
-			n, count := h.Div(p.Period()).Num(), span.Div(p.Period()).Ceil()
-			runs = append(runs, frameRun{Job{Pid: pid, Den: n, rank: r}, count, p.Burst()})
-			size += int(count) * p.Burst()
-		}
-		for _, t := range times[pid] {
-			f := t.FloorDiv(h)
-			off := t.Sub(h.MulInt(f)).Div(h)
-			evs = append(evs, Job{Pid: pid, Frame: int(f), Num: off.Num(), Den: off.Den(), rank: r})
+	for pid, ts := range times {
+		for _, t := range ts {
+			evs = append(evs, Job{Pid: pid, Frame: int(t / ht), Offset: t % ht})
 		}
 	}
-	for i := len(runs)/2 - 1; i >= 0; i-- {
-		siftDown(runs, i)
+	before := func(a, b Job) int {
+		return cmp.Or(cmp.Compare(a.Frame, b.Frame), cmp.Compare(key(a.Offset, rank[a.Pid]), key(b.Offset, rank[b.Pid])))
 	}
-	raw := make([]Job, 0, size)
-	for len(runs) > 0 {
-		top := &runs[0]
-		for b := 0; b < top.burst; b++ {
-			raw = append(raw, top.next)
-		}
-		if top.next.Num++; top.next.Num == top.end {
-			runs[0] = runs[len(runs)-1]
-			runs = runs[:len(runs)-1]
-		}
-		siftDown(runs, 0)
-	}
-	// compareJobs ties only identical jobs, so an unstable sort suffices.
-	slices.SortFunc(evs, compareJobs)
+	slices.SortFunc(evs, before)
 
-	// The last frame keeps the jobs at offsets below rest = horizon/h −
-	// (frames − 1), a prefix of the frame order.
-	q := horizon.Div(h)
-	frames := q.Ceil()
-	rest := q.Sub(rational.FromInt(frames - 1))
-	last := instant(Job{Num: rest.Num(), Den: rest.Den()})
-	lastLen := sort.Search(len(raw), func(i int) bool { return compareJobs(raw[i], last) >= 0 })
-
-	jobs := make([]Job, 0, int(frames-1)*len(raw)+lastLen+len(evs))
+	// Frames 0..last; the last keeps the jobs below the horizon.
+	last := (end - 1) / ht
+	lastLen, _ := slices.BinarySearch(ticks, end-last*ht)
+	if len(pids) > 0 && last > (maxOrderJobs-int64(len(evs)))/int64(len(pids)) {
+		return Order{}, fmt.Errorf("core: network %q: a zero-delay order over %vs holds more than %d jobs", net.Name, horizon, int64(maxOrderJobs))
+	}
+	jobs := make([]Job, 0, int(last)*len(pids)+lastLen+len(evs))
 	e := 0
-	for f := 0; f < int(frames); f++ {
-		frame := raw
-		if f == int(frames)-1 {
-			frame = raw[:lastLen]
-		}
-		for _, j := range frame {
-			j.Frame = f
-			for ; e < len(evs) && compareJobs(evs[e], j) < 0; e++ {
+	for f := range int(last) + 1 {
+		for i := range len(pids) {
+			if f == int(last) && i == lastLen {
+				break
+			}
+			j := Job{Pid: int(pids[i]), Frame: f, Offset: ticks[i]}
+			for ; e < len(evs) && before(evs[e], j) < 0; e++ {
 				jobs = append(jobs, evs[e])
 			}
 			jobs = append(jobs, j)
 		}
 	}
-	return Order{Jobs: append(jobs, evs[e:]...), H: h, procs: procs}, nil
+	return Order{Jobs: append(jobs, evs[e:]...), Scale: sc, H: ht, procs: procs}, nil
 }
 
-// frameRun is the jobs of one periodic process in a frame: next, then
-// the following offsets up to end/next.Den, burst jobs each.
-type frameRun struct {
-	next  Job
-	end   int64
-	burst int
-}
-
-// siftDown restores the min-heap order of runs (by next job) below i.
-func siftDown(runs []frameRun, i int) {
-	for {
-		least := i
-		for _, c := range [2]int{2*i + 1, 2*i + 2} {
-			if c < len(runs) && compareJobs(runs[c].next, runs[least].next) < 0 {
-				least = c
-			}
-		}
-		if least == i {
-			return
-		}
-		runs[i], runs[least] = runs[least], runs[i]
-		i = least
-	}
+// errOrderTimescale reports timing beyond the order's integer timescale.
+func errOrderTimescale(net *Network, format string, args ...any) error {
+	return fmt.Errorf("core: network %q: %s does not fit the integer timescale of its zero-delay order", net.Name, fmt.Sprintf(format, args...))
 }
 
 // Refs returns each job's JobRef: its process, its 1-based invocation
@@ -263,8 +288,8 @@ func (o Order) Refs() []JobRef {
 	counts := make([]int64, len(o.procs))
 	var t Time
 	for i, j := range o.Jobs {
-		if i == 0 || compareJobs(o.Jobs[i-1], instant(j)) < 0 {
-			t = o.H.Mul(rational.New(j.Num, j.Den).Add(rational.FromInt(int64(j.Frame))))
+		if i == 0 || !j.sameInstant(o.Jobs[i-1]) {
+			t = o.Scale.FromTicks(int64(j.Frame)*o.H + j.Offset)
 		}
 		counts[j.Pid]++
 		refs[i] = JobRef{Proc: o.procs[j.Pid].Name, K: counts[j.Pid], Time: t}
@@ -274,20 +299,24 @@ func (o Order) Refs() []JobRef {
 
 // sporadicEvents validates the sporadic event times supplied for net over
 // [0, horizon) — each process's (m, T) constraint, the horizon, and that
-// every named process exists and is sporadic — and returns them sorted, one
-// slice per process of procs (net's processes; nil when periodic).
-func sporadicEvents(net *Network, procs []*Process, horizon Time, sporadicEvents map[string][]Time) ([][]Time, error) {
-	if horizon.Sign() <= 0 {
-		return nil, fmt.Errorf("core: non-positive horizon %v", horizon)
-	}
-	out := make([][]Time, len(procs))
+// every named process exists and is sporadic — and returns them sorted, in
+// ticks of sc, one slice per process of procs (net's processes; nil when
+// periodic).
+func sporadicEvents(net *Network, procs []*Process, sc rational.Scale, horizon Time, sporadicEvents map[string][]Time) ([][]int64, error) {
+	out := make([][]int64, len(procs))
 	for pid, p := range procs {
 		if p.Gen.Kind != Sporadic {
 			continue
 		}
-		times := sporadicEvents[p.Name]
-		sorted := slices.Clone(times)
+		sorted := slices.Clone(sporadicEvents[p.Name])
 		slices.SortFunc(sorted, Time.Cmp)
+		out[pid] = make([]int64, len(sorted))
+		for i, t := range sorted {
+			var ok bool
+			if out[pid][i], ok = sc.Ticks(t); !ok || out[pid][i] < -maxOrderTick || out[pid][i] > maxOrderTick {
+				return nil, errOrderTimescale(net, "the sporadic event at %vs of process %q", t, p.Name)
+			}
+		}
 		if err := p.Gen.CheckSporadic(sorted); err != nil {
 			return nil, fmt.Errorf("core: process %q: %w", p.Name, err)
 		}
@@ -297,7 +326,6 @@ func sporadicEvents(net *Network, procs []*Process, horizon Time, sporadicEvents
 					p.Name, t, horizon)
 			}
 		}
-		out[pid] = sorted
 	}
 	for proc := range sporadicEvents {
 		p := net.Process(proc)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/nettest"
 	"repro/internal/rational"
+	"repro/internal/staticflow"
 )
 
 // FuzzJobOrderMatchesReference checks core's integer zero-delay order
@@ -171,4 +172,88 @@ func TestJobSequenceAssignsK(t *testing.T) {
 			t.Fatal("job sequence not sorted by time")
 		}
 	}
+}
+
+// maxFuzzOrderJobs bounds the orders FuzzJobOrderNeverPanics goes on to
+// execute and sweep: a frame of up to core.MaxFrameJobs jobs is a valid
+// order, but replaying it every iteration would starve the fuzzer.
+const maxFuzzOrderJobs = 1 << 14
+
+// FuzzJobOrderNeverPanics feeds extreme-timing networks
+// (nettest.TimingNet; nettest.Random for empty timing), with and without
+// random sporadic events, through
+// core.JobOrder, CompiledNet.RunZeroDelay and staticflow.Buffers. Each
+// call returns an order, a result or an error and never panics; timing
+// beyond the order's integer timescale is an error naming the network.
+// RunZeroDelay fails exactly when JobOrder does and runs its jobs.
+func FuzzJobOrderNeverPanics(f *testing.F) {
+	for seed := int64(0); seed < int64(trialCount(f, 32)); seed++ {
+		f.Add(seed, nettest.ExtremeTiming(rand.New(rand.NewSource(seed))))
+		f.Add(seed, []byte(nil))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, timing []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		net := nettest.Random(rng, nettest.Options{})
+		if len(timing) > 0 {
+			net = nettest.TimingNet(timing)
+		}
+		rank, err := net.FPRank(-1)
+		if err != nil {
+			t.Skip()
+		}
+		h, err := core.Hyperperiod(net, nil)
+		if err != nil {
+			t.Skip()
+		}
+		// horizon = h·q/8 for q in [1, 32] where that fits a rational,
+		// else h.
+		horizon := h
+		q := 1 + rng.Int63n(32)
+		if num, ok := rational.MulOK(h.Num(), q); ok {
+			if den, ok := rational.MulOK(h.Den(), 8); ok {
+				horizon = rational.New(num, den)
+			}
+		}
+		var events map[string][]core.Time
+		if rng.Intn(2) == 0 {
+			events = randomEvents(rng, net, horizon)
+		}
+		order, orderErr := core.JobOrder(net, rank, horizon, events)
+		if orderErr == nil && len(order.Refs()) != len(order.Jobs) {
+			t.Fatalf("%d refs for %d jobs", len(order.Refs()), len(order.Jobs))
+		}
+		if orderErr == nil && len(order.Jobs) > maxFuzzOrderJobs {
+			return
+		}
+		if cn, err := core.CompileNetwork(net); err == nil {
+			res, err := cn.RunZeroDelay(horizon, core.ZeroDelayOptions{SporadicEvents: events, Seed: -1})
+			if (err == nil) != (orderErr == nil) {
+				t.Fatalf("RunZeroDelay error %v, JobOrder error %v", err, orderErr)
+			}
+			if err == nil && len(res.Jobs) != len(order.Jobs) {
+				t.Fatalf("RunZeroDelay ran %d jobs, the order holds %d", len(res.Jobs), len(order.Jobs))
+			}
+		}
+		if frame, err := core.JobOrderFrames(net, rank, 1, nil); err == nil && len(frame.Jobs) > maxFuzzOrderJobs/4 {
+			return
+		}
+		_, _ = staticflow.Buffers(net, 2+rng.Intn(3), events)
+	})
+}
+
+// randomEvents is nettest.RandomEvents, or no events where the generator
+// would walk more than 1024 sporadic periods or its own rational
+// arithmetic overflows on the network's timing.
+func randomEvents(rng *rand.Rand, net *core.Network, horizon core.Time) (events map[string][]core.Time) {
+	for _, p := range net.Processes() {
+		if q, ok := horizon.FloorDivOK(p.Period()); p.IsSporadic() && (!ok || q > 1<<10) {
+			return nil
+		}
+	}
+	defer func() {
+		if recover() != nil {
+			events = nil
+		}
+	}()
+	return nettest.RandomEvents(rng, net, horizon)
 }

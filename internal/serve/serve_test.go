@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,8 +18,10 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/feas"
 	"repro/internal/lint"
 	"repro/internal/rational"
+	"repro/internal/taskgraph"
 )
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -501,6 +504,56 @@ func TestAnalyzeLintMatchesRun(t *testing.T) {
 						t.Errorf("gate %d, %s m=%d %s: lint section\n%s\nwant lint.Run's\n%s", opts.MaxAnalyzeJobs, app, m, h, got, want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestAnalyzeArtifactFindings pins the feas artifact of /analyze where it
+// shows: on models whose precedence-aware load exceeds one processor, at
+// M 1–3, the lint section fires FPPN018 at M=1 and equals lint.Run's, and
+// the schedulability section equals feas.Analyze on a fresh derivation at
+// the request's M. A report analyzed at any other capacity fails the
+// second check.
+func TestAnalyzeArtifactFindings(t *testing.T) {
+	t.Parallel()
+	s := newTestServer(t, Options{})
+	for _, app := range []string{"signal", "fft-overhead"} {
+		net, err := apps.Build(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tg, err := taskgraph.Derive(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 1; m <= 3; m++ {
+			var resp AnalyzeResponse
+			if code := post(t, s, "/analyze", map[string]any{"app": app, "m": m, "heuristic": "edf"}, &resp); code != http.StatusOK {
+				t.Fatalf("%s m=%d: status %d", app, m, code)
+			}
+			rep := lint.Run(net, lint.Options{Processors: m})
+			if m == 1 && !slices.ContainsFunc(rep.Findings, func(f lint.Finding) bool { return f.Code == lint.CodeFeasLoad }) {
+				t.Fatalf("%s m=1: lint.Run fires no %s", app, lint.CodeFeasLoad)
+			}
+			got, _ := json.Marshal(resp.Lint)
+			want, _ := json.Marshal(LintSection{Errors: len(rep.Errors()), Warnings: len(rep.Warnings()), Findings: rep.Findings})
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s m=%d: lint section\n%s\nwant lint.Run's\n%s", app, m, got, want)
+			}
+			frep, err := feas.Analyze(tg, m, feas.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantFeas := FeasSection{Verdict: frep.Verdict().String()}
+			for _, res := range frep.Results {
+				wantFeas.Results = append(wantFeas.Results, FeasResultJSON{
+					Test: res.Test.String(), Verdict: res.Verdict.String(), Certified: res.Certified, Reason: res.Reason})
+			}
+			got, _ = json.Marshal(resp.Schedulability)
+			want, _ = json.Marshal(wantFeas)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s m=%d: schedulability section\n%s\nwant feas.Analyze's\n%s", app, m, got, want)
 			}
 		}
 	}

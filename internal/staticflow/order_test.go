@@ -93,10 +93,13 @@ func TestJobOrderMatchesJobSequence(t *testing.T) {
 			got := make([][]core.Time, len(procs))
 			var prev core.Time
 			for i, j := range jobs {
-				if j.Num < 0 || j.Num >= j.Den {
-					t.Fatalf("job %d: offset %d/%d outside its frame", i, j.Num, j.Den)
+				if j.Offset < 0 || j.Offset >= order.H {
+					t.Fatalf("job %d: offset %d outside its frame of %d ticks", i, j.Offset, order.H)
 				}
-				at := h.Mul(rational.New(j.Num, j.Den).Add(rational.FromInt(int64(j.Frame))))
+				at := order.Scale.FromTicks(int64(j.Frame)*order.H + j.Offset)
+				if !h.MulInt(int64(j.Frame)).LessEq(at) || !at.Less(h.MulInt(int64(j.Frame+1))) {
+					t.Fatalf("job %d: time %v outside frame %d", i, at, j.Frame)
+				}
 				if i > 0 {
 					c := at.Cmp(prev)
 					last := jobs[i-1].Pid

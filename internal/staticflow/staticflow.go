@@ -36,7 +36,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/rational"
 )
 
 // Time aliases the exact rational time type.
@@ -154,25 +153,17 @@ func Buffers(net *core.Network, frames int, events map[string][]Time) (*BufferPr
 	if ps := net.Problems(); len(ps) > 0 {
 		return nil, fmt.Errorf("staticflow: network %q is not well-formed: %v", net.Name, ps[0].Message)
 	}
-	h, err := core.Hyperperiod(net, nil)
-	if err != nil {
-		return nil, err
-	}
 	rank, err := net.FPRank(-1)
 	if err != nil {
 		return nil, err
 	}
-	num, ok := rational.MulOK(h.Num(), int64(frames))
-	if !ok {
-		return nil, fmt.Errorf("staticflow: %d frames of the hyperperiod %vs overflow int64", frames, h)
-	}
-	order, err := core.JobOrder(net, rank, rational.New(num, h.Den()), events)
+	order, err := core.JobOrderFrames(net, rank, frames, events)
 	if err != nil {
 		return nil, err
 	}
 
 	profile := &BufferProfile{
-		Hyperperiod: h,
+		Hyperperiod: order.Scale.FromTicks(order.H),
 		Frames:      frames,
 		channels:    make(map[string]*ChannelBounds),
 	}

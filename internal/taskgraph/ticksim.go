@@ -5,8 +5,9 @@ package taskgraph
 // t = c·T'_p over [0, H), sort by (t, FP' rank) and read the job tuples
 // (A_i, D_i, C_i) off the ordered sequence. This file runs it on the
 // network's integer timescale (see timescale.go): each invocation instant
-// and deadline is an exact int64 tick count and the <_J sort compares two
-// ints. Lowered values are converted back through Scale.FromTicks, which
+// and deadline is an exact int64 tick count, and the <_J sort is
+// core.SortFrame's packed (tick, rank) key sort, the one core.JobOrder
+// runs. Lowered values are converted back through Scale.FromTicks, which
 // reduces to lowest terms, so every job carries the exact rational times of
 // the paper; the differential suite and FuzzDeriveTickMatchesRational in
 // internal/integration hold the simulation to an exact-rational oracle.
@@ -18,73 +19,34 @@ import (
 	"repro/internal/core"
 )
 
-// rankBits packs an invocation's FP' rank into the low bits of its sort
-// key: key = t<<rankBits | rank. Ranks are a permutation of the processes
-// and the frame has at most MaxFrameJobs = 2^20 jobs (hence processes), so
-// 20 bits always hold the rank; t is guarded to 2^40, so the packed key
-// stays within int64 and sorting the keys IS the (t, rank) lexicographic
-// sort — over plain int64s, which slices.Sort handles without the
-// reflection swapper of sort.Slice.
-const rankBits = 20
-
 // simulateFrameTicks produces the job sequence of PN' over [0, H) in <_J
 // order with each job's (A_i, D_i, C_i) per the paper's formulas, deadlines
-// truncated to the horizon H + DeadlineSlack. Besides the jobs it returns
-// the per-job tick table and each job's Pid packed into int32s for the
-// edge pipeline.
+// truncated to the horizon H + DeadlineSlack. core.SortFrame orders the
+// invocations over the server-substituted tick periods of PN'. Besides
+// the jobs this returns the per-job tick table and each job's Pid packed
+// into int32s for the edge pipeline.
 func simulateFrameTicks(net *core.Network, tm *Timing, rank []int) (
 	jobs []*Job, jobPid []int32, ticks *JobTicks) {
 
 	procs := net.Processes()
-	np := len(procs)
 	sc := tm.Scale
-
-	// Exact invocation counts: H is a common multiple of every substituted
-	// period, so count = H/T' divides evenly.
-	rankOf := make([]int32, np)
-	perProc := make([]int, np) // invocations per process
-	total := 0
+	burst := make([]int, len(procs))
 	for pi, p := range procs {
-		rankOf[pi] = int32(rank[pi])
-		perProc[pi] = int(tm.H/tm.Period[pi]) * p.Burst()
-		total += perProc[pi]
+		burst[pi] = p.Burst()
 	}
-
-	// Generate each process's stream of packed (t, rank) keys. Ranks are a
-	// permutation of the processes, so the key's rank field recovers the
-	// process after the sort.
-	pidOfRank := make([]int32, np)
-	for pi := range rankOf {
-		pidOfRank[rankOf[pi]] = int32(pi)
-	}
-	keys := make([]int64, 0, total)
-	for pi, p := range procs {
-		for t := int64(0); t < tm.H; t += tm.Period[pi] {
-			key := t<<rankBits | int64(rankOf[pi])
-			for b := 0; b < p.Burst(); b++ {
-				keys = append(keys, key)
-			}
-		}
-	}
-
-	// <_J order: (t, FP' rank), i.e. ascending packed key. Ties are
-	// invocations of one process at one instant — identical keys, for
-	// which an unstable sort is indistinguishable from a stable
-	// (t, rank, name) sort.
-	slices.Sort(keys)
+	jobPid, arrival := core.SortFrame(tm.Period, burst, rank, tm.H, tm.Jobs)
 
 	// Materialize the job tuples. One backing array for the nodes keeps
 	// the per-job cost at field writes; FromTicks reduces to lowest terms,
 	// so every Time is the exact rational value.
+	total := len(jobPid)
 	jobsArr := make([]Job, total)
 	jobs = make([]*Job, total)
-	jobPid = make([]int32, total)
 	ticks = &JobTicks{Scale: sc,
-		Arrival: make([]int64, total), WCET: make([]int64, total), Deadline: make([]int64, total)}
-	counts := make([]int64, np)
-	for i, key := range keys {
-		t := key >> rankBits
-		pi := pidOfRank[key&(1<<rankBits-1)]
+		Arrival: arrival, WCET: make([]int64, total), Deadline: make([]int64, total)}
+	counts := make([]int64, len(procs))
+	for i, pi := range jobPid {
+		t := arrival[i]
 		p := procs[pi]
 		counts[pi]++
 		k := counts[pi]
@@ -109,8 +71,7 @@ func simulateFrameTicks(net *core.Network, tm *Timing, rank []int) (
 		}
 		j.Deadline = sc.FromTicks(dl)
 		jobs[i] = j
-		jobPid[i] = pi
-		ticks.Arrival[i], ticks.WCET[i], ticks.Deadline[i] = t, tm.WCET[pi], dl
+		ticks.WCET[i], ticks.Deadline[i] = tm.WCET[pi], dl
 	}
 	return jobs, jobPid, ticks
 }

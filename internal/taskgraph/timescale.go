@@ -20,11 +20,11 @@ import (
 	"repro/internal/rational"
 )
 
-// MaxFrameJobs bounds the jobs of one frame; Derive rejects larger frames. With every value within
-// rational.MaxTick = 2^40 ticks, sums of one value per job stay below
-// 2^60; the bound also keeps the FP' rank inside the rankBits field of the
-// simulation's packed sort key.
-const MaxFrameJobs = 1 << 20
+// MaxFrameJobs bounds the jobs of one frame; Derive rejects larger frames.
+// With every value within rational.MaxTick = 2^40 ticks, sums of one value
+// per job stay below 2^60; the bound is core's, which also keeps the FP'
+// rank inside the rank field of core.SortFrame's packed key.
+const MaxFrameJobs = core.MaxFrameJobs
 
 // TimescaleError reports timing that does not fit the integer timescale.
 type TimescaleError struct {

@@ -219,11 +219,16 @@ func Simulate(net *core.Network, horizon Time, pr Priority,
 	}
 	// Event-driven simulation: at each instant run the highest-priority
 	// released job until it finishes or a higher-priority release occurs.
-	releases := make([]Time, 0, len(pending))
-	for _, j := range pending {
-		releases = append(releases, j.release)
+	// pending follows the order, by release time, so the first release
+	// after now is the next one.
+	nextRelease := func(now Time) (Time, bool) {
+		for _, j := range pending {
+			if now.Less(j.release) {
+				return j.release, true
+			}
+		}
+		return Time{}, false
 	}
-	sort.Slice(releases, func(a, b int) bool { return releases[a].Less(releases[b]) })
 
 	var done []JobTiming
 	totalExec := rational.Zero
@@ -242,16 +247,8 @@ func Simulate(net *core.Network, horizon Time, pr Priority,
 		}
 		if best == nil {
 			// Idle: jump to the next release, or stop.
-			next := Time{}
-			have := false
-			for _, r := range releases {
-				if now.Less(r) {
-					next = r
-					have = true
-					break
-				}
-			}
-			if !have {
+			next, ok := nextRelease(now)
+			if !ok {
 				break
 			}
 			now = next
@@ -268,20 +265,11 @@ func Simulate(net *core.Network, horizon Time, pr Priority,
 		running = best
 		// Run until completion or the next release, whichever first.
 		finish := now.Add(best.remaining)
-		nextRelease := Time{}
-		haveRel := false
-		for _, r := range releases {
-			if now.Less(r) && r.Less(finish) {
-				nextRelease = r
-				haveRel = true
-				break
-			}
-		}
-		if haveRel {
-			ran := nextRelease.Sub(now)
+		if next, ok := nextRelease(now); ok && next.Less(finish) {
+			ran := next.Sub(now)
 			best.remaining = best.remaining.Sub(ran)
 			totalExec = totalExec.Add(ran)
-			now = nextRelease
+			now = next
 			continue
 		}
 		totalExec = totalExec.Add(best.remaining)
