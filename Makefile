@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzMCMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzJobOrderMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzJobOrderNeverPanics -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzValidatePipelinedMatchesReference -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

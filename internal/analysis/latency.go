@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/plan"
 	"repro/internal/rational"
@@ -116,21 +117,22 @@ func StaticChainLatency(s *sched.Schedule, chain []string) (Time, error) {
 		return rational.Zero, fmt.Errorf("analysis: chain needs at least two processes")
 	}
 	tg := s.TG
-	first, last := chain[0], chain[len(chain)-1]
-	worst := rational.Zero
-	found := false
-	firsts, lasts := tg.JobsOf(tg.Net.Pid(first)), tg.JobsOf(tg.Net.Pid(last))
-	for k := range min(len(firsts), len(lasts)) {
-		lat := s.End(lasts[k]).Sub(tg.Jobs[firsts[k]].Arrival)
-		if !found || worst.Less(lat) {
-			worst = lat
-		}
-		found = true
+	jt, err := s.Ticks()
+	if err != nil {
+		return rational.Zero, err
 	}
-	if !found {
+	first, last := chain[0], chain[len(chain)-1]
+	firsts, lasts := tg.JobsOf(tg.Net.Pid(first)), tg.JobsOf(tg.Net.Pid(last))
+	if min(len(firsts), len(lasts)) == 0 {
 		return rational.Zero, fmt.Errorf("analysis: no matching jobs for chain %v", chain)
 	}
-	return worst, nil
+	// The worst of e_last[k] − A_first[k] over k, in ticks.
+	worst := int64(math.MinInt64)
+	for k := range min(len(firsts), len(lasts)) {
+		l, f := lasts[k], firsts[k]
+		worst = max(worst, s.Assign[l].Start+jt.WCET[l]-jt.Arrival[f])
+	}
+	return jt.Scale.FromTicks(worst), nil
 }
 
 // WCETMargin finds the largest uniform WCET scaling factor λ (as a rational

@@ -42,7 +42,8 @@ func (st SchedStats) Slack() (Time, bool) {
 	return st.MinSlack, st.Jobs > 0
 }
 
-// Stats computes the statistics of a static schedule.
+// Stats computes the statistics of a static schedule. The sums and the
+// slack minimum run in ticks of the schedule's table.
 func Stats(s *sched.Schedule) SchedStats {
 	tg := s.TG
 	st := SchedStats{
@@ -54,20 +55,26 @@ func Stats(s *sched.Schedule) SchedStats {
 		PerProcBusy: make([]Time, s.M),
 		Jobs:        len(tg.Jobs),
 	}
-	busy := rational.Zero
-	first := true
-	for i, j := range tg.Jobs {
-		st.PerProcBusy[s.Assign[i].Proc] = st.PerProcBusy[s.Assign[i].Proc].Add(j.WCET)
-		busy = busy.Add(j.WCET)
-		slack := j.Deadline.Sub(s.End(i))
-		if first || slack.Less(st.MinSlack) {
-			st.MinSlack = slack
-			first = false
+	jt, err := s.Ticks()
+	if err != nil || len(tg.Jobs) == 0 {
+		return st
+	}
+	busyP := make([]int64, s.M)
+	busy, minSlack := int64(0), int64(0)
+	for i, a := range s.Assign {
+		busyP[a.Proc] += jt.WCET[i]
+		busy += jt.WCET[i]
+		if slack := jt.Deadline[i] - a.Start - jt.WCET[i]; i == 0 || slack < minSlack {
+			minSlack = slack
 		}
 	}
+	for p, b := range busyP {
+		st.PerProcBusy[p] = jt.Scale.FromTicks(b)
+	}
+	st.MinSlack = jt.Scale.FromTicks(minSlack)
 	denom := tg.Hyperperiod.MulInt(int64(s.M))
 	if denom.Sign() > 0 {
-		st.Utilization = busy.Div(denom)
+		st.Utilization = jt.Scale.FromTicks(busy).Div(denom)
 	}
 	return st
 }

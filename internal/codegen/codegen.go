@@ -165,10 +165,7 @@ func Generate(s *sched.Schedule, cfg Config) (*Program, error) {
 	}
 
 	// Scheduler automata, one per processor.
-	procOrder, err := s.ProcessorOrder()
-	if err != nil {
-		return nil, err
-	}
+	procOrder := s.ProcessorOrder()
 	net.Init[wrappedVar] = int64(s.M) // frame 0 starts "wrapped"
 	for procIdx := 0; procIdx < s.M; procIdx++ {
 		a := &ta.Automaton{

@@ -188,7 +188,7 @@ func Schedule(s *sched.Schedule) ScheduleJSON {
 		out.Assignments = append(out.Assignments, AssignmentJSON{
 			Job:       j.Name(),
 			Processor: s.Assign[i].Proc,
-			Start:     s.Assign[i].Start.String(),
+			Start:     s.StartTime(i).String(),
 			End:       s.End(i).String(),
 		})
 	}
@@ -197,7 +197,8 @@ func Schedule(s *sched.Schedule) ScheduleJSON {
 
 // ImportSchedule reconstructs a static schedule from its JSON form against
 // an independently derived task graph: jobs are matched by their p[k]
-// names, start times parse as exact rationals, and the result is validated
+// names, start times parse as exact rationals and lower onto the
+// schedule's tick table (sched.FromStarts), and the result is validated
 // structurally (but not for feasibility — callers decide which check to
 // apply). This closes the tool-interchange loop: schedules computed by an
 // external tool can drive this repository's runtimes.
@@ -213,7 +214,7 @@ func ImportSchedule(tg *taskgraph.TaskGraph, jsonText string) (*sched.Schedule, 
 	for i, j := range tg.Jobs {
 		byName[j.Name()] = i
 	}
-	assign := make([]sched.Assignment, len(tg.Jobs))
+	procs, starts := make([]int, len(tg.Jobs)), make([]rational.Rat, len(tg.Jobs))
 	seen := make([]bool, len(tg.Jobs))
 	for _, a := range sj.Assignments {
 		idx, ok := byName[a.Job]
@@ -231,7 +232,7 @@ func ImportSchedule(tg *taskgraph.TaskGraph, jsonText string) (*sched.Schedule, 
 		if a.Processor < 0 || a.Processor >= sj.Processors {
 			return nil, fmt.Errorf("export: job %q on processor %d of %d", a.Job, a.Processor, sj.Processors)
 		}
-		assign[idx] = sched.Assignment{Proc: a.Processor, Start: start}
+		procs[idx], starts[idx] = a.Processor, start
 	}
 	for i, ok := range seen {
 		if !ok {
@@ -244,7 +245,7 @@ func ImportSchedule(tg *taskgraph.TaskGraph, jsonText string) (*sched.Schedule, 
 			h = cand
 		}
 	}
-	return &sched.Schedule{TG: tg, M: sj.Processors, Assign: assign, Heuristic: h}, nil
+	return sched.FromStarts(tg, sj.Processors, h, procs, starts)
 }
 
 // ReportJSON serializes a runtime report (entries, misses, output sample

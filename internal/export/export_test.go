@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps/signal"
 	"repro/internal/plan"
+	"repro/internal/rational"
 	"repro/internal/sched"
 	"repro/internal/taskgraph"
 )
@@ -148,7 +149,7 @@ func TestImportScheduleRoundTrip(t *testing.T) {
 	}
 	for i := range tg.Jobs {
 		if back.Assign[i].Proc != s.Assign[i].Proc ||
-			!back.Assign[i].Start.Equal(s.Assign[i].Start) {
+			!back.StartTime(i).Equal(s.StartTime(i)) {
 			t.Fatalf("assignment %d differs after round trip", i)
 		}
 	}
@@ -169,6 +170,48 @@ func TestImportScheduleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestImportScheduleOffGrid imports a schedule whose one start lies
+// between the task graph's 25 ms ticks: a job that nothing follows, on its
+// processor or in the graph, starts 1 ms later. The schedule gets a
+// refined tick table, validates, and exports to the same bytes.
+func TestImportScheduleOffGrid(t *testing.T) {
+	tg, s, _ := fixtures(t)
+	last := -1
+	for _, chain := range s.ProcessorOrder() {
+		if i := chain[len(chain)-1]; len(tg.Succ[i]) == 0 && tg.Jobs[i].Deadline.Sub(s.End(i)).Sign() > 0 {
+			last = i
+		}
+	}
+	if last < 0 {
+		t.Fatal("no job with slack ends a processor chain")
+	}
+	sj := Schedule(s)
+	a := &sj.Assignments[last]
+	a.Start = s.StartTime(last).Add(rational.Milli(1)).String()
+	a.End = s.End(last).Add(rational.Milli(1)).String()
+	text, err := MarshalIndent(sj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ImportSchedule(tg, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatalf("off-grid schedule invalid: %v", err)
+	}
+	if jt, _ := back.Ticks(); jt.Scale.Den() != 1000 {
+		t.Errorf("tick table 1/%d s, want the 1/1000 s refinement", jt.Scale.Den())
+	}
+	again, err := MarshalIndent(Schedule(back))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != text {
+		t.Errorf("off-grid schedule does not round-trip:\n%s\nwant\n%s", again, text)
+	}
+}
+
 func TestImportScheduleErrors(t *testing.T) {
 	tg, s, _ := fixtures(t)
 	good, err := MarshalIndent(Schedule(s))
@@ -185,6 +228,7 @@ func TestImportScheduleErrors(t *testing.T) {
 		{"bad start", func(sj *ScheduleJSON) { sj.Assignments[0].Start = "x/y" }},
 		{"bad processor", func(sj *ScheduleJSON) { sj.Assignments[0].Processor = 9 }},
 		{"missing job", func(sj *ScheduleJSON) { sj.Assignments = sj.Assignments[1:] }},
+		{"start beyond the tick guard", func(sj *ScheduleJSON) { sj.Assignments[0].Start = "1099511627777/100" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -79,10 +79,18 @@ func simulateFrameRational(net *core.Network, tg *taskgraph.TaskGraph, slack rat
 		} else {
 			j.Deadline = iv.t.Add(p.Deadline())
 		}
-		j.Deadline = j.Deadline.Min(truncateAt) // step 4: truncate to the frame (+ slack)
+		j.Deadline = minRat(j.Deadline, truncateAt) // step 4: truncate to the frame (+ slack)
 		jobs = append(jobs, j)
 	}
 	return h, jobs, nil
+}
+
+// minRat is the smaller of two rationals.
+func minRat(a, b rational.Rat) rational.Rat {
+	if b.Less(a) {
+		return b
+	}
+	return a
 }
 
 // fpPrimeRanks computes a linear extension of FP' = FP with all edges

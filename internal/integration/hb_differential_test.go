@@ -293,7 +293,7 @@ func TestHBMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("hand-built trial %d: derive: %v", trial, err)
 		}
-		if v := assertHBMatchesReference(t, handBuiltSchedule(rng, tg, trial%3), false); v.Witness != nil {
+		if v := assertHBMatchesReference(t, handBuiltSchedule(t, rng, tg, trial%3), false); v.Witness != nil {
 			kinds[fmt.Sprintf("%s delta=%d", v.Witness.A.Op, v.Witness.B.Frame)] = true
 		}
 	}
@@ -314,7 +314,7 @@ func TestHBMatchesReference(t *testing.T) {
 // processors. Mode 2 keeps every edge, gives each job its own processor
 // and stretches every deadline by H: every frame is ordered on its own,
 // and only cross-frame pairs can race.
-func handBuiltSchedule(rng *rand.Rand, tg *taskgraph.TaskGraph, mode int) *sched.Schedule {
+func handBuiltSchedule(t *testing.T, rng *rand.Rand, tg *taskgraph.TaskGraph, mode int) *sched.Schedule {
 	n, h := len(tg.Jobs), tg.Hyperperiod
 	hand := &taskgraph.TaskGraph{
 		Net: tg.Net, Hyperperiod: h, ServerPeriod: tg.ServerPeriod, IncludeRight: tg.IncludeRight, User: tg.User,
@@ -339,16 +339,19 @@ func handBuiltSchedule(rng *rand.Rand, tg *taskgraph.TaskGraph, mode int) *sched
 	if mode == 2 {
 		m = n
 	}
-	s := &sched.Schedule{TG: hand, M: m, Assign: make([]sched.Assignment, n)}
+	procs, starts := make([]int, n), make([]rational.Rat, n)
 	for i, j := range hand.Jobs {
-		a := sched.Assignment{Proc: i, Start: j.Arrival}
+		procs[i], starts[i] = i, j.Arrival
 		if mode < 2 {
-			a.Proc = rng.Intn(m)
+			procs[i] = rng.Intn(m)
 		}
 		if mode == 0 {
-			a.Start = h.MulInt(int64(rng.Intn(8))).DivInt(8).Add(rational.New(int64(rng.Intn(3)), 7000))
+			starts[i] = h.MulInt(int64(rng.Intn(8))).DivInt(8).Add(rational.New(int64(rng.Intn(3)), 7000))
 		}
-		s.Assign[i] = a
+	}
+	s, err := sched.FromStarts(hand, m, sched.ALAPEDF, procs, starts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s
 }

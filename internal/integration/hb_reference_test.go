@@ -12,18 +12,7 @@ import (
 
 // rationalProcessorOrder sorts each processor's jobs by rational start
 // time, ties by job index.
-func rationalProcessorOrder(s *sched.Schedule) [][]int {
-	byProc := make([][]int, s.M)
-	for i, a := range s.Assign {
-		byProc[a.Proc] = append(byProc[a.Proc], i)
-	}
-	for _, jobs := range byProc {
-		sort.SliceStable(jobs, func(a, b int) bool {
-			return s.Assign[jobs[a]].Start.Less(s.Assign[jobs[b]].Start)
-		})
-	}
-	return byProc
-}
+func rationalProcessorOrder(s *sched.Schedule) [][]int { return refOf(s).processorOrder() }
 
 // hbVerifyReference is the rational happens-before verifier that
 // hb.Verify replaced: gate times are exact rationals sorted with Rat.Less,

@@ -145,7 +145,7 @@ func refDemand(t *testing.T, net *core.Network) int {
 				d = d.Sub(tp)
 			}
 			for b := 0; b < p.Burst(); b++ {
-				jobs = append(jobs, demandJob{a, d.Min(h), p.WCET})
+				jobs = append(jobs, demandJob{a, minRat(d, h), p.WCET})
 			}
 		}
 	}

@@ -216,7 +216,7 @@ func FuzzJobOrderNeverPanics(f *testing.F) {
 		}
 		var events map[string][]core.Time
 		if rng.Intn(2) == 0 {
-			events = randomEvents(rng, net, horizon)
+			events = nettest.RandomEvents(rng, net, horizon)
 		}
 		order, orderErr := core.JobOrder(net, rank, horizon, events)
 		if orderErr == nil && len(order.Refs()) != len(order.Jobs) {
@@ -239,21 +239,4 @@ func FuzzJobOrderNeverPanics(f *testing.F) {
 		}
 		_, _ = staticflow.Buffers(net, 2+rng.Intn(3), events)
 	})
-}
-
-// randomEvents is nettest.RandomEvents, or no events where the generator
-// would walk more than 1024 sporadic periods or its own rational
-// arithmetic overflows on the network's timing.
-func randomEvents(rng *rand.Rand, net *core.Network, horizon core.Time) (events map[string][]core.Time) {
-	for _, p := range net.Processes() {
-		if q, ok := horizon.FloorDivOK(p.Period()); p.IsSporadic() && (!ok || q > 1<<10) {
-			return nil
-		}
-	}
-	defer func() {
-		if recover() != nil {
-			events = nil
-		}
-	}()
-	return nettest.RandomEvents(rng, net, horizon)
 }

@@ -40,13 +40,13 @@ func assertSchedulePair(t *testing.T, tg *taskgraph.TaskGraph, m int, h sched.He
 		}
 		return
 	}
-	if !reflect.DeepEqual(got, want) {
-		for i := range want.Assign {
-			if !reflect.DeepEqual(got.Assign[i], want.Assign[i]) {
+	if got.Heuristic != h || !matchesRef(got, want) {
+		for i := range want.procs {
+			if got.Assign[i].Proc != want.procs[i] || !got.StartTime(i).Equal(want.starts[i]) {
 				t.Fatalf("m=%d h=%v: job %s placed at (proc %d, start %v), reference (proc %d, start %v)",
 					m, h, tg.Jobs[i].Name(),
-					got.Assign[i].Proc, got.Assign[i].Start,
-					want.Assign[i].Proc, want.Assign[i].Start)
+					got.Assign[i].Proc, got.StartTime(i),
+					want.procs[i], want.starts[i])
 			}
 		}
 		t.Fatalf("m=%d h=%v: schedules diverge outside assignments", m, h)
@@ -184,21 +184,25 @@ func TestSchedDifferentialHandBuilt(t *testing.T) {
 
 	tg := chain(ms(10))
 	tg.Jobs[1].Arrival = ms(5)
-	corrupt := []func(s *sched.Schedule){
-		func(s *sched.Schedule) {},
-		func(s *sched.Schedule) { s.Assign = s.Assign[:2] },
-		func(s *sched.Schedule) { s.Assign[0].Proc = 7 },
-		func(s *sched.Schedule) { s.Assign[1].Start = ms(2); s.Assign[1].Proc = 1 },
-		func(s *sched.Schedule) { s.Assign[2].Start = ms(95) },
-		func(s *sched.Schedule) { s.Assign[1].Start = ms(7); s.Assign[1].Proc = 1 },
-		func(s *sched.Schedule) { s.Assign[2].Start = ms(5); s.Assign[2].Proc = 0 },
-		func(s *sched.Schedule) { s.Assign[0].Start = ms(1); s.Assign[1].Start = ms(11) },
+	corrupt := []func(s *refSchedule){
+		func(s *refSchedule) {},
+		func(s *refSchedule) { s.procs, s.starts = s.procs[:2], s.starts[:2] },
+		func(s *refSchedule) { s.procs[0] = 7 },
+		func(s *refSchedule) { s.starts[1] = ms(2); s.procs[1] = 1 },
+		func(s *refSchedule) { s.starts[2] = ms(95) },
+		func(s *refSchedule) { s.starts[1] = ms(7); s.procs[1] = 1 },
+		func(s *refSchedule) { s.starts[2] = ms(5); s.procs[2] = 0 },
+		func(s *refSchedule) { s.starts[0] = ms(1); s.starts[1] = ms(11) },
 	}
 	for i, c := range corrupt {
-		s := &sched.Schedule{TG: tg, M: 2, Assign: []sched.Assignment{
-			{Proc: 0, Start: rational.Zero}, {Proc: 0, Start: ms(10)}, {Proc: 1, Start: rational.Zero}}}
-		c(s)
-		got, want := s.Validate(), validateReference(s)
+		r := &refSchedule{tg: tg, m: 2, procs: []int{0, 0, 1}, starts: []rational.Rat{rational.Zero, ms(10), rational.Zero}}
+		c(r)
+		// FromStarts lowers the starts; Validate checks the placement.
+		s, got := sched.FromStarts(tg, r.m, sched.ALAPEDF, r.procs, r.starts)
+		if got == nil {
+			got = s.Validate()
+		}
+		want := validateReference(r)
 		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
 			t.Errorf("case %d: Validate %v, rational oracle %v", i, got, want)
 		}

@@ -20,10 +20,45 @@ import (
 	"repro/internal/taskgraph"
 )
 
+// refSchedule is a static schedule in the reference's exact-rational
+// form: processor µ_i and start time s_i per job.
+type refSchedule struct {
+	tg     *taskgraph.TaskGraph
+	m      int
+	procs  []int
+	starts []rational.Rat
+}
+
+// end is the completion time s_i + C_i of job i.
+func (r *refSchedule) end(i int) rational.Rat { return r.starts[i].Add(r.tg.Jobs[i].WCET) }
+
+// refOf reads a tick schedule's placements as rationals.
+func refOf(s *sched.Schedule) *refSchedule {
+	r := &refSchedule{tg: s.TG, m: s.M, procs: make([]int, len(s.Assign)), starts: make([]rational.Rat, len(s.Assign))}
+	for i, a := range s.Assign {
+		r.procs[i], r.starts[i] = a.Proc, s.StartTime(i)
+	}
+	return r
+}
+
+// matchesRef reports whether the tick schedule s places every job where
+// the reference r does.
+func matchesRef(s *sched.Schedule, r *refSchedule) bool {
+	if s.M != r.m || len(s.Assign) != len(r.procs) {
+		return false
+	}
+	for i, a := range s.Assign {
+		if a.Proc != r.procs[i] || !s.StartTime(i).Equal(r.starts[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // listScheduleReference runs the list-scheduling simulation: at every
 // decision instant, each idle processor picks the highest-SP job that has
 // arrived and whose task-graph predecessors have all completed.
-func listScheduleReference(tg *taskgraph.TaskGraph, m int, h sched.Heuristic) (*sched.Schedule, error) {
+func listScheduleReference(tg *taskgraph.TaskGraph, m int, h sched.Heuristic) (*refSchedule, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("sched: %d processors", m)
 	}
@@ -33,7 +68,7 @@ func listScheduleReference(tg *taskgraph.TaskGraph, m int, h sched.Heuristic) (*
 	procFree := make([]rational.Rat, m)
 	finish := make([]rational.Rat, n)
 	started := make([]bool, n)
-	assign := make([]sched.Assignment, n)
+	r := &refSchedule{tg: tg, m: m, procs: make([]int, n), starts: make([]rational.Rat, n)}
 
 	t := rational.Zero
 	scheduled := 0
@@ -72,7 +107,7 @@ func listScheduleReference(tg *taskgraph.TaskGraph, m int, h sched.Heuristic) (*
 			ready = ready[1:]
 			p := idle[0]
 			idle = idle[1:]
-			assign[i] = sched.Assignment{Proc: p, Start: t}
+			r.procs[i], r.starts[i] = p, t
 			started[i] = true
 			finish[i] = t.Add(tg.Jobs[i].WCET)
 			procFree[p] = finish[i]
@@ -109,54 +144,58 @@ func listScheduleReference(tg *taskgraph.TaskGraph, m int, h sched.Heuristic) (*
 		}
 		t = next
 	}
-	return &sched.Schedule{TG: tg, M: m, Assign: assign, Heuristic: h}, nil
+	return r, nil
 }
 
 // validateReference checks the feasibility constraints of Definition 3.2
 // in rational arithmetic — the pre-integer-timescale implementation of
 // Schedule.Validate.
-func validateReference(s *sched.Schedule) error {
-	tg := s.TG
-	if len(s.Assign) != len(tg.Jobs) {
-		return fmt.Errorf("sched: %d assignments for %d jobs", len(s.Assign), len(tg.Jobs))
+func validateReference(s *refSchedule) error {
+	tg := s.tg
+	if len(s.procs) != len(tg.Jobs) {
+		return fmt.Errorf("sched: %d assignments for %d jobs", len(s.procs), len(tg.Jobs))
 	}
 	for i, j := range tg.Jobs {
-		a := s.Assign[i]
-		if a.Proc < 0 || a.Proc >= s.M {
-			return fmt.Errorf("sched: job %s mapped to processor %d of %d", j.Name(), a.Proc, s.M)
+		if p := s.procs[i]; p < 0 || p >= s.m {
+			return fmt.Errorf("sched: job %s mapped to processor %d of %d", j.Name(), p, s.m)
 		}
-		if a.Start.Less(j.Arrival) {
-			return fmt.Errorf("sched: job %s starts at %v before arrival %v", j.Name(), a.Start, j.Arrival)
+		if s.starts[i].Less(j.Arrival) {
+			return fmt.Errorf("sched: job %s starts at %v before arrival %v", j.Name(), s.starts[i], j.Arrival)
 		}
-		if j.Deadline.Less(s.End(i)) {
-			return fmt.Errorf("sched: job %s misses deadline: ends %v > %v", j.Name(), s.End(i), j.Deadline)
+		if j.Deadline.Less(s.end(i)) {
+			return fmt.Errorf("sched: job %s misses deadline: ends %v > %v", j.Name(), s.end(i), j.Deadline)
 		}
 	}
 	for _, e := range tg.Edges() {
-		if s.Assign[e[1]].Start.Less(s.End(e[0])) {
+		if s.starts[e[1]].Less(s.end(e[0])) {
 			return fmt.Errorf("sched: precedence %s -> %s violated",
 				tg.Jobs[e[0]].Name(), tg.Jobs[e[1]].Name())
 		}
 	}
 	// Mutual exclusion per processor.
-	byProc := make([][]int, s.M)
-	for i := range tg.Jobs {
-		p := s.Assign[i].Proc
-		byProc[p] = append(byProc[p], i)
-	}
-	for p, jobs := range byProc {
-		sort.Slice(jobs, func(a, b int) bool {
-			return s.Assign[jobs[a]].Start.Less(s.Assign[jobs[b]].Start)
-		})
+	for p, jobs := range s.processorOrder() {
 		for i := 1; i < len(jobs); i++ {
 			prev, cur := jobs[i-1], jobs[i]
-			if s.Assign[cur].Start.Less(s.End(prev)) {
+			if s.starts[cur].Less(s.end(prev)) {
 				return fmt.Errorf("sched: jobs %s and %s overlap on processor %d",
 					tg.Jobs[prev].Name(), tg.Jobs[cur].Name(), p)
 			}
 		}
 	}
 	return nil
+}
+
+// processorOrder sorts each processor's jobs by rational start time, ties
+// by job index.
+func (s *refSchedule) processorOrder() [][]int {
+	byProc := make([][]int, s.m)
+	for i, p := range s.procs {
+		byProc[p] = append(byProc[p], i)
+	}
+	for _, jobs := range byProc {
+		sort.SliceStable(jobs, func(a, b int) bool { return s.starts[jobs[a]].Less(s.starts[jobs[b]]) })
+	}
+	return byProc
 }
 
 // priorities computes the SP rank of every job (lower = scheduled first).

@@ -96,10 +96,7 @@ type Schedule struct {
 // staticOrder returns a schedule's chain predecessors and combined
 // order, from one processor-order sort.
 func staticOrder(s *sched.Schedule) (prev, order []int, err error) {
-	chains, err := s.ProcessorOrder()
-	if err != nil {
-		return nil, nil, err
-	}
+	chains := s.ProcessorOrder()
 	order, err = s.CombinedOrder(chains)
 	return s.ChainPrev(chains), order, err
 }

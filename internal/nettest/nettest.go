@@ -214,29 +214,49 @@ func Scale(rng *rand.Rand, opts ScaleOptions) *core.Network {
 	return n
 }
 
+// maxBursts caps the bursts RandomEvents draws per sporadic process.
+const maxBursts = 1024
+
 // RandomEvents generates a sporadic event schedule over [0, horizon)
 // honouring every generator's (m, T) constraint and keeping all handling
-// windows inside the horizon.
+// windows inside the horizon. It walks int64 ticks of one timescale for
+// the horizon, the sporadic periods and 1 ms, draws at most maxBursts
+// bursts per process, and skips a process whose values do not fit that
+// timescale.
 func RandomEvents(rng *rand.Rand, net *core.Network, horizon core.Time) map[string][]core.Time {
+	ms := rational.Milli(1)
+	vals := []rational.Rat{horizon, ms}
+	for _, p := range net.Processes() {
+		if p.IsSporadic() {
+			vals = append(vals, p.Period())
+		}
+	}
+	sc, scaled := rational.CommonScale(vals)
+	hT, okH := sc.Ticks(horizon)
+	msT := sc.Den() / 1000
 	out := make(map[string][]core.Time)
 	for _, p := range net.Processes() {
 		if !p.IsSporadic() {
 			continue
 		}
-		// Conservative spacing: at least T between bursts of at most
-		// m events; stop one server window before the horizon.
-		limit := horizon.Sub(p.Period()).Sub(p.Period())
-		if limit.Sign() <= 0 {
+		// Conservative spacing: at least T + 10 ms between bursts of at
+		// most m events 1 ms apart; stop one server window before the
+		// horizon. Every tick drawn stays below hT + (m + 210)·msT.
+		pT, okP := sc.Ticks(p.Period())
+		reach, okR := rational.MulOK(msT, int64(p.Burst())+210)
+		_, okS := rational.AddOK(hT, reach)
+		if !scaled || !okH || !okP || !okR || !okS || pT <= 0 || hT-pT <= pT {
 			continue
 		}
-		t := rational.Milli(int64(rng.Intn(50)))
+		limit := hT - 2*pT
+		t := int64(rng.Intn(50)) * msT
 		var events []core.Time
-		for t.Less(limit) {
+		for b := 0; b < maxBursts && t < limit; b++ {
 			count := 1 + rng.Intn(p.Burst())
 			for i := 0; i < count; i++ {
-				events = append(events, t.Add(rational.Milli(int64(i))))
+				events = append(events, sc.FromTicks(t+int64(i)*msT))
 			}
-			t = t.Add(p.Period()).Add(rational.Milli(int64(rng.Intn(200)) + 10))
+			t += pT + (int64(rng.Intn(200))+10)*msT
 		}
 		if len(events) > 0 {
 			out[p.Name] = events

@@ -53,6 +53,44 @@ func TestRandomEventsRespectConstraints(t *testing.T) {
 	}
 }
 
+// TestRandomEventsBounded runs RandomEvents on the timing of the
+// FuzzJobOrderNeverPanics input 63f9316e5687a7ea: a sporadic process with
+// a 16843009 s period, on which the unbounded generator appended about
+// 2·10^10 events. Its 3.5·10^17 s horizon does not fit the millisecond
+// timescale, so the process is skipped; a 10^15 s horizon that fits walks
+// exactly maxBursts single-event bursts.
+func TestRandomEventsBounded(t *testing.T) {
+	t.Parallel()
+	timing := []byte("1000000000\x00\x00\x000\x00\x00\x00\x0000000000\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"0000000000000000000000000\x01\x00\x00\x00\x00\x18\x00\x0000000000\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"000000000000000")
+	net := TimingNet(timing)
+	p0 := net.Process("p0")
+	if p0 == nil || !p0.IsSporadic() || !p0.Period().Equal(rational.FromInt(16843009)) || p0.Burst() != 1 {
+		t.Fatalf("timing decodes to %+v, want a sporadic p0 with a 16843009 s period", p0)
+	}
+	for _, tc := range []struct {
+		horizon rational.Rat
+		want    int
+	}{
+		{rational.New(2821266740684990247, 8), 0},
+		{rational.FromInt(1_000_000_000_000_000), maxBursts},
+	} {
+		events := RandomEvents(rand.New(rand.NewSource(27)), net, tc.horizon)
+		if got := len(events["p0"]); got != tc.want {
+			t.Errorf("horizon %vs: %d events, want %d", tc.horizon, got, tc.want)
+		}
+		if err := p0.Gen.CheckSporadic(events["p0"]); err != nil {
+			t.Errorf("horizon %vs: %v", tc.horizon, err)
+		}
+		for _, tau := range events["p0"] {
+			if !tau.Less(tc.horizon) {
+				t.Fatalf("horizon %vs: event %v beyond it", tc.horizon, tau)
+			}
+		}
+	}
+}
+
 func TestScaleHitsJobTarget(t *testing.T) {
 	t.Parallel()
 	for _, target := range []int{1000, 10000} {

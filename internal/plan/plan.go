@@ -494,9 +494,7 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		p.jobProc[i] = s.Assign[i].Proc
 		p.jobPid[i] = j.Pid // in range and naming j.Proc: buildInvTables checked
 	}
-	if p.procOrder, err = s.ProcessorOrder(); err != nil {
-		return nil, fmt.Errorf("rt: %w", err)
-	}
+	p.procOrder = s.ProcessorOrder()
 	p.procChainPrev = s.ChainPrev(p.procOrder)
 	if p.order, err = s.CombinedOrder(p.procOrder); err != nil {
 		return nil, fmt.Errorf("rt: %w", err)

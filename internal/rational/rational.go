@@ -209,14 +209,6 @@ func (r Rat) LessEq(s Rat) bool { return r.Cmp(s) <= 0 }
 // Equal reports whether r == s.
 func (r Rat) Equal(s Rat) bool { return r.Cmp(s) == 0 }
 
-// Min returns the smaller of r and s.
-func (r Rat) Min(s Rat) Rat {
-	if r.Cmp(s) <= 0 {
-		return r.normalized()
-	}
-	return s.normalized()
-}
-
 // Max returns the larger of r and s.
 func (r Rat) Max(s Rat) Rat {
 	if r.Cmp(s) >= 0 {
@@ -273,18 +265,6 @@ func (r Rat) DivInt(n int64) Rat { return r.Div(FromInt(n)) }
 func (r Rat) Float64() float64 {
 	r = r.normalized()
 	return float64(r.num) / float64(r.den)
-}
-
-// Lcm returns the least common multiple of two positive rationals:
-// lcm(a/b, c/d) = lcm(a, c) / gcd(b, d). It panics unless both are > 0.
-func Lcm(r, s Rat) Rat {
-	if r.Sign() <= 0 || s.Sign() <= 0 {
-		panic("rational: Lcm of non-positive values")
-	}
-	r, s = r.normalized(), s.normalized()
-	num := lcm64(r.num, s.num)
-	den := gcd64(r.den, s.den)
-	return New(num, den)
 }
 
 // LcmAll returns the least common multiple of all values, which must be
@@ -536,10 +516,6 @@ func gcd64(a, b int64) int64 {
 		return 1
 	}
 	return int64(x)
-}
-
-func lcm64(a, b int64) int64 {
-	return mulChecked(a/gcd64(a, b), b)
 }
 
 func addChecked(a, b int64) int64 {

@@ -132,12 +132,9 @@ func TestCmp(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
+func TestMax(t *testing.T) {
 	t.Parallel()
 	a, b := New(1, 3), New(1, 2)
-	if !a.Min(b).Equal(a) || !b.Min(a).Equal(a) {
-		t.Error("Min failed")
-	}
 	if !a.Max(b).Equal(b) || !b.Max(a).Equal(b) {
 		t.Error("Max failed")
 	}
@@ -186,6 +183,14 @@ func TestFloorDiv(t *testing.T) {
 	}
 }
 
+// lcmPair is the least common multiple of two positive rationals by its
+// definition, lcm(a/b, c/d) = lcm(a, c) / gcd(b, d), for values small
+// enough not to overflow.
+func lcmPair(r, s Rat) Rat {
+	return New(r.Num()/gcd64(r.Num(), s.Num())*s.Num(), gcd64(r.Den(), s.Den()))
+}
+
+// TestLcm runs LcmAll on pairs.
 func TestLcm(t *testing.T) {
 	t.Parallel()
 	tests := []struct {
@@ -198,8 +203,8 @@ func TestLcm(t *testing.T) {
 		{New(3, 4), New(5, 6), New(15, 2)},
 	}
 	for _, tt := range tests {
-		if got := Lcm(tt.a, tt.b); !got.Equal(tt.want) {
-			t.Errorf("Lcm(%v, %v) = %v, want %v", tt.a, tt.b, got, tt.want)
+		if got, ok := LcmAll([]Rat{tt.a, tt.b}); !ok || !got.Equal(tt.want) {
+			t.Errorf("LcmAll(%v, %v) = %v, %v; want %v", tt.a, tt.b, got, ok, tt.want)
 		}
 	}
 }
@@ -222,10 +227,10 @@ func TestLcmPanicsOnNonPositive(t *testing.T) {
 	t.Parallel()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Lcm(0, 1) did not panic")
+			t.Fatal("LcmAll(0, 1) did not panic")
 		}
 	}()
-	Lcm(Zero, One)
+	LcmAll([]Rat{Zero, One})
 }
 
 func TestString(t *testing.T) {
@@ -372,17 +377,17 @@ func TestFieldProperties(t *testing.T) {
 	}
 }
 
-// Property: Lcm(a,b) is a common multiple and divides any common multiple
-// within the sampled range.
+// Property: LcmAll of two values is a common multiple of both, and the
+// least one: it equals lcmPair.
 func TestLcmProperty(t *testing.T) {
 	t.Parallel()
 	f := func(a, b uint16, c, d uint8) bool {
 		x := New(int64(a%500)+1, int64(c%16)+1)
 		y := New(int64(b%500)+1, int64(d%16)+1)
-		l := Lcm(x, y)
+		l, ok := LcmAll([]Rat{x, y})
 		// l / x and l / y must be positive integers.
 		qx, qy := l.Div(x), l.Div(y)
-		return qx.IsInt() && qy.IsInt() && qx.Sign() > 0 && qy.Sign() > 0
+		return ok && qx.IsInt() && qy.IsInt() && qx.Sign() > 0 && qy.Sign() > 0 && l.Equal(lcmPair(x, y))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -513,7 +518,7 @@ func TestNegOverflowPanics(t *testing.T) {
 }
 
 // TestLcmAllOverflow: an LCM past int64 is reported, not panicked, and
-// the fold agrees with pairwise Lcm while it fits.
+// the fold agrees with pairwise lcmPair while it fits.
 func TestLcmAllOverflow(t *testing.T) {
 	t.Parallel()
 	// 2^31 − 1, 2^31 and 2^31 + 1 are pairwise coprime: their LCM is
@@ -523,7 +528,7 @@ func TestLcmAllOverflow(t *testing.T) {
 	}
 	set := []Rat{New(1, 3), New(1, 4), New(5, 6), Milli(700)}
 	got, ok := LcmAll(set)
-	if want := Lcm(Lcm(Lcm(set[0], set[1]), set[2]), set[3]); !ok || !got.Equal(want) {
+	if want := lcmPair(lcmPair(lcmPair(set[0], set[1]), set[2]), set[3]); !ok || !got.Equal(want) {
 		t.Errorf("LcmAll(%v) = %v, %v; want %v", set, got, ok, want)
 	}
 }

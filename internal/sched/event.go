@@ -227,17 +227,11 @@ func (h *minHeap32) pop() int32 {
 }
 
 // listSchedule runs the event-driven simulation for one heuristic lane,
-// reusing the shared lowering. rank must come from pc.rankFor.
+// reusing the shared lowering. rank must come from pc.rankFor. The starts
+// are ticks of the task graph's table.
 func (pc *precomp) listSchedule(m int, h Heuristic, rank []int32) (*Schedule, error) {
-	s, _, err := pc.listScheduleTicks(m, h, rank)
-	return s, err
-}
-
-// listScheduleTicks additionally returns the start instants in ticks, so
-// portfolio lanes can feed validateTicks without lowering the schedule.
-func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedule, []int64, error) {
 	if m < 1 {
-		return nil, nil, fmt.Errorf("sched: %d processors", m)
+		return nil, fmt.Errorf("sched: %d processors", m)
 	}
 	tg := pc.tg
 	n := len(tg.Jobs)
@@ -248,8 +242,7 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 	}
 	npred := append([]int32(nil), pc.npred...)
 	arrived := make([]bool, n)
-	startT := make([]int64, n)
-	procOf := make([]int32, n)
+	assign := make([]Assignment, n)
 
 	// pending is the tail of the arrival order still to come.
 	pending := pc.arrivals
@@ -265,7 +258,7 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 	// arrived becomes ready. Effects apply at the *next* dispatch, as if
 	// readiness were recomputed per instant.
 	complete := func(i int32) {
-		idleH.push(procOf[i])
+		idleH.push(int32(assign[i].Proc))
 		for _, s := range tg.Succ[i] {
 			npred[s]--
 			if npred[s] == 0 && arrived[s] {
@@ -294,8 +287,7 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 		for len(readyH) > 0 && len(idleH) > 0 {
 			i := rankToJob[readyH.pop()]
 			p := idleH.pop()
-			startT[i] = t
-			procOf[i] = p
+			assign[i] = Assignment{Proc: int(p), Start: t}
 			runH.push(tickEvent{t: t + pc.jt.WCET[i], id: i})
 			scheduled++
 		}
@@ -317,63 +309,11 @@ func (pc *precomp) listScheduleTicks(m int, h Heuristic, rank []int32) (*Schedul
 			next = pc.jt.Arrival[pending[0]]
 		}
 		if next == math.MaxInt64 {
-			return nil, nil, fmt.Errorf("sched: scheduler stalled at %v with %d/%d jobs placed",
+			return nil, fmt.Errorf("sched: scheduler stalled at %v with %d/%d jobs placed",
 				pc.jt.Scale.FromTicks(t), scheduled, n)
 		}
 		t = next
 	}
 
-	assign := make([]Assignment, n)
-	for i := 0; i < n; i++ {
-		assign[i] = Assignment{Proc: int(procOf[i]), Start: pc.jt.Scale.FromTicks(startT[i])}
-	}
-	return &Schedule{TG: tg, M: m, Assign: assign, Heuristic: h}, startT, nil
-}
-
-// validateTicks checks the feasibility constraints of Definition 3.2 on the
-// tick table, given the schedule's start instants in ticks (see
-// Schedule.Validate for the constraints). The schedule has one assignment
-// per job.
-func validateTicks(s *Schedule, jt *taskgraph.JobTicks, startT []int64) error {
-	tg := s.TG
-	for i, j := range tg.Jobs {
-		if p := s.Assign[i].Proc; p < 0 || p >= s.M {
-			return fmt.Errorf("sched: job %s mapped to processor %d of %d", j.Name(), p, s.M)
-		}
-		if startT[i] < jt.Arrival[i] {
-			return fmt.Errorf("sched: job %s starts at %v before arrival %v",
-				j.Name(), jt.Scale.FromTicks(startT[i]), j.Arrival)
-		}
-		if startT[i]+jt.WCET[i] > jt.Deadline[i] {
-			return fmt.Errorf("sched: job %s misses deadline: ends %v > %v",
-				j.Name(), jt.Scale.FromTicks(startT[i]+jt.WCET[i]), j.Deadline)
-		}
-	}
-	// Checking the transitively reduced successor lists suffices for the
-	// full precedence relation: every removed edge is implied by a kept
-	// chain, and e_i <= s_j composes along chains.
-	for i, succs := range tg.Succ {
-		for _, j := range succs {
-			if startT[j] < startT[i]+jt.WCET[i] {
-				return fmt.Errorf("sched: precedence %s -> %s violated",
-					tg.Jobs[i].Name(), tg.Jobs[j].Name())
-			}
-		}
-	}
-	// Mutual exclusion per processor.
-	byProc := make([][]int32, s.M)
-	for i := range tg.Jobs {
-		byProc[s.Assign[i].Proc] = append(byProc[s.Assign[i].Proc], int32(i))
-	}
-	for p, jobs := range byProc {
-		slices.SortFunc(jobs, keyThenIndex(startT))
-		for i := 1; i < len(jobs); i++ {
-			prev, cur := jobs[i-1], jobs[i]
-			if startT[cur] < startT[prev]+jt.WCET[prev] {
-				return fmt.Errorf("sched: jobs %s and %s overlap on processor %d",
-					tg.Jobs[prev].Name(), tg.Jobs[cur].Name(), p)
-			}
-		}
-	}
-	return nil
+	return &Schedule{TG: tg, M: m, Assign: assign, Heuristic: h}, nil
 }

@@ -85,12 +85,23 @@ func TestListScheduleLoweringFallback(t *testing.T) {
 	}
 }
 
-// validateWant runs Validate and fails unless it reports exactly want (""
-// for a feasible schedule). The texts are those of the exact-rational
-// checker that internal/integration runs against Validate.
-func validateWant(t *testing.T, s *Schedule, want string) {
+// placement is a schedule's processors and rational start times, the
+// input of FromStarts.
+type placement struct {
+	procs  []int
+	starts []Time
+}
+
+// validateWant builds the schedule with FromStarts and validates it, and
+// fails unless the first error is exactly want ("" for a feasible
+// schedule). The texts are those of the exact-rational checker that
+// internal/integration runs against Validate.
+func validateWant(t *testing.T, tg *taskgraph.TaskGraph, m int, pl placement, want string) {
 	t.Helper()
-	err := s.Validate()
+	s, err := FromStarts(tg, m, ALAPEDF, pl.procs, pl.starts)
+	if err == nil {
+		err = s.Validate()
+	}
 	if want == "" {
 		if err != nil {
 			t.Fatalf("feasible schedule rejected: %v", err)
@@ -105,70 +116,89 @@ func validateWant(t *testing.T, s *Schedule, want string) {
 // TestValidateViolationClassesIntegerTimescale constructs one corrupt
 // schedule per Definition 3.2 violation class and checks that the
 // integer-timescale Validate rejects each with the exact diagnostic.
+// Starts between the graph's 5 ms ticks (2 ms, 7 ms) refine the table.
 func TestValidateViolationClassesIntegerTimescale(t *testing.T) {
 	tg := chainGraph(ms(10))
 	tg.Jobs[1].Arrival = ms(5) // so a start below 5 is an arrival violation
-	base := func() *Schedule {
-		return &Schedule{TG: tg, M: 2, Assign: []Assignment{
-			{Proc: 0, Start: rational.Zero}, // A: [0, 10)
-			{Proc: 0, Start: ms(10)},        // B: [10, 20) after A
-			{Proc: 1, Start: rational.Zero}, // C: [0, 10) alone on P1
-		}}
+	base := func() placement {
+		return placement{
+			procs:  []int{0, 0, 1},
+			starts: []Time{rational.Zero, ms(10), rational.Zero}, // A: [0, 10), B: [10, 20) after A, C: [0, 10) alone on P1
+		}
 	}
-	validateWant(t, base(), "") // the uncorrupted schedule passes
+	validateWant(t, tg, 2, base(), "") // the uncorrupted schedule passes
 
 	cases := []struct {
 		name    string
-		corrupt func(s *Schedule)
+		corrupt func(pl *placement)
 		want    string
 	}{
-		{"count", func(s *Schedule) { s.Assign = s.Assign[:2] }, "sched: 2 assignments for 3 jobs"},
-		{"processor-range", func(s *Schedule) { s.Assign[0].Proc = 7 }, "sched: job A[1] mapped to processor 7 of 2"},
-		{"arrival", func(s *Schedule) { s.Assign[1].Start = ms(2); s.Assign[1].Proc = 1 },
+		{"count", func(pl *placement) { pl.procs, pl.starts = pl.procs[:2], pl.starts[:2] }, "sched: 2 assignments for 3 jobs"},
+		{"processor-range", func(pl *placement) { pl.procs[0] = 7 }, "sched: job A[1] mapped to processor 7 of 2"},
+		{"arrival", func(pl *placement) { pl.starts[1] = ms(2); pl.procs[1] = 1 },
 			"sched: job B[1] starts at 1/500 before arrival 1/200"},
-		{"deadline", func(s *Schedule) { s.Assign[2].Start = ms(95) }, "sched: job C[1] misses deadline: ends 21/200 > 1/10"},
-		{"precedence", func(s *Schedule) { s.Assign[1].Start = ms(7); s.Assign[1].Proc = 1 }, "sched: precedence A[1] -> B[1] violated"},
-		{"overlap", func(s *Schedule) { s.Assign[2].Start = ms(5); s.Assign[2].Proc = 0 }, "sched: jobs A[1] and C[1] overlap on processor 0"},
+		{"deadline", func(pl *placement) { pl.starts[2] = ms(95) }, "sched: job C[1] misses deadline: ends 21/200 > 1/10"},
+		{"precedence", func(pl *placement) { pl.starts[1] = ms(7); pl.procs[1] = 1 }, "sched: precedence A[1] -> B[1] violated"},
+		{"overlap", func(pl *placement) { pl.starts[2] = ms(5); pl.procs[2] = 0 }, "sched: jobs A[1] and C[1] overlap on processor 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := base()
-			tc.corrupt(s)
-			validateWant(t, s, tc.want)
+			pl := base()
+			tc.corrupt(&pl)
+			validateWant(t, tg, 2, pl, tc.want)
 		})
+	}
+	// The same count violation on a schedule whose slice is cut after
+	// construction is Validate's.
+	s, err := FromStarts(tg, 2, ALAPEDF, base().procs, base().starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Assign = s.Assign[:2]
+	if err := s.Validate(); err == nil || err.Error() != "sched: 2 assignments for 3 jobs" {
+		t.Errorf("cut assignment slice: %v", err)
 	}
 }
 
-// TestValidateFallbackOnUnscalableStart: start times are lowered onto the
-// task graph's timescale, refined as far as they need; a start whose
-// refinement pushes a value beyond the 2^40-tick guard, or which is itself
-// beyond it, is a violation naming the job.
+// TestValidateFallbackOnUnscalableStart: FromStarts lowers the start times
+// onto the task graph's timescale, refined as far as they need; a start
+// whose refinement pushes a value beyond the 2^40-tick guard, or which is
+// itself beyond it, is an error naming the job.
 func TestValidateFallbackOnUnscalableStart(t *testing.T) {
 	tg := chainGraph(ms(10)) // all values are multiples of 1/100 s
-	s := &Schedule{TG: tg, M: 2, Assign: []Assignment{
-		{Proc: 0, Start: rational.New(1, 1<<41)}, // needs a 1/(25·2^41) tick
-		{Proc: 0, Start: ms(10)},
-		{Proc: 1, Start: rational.Zero},
-	}}
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `job "A[1]" does not fit the integer timescale: deadline 1/10s is beyond 2^40 ticks`) {
-		t.Errorf("start refining the timescale past the guard: %v, want a violation naming A[1]", err)
+	procs := []int{0, 0, 1}
+	build := func(a, b Time) (*Schedule, error) {
+		return FromStarts(tg, 2, ALAPEDF, procs, []Time{a, b, rational.Zero})
+	}
+	if _, err := build(rational.New(1, 1<<41), ms(10)); err == nil || // needs a 1/(25·2^41) tick
+		!strings.Contains(err.Error(), `job "A[1]" does not fit the integer timescale: deadline 1/10s is beyond 2^40 ticks`) {
+		t.Errorf("start refining the timescale past the guard: %v, want an error naming A[1]", err)
 	}
 	// 2^40 ticks of 1/100 s passes the lowering and then misses the
 	// deadline; one tick more fails the lowering.
-	s.Assign[0].Start = rational.New(rational.MaxTick, 100)
+	s, err := build(rational.New(rational.MaxTick, 100), ms(10))
+	if err != nil {
+		t.Fatalf("start at 2^40 ticks: %v", err)
+	}
 	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "misses deadline") {
 		t.Errorf("start at 2^40 ticks: %v, want a deadline miss", err)
 	}
-	s.Assign[0].Start = rational.New(rational.MaxTick+1, 100)
-	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), `job "A[1]" does not fit the integer timescale: start 1099511627777/100s is beyond`) {
-		t.Errorf("start at 2^40+1 ticks: %v, want a violation naming A[1]", err)
+	if _, err := build(rational.New(rational.MaxTick+1, 100), ms(10)); err == nil ||
+		!strings.Contains(err.Error(), `job "A[1]" does not fit the integer timescale: start 1099511627777/100s is beyond`) {
+		t.Errorf("start at 2^40+1 ticks: %v, want an error naming A[1]", err)
 	}
 	// A start between the graph's ticks refines the timescale and is
 	// checked exactly: 1/1000 s is a feasible start for A.
-	s.Assign[0].Start = ms(1)
-	s.Assign[1].Start = ms(11)
+	s, err = build(ms(1), ms(11))
+	if err != nil {
+		t.Fatalf("start between ticks: %v", err)
+	}
 	if err := s.Validate(); err != nil {
 		t.Errorf("start between ticks: %v, want feasible", err)
+	}
+	if jt, _ := s.Ticks(); jt.Scale.Den() != 1000 || !s.StartTime(1).Equal(ms(11)) || !s.End(0).Equal(ms(11)) {
+		t.Errorf("refined table 1/%d s, B starts %v, A ends %v; want 1/1000 s, 11/1000, 11/1000",
+			jt.Scale.Den(), s.StartTime(1), s.End(0))
 	}
 }
 

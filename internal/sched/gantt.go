@@ -89,7 +89,7 @@ func (s *Schedule) Gantt(width int) string {
 		entries = append(entries, GanttEntry{
 			Proc:  s.Assign[i].Proc,
 			Label: j.Name(),
-			Start: s.Assign[i].Start,
+			Start: s.StartTime(i),
 			End:   s.End(i),
 		})
 	}
@@ -108,8 +108,8 @@ func (s *Schedule) Table() string {
 		if sa.Proc != sb.Proc {
 			return sa.Proc < sb.Proc
 		}
-		if !sa.Start.Equal(sb.Start) {
-			return sa.Start.Less(sb.Start)
+		if sa.Start != sb.Start {
+			return sa.Start < sb.Start
 		}
 		return idx[a] < idx[b]
 	})
@@ -119,7 +119,7 @@ func (s *Schedule) Table() string {
 		j := s.TG.Jobs[i]
 		fmt.Fprintf(&b, "M%-3d %-14s %10s %10s %10s\n",
 			s.Assign[i].Proc+1, j.Name(),
-			fmtMs(s.Assign[i].Start), fmtMs(s.End(i)), fmtMs(j.Deadline))
+			fmtMs(s.StartTime(i)), fmtMs(s.End(i)), fmtMs(j.Deadline))
 	}
 	return b.String()
 }

@@ -40,7 +40,7 @@ func PipelineSchedule(tg *taskgraph.TaskGraph, m int) (*Schedule, error) {
 	}
 	assign := make([]Assignment, len(tg.Jobs))
 	for i, j := range tg.Jobs {
-		assign[i] = Assignment{Proc: j.Pid, Start: w.Scale.FromTicks(w.ASAP[i])}
+		assign[i] = Assignment{Proc: j.Pid, Start: w.ASAP[i]}
 	}
 	s := &Schedule{TG: tg, M: m, Assign: assign, Heuristic: ALAPEDF}
 	if err := s.Validate(); err != nil {
@@ -51,9 +51,10 @@ func PipelineSchedule(tg *taskgraph.TaskGraph, m int) (*Schedule, error) {
 
 // ValidatePipelined checks that the schedule repeats correctly with
 // initiation interval H = tg.Hyperperiod even when its makespan exceeds H.
+// The checks run in ticks of the schedule's table, on which H must be a
+// whole number of ticks.
 func (s *Schedule) ValidatePipelined() error {
 	tg := s.TG
-	h := tg.Hyperperiod
 
 	// Base constraints except the "fits in one frame" implication:
 	// arrivals, (extended) deadlines, precedence, same-repetition mutual
@@ -61,25 +62,27 @@ func (s *Schedule) ValidatePipelined() error {
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("sched: pipelined schedule fails base constraints: %w", err)
 	}
-	makespan := s.Makespan()
-	if makespan.LessEq(h) {
+	jt := s.table()
+	h, ok := jt.Scale.GuardedTicks(tg.Hyperperiod)
+	if !ok || h <= 0 {
+		return fmt.Errorf("sched: hyperperiod %v is not a positive whole number of ticks of the schedule's 1/%d timescale",
+			tg.Hyperperiod, jt.Scale.Den())
+	}
+	makespan := s.makespanTicks()
+	if makespan <= h {
 		return nil // no overlap; plain feasibility suffices
 	}
-	reps := makespan.Div(h).Ceil() // how many shifted copies can overlap
+	reps := (makespan + h - 1) / h // how many shifted copies can overlap
+	end := func(i int) int64 { return s.Assign[i].Start + jt.WCET[i] }
 
 	// Processor mutual exclusion across repetitions.
-	byProc, err := s.ProcessorOrder()
-	if err != nil {
-		return err
-	}
-	for p, jobs := range byProc {
+	for p, jobs := range s.ProcessorOrder() {
 		for _, i := range jobs {
 			for _, j := range jobs {
 				for k := int64(1); k <= reps; k++ {
-					shift := h.MulInt(k)
+					shift := k * h
 					// [s_i, e_i) vs [s_j + kH, e_j + kH)
-					if s.Assign[i].Start.Less(s.End(j).Add(shift)) &&
-						s.Assign[j].Start.Add(shift).Less(s.End(i)) {
+					if s.Assign[i].Start < end(j)+shift && s.Assign[j].Start+shift < end(i) {
 						return fmt.Errorf(
 							"sched: pipelined overlap on processor %d: %s of one repetition collides with %s of repetition +%d",
 							p, tg.Jobs[i].Name(), tg.Jobs[j].Name(), k)
@@ -97,10 +100,10 @@ func (s *Schedule) ValidatePipelined() error {
 			if !tg.Related(ji.Pid, jj.Pid) {
 				continue
 			}
-			if s.Assign[j].Start.Add(h).Less(s.End(i)) {
+			if s.Assign[j].Start+h < end(i) {
 				return fmt.Errorf(
 					"sched: pipelined precedence violation: %s (end %v) overruns %s of the next repetition (start %v + H)",
-					ji.Name(), s.End(i), jj.Name(), s.Assign[j].Start)
+					ji.Name(), s.End(i), jj.Name(), s.StartTime(j))
 			}
 		}
 	}

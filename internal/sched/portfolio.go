@@ -24,9 +24,6 @@ type HeuristicResult struct {
 	Feasible bool
 	// Err is the scheduling or feasibility error, nil for feasible lanes.
 	Err error
-	// makespan is Schedule.Makespan() in ticks of the task graph's
-	// timescale, set on feasible lanes.
-	makespan int64
 }
 
 // RunPortfolio list-schedules the task graph with every portfolio heuristic,
@@ -54,25 +51,20 @@ func RunPortfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) []Heuri
 	return results
 }
 
-// lane list-schedules one heuristic and checks the schedule. The engine
-// hands back the start instants in ticks, so feasibility checking skips
-// the lowering Schedule.Validate does.
+// lane list-schedules one heuristic and checks the schedule.
 func (pc *precomp) lane(m int, h Heuristic) HeuristicResult {
 	r := HeuristicResult{Heuristic: h}
-	s, startT, err := pc.listScheduleTicks(m, h, pc.rankFor(h))
+	s, err := pc.listSchedule(m, h, pc.rankFor(h))
 	if err != nil {
 		r.Err = err
 		return r
 	}
 	r.Schedule = s
-	if err := validateTicks(s, pc.jt, startT); err != nil {
+	if err := s.Validate(); err != nil {
 		r.Err = err
 		return r
 	}
 	r.Feasible = true
-	for i, st := range startT {
-		r.makespan = max(r.makespan, st+pc.jt.WCET[i])
-	}
 	return r
 }
 
@@ -100,8 +92,8 @@ func Portfolio(tg *taskgraph.TaskGraph, m int, opts PortfolioOptions) (*Schedule
 			lastErr = r.Err
 			continue
 		}
-		if best == nil || r.makespan < bestMakespan {
-			best, bestMakespan = r.Schedule, r.makespan
+		if mk := r.Schedule.makespanTicks(); best == nil || mk < bestMakespan {
+			best, bestMakespan = r.Schedule, mk
 		}
 	}
 	if best == nil {

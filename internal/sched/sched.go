@@ -62,10 +62,11 @@ func (h Heuristic) String() string {
 // Heuristics lists all implemented heuristics in preference order.
 var Heuristics = []Heuristic{ALAPEDF, BLevel, DeadlineMonotonic, EDF}
 
-// Assignment is one job's placement: processor µ_i and start time s_i.
+// Assignment is one job's placement: processor µ_i and start time s_i in
+// ticks of the schedule's tick table (Schedule.Ticks).
 type Assignment struct {
 	Proc  int
-	Start Time
+	Start int64
 }
 
 // Schedule is a static schedule for a task graph on M processors.
@@ -76,11 +77,69 @@ type Schedule struct {
 	Assign []Assignment
 	// Heuristic records which SP produced the schedule.
 	Heuristic Heuristic
+	// ticks is the refined tick table of a schedule built by FromStarts
+	// whose starts lie between the graph's ticks; nil means TG.Ticks().
+	ticks *taskgraph.JobTicks
+}
+
+// FromStarts builds a schedule from one processor and one rational start
+// time per job. Starts on the task graph's timescale count in ticks of
+// TG.Ticks(); a start between its ticks refines the schedule's table to
+// the coarsest timescale that holds every start (TG.TicksWithStarts). The
+// error names the first job with a value beyond the rational.MaxTick
+// guard on that refinement.
+func FromStarts(tg *taskgraph.TaskGraph, m int, h Heuristic, procs []int, starts []Time) (*Schedule, error) {
+	n := len(tg.Jobs)
+	if len(procs) != n || len(starts) != n {
+		return nil, fmt.Errorf("sched: %d assignments for %d jobs", min(len(procs), len(starts)), n)
+	}
+	jt, startT, err := tg.TicksWithStarts(starts)
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
+	s := &Schedule{TG: tg, M: m, Assign: make([]Assignment, n), Heuristic: h}
+	if base, _ := tg.Ticks(); jt.Scale != base.Scale {
+		s.ticks = jt
+	}
+	for i := range s.Assign {
+		s.Assign[i] = Assignment{Proc: procs[i], Start: startT[i]}
+	}
+	return s, nil
+}
+
+// Ticks returns the tick table the starts count on: the refined table of
+// an off-grid schedule from FromStarts, else the task graph's own.
+func (s *Schedule) Ticks() (*taskgraph.JobTicks, error) {
+	if s.ticks != nil {
+		return s.ticks, nil
+	}
+	jt, err := s.TG.Ticks()
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
+	}
+	return jt, nil
+}
+
+// table is Ticks for the accessors below. Only a hand-built graph whose
+// timing fits no timescale has no table; its starts cannot be ticks, and
+// every accessor but Validate panics on it.
+func (s *Schedule) table() *taskgraph.JobTicks {
+	jt, err := s.Ticks()
+	if err != nil {
+		panic(err)
+	}
+	return jt
+}
+
+// StartTime returns the start time s_i of job i.
+func (s *Schedule) StartTime(i int) Time {
+	return s.table().Scale.FromTicks(s.Assign[i].Start)
 }
 
 // End returns the completion time e_i = s_i + C_i of job i.
 func (s *Schedule) End(i int) Time {
-	return s.Assign[i].Start.Add(s.TG.Jobs[i].WCET)
+	jt := s.table()
+	return jt.Scale.FromTicks(s.Assign[i].Start + jt.WCET[i])
 }
 
 // Miss describes a deadline violation in a static schedule.
@@ -96,10 +155,11 @@ func (m Miss) String() string {
 
 // Misses returns all deadline violations, in job order.
 func (s *Schedule) Misses() []Miss {
+	jt := s.table()
 	var out []Miss
 	for i, j := range s.TG.Jobs {
-		if e := s.End(i); j.Deadline.Less(e) {
-			out = append(out, Miss{Job: j, End: e, Deadline: j.Deadline})
+		if s.Assign[i].Start+jt.WCET[i] > jt.Deadline[i] {
+			out = append(out, Miss{Job: j, End: s.End(i), Deadline: j.Deadline})
 		}
 	}
 	return out
@@ -112,60 +172,60 @@ func (s *Schedule) Misses() []Miss {
 //	precedence:       (J_i, J_j) ∈ E ⇒ e_i <= s_j
 //	mutual exclusion: µ_i = µ_j ⇒ e_i <= s_j ∨ e_j <= s_i
 //
-// The checks run on the task graph's integer timescale (TaskGraph.Ticks):
-// the start times are lowered onto it, then everything is int64
-// comparisons. Engine output always lies on that grid. Imported or
-// hand-built schedules may start jobs between its ticks; they are checked
-// on the coarsest refinement of the timescale that holds every start time,
-// and a start that fits no refinement within the rational.MaxTick guard is
-// itself a violation naming the job.
+// The checks are int64 comparisons on the schedule's tick table: the task
+// graph's integer timescale (TaskGraph.Ticks), or for a schedule built by
+// FromStarts with starts between its ticks, the refinement holding them.
 func (s *Schedule) Validate() error {
-	jt, startT, err := s.startTicks()
+	tg := s.TG
+	if len(s.Assign) != len(tg.Jobs) {
+		return fmt.Errorf("sched: %d assignments for %d jobs", len(s.Assign), len(tg.Jobs))
+	}
+	jt, err := s.Ticks()
 	if err != nil {
 		return err
 	}
-	return validateTicks(s, jt, startT)
-}
-
-// startTicks lowers the start times onto the task graph's timescale (or
-// its coarsest refinement holding every start) and returns the tick table
-// on that scale with the starts in ticks.
-func (s *Schedule) startTicks() (*taskgraph.JobTicks, []int64, error) {
-	tg := s.TG
-	n := len(tg.Jobs)
-	if len(s.Assign) != n {
-		return nil, nil, fmt.Errorf("sched: %d assignments for %d jobs", len(s.Assign), n)
-	}
-	jt, err := tg.Ticks()
-	if err != nil {
-		return nil, nil, fmt.Errorf("sched: %w", err)
-	}
-	startT := make([]int64, n)
-	for i, a := range s.Assign {
-		t, ok := jt.Scale.GuardedTicks(a.Start)
-		if !ok {
-			starts := make([]Time, n)
-			for k := range s.Assign {
-				starts[k] = s.Assign[k].Start
-			}
-			if jt, startT, err = tg.TicksWithStarts(starts); err != nil {
-				return nil, nil, fmt.Errorf("sched: %w", err)
-			}
-			break
+	for i, j := range tg.Jobs {
+		a := s.Assign[i]
+		if a.Proc < 0 || a.Proc >= s.M {
+			return fmt.Errorf("sched: job %s mapped to processor %d of %d", j.Name(), a.Proc, s.M)
 		}
-		startT[i] = t
+		if a.Start < jt.Arrival[i] {
+			return fmt.Errorf("sched: job %s starts at %v before arrival %v",
+				j.Name(), jt.Scale.FromTicks(a.Start), j.Arrival)
+		}
+		if a.Start+jt.WCET[i] > jt.Deadline[i] {
+			return fmt.Errorf("sched: job %s misses deadline: ends %v > %v",
+				j.Name(), jt.Scale.FromTicks(a.Start+jt.WCET[i]), j.Deadline)
+		}
 	}
-	return jt, startT, nil
+	// Checking the transitively reduced successor lists suffices for the
+	// full precedence relation: every removed edge is implied by a kept
+	// chain, and e_i <= s_j composes along chains.
+	for i, succs := range tg.Succ {
+		for _, j := range succs {
+			if s.Assign[j].Start < s.Assign[i].Start+jt.WCET[i] {
+				return fmt.Errorf("sched: precedence %s -> %s violated",
+					tg.Jobs[i].Name(), tg.Jobs[j].Name())
+			}
+		}
+	}
+	// Mutual exclusion per processor, on the static chains.
+	for p, jobs := range s.ProcessorOrder() {
+		for i := 1; i < len(jobs); i++ {
+			prev, cur := jobs[i-1], jobs[i]
+			if s.Assign[cur].Start < s.Assign[prev].Start+jt.WCET[prev] {
+				return fmt.Errorf("sched: jobs %s and %s overlap on processor %d",
+					tg.Jobs[prev].Name(), tg.Jobs[cur].Name(), p)
+			}
+		}
+	}
+	return nil
 }
 
 // ProcessorOrder returns, for each processor, the job indices in start-time
-// order — the static order the online policy of Section IV executes —
-// comparing starts in ticks; it fails where Validate cannot lower them.
-func (s *Schedule) ProcessorOrder() ([][]int, error) {
-	_, startT, err := s.startTicks()
-	if err != nil {
-		return nil, err
-	}
+// order — the static order the online policy of Section IV executes. The
+// schedule has one assignment per job, each on a processor below M.
+func (s *Schedule) ProcessorOrder() [][]int {
 	// The chains share one backing array, cut to exact capacities.
 	n := len(s.TG.Jobs)
 	byProc := make([][]int, s.M)
@@ -187,9 +247,9 @@ func (s *Schedule) ProcessorOrder() ([][]int, error) {
 	}
 	for _, jobs := range byProc {
 		// Stable: start ties keep index order.
-		slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(startT[a], startT[b]) })
+		slices.SortStableFunc(jobs, func(a, b int) int { return cmp.Compare(s.Assign[a].Start, s.Assign[b].Start) })
 	}
-	return byProc, nil
+	return byProc
 }
 
 // ChainPrev returns, for each job index, the previous job on the same
@@ -262,13 +322,18 @@ func (s *Schedule) CombinedOrder(chains [][]int) ([]int, error) {
 
 // Makespan returns the latest completion time in the frame.
 func (s *Schedule) Makespan() Time {
-	max := rational.Zero
-	for i := range s.TG.Jobs {
-		if e := s.End(i); max.Less(e) {
-			max = e
-		}
+	return s.table().Scale.FromTicks(s.makespanTicks())
+}
+
+// makespanTicks is the latest completion tick max_i s_i + C_i, 0 for an
+// empty frame.
+func (s *Schedule) makespanTicks() int64 {
+	jt := s.table()
+	mk := int64(0)
+	for i, a := range s.Assign {
+		mk = max(mk, a.Start+jt.WCET[i])
 	}
-	return max
+	return mk
 }
 
 // ListSchedule runs the list-scheduling simulation: at every decision

@@ -91,8 +91,8 @@ func TestScheduleRespectsArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, j := range tg.Jobs {
-		if s.Assign[i].Start.Less(j.Arrival) {
-			t.Errorf("%s starts at %v before arrival %v", j.Name(), s.Assign[i].Start, j.Arrival)
+		if s.StartTime(i).Less(j.Arrival) {
+			t.Errorf("%s starts at %v before arrival %v", j.Name(), s.StartTime(i), j.Arrival)
 		}
 	}
 }
@@ -103,10 +103,7 @@ func TestProcessorOrderSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := s.ProcessorOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
+	order := s.ProcessorOrder()
 	if len(order) != 2 {
 		t.Fatalf("%d processor rows", len(order))
 	}
@@ -114,7 +111,7 @@ func TestProcessorOrderSorted(t *testing.T) {
 	for p, jobs := range order {
 		total += len(jobs)
 		for i := 1; i < len(jobs); i++ {
-			if s.Assign[jobs[i]].Start.Less(s.Assign[jobs[i-1]].Start) {
+			if s.StartTime(jobs[i]).Less(s.StartTime(jobs[i-1])) {
 				t.Errorf("processor %d order not sorted by start time", p)
 			}
 		}
@@ -165,7 +162,7 @@ func TestValidateDetectsViolations(t *testing.T) {
 	// Start before arrival.
 	late := tg.Job("FilterA", 2).Index
 	if err := corrupt(func(c *Schedule) {
-		c.Assign[late] = Assignment{Proc: c.Assign[late].Proc, Start: rational.Zero}
+		c.Assign[late] = Assignment{Proc: c.Assign[late].Proc, Start: 0}
 	}); err == nil || !strings.Contains(err.Error(), "arrival") &&
 		!strings.Contains(err.Error(), "precedence") && !strings.Contains(err.Error(), "overlap") {
 		t.Errorf("arrival violation not caught: %v", err)
@@ -178,11 +175,18 @@ func TestValidateDetectsViolations(t *testing.T) {
 		t.Errorf("processor violation not caught: %v", err)
 	}
 
-	// Deadline violation.
+	// Deadline violation, at a start between the graph's 25 ms ticks.
 	ob1 := tg.Job("OutputB", 1).Index
-	if err := corrupt(func(c *Schedule) {
-		c.Assign[ob1] = Assignment{Proc: c.Assign[ob1].Proc, Start: ms(180)}
-	}); err == nil || !strings.Contains(err.Error(), "deadline") &&
+	procs, starts := make([]int, len(tg.Jobs)), make([]Time, len(tg.Jobs))
+	for i, a := range s.Assign {
+		procs[i], starts[i] = a.Proc, s.StartTime(i)
+	}
+	starts[ob1] = ms(180)
+	c, err := FromStarts(tg, s.M, s.Heuristic, procs, starts)
+	if err == nil {
+		err = c.Validate()
+	}
+	if err == nil || !strings.Contains(err.Error(), "deadline") &&
 		!strings.Contains(err.Error(), "overlap") && !strings.Contains(err.Error(), "precedence") {
 		t.Errorf("deadline violation not caught: %v", err)
 	}
@@ -245,24 +249,21 @@ func TestListSchedulePropertyStructural(t *testing.T) {
 			}
 			// Check everything except deadlines.
 			for _, e := range tg.Edges() {
-				if s.Assign[e[1]].Start.Less(s.End(e[0])) {
+				if s.StartTime(e[1]).Less(s.End(e[0])) {
 					t.Fatalf("trial %d %v: precedence violated", trial, h)
 				}
 			}
 			for i, j := range tg.Jobs {
-				if s.Assign[i].Start.Less(j.Arrival) {
+				if s.StartTime(i).Less(j.Arrival) {
 					t.Fatalf("trial %d %v: arrival violated", trial, h)
 				}
 			}
-			chains, err := s.ProcessorOrder()
-			if err != nil {
-				t.Fatal(err)
-			}
+			chains := s.ProcessorOrder()
 			for p := 0; p < m; p++ {
 				var prevEnd Time
 				first := true
 				for _, i := range chains[p] {
-					if !first && s.Assign[i].Start.Less(prevEnd) {
+					if !first && s.StartTime(i).Less(prevEnd) {
 						t.Fatalf("trial %d %v: overlap on processor %d", trial, h, p)
 					}
 					prevEnd = s.End(i)
