@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzJobOrderMatchesReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzJobOrderNeverPanics -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/integration -run '^$$' -fuzz FuzzValidatePipelinedMatchesReference -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/taskgraph -run '^$$' -fuzz FuzzReductionMatchesBitset -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./...

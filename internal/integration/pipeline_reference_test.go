@@ -29,20 +29,23 @@ func validatePipelinedReference(s *refSchedule) error {
 	if err := validateReference(s); err != nil {
 		return fmt.Errorf("sched: pipelined schedule fails base constraints: %w", err)
 	}
-	makespan := rational.Zero
+	makespan, first := rational.Zero, rational.Zero
 	for i := range tg.Jobs {
 		if e := s.end(i); makespan.Less(e) {
 			makespan = e
 		}
+		if i == 0 || s.starts[i].Less(first) {
+			first = s.starts[i]
+		}
 	}
-	if makespan.LessEq(h) {
+	span := makespan.Sub(first)
+	if span.LessEq(h) {
 		return nil
 	}
-	reps := makespan.Div(h).Ceil()
 	for p, jobs := range s.processorOrder() {
 		for _, i := range jobs {
 			for _, j := range jobs {
-				for k := int64(1); k <= reps; k++ {
+				for k := int64(1); h.MulInt(k).Less(span); k++ {
 					shift := h.MulInt(k)
 					if s.starts[i].Less(s.end(j).Add(shift)) && s.starts[j].Add(shift).Less(s.end(i)) {
 						return fmt.Errorf(

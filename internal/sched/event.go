@@ -28,7 +28,6 @@ package sched
 // (see RunPortfolio).
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -112,25 +111,46 @@ func (pc *precomp) rankFor(h Heuristic) []int32 {
 	return rank
 }
 
-// sortedByKey returns the indices of key ordered by (key, index).
+// sortedByKey returns the indices of key ordered by (key, index), the
+// identity permutation sorted stably by key. Keys already in order, as the
+// arrivals of a derived graph are, return the identity after one check.
+// Otherwise least-significant-byte radix passes sort them, skipping each
+// byte position at which every key agrees.
 func sortedByKey(key []int64) []int32 {
-	idx := make([]int32, len(key))
+	n := len(key)
+	idx := make([]int32, n)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	slices.SortFunc(idx, keyThenIndex(key))
-	return idx
-}
-
-// keyThenIndex compares job indices by key, then by index: the <_J order
-// breaks ties.
-func keyThenIndex(key []int64) func(a, b int32) int {
-	return func(a, b int32) int {
-		if c := cmp.Compare(key[a], key[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
+	if slices.IsSorted(key) {
+		return idx
 	}
+	// Flipping the sign bit orders the keys as unsigned integers.
+	digit := func(k int64, shift int) byte { return byte((uint64(k) ^ 1<<63) >> shift) }
+	var counts [8][256]int
+	for _, k := range key {
+		for b := range counts {
+			counts[b][digit(k, 8*b)]++
+		}
+	}
+	tmp := make([]int32, n)
+	for b := range counts {
+		c, shift := &counts[b], 8*b
+		if c[digit(key[0], shift)] == n {
+			continue
+		}
+		sum := 0
+		for d, k := range c {
+			c[d], sum = sum, sum+k
+		}
+		for _, i := range idx {
+			d := digit(key[i], shift)
+			tmp[c[d]] = i
+			c[d]++
+		}
+		idx, tmp = tmp, idx
+	}
+	return idx
 }
 
 // tickEvent is a heap entry: a job's completion instant.

@@ -1,7 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -234,5 +238,45 @@ func TestFindFeasibleAllHeuristicsMiss(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "deadline") {
 		t.Errorf("last lane's deadline miss not wrapped: %v", err)
+	}
+}
+
+// TestSortedByKeyMatchesStableSort pins sortedByKey's radix and presorted
+// paths to a comparison sort on (key, index): random keys over narrow and
+// full int64 ranges with ties, the extremes, constant, sorted and reversed
+// slices.
+func TestSortedByKeyMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cases := [][]int64{nil, {7}, {3, 3, 3}, {2, 1}, {9, 1, 2, 3}, {1, 2, 3, 0},
+		{math.MaxInt64, math.MinInt64, 0, -1, 1, math.MinInt64}}
+	for trial := 0; trial < 300; trial++ {
+		key := make([]int64, rng.Intn(600))
+		for i := range key {
+			switch trial % 3 {
+			case 0:
+				key[i] = rng.Int63n(20) - 10
+			case 1:
+				key[i] = int64(rng.Uint64())
+			default:
+				key[i] = rng.Int63n(1 << 40)
+			}
+		}
+		cases = append(cases, key)
+		if trial%10 == 0 {
+			asc := slices.Clone(key)
+			slices.Sort(asc)
+			cases = append(cases, asc, slices.Clone(asc))
+			slices.Reverse(cases[len(cases)-1])
+		}
+	}
+	for ci, key := range cases {
+		want := make([]int32, len(key))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(key[a], key[b]) })
+		if got := sortedByKey(key); !slices.Equal(got, want) {
+			t.Fatalf("case %d (%d keys): sortedByKey %v, want %v", ci, len(key), got, want)
+		}
 	}
 }

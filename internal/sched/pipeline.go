@@ -68,18 +68,27 @@ func (s *Schedule) ValidatePipelined() error {
 		return fmt.Errorf("sched: hyperperiod %v is not a positive whole number of ticks of the schedule's 1/%d timescale",
 			tg.Hyperperiod, jt.Scale.Den())
 	}
-	makespan := s.makespanTicks()
-	if makespan <= h {
+	// A job of repetition k overlaps one of repetition 0 only if
+	// k·H < e_i − s_j, which is at most the span from the earliest start
+	// to the makespan; starts may precede 0 on a hand-built graph.
+	span := s.makespanTicks()
+	if len(s.Assign) > 0 {
+		first := s.Assign[0].Start
+		for _, a := range s.Assign {
+			first = min(first, a.Start)
+		}
+		span -= first
+	}
+	if span <= h {
 		return nil // no overlap; plain feasibility suffices
 	}
-	reps := (makespan + h - 1) / h // how many shifted copies can overlap
 	end := func(i int) int64 { return s.Assign[i].Start + jt.WCET[i] }
 
 	// Processor mutual exclusion across repetitions.
 	for p, jobs := range s.ProcessorOrder() {
 		for _, i := range jobs {
 			for _, j := range jobs {
-				for k := int64(1); k <= reps; k++ {
+				for k := int64(1); k*h < span; k++ {
 					shift := k * h
 					// [s_i, e_i) vs [s_j + kH, e_j + kH)
 					if s.Assign[i].Start < end(j)+shift && s.Assign[j].Start+shift < end(i) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rational"
 	"repro/internal/taskgraph"
 )
 
@@ -144,5 +145,38 @@ func TestPipelinedValidatorRejectsProcessorCollision(t *testing.T) {
 	err = s.ValidatePipelined()
 	if err == nil || !strings.Contains(err.Error(), "overlap on processor") {
 		t.Errorf("ValidatePipelined = %v, want processor collision", err)
+	}
+}
+
+// TestPipelinedValidatorCollisionLateRepetition: on a hand-built graph a
+// start may precede the frame, and then a job collides with a repetition
+// k as late as ⌈(makespan − earliest start)/H⌉ − 1. Job J runs at
+// [−6, −5) or [−16, −15) and job I at [14, 15), both on one processor,
+// with H = 10: J's repetition 2 or 3 lands on I. Repetition 2 is
+// ⌈makespan/H⌉, which a loop bounded by ⌊makespan/H⌋ misses; repetition
+// 3 lies beyond ⌈makespan/H⌉ itself.
+func TestPipelinedValidatorCollisionLateRepetition(t *testing.T) {
+	for _, c := range []struct {
+		startJ int64
+		rep    string
+	}{{-6, "+2"}, {-16, "+3"}} {
+		job := func(i int, proc string, a int64) *taskgraph.Job {
+			return &taskgraph.Job{Index: i, Proc: proc, Pid: i, K: 1,
+				Arrival: rational.FromInt(a), Deadline: rational.FromInt(a + 1), WCET: rational.One}
+		}
+		tg := &taskgraph.TaskGraph{
+			Hyperperiod: rational.FromInt(10),
+			Jobs:        []*taskgraph.Job{job(0, "J", c.startJ), job(1, "I", 14)},
+			Succ:        [][]int{{}, {}},
+			Pred:        [][]int{{}, {}},
+		}
+		s := &Schedule{TG: tg, M: 1, Assign: []Assignment{{0, c.startJ}, {0, 14}}}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("J at %d: base validation failed: %v", c.startJ, err)
+		}
+		err := s.ValidatePipelined()
+		if err == nil || !strings.Contains(err.Error(), "overlap on processor 0") || !strings.Contains(err.Error(), "repetition "+c.rep) {
+			t.Errorf("J at %d: ValidatePipelined = %v, want a collision with repetition %s", c.startJ, err, c.rep)
+		}
 	}
 }

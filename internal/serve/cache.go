@@ -56,9 +56,10 @@ type Entry struct {
 }
 
 // entryBaseCost approximates the fixed footprint of a cached pipeline and
-// entryJobCost the per-job footprint of the task graph + plan tables; the
-// LRU evicts by the sum, so one 100k-job scale entry weighs as much as
-// ~100 small app entries.
+// entryJobCost the per-job footprint of the task graph + plan tables. Every
+// table is linear in the jobs (the task graph keeps its reduced edges and
+// no reachability index), so the LRU evicts by the sum, and one 100k-job
+// scale entry weighs as much as ~100 small app entries.
 const (
 	entryBaseCost = int64(1) << 16
 	entryJobCost  = int64(512)

@@ -89,7 +89,8 @@ type TaskGraph struct {
 	// Jobs lists the nodes in <_J order.
 	Jobs []*Job
 	// Succ and Pred are adjacency lists (job indices) after transitive
-	// reduction.
+	// reduction. With Edges they are the graph's only edge structure: it
+	// keeps no reachability index (see HasPath).
 	Succ [][]int
 	Pred [][]int
 	// CandidateEdgeCount is the number of precedence edges generated by
@@ -126,10 +127,6 @@ type TaskGraph struct {
 	// failure of a hand-built graph's lowering.
 	ticks    *JobTicks
 	ticksErr error
-	// reach[v] is the strict-descendant bitset of job v computed by the
-	// transitive-reduction sweep, reused for O(1) HasPath queries. Nil
-	// when the reduction was skipped (KeepRedundantEdges).
-	reach [][]uint64
 }
 
 // Related reports whether the processes with pids p and q are
@@ -241,16 +238,13 @@ func (tg *TaskGraph) HasEdge(a, b int) bool {
 	return false
 }
 
-// HasPath reports whether b is reachable from a through reduced edges.
-// After a derivation with transitive reduction this is an O(1) lookup in
-// the reachability bitsets the reduction already computed; graphs kept
-// unreduced (KeepRedundantEdges) fall back to a DFS.
+// HasPath reports whether b is reachable from a through the graph's edges,
+// by a depth-first search over the jobs between a and b. The graph keeps
+// no reachability index, so a derived graph stays linear in its jobs and
+// edges.
 func (tg *TaskGraph) HasPath(a, b int) bool {
 	if a >= b {
 		return a == b
-	}
-	if tg.reach != nil {
-		return bitSet(tg.reach[a], b)
 	}
 	seen := make([]bool, len(tg.Jobs))
 	stack := []int{a}
@@ -372,17 +366,9 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 	tg.CandidateEdgeCount = countEdges(cand)
 
 	// Step 5: transitive reduction (step 4, deadline truncation, happened
-	// during job construction). Small frames use the bitset sweep, whose
-	// descendant sets double as the O(1) HasPath index; past
-	// chainReductionMinJobs the n²/8-byte bitsets become the scaling
-	// bottleneck and the chain-decomposition reduction takes over
-	// (HasPath then falls back to DFS).
+	// during job construction).
 	if !opts.KeepRedundantEdges {
-		if len(jobs) >= chainReductionMinJobs {
-			cand = transitiveReductionChains(cand, jobPid, len(rank))
-		} else {
-			cand, tg.reach = transitiveReduction(cand)
-		}
+		cand = transitiveReduction(cand, jobPid, len(rank))
 	}
 	tg.Succ = cand
 	tg.Pred = invert(cand)
@@ -526,65 +512,6 @@ func dedupInts(s []int) []int {
 	}
 	return out
 }
-
-// transitiveReduction removes every edge (v, u) for which u is reachable
-// from v through another successor, and returns the per-node
-// strict-descendant bitsets its sweep computes as a byproduct (kept on the
-// TaskGraph for O(1) HasPath queries). Nodes are assumed topologically
-// ordered by index (edges go forward), which the derivation guarantees, so
-// one reverse-index scan sees every successor's desc[u] (the bitset of its
-// strict descendants) complete before it reaches v.
-func transitiveReduction(succ [][]int) ([][]int, [][]uint64) {
-	n := len(succ)
-	words := (n + 63) / 64
-	desc := make([][]uint64, n)
-	buf := make([]uint64, n*words)
-	for v := 0; v < n; v++ {
-		desc[v] = buf[v*words : (v+1)*words]
-	}
-	out := make([][]int, n)
-	// Kept-edge lists are carved from one arena sized by the candidate
-	// edge count.
-	total := 0
-	for _, s := range succ {
-		total += len(s)
-	}
-	arena := make([]int, 0, total)
-
-	// Redundancy: edge (v,u) is redundant iff u is a descendant of some
-	// other successor w. Since desc[w] never contains w, unioning all
-	// desc[w] first and testing membership is equivalent to the per-u
-	// exclusion. The successors themselves are added afterwards: every
-	// successor is a descendant either way.
-	// The descendants of v's successors all exceed v, so the words below
-	// (v+1)/64 of their rows are zero and the union starts at that word.
-	for v := n - 1; v >= 0; v-- {
-		d, w := desc[v], (v+1)/64
-		for _, u := range succ[v] {
-			orBits(d[w:], desc[u][w:])
-		}
-		base := len(arena)
-		for _, u := range succ[v] {
-			if !bitSet(d, u) {
-				arena = append(arena, u)
-			}
-		}
-		for _, u := range succ[v] {
-			setBit(d, u)
-		}
-		out[v] = arena[base:len(arena):len(arena)]
-	}
-	return out, desc
-}
-
-func orBits(dst, src []uint64) {
-	for i := range src {
-		dst[i] |= src[i]
-	}
-}
-
-func setBit(b []uint64, i int)      { b[i/64] |= 1 << (i % 64) }
-func bitSet(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
 // invert builds predecessor lists, carved from one backing array sized by
 // the exact in-degrees so the inversion allocates O(1) slices.

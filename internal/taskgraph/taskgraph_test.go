@@ -4,9 +4,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/apps/fms"
 	"repro/internal/apps/signal"
 	"repro/internal/core"
 	"repro/internal/rational"
@@ -402,20 +404,24 @@ func closure(succ [][]int) map[[2]int]bool {
 }
 
 // TestTransitiveReductionProperty: on random forward DAGs the reduction
-// preserves the transitive closure and keeps no removable edge.
+// preserves the transitive closure and keeps no removable edge. Each job
+// is its own chain, which any DAG trivially satisfies, so the minimum-reach
+// rows are full reachability; both row layouts run.
 func TestTransitiveReductionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(18)
 		succ := make([][]int, n)
+		ownChain := make([]int32, n)
 		for v := 0; v < n; v++ {
+			ownChain[v] = int32(v)
 			for u := v + 1; u < n; u++ {
 				if rng.Intn(3) == 0 {
 					succ[v] = append(succ[v], u)
 				}
 			}
 		}
-		reduced, _ := transitiveReduction(succ)
+		reduced := reduceChains(succ, ownChain, n, trial%2 == 0)
 		if len(closure(succ)) != len(closure(reduced)) {
 			t.Fatalf("trial %d: reduction changed the closure", trial)
 		}
@@ -433,6 +439,36 @@ func TestTransitiveReductionProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDeriveMemoryLinear guards the derivation against memory that grows
+// quadratically in the jobs: fms-original has 3.45× the jobs of fms over
+// the same 12 processes, and a second Derive of it may allocate at most 4×
+// the bytes of fms's. The n²-bit reachability sets of a bitset reduction
+// put the ratio above 5.
+func TestDeriveMemoryLinear(t *testing.T) {
+	allocated := func(net *core.Network) (jobs int, bytes uint64) {
+		if _, err := Derive(net); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tg, err := Derive(net)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(tg.Jobs), after.TotalAlloc - before.TotalAlloc
+	}
+	nSmall, bSmall := allocated(fms.New())
+	nBig, bBig := allocated(fms.NewConfig(fms.Original()))
+	ratio := float64(bBig) / float64(bSmall)
+	t.Logf("fms %d jobs %d B, fms-original %d jobs %d B: job ratio %.2f, byte ratio %.2f",
+		nSmall, bSmall, nBig, bBig, float64(nBig)/float64(nSmall), ratio)
+	if ratio > 4 {
+		t.Errorf("fms-original's derivation allocates %.2f× fms's bytes for %.2f× the jobs, above 4×",
+			ratio, float64(nBig)/float64(nSmall))
 	}
 }
 

@@ -11,9 +11,12 @@ package taskgraph
 // reduces to lowest terms, so every job carries the exact rational times of
 // the paper; the differential suite and FuzzDeriveTickMatchesRational in
 // internal/integration hold the simulation to an exact-rational oracle.
+// The edge pipeline works on the jobs' pids alone: candidateEdges is step
+// 3, and transitiveReduction (step 5) keeps one row per job with a cell
+// per process chain it reaches, so its memory grows with the jobs times
+// the reached chains, not as n².
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -120,120 +123,114 @@ func candidateEdges(jobPid []int32, related [][]int) [][]int {
 	return succ
 }
 
-// chainReductionMinJobs switches the transitive reduction to the
-// chain-decomposition algorithm: the bitset sweep stores n·n/8 bytes of
-// descendant sets, which at 10^5 jobs would be gigabytes, while the chain
-// form stores n·P int32s (P = process count). Below the threshold the
-// bitset sweep stays — it is faster for small frames and its descendant
-// sets double as the O(1) HasPath index.
-const chainReductionMinJobs = 8192
+// denseReachMaxProcs is the largest process count whose minimum-reach rows
+// transitiveReduction stores densely, n·P int32s. Above it a job reaches
+// few of the chains, so sparse rows listing only those are both smaller
+// and faster to merge.
+const denseReachMaxProcs = 64
 
-// transitiveReductionChains removes redundant edges using the process-chain
-// structure of the derivation instead of full descendant bitsets. Every job
-// set partitions into per-process chains along which consecutive jobs are
-// always connected (candidateEdges links each job to its process
-// successor), so reachability into a chain is summarized by the minimum
-// reachable index: minReach[v][c] = smallest job index of chain c strictly
-// reachable from v. An edge (v, u) is redundant exactly when some successor
-// w of v reaches u, i.e. minReach[w][chain(u)] ≤ u — the same criterion the
-// bitset sweep evaluates, so both algorithms keep identical edge sets (the
-// in-package differential test pins this on random graphs).
-func transitiveReductionChains(succ [][]int, jobPid []int32, np int) [][]int {
+// transitiveReduction removes every edge (v, u) for which another
+// successor of v reaches u. The jobs partition into per-process chains
+// whose consecutive jobs are always linked (candidateEdges links each job
+// to its process successor), so what v reaches of chain c is summarized by
+// the smallest job index it reaches there, reach_v[c]. Edges point forward,
+// so one reverse sweep sees every successor's row complete. For each job v:
+//
+//  1. reach_v starts as the element-wise minimum of its successors' rows;
+//  2. each successor u in turn is dropped when reach_v[chain(u)] ≤ u:
+//     another successor reaches a job of u's chain at or before u, and the
+//     chain carries it to u (u's own row holds only indices above u);
+//     otherwise the edge is kept and u folds into reach_v[chain(u)].
+//
+// Each edge is tested in O(1). Rows are dense (np cells each) up to
+// denseReachMaxProcs processes and sparse (reachCell lists) above; the
+// choice depends only on np.
+func transitiveReduction(succ [][]int, jobPid []int32, np int) [][]int {
+	return reduceChains(succ, jobPid, np, np <= denseReachMaxProcs)
+}
+
+// reachCell is one entry of a sparse minimum-reach row.
+type reachCell struct{ chain, min int32 }
+
+// reduceChains is transitiveReduction with the row layout chosen by the
+// caller.
+func reduceChains(succ [][]int, jobPid []int32, np int, dense bool) [][]int {
 	n := len(succ)
-	const inf = int32(1 << 30)
-
-	// minReach rows are stored sparsely: row v holds (chain, min index)
-	// pairs sorted by chain id, covering exactly the chains reachable from
-	// v. A dense n×np matrix is gigabytes at the 100k-job scale tier with
-	// its thousands of processes, while the jobs of such networks reach
-	// only a handful of downstream chains each; dense-relation networks
-	// (where sparse degenerates to the same footprint) stay on the bitset
-	// sweep below the job threshold anyway.
-	rowChain := make([][]int32, n)
-	rowMin := make([][]int32, n)
-	// One dense scratch row with a touched list keeps each merge
-	// hash-free and O(sum of successor row sizes).
-	scratch := make([]int32, np)
-	for i := range scratch {
-		scratch[i] = inf
-	}
-	touched := make([]int32, 0, np)
-	lookup := func(w int, chain int32) int32 {
-		cs := rowChain[w]
-		lo, hi := 0, len(cs)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if cs[mid] < chain {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(cs) && cs[lo] == chain {
-			return rowMin[w][lo]
-		}
-		return inf
-	}
-
-	total := 0
-	for _, s := range succ {
-		total += len(s)
-	}
+	const inf = int32(1<<31 - 1)
+	total := countEdges(succ)
+	// Kept-edge lists are carved from one arena sized by the candidate
+	// edge count.
 	arena := make([]int, 0, total)
 	out := make([][]int, n)
-	chainArena := make([]int32, 0, 4*n)
-	minArena := make([]int32, 0, 4*n)
+
+	// Dense: row v is rows[v*np:(v+1)*np] and is built in place. Sparse:
+	// row v is cells[rowEnd[v+1]:rowEnd[v]], built in the dense scratch
+	// row with a touched list and then frozen, so each merge costs the
+	// successors' row lengths. The scale tier's rows hold about 1.8 cells
+	// per candidate edge, hence the initial capacity.
+	var rows, scratch, touched []int32
+	var cells []reachCell
+	var rowEnd []int
+	if dense {
+		rows = make([]int32, n*np)
+	} else {
+		scratch = make([]int32, np)
+		for c := range scratch {
+			scratch[c] = inf
+		}
+		cells = make([]reachCell, 0, 2*total)
+		rowEnd = make([]int, n+1)
+	}
 	for v := n - 1; v >= 0; v-- {
-		for _, u := range succ[v] {
-			cs, ms := rowChain[u], rowMin[u]
-			for k, c := range cs {
-				if scratch[c] > ms[k] {
-					if scratch[c] == inf {
-						touched = append(touched, c)
-					}
-					scratch[c] = ms[k]
+		row := scratch
+		if dense {
+			row = rows[v*np : (v+1)*np]
+			if len(succ[v]) == 0 {
+				for c := range row {
+					row[c] = inf
 				}
 			}
-			if uc := jobPid[u]; scratch[uc] > int32(u) {
-				if scratch[uc] == inf {
-					touched = append(touched, uc)
+			for k, u := range succ[v] {
+				r := rows[u*np:][:len(row)]
+				if k == 0 {
+					copy(row, r)
+					continue
 				}
-				scratch[uc] = int32(u)
+				for c := range row {
+					row[c] = min(row[c], r[c])
+				}
+			}
+		} else {
+			for _, u := range succ[v] {
+				for _, cell := range cells[rowEnd[u+1]:rowEnd[u]] {
+					if cell.min < row[cell.chain] {
+						if row[cell.chain] == inf {
+							touched = append(touched, cell.chain)
+						}
+						row[cell.chain] = cell.min
+					}
+				}
 			}
 		}
-		// Keep (v, u) unless some other successor w strictly reaches u:
-		// minReach[w][chain(u)] ≤ u means w reaches a chain(u) job at or
-		// before u, and the chain edges carry it the rest of the way.
-		// (Same-chain w < u is subsumed: w's own chain successor y ≤ u
-		// contributes y to minReach[w][chain(u)].)
 		base := len(arena)
 		for _, u := range succ[v] {
-			redundant := false
-			for _, w := range succ[v] {
-				if w != u && lookup(w, jobPid[u]) <= int32(u) {
-					redundant = true
-					break
+			if c := jobPid[u]; int32(u) < row[c] {
+				if !dense && row[c] == inf {
+					touched = append(touched, c)
 				}
-			}
-			if !redundant {
+				row[c] = int32(u)
 				arena = append(arena, u)
 			}
 		}
 		out[v] = arena[base:len(arena):len(arena)]
-
-		// Freeze v's row from the scratch and reset the touched cells.
-		// Arena growth may move the backing; earlier rows keep pointing at
-		// the old block, whose values never change again.
-		slices.Sort(touched)
-		cb, mb := len(chainArena), len(minArena)
-		for _, c := range touched {
-			chainArena = append(chainArena, c)
-			minArena = append(minArena, scratch[c])
-			scratch[c] = inf
+		if !dense {
+			for _, c := range touched {
+				cells = append(cells, reachCell{c, row[c]})
+				row[c] = inf
+			}
+			touched = touched[:0]
+			rowEnd[v] = len(cells)
 		}
-		rowChain[v] = chainArena[cb:len(chainArena):len(chainArena)]
-		rowMin[v] = minArena[mb:len(minArena):len(minArena)]
-		touched = touched[:0]
 	}
 	return out
 }
